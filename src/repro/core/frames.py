@@ -127,6 +127,13 @@ def build_variable_tree(
     sharing prefixes become nested :class:`VariableView` aggregates — the
     bundle reconstruction of paper Sec. 4.2.
     """
+    return _assemble(
+        [(_split_dotted(dotted), value, rtl) for dotted, value, rtl in bindings]
+    )
+
+
+def _assemble(bindings) -> list[VariableView]:
+    """:func:`build_variable_tree` over names already split into parts."""
     roots: list[VariableView] = []
 
     def get_child(pool: list[VariableView], name: str) -> VariableView:
@@ -137,8 +144,7 @@ def build_variable_tree(
         pool.append(v)
         return v
 
-    for dotted, value, rtl in bindings:
-        parts = _split_dotted(dotted)
+    for parts, value, rtl in bindings:
         pool = roots
         for p in parts[:-1]:
             node = get_child(pool, p)
@@ -149,8 +155,32 @@ def build_variable_tree(
     return roots
 
 
+#: One planned variable: its dotted name split into parts, its full RTL
+#: path (None for a constant), and its RTL-local name or constant text.
+_PlanVar = tuple[tuple[str, ...], str | None, str]
+
+
+@dataclass(frozen=True, slots=True)
+class _FramePlan:
+    """What every frame of one breakpoint reads."""
+
+    instance_path: str
+    local_vars: tuple[_PlanVar, ...]
+    generator_vars: tuple[_PlanVar, ...]
+
+
 class FrameBuilder:
-    """Builds frames by joining symbol table scope info with live values."""
+    """Builds frames by joining symbol table scope info with live values.
+
+    The first frame of a breakpoint fetches its scope variables, and its
+    instance's generator variables, once: the resulting plan keeps each
+    variable's split name and joined RTL path, with generator variables
+    shared by every breakpoint of the instance.  Later hits only read leaf
+    values through ``sim.get_value``, so a hit costs no symbol-table
+    query — which matters when the table sits behind RPC.  Plans rely on
+    the table being read-only while a runtime is attached (see
+    :class:`~repro.symtable.query.SymbolTableInterface`).
+    """
 
     def __init__(
         self,
@@ -161,38 +191,64 @@ class FrameBuilder:
         self.symtable = symtable
         self.sim = sim
         self.instance_map = instance_map
+        self._plans: dict[int, _FramePlan] = {}
+        self._generator_plans: dict[int, tuple[_PlanVar, ...]] = {}
 
     def rtl_path(self, instance_name: str, local: str) -> str:
         base = self.instance_map.get(instance_name, instance_name)
         return f"{base}.{local}"
 
-    def read(self, instance_name: str, local: str) -> int | None:
-        try:
-            return self.sim.get_value(self.rtl_path(instance_name, local))
-        except SimulatorError:
-            return None
+    def _plan_vars(self, instance_name: str, variables) -> tuple[_PlanVar, ...]:
+        return tuple(
+            (
+                tuple(_split_dotted(var.name)),
+                self.rtl_path(instance_name, var.value) if var.is_rtl else None,
+                var.value,
+            )
+            for var in variables
+        )
+
+    def _plan(self, bp: BreakpointRec) -> _FramePlan:
+        local_vars = self._plan_vars(
+            bp.instance_name, self.symtable.scope_variables(bp.id)
+        )
+        generator_vars = self._generator_plans.get(bp.instance_id)
+        if generator_vars is None:
+            generator_vars = self._generator_plans[bp.instance_id] = (
+                self._plan_vars(
+                    bp.instance_name,
+                    self.symtable.generator_variables(bp.instance_id),
+                )
+            )
+        plan = self._plans[bp.id] = _FramePlan(
+            self.instance_map.get(bp.instance_name, bp.instance_name),
+            local_vars,
+            generator_vars,
+        )
+        return plan
+
+    def _tree(self, planned: tuple[_PlanVar, ...]) -> list[VariableView]:
+        get_value = self.sim.get_value
+        bindings = []
+        for parts, path, text in planned:
+            if path is None:
+                bindings.append((parts, text, None))
+                continue
+            try:
+                value = get_value(path)
+            except SimulatorError:
+                value = None
+            bindings.append((parts, value, text))
+        return _assemble(bindings)
 
     def build(self, bp: BreakpointRec, time: int) -> Frame:
-        locals_raw: list[tuple[str, int | str | None, str | None]] = []
-        for var in self.symtable.scope_variables(bp.id):
-            if var.is_rtl:
-                value = self.read(bp.instance_name, var.value)
-                locals_raw.append((var.name, value, var.value))
-            else:
-                locals_raw.append((var.name, var.value, None))
-
-        gen_raw: list[tuple[str, int | str | None, str | None]] = []
-        for var in self.symtable.generator_variables(bp.instance_id):
-            if var.is_rtl:
-                value = self.read(bp.instance_name, var.value)
-                gen_raw.append((var.name, value, var.value))
-            else:
-                gen_raw.append((var.name, var.value, None))
-
+        plan = self._plans.get(bp.id)
+        if plan is None:
+            plan = self._plan(bp)
         return Frame(
             breakpoint=bp,
-            instance_path=self.instance_map.get(bp.instance_name, bp.instance_name),
+            instance_path=plan.instance_path,
             time=time,
-            local_vars=build_variable_tree(locals_raw),
-            generator_vars=build_variable_tree(gen_raw),
+            local_vars=self._tree(plan.local_vars),
+            generator_vars=self._tree(plan.generator_vars),
         )

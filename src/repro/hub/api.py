@@ -446,6 +446,10 @@ class LocalSession(SessionHandle):
         bp = self._stop_bp
         if breakpoint_id is not None:
             bp = self.runtime.symtable.breakpoint(int(breakpoint_id))
+            if bp is None:
+                # The id may come off the hub wire: never fall back to the
+                # top scope and answer for a breakpoint that is not there.
+                raise SessionError(f"unknown breakpoint id {breakpoint_id}")
         return self.runtime.evaluate(expr, bp)
 
     # -- time / history --------------------------------------------------

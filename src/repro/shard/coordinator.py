@@ -444,7 +444,11 @@ class ShardSession:
                     self.circuit, self.compiled, job.spec.to_wire(),
                     host, port, w_conn,
                 ),
-                kwargs={"fault": fault, "obs_mode": self.obs.mode},
+                kwargs={
+                    "fault": fault,
+                    "obs_mode": self.obs.mode,
+                    "listening": on_event is not None,
+                },
                 daemon=True,
             )
             if c_attempts is not None:

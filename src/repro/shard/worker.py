@@ -335,11 +335,16 @@ def run_world_group(
 
 def worker_entry(
     circuit, compiled, spec_wire: dict, host: str, port: int, conn,
-    fault=None, obs_mode: str | None = None,
+    fault=None, obs_mode: str | None = None, listening: bool = True,
 ) -> None:
     """Forked worker process main: run one shard, stream JSON-line events
     through ``conn`` (a write-only ``multiprocessing`` connection), finish
     with a ``done`` (or ``error``) event, and close the pipe.
+
+    ``listening`` says whether the sweep has an ``on_event`` listener.
+    Without one the attempt sends no ``hit`` lines: the ``done`` result
+    carries every hit, so streaming them too would only cost encoding,
+    pipe and decoding work for records nobody reads.
 
     ``fault`` (a :class:`repro.faults.ShardFault`, or None) arms this
     attempt's injected fault: kill/hang fire from the per-cycle hook,
@@ -358,6 +363,8 @@ def worker_entry(
     injector = FaultInjector(fault) if fault is not None else None
 
     def emit(event: dict) -> None:
+        if not listening and event["event"] == "hit":
+            return
         data = encode_line(event)
         if injector is not None and injector.corrupting:
             data = corrupt_line(data)

@@ -58,7 +58,14 @@ class InstanceRec:
 
 
 class SymbolTableInterface(ABC):
-    """The four primitives of paper Sec. 3.4 plus enumeration helpers."""
+    """The four primitives of paper Sec. 3.4 plus enumeration helpers.
+
+    A table is read-only while a :class:`~repro.core.Runtime` is attached
+    to it: every query must keep returning the same answer.  Frame plans
+    rely on this (:class:`~repro.core.frames.FrameBuilder`): what a
+    breakpoint's frames show is fetched at its first hit and never
+    queried again.
+    """
 
     @abstractmethod
     def breakpoints_at(

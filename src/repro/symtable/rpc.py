@@ -4,6 +4,7 @@ HGFs that maintain their own symbol tables serve them over RPC instead of
 handing hgdb a SQLite file; "since the simulator is paused whenever hgdb
 interacts with the symbol table ... the symbol table performance is less
 important compared to the simulator interface" (Sec. 3.4).
+hgdb-py no longer queries the table on every hit (``repro.core.frames``).
 
 The wire format is JSON-lines over TCP: one request object per line,
 one response per line.  (The original uses WebSockets; the framing is

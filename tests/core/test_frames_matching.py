@@ -1,13 +1,20 @@
 """Frame reconstruction (bundles!) and hierarchy matching (Sec. 3.4)."""
 
+import collections
+import random
+
 import pytest
 
 import repro
 import repro.hgf as hgf
-from repro.core.frames import FrameBuilder, build_variable_tree
+from repro.core import CONTINUE, Runtime
+from repro.core.frames import Frame, FrameBuilder, build_variable_tree
 from repro.core.matching import MatchError, locate_instance
-from repro.sim import Simulator
-from repro.symtable import SQLiteSymbolTable, write_symbol_table
+from repro.hub import SessionOptions
+from repro.sim import ManyWorldsSimulator, Simulator, SimulatorError
+from repro.sim.store import numpy_available
+from repro.symtable import SQLiteSymbolTable, SymbolTableInterface, write_symbol_table
+from repro.trace import ReplayEngine, VcdWriter
 from tests.helpers import Counter, TwoLeaves, line_of
 
 
@@ -142,3 +149,221 @@ class TestFrameBuilder:
         bp = st.all_breakpoints()[0]
         frame = fb.build(bp, 0)
         assert all(v.value is None for v in frame.local_vars if not v.is_aggregate)
+
+
+class _Lane(hgf.Module):
+    """A leaf whose scope holds a bundle of a vector (split names) and a
+    generator constant."""
+
+    def __init__(self, bias: int):
+        super().__init__()
+        self.bias = bias
+        self.io = self.input(
+            "io",
+            typ=hgf.Bundle(v=hgf.Vec(2, hgf.UInt(4)), q=hgf.Flip(hgf.UInt(5))),
+        )
+        self.io.q <<= self.io.v[0] + self.io.v[1] + bias
+
+
+class _Lanes(hgf.Module):
+    """Two instances of one leaf (one source line, two breakpoints) plus
+    several top-level lines.  Every breakpoint is unconditional, so each
+    hits once per cycle."""
+
+    def __init__(self):
+        super().__init__()
+        self.x = self.input("x", 4)
+        self.y = self.output("y", 10)
+        a = self.instance("a", _Lane(1))
+        b = self.instance("b", _Lane(2))
+        for lane, (lo, hi) in ((a, (0, 3)), (b, (5, 0))):
+            v0, v1 = lane.io.v[0], lane.io.v[1]
+            v0 <<= self.x ^ lo
+            v1 <<= self.x ^ hi
+        self.y <<= hgf.cat(a.io.q, b.io.q)
+
+
+class _CountingTable(SymbolTableInterface):
+    """A symbol table that forwards every query and counts it by method
+    and arguments."""
+
+    def __init__(self, inner: SymbolTableInterface):
+        self.inner = inner
+        self.calls: collections.Counter = collections.Counter()
+
+    def _query(self, method: str, *args):
+        self.calls[method, args] += 1
+        return getattr(self.inner, method)(*args)
+
+    def breakpoints_at(self, filename, line, column=None):
+        return self._query("breakpoints_at", filename, line, column)
+
+    def scope_variables(self, breakpoint_id):
+        return self._query("scope_variables", breakpoint_id)
+
+    def resolve_scoped_var(self, breakpoint_id, name):
+        return self._query("resolve_scoped_var", breakpoint_id, name)
+
+    def resolve_instance_var(self, instance_id, name):
+        return self._query("resolve_instance_var", instance_id, name)
+
+    def instances(self):
+        return self._query("instances")
+
+    def generator_variables(self, instance_id):
+        return self._query("generator_variables", instance_id)
+
+    def all_breakpoints(self):
+        return self._query("all_breakpoints")
+
+    def breakpoint(self, breakpoint_id):
+        return self._query("breakpoint", breakpoint_id)
+
+    def filenames(self):
+        return self._query("filenames")
+
+    def breakpoint_lines(self, filename):
+        return self._query("breakpoint_lines", filename)
+
+    def attribute(self, name):
+        return self._query("attribute", name)
+
+    def count(self, method: str) -> dict:
+        return {
+            args[0]: n for (name, args), n in self.calls.items() if name == method
+        }
+
+
+def _fresh_frame(table, sim, instance_map, bp, time) -> Frame:
+    """A frame from fresh symbol-table queries: the per-hit path that frame
+    plans replace, kept here as the reference."""
+    base = instance_map.get(bp.instance_name, bp.instance_name)
+
+    def tree(variables):
+        bindings = []
+        for var in variables:
+            if not var.is_rtl:
+                bindings.append((var.name, var.value, None))
+                continue
+            try:
+                value = sim.get_value(f"{base}.{var.value}")
+            except SimulatorError:
+                value = None
+            bindings.append((var.name, value, var.value))
+        return build_variable_tree(bindings)
+
+    return Frame(
+        bp,
+        base,
+        time,
+        tree(table.scope_variables(bp.id)),
+        tree(table.generator_variables(bp.instance_id)),
+    )
+
+
+def _armed(design, sim):
+    """A runtime over ``sim`` with every breakpoint of ``design`` set,
+    checking each frame it builds against a fresh-query build."""
+    table = SQLiteSymbolTable(write_symbol_table(design))
+    counting = _CountingTable(table)
+    built: list = []
+
+    def on_hit(hit):
+        for frame in hit.frames:
+            fresh = _fresh_frame(
+                table, sim, runtime.instance_map, frame.breakpoint, hit.time
+            )
+            assert frame.to_dict() == fresh.to_dict()
+            built.append(frame)
+        return CONTINUE
+
+    runtime = Runtime(sim, counting, on_hit)
+    runtime.attach()
+    lines = {(b.filename, b.line) for b in table.all_breakpoints()}
+    for filename, line in sorted(lines):
+        runtime.add_breakpoint(filename, line)
+    return counting, built
+
+
+def _stimulus(cycles: int) -> list[int]:
+    rng = random.Random(cycles)
+    return [rng.getrandbits(4) for _ in range(cycles)]
+
+
+def _run(sim, cycles: int) -> None:
+    sim.reset()
+    for x in _stimulus(cycles):
+        sim.poke("x", x)
+        sim.step()
+
+
+def _live(design, cycles, store):
+    sim = Simulator(design.low, options=SessionOptions(store=store))
+    counting, built = _armed(design, sim)
+    _run(sim, cycles)
+    return counting, built
+
+
+def _list_store(design, cycles, _tmp_path):
+    return _live(design, cycles, "list")
+
+
+def _numpy_store(design, cycles, _tmp_path):
+    if not numpy_available():
+        pytest.skip("numpy not installed")
+    return _live(design, cycles, "numpy")
+
+
+def _replay(design, cycles, tmp_path):
+    path = str(tmp_path / "run.vcd")
+    writer = VcdWriter(path)
+    _run(Simulator(design.low, trace=writer, options=SessionOptions()), cycles)
+    writer.close()
+    replay = ReplayEngine.from_file(path)
+    counting, built = _armed(design, replay)
+    replay.run()
+    return counting, built
+
+
+def _world0(design, cycles, _tmp_path):
+    if not numpy_available():
+        pytest.skip("numpy not installed")
+    sim = ManyWorldsSimulator(design.low, 3, options=SessionOptions())
+    counting, built = _armed(design, sim)
+    sim.reset()
+    for x in _stimulus(cycles):
+        sim.poke_worlds("x", [x, x ^ 1, x ^ 2])
+        sim.step()
+    return counting, built
+
+
+class TestFramePlans:
+    """A breakpoint's frames query the symbol table once, then only read
+    values — and every frame equals one built from fresh queries."""
+
+    @pytest.mark.parametrize("cycles", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "backend",
+        [_list_store, _numpy_store, _replay, _world0],
+        ids=["list", "numpy", "replay", "manyworlds"],
+    )
+    def test_one_query_per_breakpoint_and_instance(self, backend, cycles, tmp_path):
+        design = repro.compile(_Lanes())
+        counting, built = backend(design, cycles, tmp_path)
+        hits = collections.Counter(f.breakpoint.id for f in built)
+        instances = {f.breakpoint.instance_id for f in built}
+        assert len(hits) == len(counting.inner.all_breakpoints()) == 7
+        assert min(hits.values()) >= cycles
+        assert len(instances) == 3
+        assert counting.count("scope_variables") == dict.fromkeys(hits, 1)
+        assert counting.count("generator_variables") == dict.fromkeys(instances, 1)
+
+    def test_plan_keeps_split_names_and_unresolvable_paths(self):
+        design = repro.compile(_Lanes())
+        _counting, built = _list_store(design, 2, None)
+        lane = next(f for f in built if f.instance_path == "_Lanes.a")
+        io = next(v for v in lane.local_vars if v.name == "io")
+        assert [c.name for c in io.child("v").children] == ["[0]", "[1]"]
+        generator = {v.name: v.value for v in lane.generator_vars}
+        assert generator["bias"] == "1"
+        assert generator["io"] is None  # the flattened bundle has no signal
