@@ -9,10 +9,9 @@ against an in-process :class:`~repro.hub.api.LocalSession`.
 
 from __future__ import annotations
 
-import json
 import socket
 
-from ..shard.wire import decode_deep, encode_deep
+from ..shard.wire import decode_message, encode_line
 from .api import SessionError, SessionHandle, StopInfo
 
 
@@ -28,11 +27,11 @@ class HubClient:
     def call(self, method: str, params: dict | None = None):
         req_id, self._next_id = self._next_id, self._next_id + 1
         req = {"id": req_id, "method": method, "params": params or {}}
-        self._sock.sendall(json.dumps(encode_deep(req)).encode() + b"\n")
+        self._sock.sendall(encode_line(req))
         line = self._file.readline()
         if not line:
             raise SessionError("hub connection closed")
-        resp = decode_deep(json.loads(line))
+        resp = decode_message(line)
         if resp.get("id") != req_id:
             raise SessionError(
                 f"hub response id mismatch: {resp.get('id')} != {req_id}"

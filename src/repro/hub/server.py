@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import os
 import tempfile
 import threading
 import time
 
 from ..obs import make_obs
-from ..shard.wire import decode_deep, encode_deep
+from ..shard.wire import decode_message, encode_line
 from ..sim.compiler import compile_design
 from ..symtable.writer import write_symbol_table
 from .api import SessionOptions, resolve_session_options
@@ -275,8 +274,13 @@ class DebugHub:
                 line = await reader.readline()
                 if not line:
                     break
+                # Reset per line: a line that does not decode is answered
+                # with a null id, never with the previous request's.
+                req_id = None
                 try:
-                    req = decode_deep(json.loads(line))
+                    req = decode_message(line)
+                    if not isinstance(req, dict):
+                        raise HubError("request must be a JSON object")
                     req_id = req.get("id")
                     result = await asyncio.to_thread(
                         self._handle_request,
@@ -287,11 +291,11 @@ class DebugHub:
                     resp = {"id": req_id, "result": result}
                 except Exception as exc:  # noqa: BLE001 - wire boundary
                     resp = {
-                        "id": req.get("id") if isinstance(req, dict) else None,
+                        "id": req_id,
                         "error": f"{exc}",
                         "kind": type(exc).__name__,
                     }
-                writer.write(json.dumps(encode_deep(resp)).encode() + b"\n")
+                writer.write(encode_line(resp))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass

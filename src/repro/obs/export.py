@@ -6,7 +6,8 @@ Perfetto and chrome://tracing): each span becomes a complete event
 normalized to the earliest span across *all* processes, so coordinator
 and worker spans line up on one timeline; ``pid`` keys the per-process
 tracks and ``"M"`` metadata events give them human names ("coordinator",
-"shard 3").
+"shard 3"; a worker that served several shards is named after each,
+"shard 0, shard 2").
 
 Prometheus text exposition: ``# HELP``/``# TYPE`` headers, cumulative
 ``_bucket{le="..."}`` series plus ``_sum``/``_count`` for histograms.
@@ -30,11 +31,13 @@ def to_chrome_trace(spans: Iterable) -> dict:
     spans = _span_dicts(spans)
     events: list[dict] = []
     t0 = min((s["wall"] for s in spans), default=0.0)
-    seen_procs: dict[int, str] = {}
+    seen_procs: dict[int, list[str]] = {}
     for s in spans:
         pid = int(s["pid"])
-        if pid not in seen_procs:
-            seen_procs[pid] = s.get("proc") or f"pid {pid}"
+        names = seen_procs.setdefault(pid, [])
+        proc = s.get("proc") or f"pid {pid}"
+        if proc not in names:
+            names.append(proc)
         events.append(
             {
                 "name": s["name"],
@@ -46,14 +49,14 @@ def to_chrome_trace(spans: Iterable) -> dict:
                 "args": s.get("args", {}),
             }
         )
-    for pid, proc in sorted(seen_procs.items()):
+    for pid, names in sorted(seen_procs.items()):
         events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 1,
-                "args": {"name": proc},
+                "args": {"name": ", ".join(names)},
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -4,11 +4,13 @@
 users" north star in miniature: the design is elaborated and compiled
 **once**, its symbol table is served over the existing RPC protocol
 (``symtable/rpc.py``), and N worker processes — forked so they inherit
-the compiled design for free — each run one :class:`ShardSpec` with their
+the compiled design for free — run :class:`ShardSpec` attempts with their
 own ``Simulator`` + ``Runtime``, streaming hit/progress events back over
-per-worker pipes as JSON lines.  The coordinator multiplexes those pipes
-onto one event queue, refills the worker pool as shards finish, and hands
-the merged results to :class:`~repro.shard.aggregate.ShardReport`.
+per-worker pipes as JSON lines.  A worker serves one sweep's attempts
+back to back, so a sweep forks at most ``workers`` processes unless an
+attempt fails.  The coordinator multiplexes those pipes onto one event
+queue, hands each idle worker the next shard, and passes the merged
+results to :class:`~repro.shard.aggregate.ShardReport`.
 
 ``workers=0`` runs every shard inline in this process (no fork, native
 symbol table) — the reference semantics the multi-process path is tested
@@ -18,7 +20,6 @@ against, and the fallback on platforms without ``fork``.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import multiprocessing
 import os
 import queue
@@ -53,7 +54,7 @@ from .supervise import (
     failure_record,
 )
 from .wire import WireError, decode_line
-from .worker import run_shard, run_world_group, worker_entry
+from .worker import run_shard, run_world_group, worker_main
 
 
 #: distinguishes "kwarg not passed" from an explicit value (None included)
@@ -83,21 +84,29 @@ class _Job:
 
 
 @dataclass(slots=True)
-class _WorkerState:
-    """One in-flight worker attempt: process, pipe pump, and the
-    liveness bookkeeping the supervisor tracks against it."""
+class _Attempt:
+    """One in-flight attempt and the liveness bookkeeping the supervisor
+    tracks against it."""
 
     job: _Job
-    token: int                 # unique per attempt: event attribution key
-    proc: object
-    conn: object
-    pump: threading.Thread
     started: float
     deadline: float | None     # absolute monotonic attempt deadline
     last_beat: float           # monotonic time of the last event seen
+    faulted: bool = False      # a fault was armed: its worker exits after
     started_wall: float = 0.0  # wall-clock launch time (trace span anchor)
     corrupt_seen: int = 0      # undecodable wire lines this attempt
-    settled: bool = False      # outcome decided (done/error/hang)
+
+
+@dataclass(slots=True, eq=False)
+class _Worker:
+    """One forked worker process, serving one sweep's attempts back to
+    back: the pipe attempts are sent over, the thread pumping its event
+    pipe, and the attempt it is running (None while idle or exiting)."""
+
+    proc: object
+    inbox: object
+    pump: threading.Thread | None = None
+    attempt: _Attempt | None = None
 
 
 @dataclass(slots=True)
@@ -421,59 +430,80 @@ class ShardSession:
 
         pending: deque[_Job] = deque(_Job(spec) for spec in specs)
         waiting: list[_Job] = []            # retries sitting out a backoff
-        active: dict[int, _WorkerState] = {}
+        forked: list[_Worker] = []          # every worker of this sweep
+        live: list[_Worker] = []            # forked, not yet gone or retired
+        idle: list[_Worker] = []            # live, waiting for an attempt
         zombies: list[_Zombie] = []
         results: dict[int, ShardResult] = {}
         fallback: list[_Job] = []
-        tokens = itertools.count(1)
 
-        def launch(job: _Job) -> None:
-            # Events are attributed by a per-attempt token, not by shard
-            # id: a terminated attempt's pump may still drain buffered
-            # lines after its shard has been relaunched, and those must
-            # never be credited to the new attempt.
-            token = next(tokens)
-            r_conn, w_conn = ctx.Pipe(duplex=False)
-            fault = (
-                faults.fault_for(job.spec.shard_id, job.attempt, job.spec.cycles)
-                if faults is not None else None
-            )
+        def fork_worker() -> _Worker:
+            r_conn, w_conn = ctx.Pipe(duplex=False)    # events, to us
+            r_inbox, w_inbox = ctx.Pipe(duplex=False)  # attempts, to it
             proc = ctx.Process(
-                target=worker_entry,
+                target=worker_main,
                 args=(
-                    self.circuit, self.compiled, job.spec.to_wire(),
-                    host, port, w_conn,
+                    self.circuit, self.compiled, host, port, w_conn, r_inbox,
                 ),
                 kwargs={
-                    "fault": fault,
                     "obs_mode": self.obs.mode,
                     "listening": on_event is not None,
                 },
                 daemon=True,
             )
+            proc.start()
+            # Close the parent's copies of the worker's ends *before* the
+            # next fork: later children must not inherit the event write
+            # end, or this pipe would never report EOF if its worker
+            # crashes.
+            w_conn.close()
+            r_inbox.close()
+            w = _Worker(proc=proc, inbox=w_inbox)
+            w.pump = threading.Thread(
+                target=_pump_pipe, args=(r_conn, w, events), daemon=True,
+            )
+            w.pump.start()
+            forked.append(w)
+            live.append(w)
+            return w
+
+        def launch(job: _Job) -> None:
+            # Events are credited to their worker's current attempt.  A
+            # worker gets its next attempt only after the coordinator has
+            # read the clean `done` that ends its last one, and that is
+            # the last line an attempt writes; a worker whose attempt
+            # ended any other way is never reused.  So a line can never
+            # be credited to an attempt that did not write it.
+            w = idle.pop() if idle else fork_worker()
+            fault = (
+                faults.fault_for(job.spec.shard_id, job.attempt, job.spec.cycles)
+                if faults is not None else None
+            )
             if c_attempts is not None:
                 c_attempts.inc()
-            proc.start()
-            # Close the parent's copy of the write end *before* the next
-            # launch: later children must not inherit it, or this pipe
-            # would never report EOF if its worker crashes.
-            w_conn.close()
-            pump = threading.Thread(
-                target=_pump_pipe, args=(r_conn, token, events),
-                daemon=True,
-            )
-            pump.start()
             t = now()
-            active[token] = _WorkerState(
-                job=job, token=token, proc=proc, conn=r_conn, pump=pump,
-                started=t, last_beat=t, started_wall=time.time(),
+            w.attempt = _Attempt(
+                job=job, started=t, last_beat=t, started_wall=time.time(),
+                faulted=fault is not None,
                 deadline=(
                     t + deadline.deadline_for(job.spec.cycles)
                     if deadline is not None else None
                 ),
             )
+            with contextlib.suppress(OSError):
+                # A worker that died while idle cannot take it; its pipe
+                # EOF settles this attempt as a crash.
+                w.inbox.send((job.spec.to_wire(), fault))
 
-        def attempt_span(st: _WorkerState, outcome: str) -> None:
+        def drop(w: _Worker) -> None:
+            """Forget a worker that has exited or is being retired."""
+            live.remove(w)
+            if w in idle:
+                idle.remove(w)
+            w.attempt = None
+            w.inbox.close()
+
+        def attempt_span(st: _Attempt, outcome: str) -> None:
             """Record the settled attempt as a coordinator-side span."""
             tracer = self.obs.tracer
             if tracer is None:
@@ -498,9 +528,8 @@ class ShardSession:
             grace = deadline.kill_grace_s if deadline is not None else 2.0
             zombies.append(_Zombie(proc, now() + grace))
 
-        def settle_failure(st: _WorkerState, fclass: str, message: str) -> None:
+        def settle_failure(st: _Attempt, fclass: str, message: str) -> None:
             """One attempt failed: retry, degrade inline, or go terminal."""
-            st.settled = True
             attempt_span(st, fclass)
             job = st.job
             job.failures.append(
@@ -529,9 +558,12 @@ class ShardSession:
                 ]
                 results[spec.shard_id] = settled if grouped else settled[0]
 
+        def in_flight() -> list[_Attempt]:
+            return [w.attempt for w in live if w.attempt is not None]
+
         def sweep_expired() -> ShardError:
             outstanding = sorted(
-                {st.job.spec.shard_id for st in active.values()}
+                {st.job.spec.shard_id for st in in_flight()}
                 | {j.spec.shard_id for j in pending}
                 | {j.spec.shard_id for j in waiting}
                 | {j.spec.shard_id for j in fallback}
@@ -542,15 +574,16 @@ class ShardSession:
             )
 
         try:
-            while active or pending or waiting:
+            while pending or waiting or in_flight():
                 t = now()
                 if sweep_deadline is not None and t >= sweep_deadline:
                     raise sweep_expired()
-                # Promote retries whose backoff elapsed, refill the pool.
+                # Promote retries whose backoff elapsed, refill the pool:
+                # an idle worker first, a fork only below `workers` live.
                 for job in [j for j in waiting if j.ready_at <= t]:
                     waiting.remove(job)
                     pending.append(job)
-                while pending and len(active) < workers:
+                while pending and (idle or len(live) < workers):
                     launch(pending.popleft())
                 # Reap terminated workers; past the grace period, escalate
                 # terminate() to kill().
@@ -563,14 +596,15 @@ class ShardSession:
                         z.killed = True
                 # Hung-worker detection: per-attempt deadline, or event
                 # silence past the heartbeat timeout.
-                for token, st in list(active.items()):
-                    if st.settled:
+                for w in live[:]:
+                    st = w.attempt
+                    if st is None:
                         continue
                     over_deadline = st.deadline is not None and t >= st.deadline
                     silent = hb is not None and t - st.last_beat >= hb
                     if over_deadline or silent:
-                        active.pop(token)
-                        retire(st.proc)
+                        drop(w)
+                        retire(w.proc)
                         why = (
                             "attempt deadline exceeded" if over_deadline
                             else f"no event for {hb}s"
@@ -581,13 +615,13 @@ class ShardSession:
                             f"into the attempt)",
                         )
                 wait = _next_wait(
-                    t, sweep_deadline, active, waiting, zombies, hb
+                    t, sweep_deadline, in_flight(), waiting, zombies, hb
                 )
                 try:
-                    kind, token, payload = events.get(timeout=wait)
+                    kind, w, payload = events.get(timeout=wait)
                 except queue.Empty:
                     continue
-                st = active.get(token)
+                st = w.attempt
                 if kind == "corrupt":
                     # Undecodable line: dropped, never fatal mid-run — but
                     # counted, so an attempt that ends without a decodable
@@ -598,7 +632,7 @@ class ShardSession:
                         st.last_beat = now()
                 elif kind == "event":
                     if st is None:
-                        continue  # stale: a settled/terminated attempt
+                        continue  # stale: a settled attempt's worker
                     name = payload["event"]
                     if hb_hist is not None and name == "heartbeat":
                         # Gap since the previous proof of life: the
@@ -611,15 +645,17 @@ class ShardSession:
                         shown["attempt"] = st.job.attempt
                         on_event(shown)
                     if name == "done":
-                        st.settled = True
+                        w.attempt = None
+                        if not st.faulted:
+                            idle.append(w)  # clean: serves the next one
                         attempt_span(st, "ok")
                         wire = payload["result"]
                         if "group" in wire:
                             # One done line settles every member of a
                             # world group attempt.
                             res = [
-                                ShardResult.from_wire(w)
-                                for w in wire["group"]
+                                ShardResult.from_wire(member)
+                                for member in wire["group"]
                             ]
                             for r in res:
                                 r.attempts = st.job.attempt
@@ -630,24 +666,25 @@ class ShardSession:
                             res.failures = list(st.job.failures)
                         results[st.job.spec.shard_id] = res
                     elif name == "error":
-                        # The worker reported its own exception.  A
-                        # transient one (its RPC transport gave out) is
+                        # The worker reported its own exception, and exits.
+                        # A transient one (its RPC transport gave out) is
                         # infrastructure and retries; anything else is a
                         # clean, deterministic failure (class "error").
+                        w.attempt = None
                         fclass = RPC if payload.get("transient") else ERROR
                         settle_failure(st, fclass, payload["message"])
-                else:  # pipe EOF: the worker attempt is over
-                    if st is None:
-                        continue  # already settled (e.g. hung + retired)
-                    active.pop(token)
+                else:  # pipe EOF: the worker process is over
+                    if w not in live:
+                        continue  # already retired (hung); a zombie now
+                    drop(w)
                     # Never stall the event loop waiting on a dead-ish
                     # process (the old code blocked up to 30s here): give
                     # it a moment, then terminate and let the zombie
                     # escalation finish the job.
-                    st.proc.join(timeout=0.2)
-                    if st.proc.is_alive():
-                        retire(st.proc)
-                    if not st.settled:
+                    w.proc.join(timeout=0.2)
+                    if w.proc.is_alive():
+                        retire(w.proc)
+                    if st is not None:
                         if st.corrupt_seen:
                             settle_failure(
                                 st, CORRUPT,
@@ -658,7 +695,7 @@ class ShardSession:
                             settle_failure(
                                 st, CRASH,
                                 "worker exited without reporting "
-                                f"(exit code {st.proc.exitcode})",
+                                f"(exit code {w.proc.exitcode})",
                             )
             # Graceful degradation: retry-exhausted shards run inline.
             for job in fallback:
@@ -666,11 +703,15 @@ class ShardSession:
                     raise sweep_expired()
                 results[job.spec.shard_id] = self._run_fallback(job, on_event)
         finally:
-            procs = [st.proc for st in active.values()]
-            procs += [z.proc for z in zombies]
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
+            for w in live:
+                if w.attempt is None:
+                    # Idle, or about to exit on its own: tell it to stop.
+                    with contextlib.suppress(OSError):
+                        w.inbox.send(None)
+                elif w.proc.is_alive():
+                    w.proc.terminate()  # cut off mid-attempt
+                w.inbox.close()
+            procs = [w.proc for w in live] + [z.proc for z in zombies]
             stop_at = time.monotonic() + 5.0
             for p in procs:
                 p.join(timeout=max(0.0, stop_at - time.monotonic()))
@@ -681,6 +722,9 @@ class ShardSession:
             for p in procs:
                 if p.is_alive():
                     p.join(timeout=5)
+            # Every worker is gone, so every pump reads its EOF and ends.
+            for w in forked:
+                w.pump.join(timeout=1.0)
             if self._server is not None:
                 self._server.faults = None
 
@@ -694,7 +738,7 @@ class ShardSession:
 def _next_wait(
     t: float,
     sweep_deadline: float | None,
-    active: dict,
+    attempts: list,
     waiting: list,
     zombies: list,
     hb: float | None,
@@ -706,9 +750,7 @@ def _next_wait(
     cands = []
     if sweep_deadline is not None:
         cands.append(sweep_deadline - t)
-    for st in active.values():
-        if st.settled:
-            continue
+    for st in attempts:
         if st.deadline is not None:
             cands.append(st.deadline - t)
         if hb is not None:
@@ -723,23 +765,23 @@ def _next_wait(
     return max(0.01, min(cands) + 0.001)
 
 
-def _pump_pipe(conn, token: int, events: queue.Queue) -> None:
-    """Reader thread: drain one worker's pipe into the shared queue.
-
-    Keyed by the attempt token (not the shard id) so stale lines from a
-    terminated attempt can never be credited to its replacement."""
+def _pump_pipe(conn, worker, events: queue.Queue) -> None:
+    """Reader thread: drain one worker's pipe into the shared queue,
+    tagged with the worker (the coordinator credits each line to that
+    worker's current attempt).  Every line that does not decode becomes
+    a ``corrupt`` entry, and the pipe's end an ``eof`` entry."""
     while True:
         try:
             data = conn.recv_bytes()
         except (EOFError, OSError):
             break
         try:
-            events.put(("event", token, decode_line(data)))
+            events.put(("event", worker, decode_line(data)))
         except WireError:
-            events.put(("corrupt", token, None))
+            events.put(("corrupt", worker, None))
     with contextlib.suppress(OSError):
         conn.close()
-    events.put(("eof", token, None))
+    events.put(("eof", worker, None))
 
 
 def _fork_available() -> bool:

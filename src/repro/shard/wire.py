@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 
-from ..symtable.rpc import _decode, _encode
+from ..symtable.rpc import _tag, _untag
 from .spec import ShardResult
 
 PROTOCOL_VERSION = 1
@@ -66,47 +66,34 @@ _EVENTS = frozenset(
 
 
 class WireError(Exception):
-    """Raised on an undecodable or malformed shard event."""
+    """Raised on an undecodable line or a malformed shard event."""
 
 
 def encode_line(obj: dict) -> bytes:
-    """One event -> one JSON line (record types tagged for decode)."""
-    return json.dumps(_encode_deep(obj)).encode() + b"\n"
+    """One message -> one JSON line (record types tagged for decode).
+
+    The debug hub frames its requests and responses with this too, so
+    hub and shard wires stay mutually readable."""
+    return json.dumps(obj, default=_tag).encode() + b"\n"
+
+
+def decode_message(data: bytes | str):
+    """One JSON line -> the object it carries, records rebuilt.  Any
+    line that does not decode, bad record tags included, raises
+    :class:`WireError`."""
+    try:
+        return json.loads(data, object_hook=_untag)
+    except (ValueError, RecursionError) as exc:
+        raise WireError(f"undecodable line: {exc}") from exc
 
 
 def decode_line(data: bytes | str) -> dict:
-    """One JSON line -> one validated event dict."""
-    try:
-        obj = json.loads(data)
-    except ValueError as exc:
-        raise WireError(f"undecodable shard event: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("event") not in _EVENTS:
+    """One JSON line -> one validated shard event dict."""
+    obj = decode_message(data)
+    kind = obj.get("event") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _EVENTS:
         raise WireError(f"malformed shard event: {obj!r}")
-    return _decode_deep(obj)
-
-
-def _encode_deep(obj):
-    """Recursive variant of the symtable encoder: events nest dicts."""
-    if isinstance(obj, dict):
-        return {k: _encode_deep(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_deep(x) for x in obj]
-    return _encode(obj)
-
-
-def _decode_deep(obj):
-    if isinstance(obj, dict) and "__type__" not in obj:
-        return {k: _decode_deep(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode_deep(x) for x in obj]
-    return _decode(obj)
-
-
-# Public names for the recursive codec: the debug hub's newline-JSON
-# transport (repro.hub.server) frames its messages with the same
-# __type__-tagged encoding, so hub and shard wires stay mutually readable.
-encode_deep = _encode_deep
-decode_deep = _decode_deep
+    return obj
 
 
 def _event(kind: str, shard_id: int, **fields) -> dict:

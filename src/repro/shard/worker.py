@@ -3,8 +3,9 @@
 :func:`run_shard` is the whole life of a shard and runs anywhere — inline
 in the coordinator process (``workers=0``, and how the determinism
 property tests pin shard ≡ standalone), or inside a forked worker process
-(:func:`worker_entry`), where the symbol table arrives over RPC and every
-hit/progress event streams back to the coordinator as a JSON line.
+(:func:`worker_main` serving one :func:`worker_entry` attempt after
+another), where the symbol table arrives over RPC and every hit/progress
+event streams back to the coordinator as a JSON line.
 
 Stimulus is owned by the spec contract (see ``spec.py``): sorted-name
 random pokes from ``random.Random(seed)``, overrides held constant,
@@ -14,15 +15,18 @@ reset asserted for ``reset_cycles`` first.
 from __future__ import annotations
 
 import contextlib
+import os
 import random
 import time
 
 from ..core.runtime import HitRecorder, Runtime
+from ..faults import FaultInjector, corrupt_line
 from ..hub.api import SessionOptions
 from ..obs import make_obs
 from ..sim.engine import Simulator
 from ..sim.manyworlds import ManyWorldsSimulator, make_sweep_stimulus
 from ..sim.store import numpy_available
+from ..symtable.query import SymbolTableInterface
 from ..symtable.rpc import RPCSymbolTable
 from .spec import ShardResult, ShardSpec, WorldGroupSpec
 from .wire import (
@@ -333,13 +337,115 @@ def run_world_group(
     return results
 
 
+class _MemoTable(SymbolTableInterface):
+    """A worker's view of the RPC symbol table: each distinct query
+    reaches ``table`` at most once per worker.
+
+    ``memo`` (method and arguments -> answer) outlives one attempt; it is
+    safe because a table is read-only while a ``Runtime`` is attached
+    (:class:`SymbolTableInterface`).  List answers are copied on the way
+    out so no caller can edit the memo, and a query that raises stores
+    nothing.
+    """
+
+    def __init__(self, table: SymbolTableInterface, memo: dict):
+        self._table = table
+        self._memo = memo
+
+    def _ask(self, method: str, *args):
+        key = (method, args)
+        try:
+            answer = self._memo[key]
+        except KeyError:
+            answer = self._memo[key] = getattr(self._table, method)(*args)
+        return list(answer) if type(answer) is list else answer
+
+    def breakpoints_at(self, filename, line, column=None):
+        return self._ask("breakpoints_at", filename, line, column)
+
+    def scope_variables(self, breakpoint_id):
+        return self._ask("scope_variables", breakpoint_id)
+
+    def resolve_scoped_var(self, breakpoint_id, name):
+        return self._ask("resolve_scoped_var", breakpoint_id, name)
+
+    def resolve_instance_var(self, instance_id, name):
+        return self._ask("resolve_instance_var", instance_id, name)
+
+    def instances(self):
+        return self._ask("instances")
+
+    def generator_variables(self, instance_id):
+        return self._ask("generator_variables", instance_id)
+
+    def all_breakpoints(self):
+        return self._ask("all_breakpoints")
+
+    def breakpoint(self, breakpoint_id):
+        return self._ask("breakpoint", breakpoint_id)
+
+    def filenames(self):
+        return self._ask("filenames")
+
+    def breakpoint_lines(self, filename):
+        return self._ask("breakpoint_lines", filename)
+
+    def attribute(self, name):
+        return self._ask("attribute", name)
+
+
+def worker_main(
+    circuit, compiled, host: str, port: int, conn, inbox,
+    obs_mode: str | None = None, listening: bool = True,
+) -> None:
+    """Forked worker process main: serve one sweep's attempts back to back.
+
+    Each message on ``inbox`` (the read end of a one-way pipe from the
+    coordinator) is one attempt, ``(spec_wire, fault)``, run by
+    :func:`worker_entry` with events streamed through ``conn``.  ``None``,
+    EOF, or the coordinator's death ends the loop.  The worker stays for
+    another attempt only after a clean ``done`` of an attempt with no
+    fault armed; otherwise it exits, so the coordinator sees pipe EOF
+    exactly as a one-attempt worker would produce it.  One symbol-table
+    memo (:class:`_MemoTable`) serves every attempt of this worker.
+    """
+    parent = os.getppid()
+    memo: dict = {}
+    try:
+        while True:
+            # Siblings forked later hold copies of this pipe's write end,
+            # so EOF alone cannot tell an orphan that the coordinator died.
+            while not inbox.poll(1.0):
+                if os.getppid() != parent:
+                    return
+            try:
+                job = inbox.recv()
+            except (EOFError, OSError):
+                return
+            if job is None:
+                return
+            spec_wire, fault = job
+            clean = worker_entry(
+                circuit, compiled, spec_wire, host, port, conn, fault=fault,
+                obs_mode=obs_mode, listening=listening, memo=memo,
+            )
+            if not clean or fault is not None:
+                return
+    finally:
+        conn.close()
+        inbox.close()
+
+
 def worker_entry(
     circuit, compiled, spec_wire: dict, host: str, port: int, conn,
     fault=None, obs_mode: str | None = None, listening: bool = True,
-) -> None:
-    """Forked worker process main: run one shard, stream JSON-line events
-    through ``conn`` (a write-only ``multiprocessing`` connection), finish
-    with a ``done`` (or ``error``) event, and close the pipe.
+    memo: dict | None = None,
+) -> bool:
+    """One forked attempt: run one shard and stream JSON-line events
+    through ``conn`` (a write-only ``multiprocessing`` connection),
+    finishing with a ``done`` (or ``error``) event.  Returns True when
+    the attempt sent a clean ``done``.  The pipe stays open: the worker
+    loop (:func:`worker_main`) owns it.
 
     ``listening`` says whether the sweep has an ``on_event`` listener.
     Without one the attempt sends no ``hit`` lines: the ``done`` result
@@ -357,10 +463,12 @@ def worker_entry(
     coordinator reaches every worker).  The ``Obs`` is built *here*,
     after the fork, so its pid and span buffer are genuinely this
     worker's — and shared by the RPC client and the shard run.
-    """
-    from ..faults import FaultInjector, corrupt_line
 
+    ``memo`` is the worker's symbol-table memo (see :class:`_MemoTable`);
+    None gives this attempt a fresh one.
+    """
     injector = FaultInjector(fault) if fault is not None else None
+    memo = {} if memo is None else memo
 
     def emit(event: dict) -> None:
         if not listening and event["event"] == "hit":
@@ -379,24 +487,28 @@ def worker_entry(
             group = WorldGroupSpec.from_wire(spec_wire)
             with RPCSymbolTable(host, port) as table:
                 results = run_world_group(
-                    circuit, table, group, emit=emit, compiled=compiled,
-                    obs=obs_mode,
+                    circuit, _MemoTable(table, memo), group, emit=emit,
+                    compiled=compiled, obs=obs_mode,
                 )
             emit(group_done_event(group.shard_id, results))
-            return
+            return True
         spec = ShardSpec.from_wire(spec_wire)
         obs = make_obs(
             obs_mode,
             proc=f"shard {spec.shard_id}",
             labels={"shard": str(spec.shard_id)},
         )
+        # The RPC client carries this shard's obs, so its rpc_* series
+        # count only the queries the memo could not answer.
         with RPCSymbolTable(host, port, obs=obs) as table:
             result = run_shard(
-                circuit, table, spec, emit=emit, compiled=compiled,
+                circuit, _MemoTable(table, memo), spec, emit=emit,
+                compiled=compiled,
                 on_cycle=injector.on_cycle if injector is not None else None,
                 obs=obs,
             )
         emit(done_event(result))
+        return True
     except Exception as exc:  # noqa: BLE001 - process boundary
         with contextlib.suppress(OSError):
             # The spec itself may be what failed to decode: fall back to
@@ -410,5 +522,4 @@ def worker_entry(
                 shard_id, f"{type(exc).__name__}: {exc}",
                 transient=isinstance(exc, ConnectionError),
             ))
-    finally:
-        conn.close()
+        return False

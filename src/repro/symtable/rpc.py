@@ -39,11 +39,41 @@ _METHODS = frozenset(
 )
 
 
+_RECORD_TYPES = (BreakpointRec, InstanceRec, VarRec)
+_RECORDS = {cls.__name__: cls for cls in _RECORD_TYPES}
+
+
+def _tag(obj) -> dict:
+    """A record as a JSON object: its fields, then ``__type__``.  The
+    shard and hub wires pass this to ``json.dumps`` as ``default``."""
+    if not isinstance(obj, _RECORD_TYPES):
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
+    d = {k: getattr(obj, k) for k in obj.__dataclass_fields__}
+    d["__type__"] = type(obj).__name__
+    return d
+
+
+def _untag(obj: dict):
+    """Rebuild a tagged record; other dicts pass through.  A bad tag
+    raises ``ValueError``.  The shard and hub wires pass this to
+    ``json.loads`` as ``object_hook``."""
+    if "__type__" not in obj:
+        return obj
+    kind = obj.pop("__type__")
+    cls = _RECORDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown record tag {kind!r}")
+    try:
+        return cls(**obj)
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} record: {exc}") from exc
+
+
 def _encode(obj):
-    if isinstance(obj, (BreakpointRec, InstanceRec, VarRec)):
-        d = {k: getattr(obj, k) for k in obj.__dataclass_fields__}
-        d["__type__"] = type(obj).__name__
-        return d
+    if isinstance(obj, _RECORD_TYPES):
+        return _tag(obj)
     if isinstance(obj, list):
         return [_encode(x) for x in obj]
     return obj
@@ -52,10 +82,8 @@ def _encode(obj):
 def _decode(obj):
     if isinstance(obj, list):
         return [_decode(x) for x in obj]
-    if isinstance(obj, dict) and "__type__" in obj:
-        kind = obj.pop("__type__")
-        cls = {"BreakpointRec": BreakpointRec, "InstanceRec": InstanceRec, "VarRec": VarRec}[kind]
-        return cls(**obj)
+    if isinstance(obj, dict):
+        return _untag(obj)
     return obj
 
 

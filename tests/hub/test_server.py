@@ -1,6 +1,8 @@
 """Debug hub server: wire round-trips, re-attach, eviction, the lint
 gate, the shard endpoint, and hub-side observability."""
 
+import json
+import socket
 import time
 
 import pytest
@@ -102,6 +104,48 @@ class TestWire:
             client.attach()
             with pytest.raises(SessionError, match="unknown session method"):
                 client.call("s._sim")  # allowlist, not getattr-anything
+
+    def _raw(self, host, port, lines: list[bytes]) -> list[dict]:
+        """Send each line on one raw connection; one response per line."""
+        with socket.create_connection((host, port), timeout=10) as sock:
+            with sock.makefile("rb") as f:
+                out = []
+                for line in lines:
+                    sock.sendall(line)
+                    reply = f.readline()
+                    assert reply, f"connection closed after {line!r}"
+                    out.append(json.loads(reply))
+                return out
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b"{not json\n",
+            b'{"id": 3, "method": "attach", '
+            b'"params": {"seed": {"__type__": "Nope"}}}\n',
+        ],
+        ids=["not-json", "unknown-tag"],
+    )
+    def test_undecodable_line_answered_with_null_id(self, bad):
+        design, hub, host, port = _serve()
+        hello = b'{"id": 4, "method": "hello", "params": {}}\n'
+        with hub:
+            err, ok = self._raw(host, port, [bad, hello])
+        assert err["id"] is None
+        assert err["kind"] == "WireError" and err["error"]
+        assert ok["id"] == 4 and ok["result"]["protocol"] == 1
+
+    def test_undecodable_line_never_reuses_the_previous_id(self):
+        design, hub, host, port = _serve()
+        with hub:
+            first, err, ok = self._raw(host, port, [
+                b'{"id": 7, "method": "hello", "params": {}}\n',
+                b"{not json\n",
+                b'{"id": 8, "method": "hello", "params": {}}\n',
+            ])
+        assert first["id"] == 7 and "result" in first
+        assert err["id"] is None and "error" in err
+        assert ok["id"] == 8 and "result" in ok
 
     def test_needs_compiled_design(self):
         with pytest.raises(HubError, match="repro.compile"):

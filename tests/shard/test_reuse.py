@@ -1,0 +1,187 @@
+"""Reused workers: a forked sweep forks at most ``workers`` processes,
+each serving attempt after attempt and answering repeated symbol-table
+queries from its own memo.  Every result still equals the inline run,
+and no worker outlives the sweep."""
+
+import inspect
+import multiprocessing
+import sys
+import threading
+from collections import Counter
+
+import pytest
+
+import repro
+from repro.faults import FaultPlan
+from repro.fpu import FpuCmp
+from repro.hub import SessionOptions
+from repro.shard import BreakpointSpec, RetryPolicy, ShardError, ShardSession
+from repro.symtable import (
+    SQLiteSymbolTable,
+    SymbolTableInterface,
+    write_symbol_table,
+)
+
+FAST = RetryPolicy(max_attempts=3, backoff_s=0.01, max_backoff_s=0.05)
+CYCLES = 200
+
+
+@pytest.fixture(scope="module")
+def fpu():
+    """The Sec. 4.2 hunt: the buggy FPU, broken inside ``when (wflags)``."""
+    design = repro.compile(FpuCmp(buggy=True))
+    path = inspect.getsourcefile(FpuCmp)
+    with open(path, encoding="utf-8") as fh:
+        line = next(
+            n for n, text in enumerate(fh, 1)
+            if "self.exc <<= dcmp.io.exceptionFlags" in text
+        )
+    return design, BreakpointSpec(path, line, condition="rm == 2")
+
+
+def _hunt(design, bp, workers, shards=8, options=None, symtable=None, **kwargs):
+    kwargs.setdefault("retry", FAST)
+    with ShardSession(
+        design, symtable=symtable, workers=workers, options=options
+    ) as session:
+        return session.sweep(shards, CYCLES, breakpoints=[bp], **kwargs)
+
+
+def _outcome(report):
+    return [
+        (r.shard_id, r.seed, r.cycles, r.hits, r.state_digest)
+        for r in report.results
+    ]
+
+
+class TestReuse:
+    @pytest.mark.parametrize("seed_base", [0, 8, 1000])
+    def test_eight_shards_fork_two_workers(self, fpu, seed_base):
+        design, bp = fpu
+        forked = _hunt(
+            design, bp, workers=2, seed_base=seed_base,
+            options=SessionOptions(obs="trace"),
+        )
+        inline = _hunt(design, bp, workers=0, seed_base=seed_base)
+        pids = {
+            s["pid"] for s in forked.trace_spans() if s["proc"] != "coordinator"
+        }
+        assert len(pids) == 2
+        assert _outcome(forked) == _outcome(inline)
+        assert sum(len(r.hits) for r in inline.results) > 0
+
+    def test_killed_attempt_is_retried_on_a_fresh_worker(self, fpu):
+        design, bp = fpu
+        plan = FaultPlan(
+            seed=0, rate=1.0, kinds=("kill",), only_shards=(3,),
+            at_cycle=5, max_faulty_attempts=1,
+        )
+        hurt = _hunt(design, bp, workers=2, faults=plan)
+        clean = _hunt(design, bp, workers=2)
+        assert hurt.ok
+        assert _outcome(hurt) == _outcome(clean)
+        assert all(r.attempts == len(r.failures) + 1 for r in hurt.results)
+        assert [f["class"] for f in hurt.results[3].failures] == ["crash"]
+
+    def test_no_worker_outlives_a_sweep(self, fpu):
+        design, bp = fpu
+        assert _hunt(design, bp, workers=2).ok
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_timed_out_sweep(self, fpu):
+        design, bp = fpu
+        plan = FaultPlan(
+            seed=0, rate=1.0, kinds=("hang",), only_shards=(5,),
+            at_cycle=5, hang_s=60.0,
+        )
+        with pytest.raises(ShardError, match="timed out"):
+            _hunt(design, bp, workers=2, faults=plan, timeout=2.0)
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_cores_under_fast_switching(self, fpu):
+        """Thread switches every 10 µs interleave the pumps and the event
+        loop as finely as they go: every event still reaches its own
+        attempt, and every result equals the inline run."""
+        design, bp = fpu
+        events = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            forked = _hunt(
+                design, bp, workers=4, shards=16, on_event=events.append,
+                timeout=120.0,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        inline = _hunt(design, bp, workers=0, shards=16)
+        assert _outcome(forked) == _outcome(inline)
+        attempts = {r.shard_id: r.attempts for r in forked.results}
+        assert events
+        assert all(e["attempt"] == attempts[e["shard"]] for e in events)
+        streamed = sorted(
+            (e["shard"], e["record"]["time"])
+            for e in events if e["event"] == "hit"
+        )
+        assert streamed == sorted(
+            (s, rec["time"]) for s, rec in forked.iter_hits()
+        )
+
+
+class _CountingTable(SymbolTableInterface):
+    """A table that counts every query reaching it (server threads)."""
+
+    def __init__(self, table):
+        self._table = table
+        self._lock = threading.Lock()
+        self.calls = Counter()
+
+    def _ask(self, method, *args):
+        with self._lock:
+            self.calls[(method, args)] += 1
+        return getattr(self._table, method)(*args)
+
+    def breakpoints_at(self, filename, line, column=None):
+        return self._ask("breakpoints_at", filename, line, column)
+
+    def scope_variables(self, breakpoint_id):
+        return self._ask("scope_variables", breakpoint_id)
+
+    def resolve_scoped_var(self, breakpoint_id, name):
+        return self._ask("resolve_scoped_var", breakpoint_id, name)
+
+    def resolve_instance_var(self, instance_id, name):
+        return self._ask("resolve_instance_var", instance_id, name)
+
+    def instances(self):
+        return self._ask("instances")
+
+    def generator_variables(self, instance_id):
+        return self._ask("generator_variables", instance_id)
+
+    def all_breakpoints(self):
+        return self._ask("all_breakpoints")
+
+    def breakpoint(self, breakpoint_id):
+        return self._ask("breakpoint", breakpoint_id)
+
+    def filenames(self):
+        return self._ask("filenames")
+
+    def breakpoint_lines(self, filename):
+        return self._ask("breakpoint_lines", filename)
+
+    def attribute(self, name):
+        return self._ask("attribute", name)
+
+
+class TestMemo:
+    def test_each_query_reaches_the_server_once_per_worker(self, fpu):
+        design, bp = fpu
+        table = _CountingTable(SQLiteSymbolTable(write_symbol_table(design)))
+        forked = _hunt(design, bp, workers=2, symtable=table)
+        inline = _hunt(design, bp, workers=0)
+        assert table.calls
+        assert max(table.calls.values()) <= 2, table.calls
+        assert [r.hits for r in forked.results] == [
+            r.hits for r in inline.results
+        ]
