@@ -8,13 +8,19 @@ no breakpoint is inserted.
 
 ``test_fig5_table`` regenerates the figure's data: one row per benchmark,
 normalized to the baseline, and asserts the hgdb overhead bound (with CI
-head-room: the paper's bound is 5%, we assert 15% per-benchmark and 8%
+head-room: the paper's bound is 5%, we assert 30% per benchmark and 10%
 on the suite geomean for a Python-process-noise margin and report the
-measured numbers).
+measured numbers).  An idle runtime registers no clock callback at all
+(``tests/core/test_runtime.py`` checks that structurally), so what the
+idle columns read is the estimator's noise floor.  The table also
+reports, without asserting it, an *armed* column: a breakpoint on the
+register-file writeback whose condition never holds, evaluated at every
+writeback.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import time
@@ -22,6 +28,7 @@ import time
 import pytest
 
 from repro.core import Runtime
+from repro.cpu import RV32Core
 from repro.sim import Simulator
 
 BENCH_NAMES = [
@@ -35,14 +42,29 @@ if _SMOKE:
 
 _REPEATS = 1 if _SMOKE else 5
 _MAX_CYCLES = 100_000
+#: The armed column's breakpoint: a PC no suite program reaches.
+_ARMED_CONDITION = "pc == 0xFFFFFFF0"
 
 
-def _run_once(bench, design, st, hgdb: bool, fast: bool = True) -> tuple[float, int]:
-    """One measured simulation run; returns (seconds, cycles)."""
+def _writeback_line() -> tuple[str, int]:
+    """(file, line) of the register-file writeback in the CPU source."""
+    path = inspect.getsourcefile(RV32Core)
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if "regs.write(rd, wb_val" in line:
+                return path, number
+    raise LookupError("register-file writeback not found")
+
+
+def _run_once(bench, design, st, hgdb, fast: bool = True) -> tuple[float, int]:
+    """One measured simulation run; returns (seconds, cycles).  ``hgdb``
+    is False (detached), True (attached, idle) or ``"armed"``."""
     sim = Simulator(design.low, fast=fast)
     if hgdb:
         rt = Runtime(sim, st)
         rt.attach()
+        if hgdb == "armed":
+            rt.add_breakpoint(*_writeback_line(), condition=_ARMED_CONDITION)
     sim.reset()
     t0 = time.perf_counter()
     code = sim.run(_MAX_CYCLES)
@@ -92,48 +114,57 @@ def test_fig5_point(benchmark, compiled_suite, name, config):
 def test_fig5_table(benchmark, compiled_suite, capsys):
     """Regenerate the full Fig. 5 table and check the overhead claim."""
 
-    rows: list[tuple[str, float, float, float, float]] = []
+    rows: list[tuple[str, float, float, float, float, float]] = []
 
     def sweep():
         rows.clear()
         for name in BENCH_NAMES:
             bench, d_opt, st_opt = compiled_suite[(name, False)]
             _b, d_dbg, st_dbg = compiled_suite[(name, True)]
-            base, base_hgdb, dbg, dbg_hgdb = _measure_configs(
+            base, base_hgdb, dbg, dbg_hgdb, armed = _measure_configs(
                 bench,
                 [
                     (d_opt, st_opt, False),
                     (d_opt, st_opt, True),
                     (d_dbg, st_dbg, False),
                     (d_dbg, st_dbg, True),
+                    (d_opt, st_opt, "armed"),
                 ],
             )
-            rows.append((name, base, base_hgdb, dbg, dbg_hgdb))
+            rows.append((name, base, base_hgdb, dbg, dbg_hgdb, armed))
 
     benchmark.pedantic(sweep, rounds=1)
 
     header = (
         f"{'benchmark':12s} {'baseline':>9s} {'+hgdb':>7s} {'ovh%':>6s}"
-        f" {'debug':>9s} {'+hgdb':>7s} {'ovh%':>6s}  (normalized to baseline)"
+        f" {'debug':>9s} {'+hgdb':>7s} {'ovh%':>6s}"
+        f" {'+armed':>7s} {'ovh%':>6s}  (normalized to baseline)"
     )
     lines = ["", "=== Fig. 5: simulation time, normalized to baseline ===", header]
-    base_ovhs, dbg_ovhs = [], []
-    for name, base, base_h, dbg, dbg_h in rows:
+    base_ovhs, dbg_ovhs, armed_ovhs = [], [], []
+    for name, base, base_h, dbg, dbg_h, armed in rows:
         ovh_b = base_h / base - 1
         ovh_d = dbg_h / dbg - 1
+        ovh_a = armed / base - 1
         base_ovhs.append(max(ovh_b, 0.0))
         dbg_ovhs.append(max(ovh_d, 0.0))
+        armed_ovhs.append(max(ovh_a, 0.0))
         lines.append(
             f"{name:12s} {1.0:9.3f} {base_h / base:7.3f} {100 * ovh_b:6.2f}"
             f" {dbg / base:9.3f} {dbg_h / base:7.3f} {100 * ovh_d:6.2f}"
+            f" {armed / base:7.3f} {100 * ovh_a:6.2f}"
         )
     geo_b = math.exp(sum(math.log(1 + o) for o in base_ovhs) / len(base_ovhs)) - 1
     geo_d = math.exp(sum(math.log(1 + o) for o in dbg_ovhs) / len(dbg_ovhs)) - 1
+    geo_a = math.exp(sum(math.log(1 + o) for o in armed_ovhs) / len(armed_ovhs)) - 1
     lines.append(
         f"{'geomean ovh':12s} {'':9s} {100 * geo_b:7.2f}% {'':6s} {'':9s} "
-        f"{100 * geo_d:7.2f}%"
+        f"{100 * geo_d:7.2f}% {'':6s} {100 * geo_a:7.2f}%"
     )
-    lines.append("paper claim: hgdb overhead < 5% in all configurations")
+    lines.append(
+        "paper claim: hgdb overhead < 5% in all configurations "
+        "(armed: reported, not asserted)"
+    )
     with capsys.disabled():
         print("\n".join(lines))
 
@@ -144,7 +175,7 @@ def test_fig5_table(benchmark, compiled_suite, capsys):
     # is only tens of milliseconds of Python, so individual cells see
     # ±10-20% process noise when the whole benchmark suite runs in one
     # batch; measured in isolation the geomean is ~2-5% (EXPERIMENTS.md).
-    for name, base, base_h, dbg, dbg_h in rows:
+    for name, base, base_h, dbg, dbg_h, _armed in rows:
         assert base_h / base - 1 < 0.30, f"{name}: baseline hgdb overhead too high"
         assert dbg_h / dbg - 1 < 0.30, f"{name}: debug hgdb overhead too high"
         # debug (unoptimized) builds are not faster than optimized ones

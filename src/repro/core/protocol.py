@@ -348,6 +348,12 @@ class DebugClient:
         return self.request("evaluate", expr=expr, breakpoint_id=breakpoint_id)["value"]
 
     def close(self) -> None:
+        # Shut the socket down first: the reader thread sits in readline
+        # holding the buffered file, so closing the file alone would wait
+        # for it until the socket timeout.  The shutdown ends its read.
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._reader.join(timeout=5)
         with contextlib.suppress(OSError):
             self._file.close()
-            self._sock.close()
+        self._sock.close()

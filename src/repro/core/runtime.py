@@ -17,14 +17,18 @@ Reversing the group selection order yields *intra-cycle reverse debugging*;
 when the backend supports ``set_time`` (snapshots or trace replay), reverse
 debugging extends across cycles (Sec. 3.2).
 
-When no breakpoints are inserted the clock callback returns immediately —
-this is the only per-cycle cost of attaching hgdb, and the reason overall
-overhead stays under 5% (paper Sec. 4.3, Fig. 5).
+The clock callback is registered only while the runtime is *armed* — a
+breakpoint or watchpoint inserted, step mode, or a pending pause — so an
+attached runtime with nothing armed costs the simulation nothing per
+cycle (the paper's Fig. 5 configuration, Sec. 4.3).  A pause requested
+from another thread arms it; the simulator picks the callback up at the
+next posedge.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 
 from ..sim.interface import SimulatorError, SimulatorInterface
@@ -168,14 +172,18 @@ class Runtime:
         self._warned: set[str] = set()
         self._cb_id: int | None = None
         self._time_cb_id: int | None = None
+        self._attached = False
+        # Arming and the clock-callback registration change together under
+        # this lock: a pause request arrives on hub and session threads
+        # while the simulator thread may be disarming after a hit.
+        self._arm_lock = threading.RLock()
         # Debugger-driven pokes (a client's set_value from an on_hit
         # handler) are lazy on the fast engine; flush before re-reading
         # the value table so compiled conditions see settled state.
         self._flush = getattr(sim, "flush", None)
         self._step_mode = False
         self._pause_requested = False
-        self._detached = False
-        self._armed = False  # precomputed: anything to do at a posedge?
+        self._armed = False  # anything to do at a posedge?
         # Compiled-condition fast path: breakpoint enable∧user conditions
         # are exec-compiled into one closure per scheduling group, with
         # names pre-resolved at compile time.  On a live Simulator names
@@ -201,37 +209,71 @@ class Runtime:
         self._vector = (
             self._worlds is not None and self._sim_matrix is not None
         )
-        self.stats_callbacks = 0
+        # stats_callbacks: posedges of earlier attached spans, and the
+        # backend's posedge count when the current span began.
+        self._posedges_before = 0
+        self._posedges_at_attach = 0
         self.stats_bp_evals = 0
 
     # -- attachment -------------------------------------------------------
 
     def attach(self) -> None:
-        """Register the clock-edge callback (paper Sec. 3.3)."""
-        if self._cb_id is None:
-            self._cb_id = self.sim.add_clock_callback(self._on_clock)
-            self._detached = False
-        if self._time_cb_id is None:
+        """Attach to the simulator (paper Sec. 3.3).  The clock-edge
+        callback is registered whenever something is armed."""
+        with self._arm_lock:
+            if self._attached:
+                return
+            self._attached = True
+            self._posedges_at_attach = self._posedges()
             # Rewind hook: any set_time (reverse debugging, or a client
             # jumping around directly) re-primes watchpoint `last` values
             # against the restored state.
             self._time_cb_id = self.sim.add_set_time_callback(self._on_set_time)
+            self._sync_clock_callback()
 
     def detach(self) -> None:
-        if self._cb_id is not None:
-            self.sim.remove_clock_callback(self._cb_id)
-            self._cb_id = None
-        if self._time_cb_id is not None:
+        with self._arm_lock:
+            if not self._attached:
+                return
+            self._posedges_before = self.stats_callbacks
+            self._attached = False
+            self._sync_clock_callback()
             self.sim.remove_set_time_callback(self._time_cb_id)
-            self._time_cb_id = None
-        self._detached = True
 
     def _on_set_time(self, sim, time: int) -> None:
         self.watchpoints.rewound(sim)
 
     @property
     def attached(self) -> bool:
-        return self._cb_id is not None
+        return self._attached
+
+    def _sync_clock_callback(self) -> None:
+        """Register the clock callback iff attached and armed (under
+        ``_arm_lock``)."""
+        want = self._attached and self._armed
+        if want and self._cb_id is None:
+            self._cb_id = self.sim.add_clock_callback(self._on_clock)
+        elif not want and self._cb_id is not None:
+            self.sim.remove_clock_callback(self._cb_id)
+            self._cb_id = None
+
+    def _posedges(self) -> int:
+        """The backend's posedge count (the live engines count ticks); a
+        trace replay, which counts none, stands in its cycle cursor."""
+        stats = getattr(self.sim, "stats", None)
+        return stats()["ticks"] if stats is not None else self.sim.get_time()
+
+    @property
+    def stats_callbacks(self) -> int:
+        """Posedges seen while attached: the clock callbacks run while
+        armed plus the posedges spent idle with no callback registered.
+        Derived from the backend's posedge count, so it costs nothing per
+        cycle and is never negative; on the live engines it never falls,
+        a ``set_time`` rewind included."""
+        n = self._posedges_before
+        if self._attached:
+            n += max(0, self._posedges() - self._posedges_at_attach)
+        return n
 
     # -- breakpoint management ------------------------------------------------
 
@@ -250,12 +292,14 @@ class Runtime:
         return None
 
     def _update_armed(self) -> None:
-        self._armed = bool(
-            self.scheduler.inserted
-            or self._step_mode
-            or self._pause_requested
-            or len(self.watchpoints)
-        )
+        with self._arm_lock:
+            self._armed = bool(
+                self.scheduler.inserted
+                or self._step_mode
+                or self._pause_requested
+                or len(self.watchpoints)
+            )
+            self._sync_clock_callback()
 
     def add_breakpoint(
         self, filename: str, line: int, column: int | None = None,
@@ -339,9 +383,13 @@ class Runtime:
         raise DebuggerError(f"cannot resolve watch target {name!r}")
 
     def request_pause(self) -> None:
-        """Stop at the next potential breakpoint (async 'pause' button)."""
-        self._pause_requested = True
-        self._armed = True
+        """Stop at the next potential breakpoint (async 'pause' button).
+
+        Safe from any thread: an idle runtime registers its clock callback
+        here, and the simulator runs it from the next posedge on."""
+        with self._arm_lock:
+            self._pause_requested = True
+            self._update_armed()
 
     # -- condition evaluation ---------------------------------------------------
 
@@ -630,9 +678,8 @@ class Runtime:
     # -- the Fig. 2 scheduling loop -------------------------------------------
 
     def _on_clock(self, sim) -> None:
-        self.stats_callbacks += 1
-        # Fast path: nothing to do — this is the entire overhead hgdb adds
-        # per cycle when no breakpoints are active (paper Sec. 4.3).
+        # Registered only while armed; a disarm racing this posedge from
+        # another thread lands here once more.
         if not self._armed:
             return
         if self._flush is not None:
@@ -641,7 +688,7 @@ class Runtime:
             self._flush()
         if len(self.watchpoints):
             self._check_watchpoints()
-            if self._detached:
+            if not self._attached:
                 return
         if self.scheduler.inserted or self._step_mode or self._pause_requested:
             self._scan_cycle()

@@ -13,11 +13,11 @@ storage (``repro.sim.store``); ``w`` is the overflow dict for signals wider
 than one lane, selected statically per signal at codegen time so the common
 all-narrow design never touches it; ``m`` is the list of memory arrays.
 
-Two further ``tick`` variants serve the engine's fast path: a *journaling*
-variant reports every memory word it writes (delta snapshots), and an
-*activity-tracked* variant additionally reports which registers actually
-changed on the edge — the engine then re-settles only the changed-register
-fanout instead of the full state cone (Verilator-style activity tracking).
+A *journaling* ``tick`` variant additionally reports every memory word it
+writes (delta snapshots).  Both the reference and the fast engine path run
+the same ``tick``; after an edge the fast path re-settles only the
+design's precomputed *tick cone* — every register's fanout plus every
+memory-reading assignment — instead of the whole ``comb``.
 
 This mirrors how compiled simulators (Verilator) work and keeps the
 per-cycle cost low enough that the hgdb callback overhead (paper Fig. 5) is
@@ -120,13 +120,6 @@ class CompiledDesign:
     # calls _jw((mem_index, addr)) for every memory word it writes.
     tick_journal: object = None
     tick_journal_source: str = ""
-    # activity-tracked tick variants: call _ch(index) for every register
-    # whose value actually changed on the edge and return truthy when any
-    # memory word was written — the engine re-settles only that activity.
-    tick_act: object = None
-    tick_act_source: str = ""
-    tick_act_journal: object = None
-    tick_act_journal_source: str = ""
     # Per-assignment metadata, aligned with the levelized topo order.
     order_targets: list[int] = field(default_factory=list)
     order_code: list[str] = field(default_factory=list)
@@ -143,10 +136,9 @@ class CompiledDesign:
     _tick_cone: object = False   # False = not yet built (None = empty cone)
     # Merged-cone machinery: per-seed fanout bitmasks over schedule
     # positions, a mask-keyed cache of compiled merged cones, and the
-    # fanout-closed cone of all memory-reading assignments.
+    # tick cone's mask.
     _seed_masks: dict = field(default_factory=dict)
     _mask_cones: dict = field(default_factory=dict)
-    _mem_read_mask: int = -1     # -1 = not yet computed
     _tick_mask: int = -1         # -1 = not yet computed
     _pos_fns: list | None = None
     # Always-on cone-cache stats: plain ints bumped on the hot path (one
@@ -223,24 +215,37 @@ class CompiledDesign:
         exec(compile("\n".join(lines), "<repro-sim-cone>", "exec"), ns)
         return ns["cone"]
 
+    def tick_mask(self) -> int:
+        """Bitmask (over schedule positions) of the tick cone: everything
+        a clock edge can change — every register's fanout plus every
+        memory-reading assignment.  Computed once per design; 0 when the
+        design has neither registers nor memory reads."""
+        if self._tick_mask < 0:
+            regs = {spec.index for spec in self.registers}
+            mask = 0
+            for p in self.cone_positions(regs, include_mem_reads=True):
+                mask |= 1 << p
+            self._tick_mask = mask
+        return self._tick_mask
+
     def tick_settle(self, v, w, m) -> None:
-        """Re-settle after a clock edge: the cone of every register output
-        plus every memory-reading assignment."""
+        """Re-settle after a clock edge: run the compiled tick cone.
+
+        The whole cone, not just the changed registers' fanout: on the
+        paper's RV32 suite 99.95% of edges change enough state to need
+        all of it (``docs/performance.md`` §1)."""
         fn = self._tick_cone
         if fn is False:
-            seeds = {spec.index for spec in self.registers}
-            fn = self.compile_cone(
-                self.cone_positions(seeds, include_mem_reads=True)
-            )
+            fn = self.compile_cone(self._mask_positions(self.tick_mask()))
             self._tick_cone = fn
         if fn is not None:
             fn(v, w, m)
 
-    # -- merged cones (the lazy dirty-set / activity-tracked fast path) ----
+    # -- merged cones (the lazy dirty-set fast path) ------------------------
 
     #: Distinct merged-cone functions cached before falling back to
     #: sequential per-seed cones (bounds exec-compile cost on designs whose
-    #: per-cycle activity patterns never repeat).
+    #: per-cycle poke patterns never repeat).
     MASK_CONE_CAP = 512
 
     def seed_mask(self, seed: int) -> int:
@@ -253,54 +258,20 @@ class CompiledDesign:
             self._seed_masks[seed] = mask
         return mask
 
-    def mem_read_mask(self) -> int:
-        """Bitmask of the fanout-closed memory-reading cone."""
-        if self._mem_read_mask < 0:
-            mask = 0
-            for p in self.cone_positions((), include_mem_reads=True):
-                mask |= 1 << p
-            self._mem_read_mask = mask
-        return self._mem_read_mask
-
-    def settle_seeds(self, v, w, m, seeds, include_mem_reads: bool = False) -> None:
+    def settle_seeds(self, v, w, m, seeds, after_tick: bool = False) -> None:
         """Re-settle the *union* cone of every changed seed in one pass.
 
-        N driven inputs (or N changed registers) cost one levelized cone
-        evaluation: the per-seed fanout masks are OR-ed and the merged mask
-        keys a cache of compiled cone functions.  The union of per-seed
-        cones is exactly the cone of the seed set (transitive fanout is
-        monotone), and ascending positions remain a valid topo order.
+        N driven inputs cost one levelized cone evaluation: the per-seed
+        fanout masks are OR-ed and the merged mask keys a cache of
+        compiled cone functions.  The union of per-seed cones is exactly
+        the cone of the seed set (transitive fanout is monotone), and
+        ascending positions remain a valid topo order.  With
+        ``after_tick`` the tick cone joins the union, so a clock edge and
+        the pokes that followed it settle as one merged cone.
         """
-        mask = self.mem_read_mask() if include_mem_reads else 0
+        mask = self.tick_mask() if after_tick else 0
         for s in seeds:
             mask |= self.seed_mask(s)
-        self._run_mask(v, w, m, mask)
-
-    def settle_tick(self, v, w, m, changed_regs, mem_written: bool) -> None:
-        """Activity-driven settle after a clock edge.
-
-        Quiet edges (few registers changed) evaluate exactly the changed
-        registers' merged cone.  Busy edges — where the activity already
-        covers most of the full tick cone — run the single precomputed
-        tick cone instead: a busy design (a CPU retiring instructions)
-        produces a *different* activity pattern almost every cycle, and
-        minting a compiled cone variant per pattern costs far more than
-        the few skipped statements would save.
-        """
-        mask = self.mem_read_mask() if mem_written else 0
-        for s in changed_regs:
-            mask |= self.seed_mask(s)
-        if not mask:
-            return
-        tick_mask = self._tick_mask
-        if tick_mask < 0:
-            tm = self.mem_read_mask()
-            for spec in self.registers:
-                tm |= self.seed_mask(spec.index)
-            tick_mask = self._tick_mask = tm
-        if 2 * mask.bit_count() >= tick_mask.bit_count():
-            self.tick_settle(v, w, m)
-            return
         self._run_mask(v, w, m, mask)
 
     def _run_mask(self, v, w, m, mask: int) -> None:
@@ -317,7 +288,7 @@ class CompiledDesign:
             self._mask_cones[mask] = fn
             fn(v, w, m)
             return
-        # Cache saturated (pathological activity variety that never
+        # Cache saturated (pathological poke variety that never
         # repeats): execute the merged cone through per-statement thunks —
         # one-time setup, no recurring exec-compiles, cost still linear in
         # the cone size rather than the full schedule.
@@ -703,7 +674,7 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         comb_lines.append(f"    {lane(target)} = {code}")
     comb_source = "\n".join(comb_lines)
 
-    def _mem_block(journal: bool, activity: bool) -> list[str]:
+    def _mem_block(journal: bool) -> list[str]:
         out = []
         for wi, (en, addr, data, mi, depth) in enumerate(mem_ops):
             if journal:
@@ -713,58 +684,25 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                     f"        _jw(({mi}, _ja{wi}))",
                     f"        m[{mi}][_ja{wi}] = {data}",
                 ]
-                if activity:
-                    lines.insert(1, "        _mw = 1")
                 out.append("\n".join(lines))
-            elif activity:
-                out.append(
-                    f"    if {en}:\n"
-                    f"        _mw = 1\n"
-                    f"        m[{mi}][{addr} % {depth}] = {data}"
-                )
             else:
                 out.append(f"    if {en}: m[{mi}][{addr} % {depth}] = {data}")
         return out
 
-    def _tick_source(header: str, journal: bool, activity: bool) -> str:
+    def _tick_source(header: str, journal: bool) -> str:
         body = [header]
         # Order matters: stops/printfs observe the stable pre-edge state;
         # register next-values are computed before memory writes so they
         # read pre-edge memory contents; stores happen last (two-phase
         # update).
         body.extend(stop_lines)
-        if activity:
-            body.append("    _mw = 0")
         for i, spec in enumerate(registers):
             if spec.next_code is not None:
                 body.append(f"    _t{i} = {spec.next_code}")
-        body.extend(_mem_block(journal, activity))
+        body.extend(_mem_block(journal))
         for i, spec in enumerate(registers):
             slot = lane(spec.index)
-            if activity:
-                # Store-and-report only on an actual change: the engine
-                # re-settles just the reported registers' fanout.
-                if spec.next_code is not None:
-                    if spec.reset_index is not None:
-                        body.append(
-                            f"    _n{i} = {spec.init_code} "
-                            f"if {lane(spec.reset_index)} else _t{i}"
-                        )
-                    else:
-                        body.append(f"    _n{i} = _t{i}")
-                    body.append(
-                        f"    if {slot} != _n{i}:\n"
-                        f"        {slot} = _n{i}\n"
-                        f"        _ch({spec.index})"
-                    )
-                elif spec.reset_index is not None:
-                    body.append(
-                        f"    if {lane(spec.reset_index)} "
-                        f"and {slot} != ({spec.init_code}):\n"
-                        f"        {slot} = {spec.init_code}\n"
-                        f"        _ch({spec.index})"
-                    )
-            elif spec.next_code is not None:
+            if spec.next_code is not None:
                 if spec.reset_index is not None:
                     body.append(
                         f"    {slot} = {spec.init_code} "
@@ -776,21 +714,13 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                 body.append(
                     f"    if {lane(spec.reset_index)}: {slot} = {spec.init_code}"
                 )
-        if activity:
-            body.append("    return _mw")
         if len(body) == 1:
             body.append("    pass")
         return "\n".join(body)
 
-    tick_source = _tick_source("def tick(v, w, m, time):", False, False)
+    tick_source = _tick_source("def tick(v, w, m, time):", False)
     tick_journal_source = _tick_source(
-        "def tick_journal(v, w, m, time, _jw):", True, False
-    )
-    tick_act_source = _tick_source(
-        "def tick_act(v, w, m, time, _ch):", False, True
-    )
-    tick_act_journal_source = _tick_source(
-        "def tick_act_journal(v, w, m, time, _jw, _ch):", True, True
+        "def tick_journal(v, w, m, time, _jw):", True
     )
 
     namespace = {
@@ -805,11 +735,6 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     exec(compile(tick_source, "<repro-sim-tick>", "exec"), namespace)
     exec(
         compile(tick_journal_source, "<repro-sim-tick-journal>", "exec"),
-        namespace,
-    )
-    exec(compile(tick_act_source, "<repro-sim-tick-act>", "exec"), namespace)
-    exec(
-        compile(tick_act_journal_source, "<repro-sim-tick-act-journal>", "exec"),
         namespace,
     )
 
@@ -843,10 +768,6 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         wide_indices=wide_indices,
         tick_journal=namespace["tick_journal"],
         tick_journal_source=tick_journal_source,
-        tick_act=namespace["tick_act"],
-        tick_act_source=tick_act_source,
-        tick_act_journal=namespace["tick_act_journal"],
-        tick_act_journal_source=tick_act_journal_source,
         order_targets=order_targets,
         order_code=order_code,
         order_deps=order_deps,

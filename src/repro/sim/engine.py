@@ -14,11 +14,11 @@ Two execution paths share the compiled design:
   (``docs/performance.md``).  Pokes are **lazy** — they accumulate into a
   pending dirty set and the next settle point (a step, a read, an explicit
   ``flush()``/``batch()`` exit) evaluates one merged cone for the whole
-  set.  Clock edges are **activity-tracked**: the generated tick reports
-  which registers actually changed, and only their fanout (plus the
-  memory-reading cone when a write landed) is re-settled — quiet cycles
-  skip most of the datapath.  Property tests pin the two paths to
-  bit-identical results.
+  set.  A clock edge runs the same generated ``tick`` as the reference
+  path and then re-settles the design's precomputed **tick cone** (every
+  register's fanout plus every memory read), merged with any pending
+  pokes into one cone; a design with an empty tick cone settles nothing.
+  Property tests pin the two paths to bit-identical results.
 
 Time travel (``set_time``, reverse debugging, windowed history) is owned
 by the :mod:`repro.sim.timeline` subsystem: when snapshots are enabled
@@ -31,19 +31,25 @@ table or whole memories) and eviction folds the head keyframe forward in
 O(delta).  See ``docs/time_travel.md``.
 
 Signal values live in a pluggable :class:`~repro.sim.store.ValueStore`
-(``Simulator(store=...)`` / ``$REPRO_VALUE_STORE``): typed 64-bit lanes by
-default, a zero-copy numpy view for vectorized snapshot scans when numpy
-is importable, and the plain-list reference backend the property tests pin
-every other backend against.
+(``Simulator(store=...)`` / ``$REPRO_VALUE_STORE``): the plain-list
+reference backend by default — the fastest scalar store on the paper's
+workloads, and the one the property tests pin every other backend
+against — typed 64-bit lanes, or a zero-copy numpy view for vectorized
+snapshot scans.
+
+Clock callbacks are read once per cycle, so a callback registered from
+another thread (a debugger arming itself on a pause request) fires from
+the next posedge on; an idle debugger registers nothing and costs
+nothing per cycle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import threading
 from array import array
 from contextlib import contextmanager
-
-import threading
 
 from ..ir.stmt import Circuit
 from ..obs import make_obs
@@ -124,9 +130,10 @@ class Simulator(SimulatorInterface):
             design's cone caches are value-independent.  Across forked
             processes each child owns a copy-on-write copy.
         store: value-table backend name — ``"list"``, ``"array"``,
-            ``"numpy"``, or ``"auto"`` (numpy when importable, else typed
-            64-bit lanes).  ``None`` defers to ``$REPRO_VALUE_STORE``,
-            then ``"auto"``.  See ``repro.sim.store``.
+            ``"numpy"``, or ``"auto"`` (``"list"``, the fastest scalar
+            backend on the paper's workloads).  ``None`` defers to
+            ``$REPRO_VALUE_STORE``, then ``"auto"``.  See
+            ``repro.sim.store``.
         strict: compile-time lint gate (``repro.lint``).  ``None`` defers
             to ``$REPRO_LINT`` (default off); ``"warn"`` runs the linter
             and reports findings as a ``LintWarning``; ``"error"`` (or
@@ -220,17 +227,14 @@ class Simulator(SimulatorInterface):
         self._finished: int | None = None
         self._callbacks: dict[int, object] = {}
         self._cb_list: tuple = ()
-        self._next_cb_id = 1
+        self._cb_ids = itertools.count(1)
+        self._cb_lock = threading.Lock()
         # Settle bookkeeping (fast path): pokes accumulate indices into
-        # `_dirty`, the activity-tracked tick accumulates changed registers
-        # into `_tick_changed` (plus `_tick_mem` when a memory write
-        # landed); `_settle` evaluates one merged cone for the union.  The
-        # sets are mutated in place, never rebound — the step() loop holds
-        # bound methods into them across callback-driven rewinds.
+        # `_dirty`, a clock edge sets `_pending_tick`; `_settle` evaluates
+        # one merged cone for both.
         self._pending_full = False   # full comb required (reference / rewind)
+        self._pending_tick = False   # tick cone owed after a clock edge
         self._dirty: set[int] = set()
-        self._tick_changed: set[int] = set()
-        self._tick_mem = False
         # Always-on stats: bare int increments on the hot path (cheaper
         # than any mode guard), folded into repro.obs metrics lazily by
         # the snapshot-time collector below, or read via stats().
@@ -319,35 +323,26 @@ class Simulator(SimulatorInterface):
         """Bring every combinational signal up to date with current state."""
         if self._pending_full:
             self._pending_full = False
+            self._pending_tick = False
             self._dirty.clear()
-            self._tick_changed.clear()
-            self._tick_mem = False
             self._stat_settle_full += 1
             self.design.comb(self._v, self._w, self.mems)
             return
         dirty = self._dirty
-        ticked = self._tick_changed
         if dirty:
             self._stat_settle_seeds += 1
-            seeds = dirty | ticked if ticked else dirty
             self.design.settle_seeds(
-                self._v, self._w, self.mems, seeds, self._tick_mem
+                self._v, self._w, self.mems, dirty, self._pending_tick
             )
-        elif ticked or self._tick_mem:
-            # Pure clock-edge activity: the design may collapse a busy
-            # edge onto the precomputed full tick cone.
+            dirty.clear()
+            self._pending_tick = False
+        elif self._pending_tick:
+            self._pending_tick = False
             self._stat_settle_tick += 1
-            self.design.settle_tick(
-                self._v, self._w, self.mems, ticked, self._tick_mem
-            )
-        else:
-            return
-        dirty.clear()
-        ticked.clear()
-        self._tick_mem = False
+            self.design.tick_settle(self._v, self._w, self.mems)
 
     def flush(self) -> None:
-        """Settle any pending pokes / deferred tick activity now.
+        """Settle any pending pokes / clock-edge cone now.
 
         Pokes on the fast path are lazy: they accumulate into a dirty set
         and the whole set is settled as one merged fanout cone at the next
@@ -445,52 +440,40 @@ class Simulator(SimulatorInterface):
             self._pf_dispatcher.bind(self._pf_sink)
         v, w, m = self._v, self._w, self.mems
         design = self.design
-        cb_list = self._cb_list
         timeline = self.timeline
         journal = timeline is not None and timeline.snap_mems
-        fast = self._fast
-        tick = (
-            (design.tick_act_journal if journal else design.tick_act)
-            if fast
-            else (design.tick_journal if journal else design.tick)
-        )
+        tick = design.tick_journal if journal else design.tick
         jw = timeline.mem_written.add if journal else None
-        ch = self._tick_changed.add
+        fast = self._fast
+        # A fast edge owes the next settle the tick cone — nothing when
+        # the design has neither registers nor memory reads; a reference
+        # edge owes the full comb.
+        owes_tick = fast and design.tick_mask() != 0
         for _ in range(cycles):
             if self._finished is not None:
                 return
             self._settle()
             if self._trace is not None:
                 self._trace.sample(self)
+            # Read per cycle: a callback registered from another thread
+            # fires from the next posedge on.
+            cb_list = self._cb_list
             if cb_list:
                 for fn in cb_list:
                     fn(self)
-                cb_list = self._cb_list  # callbacks may attach/detach
                 # Callback pokes settle lazily; consume them (and any
                 # set_time rewind) before snapshotting and ticking.
                 self._settle()
             if timeline is not None:
                 timeline.record(self._time)
             try:
-                if fast:
-                    # The activity-tracked tick reports each changed
-                    # register via `ch` and returns truthy when a memory
-                    # word was written; the next settle re-evaluates just
-                    # that activity's merged cone.
-                    if journal:
-                        if tick(v, w, m, self._time, jw, ch):
-                            self._tick_mem = True
-                    elif tick(v, w, m, self._time, ch):
-                        self._tick_mem = True
-                elif journal:
+                if journal:
                     tick(v, w, m, self._time, jw)
-                    self._pending_full = True
                 else:
                     tick(v, w, m, self._time)
-                    self._pending_full = True
             except SimulationFinished as fin:
                 # Stops fire before any register/memory update, so the
-                # fast path has no activity to settle; the reference path
+                # fast path has nothing to settle; the reference path
                 # keeps its full-comb-per-edge semantics.
                 self._finished = fin.exit_code
                 self._time += 1
@@ -499,6 +482,10 @@ class Simulator(SimulatorInterface):
                     self._pending_full = True
                 self._settle()
                 return
+            if fast:
+                self._pending_tick = owes_tick
+            else:
+                self._pending_full = True
             self._time += 1
             self._stat_ticks += 1
         self._settle()
@@ -538,9 +525,8 @@ class Simulator(SimulatorInterface):
         self._time = time
         self._finished = None
         self._pending_full = False
+        self._pending_tick = False
         self._dirty.clear()
-        self._tick_changed.clear()
-        self._tick_mem = False
         self.design.comb(self._v, self._w, self.mems)
 
     def _retain_current_time(self):
@@ -615,7 +601,7 @@ class Simulator(SimulatorInterface):
             "sim_settle_seeds_total", "Merged dirty-set cone settles"
         ).set_total(s["settle_seeds"])
         reg.counter(
-            "sim_settle_tick_total", "Activity-tracked clock-edge settles"
+            "sim_settle_tick_total", "Clock-edge tick-cone settles"
         ).set_total(s["settle_tick"])
         reg.counter(
             "sim_cone_cache_hits_total", "Mask-cone cache hits"
@@ -695,15 +681,16 @@ class Simulator(SimulatorInterface):
         return self.design.signals[self.design.clock_index].path
 
     def add_clock_callback(self, fn) -> int:
-        cb_id = self._next_cb_id
-        self._next_cb_id += 1
-        self._callbacks[cb_id] = fn
-        self._cb_list = tuple(self._callbacks.values())
+        cb_id = next(self._cb_ids)
+        with self._cb_lock:
+            self._callbacks[cb_id] = fn
+            self._cb_list = tuple(self._callbacks.values())
         return cb_id
 
     def remove_clock_callback(self, cb_id: int) -> None:
-        self._callbacks.pop(cb_id, None)
-        self._cb_list = tuple(self._callbacks.values())
+        with self._cb_lock:
+            self._callbacks.pop(cb_id, None)
+            self._cb_list = tuple(self._callbacks.values())
 
     def get_time(self) -> int:
         return self._time

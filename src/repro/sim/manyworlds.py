@@ -27,7 +27,9 @@ worlds that fired (``docs/manyworlds.md``).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
+import threading
 from time import perf_counter
 
 try:
@@ -127,7 +129,8 @@ class ManyWorldsSimulator(SimulatorInterface):
         self._archive: dict[int, tuple] = {}
         self._callbacks: dict[int, object] = {}
         self._cb_list: tuple = ()
-        self._next_cb_id = 1
+        self._cb_ids = itertools.count(1)
+        self._cb_lock = threading.Lock()
         self._pending = True
         self._stat_ticks = 0
         self._stat_mask_hits = 0
@@ -297,7 +300,6 @@ class ManyWorldsSimulator(SimulatorInterface):
         t_start = perf_counter()
         v, w, m = self._matrix, self._w, self.mems
         kern = self.kernels
-        cb_list = self._cb_list
         timeline = self.timeline
         journal = timeline is not None and timeline.snap_mems
         vtick = kern.vtick_journal if journal else kern.vtick
@@ -308,10 +310,12 @@ class ManyWorldsSimulator(SimulatorInterface):
             if self._n_active == 0:
                 break
             self._settle()
+            # Read per cycle: a callback registered from another thread
+            # fires from the next posedge on.
+            cb_list = self._cb_list
             if cb_list:
                 for fn in cb_list:
                     fn(self)
-                cb_list = self._cb_list  # callbacks may attach/detach
                 self._settle()
             if timeline is not None:
                 timeline.record(self._time)
@@ -553,15 +557,16 @@ class ManyWorldsSimulator(SimulatorInterface):
         return self.design.signals[self.design.clock_index].path
 
     def add_clock_callback(self, fn) -> int:
-        cb_id = self._next_cb_id
-        self._next_cb_id += 1
-        self._callbacks[cb_id] = fn
-        self._cb_list = tuple(self._callbacks.values())
+        cb_id = next(self._cb_ids)
+        with self._cb_lock:
+            self._callbacks[cb_id] = fn
+            self._cb_list = tuple(self._callbacks.values())
         return cb_id
 
     def remove_clock_callback(self, cb_id: int) -> None:
-        self._callbacks.pop(cb_id, None)
-        self._cb_list = tuple(self._callbacks.values())
+        with self._cb_lock:
+            self._callbacks.pop(cb_id, None)
+            self._cb_list = tuple(self._callbacks.values())
 
     def get_time(self) -> int:
         return self._time

@@ -6,9 +6,11 @@ shard state digests — reaches into one data structure: the flattened
 signal value table.  The seed implementation was a ``list[int]``; this
 module makes the representation pluggable:
 
-* :class:`ListStore` — the reference backend, a plain ``list[int]``.
-  Fastest per-element access (reads return cached int objects), no bulk
-  operations.
+* :class:`ListStore` — the reference backend and the default, a plain
+  ``list[int]``.  Fastest per-element access (reads return cached int
+  objects instead of boxing a fresh one per lane read), no bulk
+  operations — on the paper's RV32 suite, where generated statements do
+  all the per-cycle work, that makes it the fastest scalar backend.
 * :class:`ArrayStore` — ``array('Q')`` lanes, one 64-bit lane per signal.
   Snapshot keyframes become C-level ``memcpy`` copies and the raw buffer
   is directly hashable/serializable via ``memoryview``.
@@ -18,7 +20,8 @@ module makes the representation pluggable:
   out — numpy scalar arithmetic would be both slower and wrong for
   >64-bit intermediates), while the bulk operations the engine performs
   every cycle — the snapshot state-delta scan, keyframe copy/restore —
-  run vectorized over the view.
+  run vectorized over the view.  It wins only where those bulk scans
+  dominate (a wide, register-sparse design under snapshots).
 
 **Lane layout.**  Signals up to 64 bits wide occupy one unsigned 64-bit
 lane in the ``narrow`` buffer (all stored values are already masked to
@@ -31,7 +34,8 @@ common case) carry an empty dict.
 
 Backend selection: ``Simulator(store=...)`` takes a backend name, the
 ``REPRO_VALUE_STORE`` environment variable overrides the default, and
-``"auto"`` (the default) picks ``numpy`` when importable, else ``array``.
+``"auto"`` (the default) picks ``list``, with or without numpy installed.
+The many-worlds engine keeps its own numpy :class:`MatrixStore`.
 Property tests pin all backends bit-identical to the list reference.
 """
 
@@ -66,9 +70,10 @@ def resolve_store_kind(kind: str | None) -> str:
     """Resolve a requested backend name to a concrete one.
 
     ``None`` defers to ``$REPRO_VALUE_STORE``, then to ``"auto"``.
-    ``"auto"`` resolves to ``"numpy"`` when importable, else ``"array"``.
-    An explicit ``"numpy"`` without numpy installed is an error (silently
-    degrading an explicit request would mask a broken environment).
+    ``"auto"`` resolves to ``"list"``, the fastest scalar backend on the
+    paper's workloads (``docs/performance.md`` §4).  An explicit
+    ``"numpy"`` without numpy installed is an error (silently degrading
+    an explicit request would mask a broken environment).
     """
     if kind is None:
         kind = os.environ.get(STORE_ENV) or "auto"
@@ -77,7 +82,7 @@ def resolve_store_kind(kind: str | None) -> str:
             f"unknown value store {kind!r}; expected one of {STORE_KINDS}"
         )
     if kind == "auto":
-        return "numpy" if _np is not None else "array"
+        return "list"
     if kind == "numpy" and _np is None:
         raise SimulatorError(
             "value store 'numpy' requested but numpy is not importable"

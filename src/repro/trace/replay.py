@@ -9,6 +9,8 @@ unlocking full reverse debugging (Sec. 3.2).
 
 from __future__ import annotations
 
+import itertools
+
 from ..sim.interface import (
     HierNode,
     SignalInfo,
@@ -51,7 +53,7 @@ class ReplayEngine(SimulatorInterface):
             raise SimulatorError("trace contains no clock rising edges")
         self._cycle = 0
         self._callbacks: dict[int, object] = {}
-        self._next_cb_id = 1
+        self._cb_ids = itertools.count(1)
         self._hierarchy = _scopes_to_hierarchy(vcd)
         self.timeline = FullTraceTimeline(len(self._posedges), label="VCD replay")
 
@@ -100,8 +102,7 @@ class ReplayEngine(SimulatorInterface):
         return self._clock.path
 
     def add_clock_callback(self, fn) -> int:
-        cb_id = self._next_cb_id
-        self._next_cb_id += 1
+        cb_id = next(self._cb_ids)
         self._callbacks[cb_id] = fn
         return cb_id
 

@@ -2,6 +2,7 @@
 control commands (paper Sec. 3.5 RPC debugging protocol)."""
 
 import threading
+import time
 
 import pytest
 
@@ -128,3 +129,13 @@ class TestBreakpointFlow:
         client.request("detach")
         t.join(timeout=10)
         assert not t.is_alive()
+
+
+class TestClientClose:
+    def test_close_returns_promptly_and_stops_the_reader(self, served):
+        _d, _sim, _rt, _srv, client = served
+        t0 = time.monotonic()
+        client.close()
+        assert time.monotonic() - t0 < 2
+        client._reader.join(timeout=2)
+        assert not client._reader.is_alive()

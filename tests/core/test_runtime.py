@@ -1,6 +1,9 @@
 """Runtime tests: breakpoint emulation, the Fig. 2 scheduling loop,
 conditions, step/reverse, and callback overhead accounting."""
 
+import threading
+import time
+
 import pytest
 
 import repro
@@ -12,7 +15,7 @@ from repro.core import (
     STEP,
     DebuggerError,
 )
-from repro.sim import Simulator
+from repro.sim import ManyWorldsSimulator, Simulator, numpy_available
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
 
@@ -298,3 +301,130 @@ class TestOverheadAccounting:
         sim.reset()
         sim.poke("d", 7)
         assert rt.evaluate("d + 1") == 8
+
+
+def _count_clock_calls(rt) -> list:
+    """Route the runtime's clock callback through a counting wrapper
+    (installed before attach, so the wrapper is what gets registered)."""
+    calls = []
+    inner = rt._on_clock
+
+    def counting(sim):
+        calls.append(sim.get_time())
+        inner(sim)
+
+    rt._on_clock = counting
+    return calls
+
+
+class TestIdleHook:
+    """An attached runtime registers its clock callback only while armed."""
+
+    def test_idle_runtime_registers_nothing(self):
+        d, sim = _setup()
+        rt = make_runtime(d, sim)
+        calls = _count_clock_calls(rt)
+        rt.attach()
+        sim.reset()
+        sim.poke("en", 1)
+        sim.step(1000)
+        assert rt.attached
+        assert sim._cb_list == ()
+        assert calls == []
+        assert rt.stats_callbacks == 1001
+
+    def test_arming_registers_and_last_removal_unregisters(self):
+        d, sim = _setup()
+        rt = make_runtime(d, sim)
+        calls = _count_clock_calls(rt)
+        rt.attach()
+        sim.reset()
+        _f, line = line_of(d, "acc")
+        bps = rt.add_breakpoint("helpers.py", line, condition="acc > 1000")
+        assert len(sim._cb_list) == 1 and rt.attached
+        sim.step(10)
+        assert len(calls) == 10
+        wp = rt.add_watchpoint("acc")
+        rt.remove_breakpoint(bps[0].rec.id)
+        assert len(sim._cb_list) == 1  # the watchpoint keeps it armed
+        rt.remove_watchpoint(wp.id)
+        assert sim._cb_list == () and rt.attached
+        sim.step(10)
+        assert len(calls) == 10
+        rt.detach()
+        assert not rt.attached and sim._cb_list == ()
+
+    def test_stats_callbacks_never_fall_nor_exceed_posedges(self):
+        d, sim = _setup()
+        rt = make_runtime(d, sim, lambda h: CONTINUE)
+        _f, line = line_of(d, "acc")
+        seen = []
+
+        def check():
+            seen.append(rt.stats_callbacks)
+            assert seen == sorted(seen)
+            assert seen[-1] <= sim.stats()["ticks"]
+
+        rt.attach()
+        sim.reset()
+        sim.poke("en", 1)
+        sim.step(20)
+        check()  # idle
+        bps = rt.add_breakpoint("helpers.py", line)
+        sim.step(5)
+        check()  # armed
+        rt.remove_breakpoint(bps[0].rec.id)
+        sim.step(20)
+        check()  # idle again
+        sim.set_time(sim.get_time() - 15)  # rewind while idle
+        check()
+        sim.step(30)
+        check()
+        rt.detach()
+        sim.step(10)
+        check()
+        # attached from the first posedge: one per posedge until detach
+        assert seen[-1] == sim.stats()["ticks"] - 10
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "scalar",
+            pytest.param(
+                "worlds",
+                marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
+            ),
+        ],
+    )
+    def test_pause_from_another_thread_reaches_an_idle_runtime(self, backend):
+        d = repro.compile(Accumulator())
+        sim = Simulator(d.low) if backend == "scalar" else ManyWorldsSimulator(d.low, 2)
+
+        class Paused(Exception):
+            pass
+
+        hits = []
+
+        def on_hit(h):
+            hits.append(h.time)
+            raise Paused  # ends sim.run below
+
+        rt = make_runtime(d, sim, on_hit)
+        rt.attach()
+        sim.reset()
+        sim.poke("en", 1)
+
+        def pause_once_running():
+            deadline = time.monotonic() + 10
+            while sim.get_time() < 100 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            rt.request_pause()
+
+        pauser = threading.Thread(target=pause_once_running, daemon=True)
+        pauser.start()
+        with pytest.raises(Paused):
+            sim.run(10**6)
+        pauser.join(timeout=10)
+        assert not pauser.is_alive()
+        assert len(hits) == 1
+        assert 100 <= hits[0] < 10**5

@@ -3,6 +3,7 @@ gate, the shard endpoint, and hub-side observability."""
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -104,6 +105,36 @@ class TestWire:
             client.attach()
             with pytest.raises(SessionError, match="unknown session method"):
                 client.call("s._sim")  # allowlist, not getattr-anything
+
+    def test_pause_during_cont_with_nothing_armed(self):
+        # The session's runtime is idle (no callback registered) while it
+        # runs; a pause from a second connection must still stop it.
+        design, hub, host, port = _serve()
+        _f, line = line_of(design, "count")
+        with hub, HubClient(host, port) as first, HubClient(host, port) as second:
+            session = first.attach()
+            session.poke("en", 1)
+            session.reset(1)
+            bp = session.add_breakpoint("helpers.py", line)[0]
+            stop = session.run(10**6)
+            assert stop.reason == "breakpoint"
+            session.remove_breakpoint(bp["id"])
+            result = {}
+            runner = threading.Thread(
+                target=lambda: result.update(stop=session.cont()), daemon=True
+            )
+            runner.start()
+            other = second.attach(sid=session.sid)
+            deadline = time.monotonic() + 10
+            while other.get_time() < stop.time + 100 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            other.pause()
+            runner.join(timeout=30)
+            assert not runner.is_alive()
+            paused = result["stop"]
+            assert paused.reason == "breakpoint"
+            assert stop.time + 100 <= paused.time < 10**5
+            assert session.detach() is not None
 
     def _raw(self, host, port, lines: list[bytes]) -> list[dict]:
         """Send each line on one raw connection; one response per line."""

@@ -1,5 +1,8 @@
 """Simulator engine tests: stepping, reset, callbacks, snapshots."""
 
+import sys
+import threading
+
 import pytest
 
 import repro
@@ -95,6 +98,33 @@ class TestCallbacks:
         sim.poke("d", 1)
         sim.step(2)
         assert sim.peek("total") == 18  # callback overrode the poke
+
+    def test_concurrent_registration_loses_nothing(self, counter_sim):
+        # Debuggers arm from hub and session threads: ids must stay
+        # unique and no registration may be lost under contention.
+        ids, removed = [], []
+
+        def churn():
+            for _ in range(200):
+                cb_id = counter_sim.add_clock_callback(lambda s: None)
+                ids.append(cb_id)
+                if cb_id % 2:
+                    counter_sim.remove_clock_callback(cb_id)
+                    removed.append(cb_id)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(set(ids)) == len(ids) == 800
+        assert len(counter_sim._cb_list) == 800 - len(removed)
 
 
 class TestSetValueSetTime:
