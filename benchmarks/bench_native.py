@@ -1,0 +1,152 @@
+"""The native free-run tier on the paper's RV32 suite.
+
+ROADMAP item 7's bar: free-running the ten Fig. 5 programs through
+``Simulator.run()``, which hands the budget to the design's C kernel
+(``repro.sim.native``), must be at least 10x faster than the reference
+engine (list store, ``fast=False``).  The table also reports the ratio
+against the Python fast path (the same engine stepped in 1024-cycle
+chunks, which is what ``run()`` did before the native tier), and the
+tier's cost model: a cold build, a warm load from the disk cache, the
+copy in and out around one segment, and the kernel's time per cycle.
+
+Every configuration must end every program bit-identical to the
+reference; in smoke mode (``REPRO_BENCH_SMOKE=1``) that parity is all
+this module asserts.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+import time
+from array import array
+
+import pytest
+
+import repro
+from repro.cpu import RV32Core, assemble
+from repro.hub import SessionOptions
+from repro.sim import Simulator, compile_design, native
+
+from conftest import best_of
+
+_SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+_MAX_CYCLES = 200_000
+_BAR = 10.0
+
+
+def _step_run(sim) -> None:
+    """The Python fast path: the pre-native ``run()`` loop."""
+    while not sim.finished:
+        sim.step(1024)
+
+
+def _suite(progs, fast, driver):
+    """Run every program to completion; returns the simulators."""
+    sims = []
+    for bench, design, compiled in progs:
+        options = SessionOptions(fast=fast)
+        sim = Simulator(design.low, compiled=compiled, options=options)
+        sim.reset()
+        driver(sim)
+        assert sim.exit_code == 0 and sim.peek("tohost") == bench.expected, bench.name
+        sims.append(sim)
+    return sims
+
+
+@pytest.fixture(scope="module")
+def progs(compiled_suite):
+    return [
+        (bench, design, compile_design(design.low))
+        for (_name, debug), (bench, design, _st) in sorted(compiled_suite.items())
+        if not debug
+    ]
+
+
+def _cost_model(progs) -> dict:
+    """Cold build and warm load in a fresh cache; copy and per-cycle cost."""
+    _bench, design, _compiled = progs[0]
+    saved_env, saved_memo = os.environ.get("XDG_CACHE_HOME"), native._LOADED
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ["XDG_CACHE_HOME"] = tmp
+        try:
+            times = []
+            for _ in range(2):  # cold (build), then warm (disk hit)
+                native._LOADED = {}
+                fresh = compile_design(design.low)
+                t0 = time.perf_counter()
+                kernel = native.kernel_for(fresh)
+                times.append(time.perf_counter() - t0)
+        finally:
+            native._LOADED = saved_memo
+            if saved_env is None:
+                os.environ.pop("XDG_CACHE_HOME", None)
+            else:
+                os.environ["XDG_CACHE_HOME"] = saved_env
+    assert kernel is not None
+    sim = Simulator(design.low, compiled=fresh)
+    sim.reset()
+
+    def one_cycle():
+        kernel.run(sim._v, sim._w, sim.mems, 1, array("q", [0]), array("q", [0]))
+
+    copy = best_of(one_cycle, n=20)
+    spin = repro.compile(RV32Core(assemble("l:\n addi a0, a0, 1\n j l\n").words, 8192))
+    spinner = Simulator(spin.low)
+    spinner.reset()
+    cycles = 100_000 if _SMOKE else 2_000_000
+    per_cycle = best_of(spinner.run, cycles) / cycles
+    return {
+        "cold_ms": times[0] * 1e3,
+        "warm_ms": times[1] * 1e3,
+        "copy_us": copy * 1e6,
+        "ns_per_cycle": per_cycle * 1e9,
+    }
+
+
+@pytest.mark.skipif(
+    native._compiler()[1] is None, reason="needs a working C compiler ($CC or cc)"
+)
+def test_native_free_run_bar(progs, capsys):
+    """Reference, Python fast path and native on the RV32 suite."""
+    configs = {
+        "reference": (False, _step_run),
+        "python fast": (True, _step_run),
+        "native": (True, lambda sim: sim.run(_MAX_CYCLES)),
+    }
+    digests = {}
+    for name, (fast, driver) in configs.items():
+        sims = _suite(progs, fast, driver)
+        digests[name] = [(s.get_time(), s.state_digest()) for s in sims]
+        if name == "native":
+            assert all(s.stats()["native_cycles"] > 0 for s in sims)
+    assert digests["native"] == digests["python fast"] == digests["reference"]
+    cycles = sum(t for t, _d in digests["reference"])
+
+    secs = {
+        name: best_of(_suite, progs, fast, driver, n=1 if _SMOKE else 5)
+        for name, (fast, driver) in configs.items()
+    }
+    cost = _cost_model(progs)
+    lines = [
+        "",
+        "=== native free-run tier: RV32 suite through Simulator.run() ===",
+        f"{'configuration':14s} {'suite ms':>9s} {'cycles/s':>11s}"
+        f" {'vs reference':>13s}",
+    ]
+    for name, sec in secs.items():
+        lines.append(
+            f"{name:14s} {sec * 1e3:9.1f} {cycles / sec:11.0f}"
+            f" {secs['reference'] / sec:12.1f}x"
+        )
+    lines += [
+        f"native vs python fast: {secs['python fast'] / secs['native']:.1f}x",
+        f"cold build {cost['cold_ms']:.0f} ms, warm load {cost['warm_ms']:.1f} ms, "
+        f"copy in+out per segment {cost['copy_us']:.0f} us, "
+        f"kernel {cost['ns_per_cycle']:.1f} ns/cycle",
+    ]
+    with capsys.disabled():
+        print("\n".join(lines))
+    if not _SMOKE:
+        ratio = secs["reference"] / secs["native"]
+        assert ratio >= _BAR, f"native only {ratio:.1f}x the reference"

@@ -277,6 +277,7 @@ def _cmd_stats(args) -> int:
     from .obs import format_metrics, make_obs, write_chrome_trace, write_prometheus
     from .shard import ShardSpec
     from .shard.worker import run_shard
+    from .sim import compile_design, native
     from .symtable import SQLiteSymbolTable
     from .symtable.writer import write_symbol_table
 
@@ -297,6 +298,9 @@ def _cmd_stats(args) -> int:
         f"{design.name}: {result.cycles} cycles in {result.wall_time_s:.3f}s "
         f"(seed {spec.seed})"
     )
+    # Which tier Simulator.run() free-runs this design on (the shard
+    # above is poke-driven, so it always steps in Python).
+    print(f"native free-run tier: {native.status(compile_design(design.low))}")
     print(format_metrics(snapshot))
     if args.json:
         with open(args.json, "w") as f:

@@ -21,7 +21,11 @@ memory-reading assignment — instead of the whole ``comb``.
 
 This mirrors how compiled simulators (Verilator) work and keeps the
 per-cycle cost low enough that the hgdb callback overhead (paper Fig. 5) is
-measurable against realistic simulation work.
+measurable against realistic simulation work.  ``Simulator.run()`` goes
+further when nothing observes single cycles: :mod:`repro.sim.native`
+re-walks the same IR into one C function that runs many ticks and tick
+cones per call.  Clock callbacks still fire from the next posedge: adding
+one sets the break flag that function polls every cycle.
 
 The generated code must agree with ``repro.ir.eval.eval_prim`` — property
 tests enforce it.
@@ -150,6 +154,9 @@ class CompiledDesign:
     # Many-worlds vector kernels, cached per world count (see
     # :func:`compile_vector`).
     _vector_kernels: dict = field(default_factory=dict)
+    # The native free-run kernel (:mod:`repro.sim.native`), or why the
+    # design runs in Python; None until the first eligible ``run()``.
+    _native: object = None
 
     @property
     def n_signals(self) -> int:
@@ -780,6 +787,22 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     )
 
 
+def instance_paths(design: CompiledDesign) -> list[tuple[str, str]]:
+    """(path, module) of every instance, in ``compile_design``'s
+    declaration order: the walk order the kernel generators re-use."""
+    modules = design.circuit.modules
+    out: list[tuple[str, str]] = []
+
+    def visit(path: str, mod_name: str) -> None:
+        out.append((path, mod_name))
+        for s in modules[mod_name].body:
+            if isinstance(s, DefInstance):
+                visit(f"{path}.{s.name}", s.module)
+
+    visit(design.hierarchy.path, design.circuit.main)
+    return out
+
+
 def _topo_sort(assignments, dep_map, assigned, signals):
     """Kahn's algorithm over the comb assignment graph."""
     by_target = {t: (t, code, path) for t, code, path in assignments}
@@ -1354,19 +1377,9 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
         return cached
 
     circuit = design.circuit
-    root = design.hierarchy.path
     wide = design.wide_indices
     mems = design.mems
-
-    instances: list[tuple[str, str]] = []
-
-    def visit(path: str, mod_name: str) -> None:
-        instances.append((path, mod_name))
-        for s in circuit.modules[mod_name].body:
-            if isinstance(s, DefInstance):
-                visit(f"{path}.{s.name}", s.module)
-
-    visit(root, circuit.main)
+    instances = instance_paths(design)
 
     def vec(fn, *args):
         try:

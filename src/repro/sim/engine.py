@@ -41,6 +41,14 @@ Clock callbacks are read once per cycle, so a callback registered from
 another thread (a debugger arming itself on a pause request) fires from
 the next posedge on; an idle debugger registers nothing and costs
 nothing per cycle.
+
+``run()`` goes one step further when nothing observes single cycles —
+``fast=True``, no clock callback, no trace sink, no timeline: it hands
+the whole remaining budget to the design's native C kernel
+(:mod:`repro.sim.native`) and falls back to the Python edge loop for the
+cycles the kernel leaves to it.  Registering a callback sets the
+simulator's break flag, which the kernel polls every cycle, so a
+callback registered mid-run still fires from the next posedge.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from contextlib import contextmanager
 
 from ..ir.stmt import Circuit
 from ..obs import make_obs
+from . import native
 from .compiler import CompiledDesign, compile_design
 from .interface import (
     HierNode,
@@ -66,6 +75,9 @@ from .timeline import Timeline, TimelineError
 # Sentinel distinguishing "caller passed this legacy kwarg" from its
 # default, so options= and the deprecated keywords can coexist.
 _UNSET = object()
+#: ``run()`` steps in chunks of this many cycles; after the native kernel
+#: returns early, Python finishes the chunk it stopped in.
+_CHUNK = 1024
 
 
 class _PrintfDispatcher:
@@ -229,6 +241,11 @@ class Simulator(SimulatorInterface):
         self._cb_list: tuple = ()
         self._cb_ids = itertools.count(1)
         self._cb_lock = threading.Lock()
+        # Native free-run: the break flag the kernel polls every cycle
+        # (set by add_clock_callback) and, while a kernel segment runs,
+        # (start time, cycles-done cell) for a live get_time().
+        self._native_brk = array("q", [0])
+        self._native_seg: tuple | None = None
         # Settle bookkeeping (fast path): pokes accumulate indices into
         # `_dirty`, a clock edge sets `_pending_tick`; `_settle` evaluates
         # one merged cone for both.
@@ -242,6 +259,7 @@ class Simulator(SimulatorInterface):
         self._stat_settle_full = 0
         self._stat_settle_seeds = 0
         self._stat_settle_tick = 0
+        self._stat_native_cycles = 0
         # Time travel: all history state (entry ring, delta baselines, the
         # memory-write journal the generated journaling tick feeds) lives
         # on the Timeline, bound to this simulator's store and memories.
@@ -492,13 +510,60 @@ class Simulator(SimulatorInterface):
 
     def run(self, max_cycles: int = 1_000_000) -> int | None:
         """Run until a ``Stop`` fires or ``max_cycles`` elapse.  Returns the
-        exit code, or None on timeout."""
+        exit code, or None on timeout.
+
+        With ``fast=True`` and nothing observing single cycles (no clock
+        callback, trace sink or timeline) the design's native kernel runs
+        the remaining budget.  It returns before any cycle whose stop or
+        printf condition holds, or when a callback is registered; Python
+        then runs the rest of that 1024-cycle chunk, so stops, printfs and
+        callbacks behave exactly as in :meth:`step`."""
         budget = max_cycles
+        ran = 0
+        native_ok = self._fast and self._trace is None and self.timeline is None
         while budget > 0 and self._finished is None:
-            chunk = min(budget, 1024)
+            if native_ok:
+                done = self._run_native(budget)
+                ran += done
+                budget -= done
+                if budget <= 0:
+                    break
+            chunk = min(budget, _CHUNK - ran % _CHUNK)
             self.step(chunk)
+            ran += chunk
             budget -= chunk
         return self._finished
+
+    def _run_native(self, budget: int) -> int:
+        """One native segment of up to ``budget`` cycles; returns the
+        cycles it ran (0 when the design has no kernel or a callback is
+        registered)."""
+        kernel = native.kernel_for(self.design, self.obs)
+        if kernel is None:
+            return 0
+        # Clear the break flag *before* reading the callback list: a
+        # callback registered in between either shows up here or sets
+        # the flag again, so the kernel stops at once.
+        self._native_brk[0] = 0
+        if self._cb_list:
+            return 0
+        self._settle()
+        t0 = self._time
+        prog = array("q", [0])
+        self._native_seg = (t0, prog)
+        try:
+            kernel.run(self._v, self._w, self.mems, budget, self._native_brk, prog)
+        finally:
+            # The kernel settled its tick cone after every edge, exactly
+            # as the Python fast path would have.
+            done = prog[0]
+            self._time = t0 + done
+            self._stat_ticks += done
+            self._stat_native_cycles += done
+            if self.design.tick_mask():
+                self._stat_settle_tick += done
+            self._native_seg = None
+        return done
 
     # -- time travel (delegated to repro.sim.timeline) ----------------------
 
@@ -575,6 +640,7 @@ class Simulator(SimulatorInterface):
             "cone_misses": design.stat_cone_misses,
             "cone_fallbacks": design.stat_cone_fallbacks,
             "printfs": len(self._printf_out),
+            "native_cycles": self._stat_native_cycles,
         }
         timeline = self.timeline
         if timeline is not None:
@@ -603,6 +669,9 @@ class Simulator(SimulatorInterface):
         reg.counter(
             "sim_settle_tick_total", "Clock-edge tick-cone settles"
         ).set_total(s["settle_tick"])
+        reg.counter(
+            "sim_native_cycles_total", "Clock posedges run by the native kernel"
+        ).set_total(s["native_cycles"])
         reg.counter(
             "sim_cone_cache_hits_total", "Mask-cone cache hits"
         ).set_total(s["cone_hits"])
@@ -685,6 +754,9 @@ class Simulator(SimulatorInterface):
         with self._cb_lock:
             self._callbacks[cb_id] = fn
             self._cb_list = tuple(self._callbacks.values())
+        # After publishing the list: a running native segment stops at its
+        # next posedge and Python fires the callback from there.
+        self._native_brk[0] = 1
         return cb_id
 
     def remove_clock_callback(self, cb_id: int) -> None:
@@ -693,4 +765,7 @@ class Simulator(SimulatorInterface):
             self._cb_list = tuple(self._callbacks.values())
 
     def get_time(self) -> int:
+        seg = self._native_seg
+        if seg is not None:  # read from another thread mid-segment
+            return seg[0] + seg[1][0]
         return self._time

@@ -1,0 +1,394 @@
+"""The native free-run tier: when it runs, how it falls back, and threads.
+
+``Simulator.run()`` hands its budget to the design's C kernel only when
+nothing observes single cycles.  Every fallback — no compiler, a compile
+error, an unusable cache directory, a truncated cached library — must give
+the reference's results with at most one warning per design, and arming a
+debugger from another thread must stop a native run at once.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+
+import pytest
+
+import repro
+import repro.hgf as hgf
+from repro.core import Runtime
+from repro.cpu import RV32Core, assemble
+from repro.hub import SessionOptions
+from repro.sim import Simulator, compile_design, native, numpy_available
+from repro.symtable import SQLiteSymbolTable, write_symbol_table
+from tests.helpers import Accumulator, Counter, line_of
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+class Chatty(hgf.Module):
+    """Prints at n == 100 and n == 1500, stops at n == 3000 with exit
+    code 3."""
+
+    def __init__(self):
+        super().__init__()
+        self.out = self.output("out", 16)
+        n = self.reg("n", 16, init=0)
+        n <<= (n + 1)[15:0]
+        self.out <<= n
+        self.printf((n == 100) | (n == 1500), "n={}", n)
+        self.stop(n == 3000, 3)
+
+
+class Wide(hgf.Module):
+    """A 200-bit accumulator: beyond the kernel's 128-bit lanes."""
+
+    def __init__(self):
+        super().__init__()
+        self.d = self.input("d", 200)
+        acc = self.reg("acc", 200, init=0)
+        acc <<= (acc + self.d)[199:0]
+
+
+def _pair(design, **opts):
+    """(default simulator, fast=False reference), both reset."""
+    compiled = compile_design(design.low)
+    sims = (
+        Simulator(design.low, compiled=compiled, options=SessionOptions(**opts)),
+        Simulator(design.low, options=SessionOptions(fast=False)),
+    )
+    for sim in sims:
+        sim.reset()
+    return sims
+
+
+def _same(sim, ref):
+    assert sim.get_time() == ref.get_time()
+    assert sim.exit_code == ref.exit_code
+    assert sim.printf_output == ref.printf_output
+    assert sim.state_digest() == ref.state_digest()
+
+
+def _run_accumulator(cycles=3000):
+    """Run Accumulator natively against the reference; returns the
+    simulator (stats, design) and the NativeWarnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sim, ref = _pair(repro.compile(Accumulator()))
+        for s in (sim, ref):
+            s.poke("en", 1)
+            s.poke("d", 7)
+            s.run(cycles)
+            s.run(cycles)  # a second run reuses the design's verdict
+        _same(sim, ref)
+    return sim, [w for w in caught if issubclass(w.category, native.NativeWarning)]
+
+
+@pytest.fixture()
+def fresh(tmp_path, monkeypatch):
+    """An empty library cache and process memo."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_LOADED", {})
+    monkeypatch.setattr(native, "_COMPILERS", {})
+    return tmp_path
+
+
+def _has_compiler():
+    return native._compiler()[1] is not None
+
+
+needs_cc = pytest.mark.skipif(
+    not _has_compiler(), reason="needs a working C compiler ($CC or cc)"
+)
+
+
+# -- when the tier runs -------------------------------------------------------
+
+
+@needs_cc
+def test_run_goes_native_and_matches_reference():
+    sim, warned = _run_accumulator()
+    assert not warned
+    assert native.status(sim.design) == "on"
+    assert sim.stats()["native_cycles"] == 6000
+    assert sim.stats()["ticks"] == sim.stats()["settle_tick"] == 6001
+
+
+@needs_cc
+def test_stops_and_printfs_run_in_python():
+    sim, ref = _pair(repro.compile(Chatty()))
+    assert sim.run(10_000) == ref.run(10_000) == 3
+    _same(sim, ref)
+    assert sim.printf_output == ["n=100", "n=1500"]
+    # Each printing or stopping cycle returns to Python, which runs the
+    # rest of that 1024-cycle chunk; the kernel runs everything else.
+    assert 1000 < sim.stats()["native_cycles"] < 3000
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "store",
+    [
+        "array",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
+        ),
+    ],
+)
+def test_typed_stores_run_native(store):
+    sim, ref = _pair(repro.compile(Accumulator()), store=store)
+    for s in (sim, ref):
+        s.poke("en", 1)
+        s.poke("d", 9)
+        s.run(5000)
+    _same(sim, ref)
+    assert sim.stats()["native_cycles"] == 5000
+
+
+def test_never_native_outside_free_run():
+    d = repro.compile(Accumulator())
+
+    class Sink:
+        def begin(self, sim):
+            pass
+
+        def sample(self, sim):
+            pass
+
+    stepped = Simulator(d.low)
+    batch = Simulator(d.low)
+    callback = Simulator(d.low)
+    callback.add_clock_callback(lambda sim: None)
+    traced = Simulator(d.low, trace=Sink())
+    timeline = Simulator(d.low, options=SessionOptions(snapshots=8))
+    reference = Simulator(d.low, options=SessionOptions(fast=False))
+    stepped.step(2000)
+    batch.run_cycles(2000, stimulus=lambda sim, cycle: sim.poke("d", cycle & 0xFF))
+    for sim in (callback, traced, timeline, reference):
+        sim.run(2000)
+    for sim in (stepped, batch, callback, traced, timeline, reference):
+        assert sim.get_time() == 2000
+        assert sim.stats()["native_cycles"] == 0
+
+
+def test_ineligible_design_runs_in_python_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", native.NativeWarning)
+        sim, ref = _pair(repro.compile(Wide()))
+        for s in (sim, ref):
+            s.poke("d", (1 << 199) | 12345)
+            s.run(100)
+    _same(sim, ref)
+    assert native.status(sim.design).startswith("off (ineligible: a 200-bit value")
+    assert sim.stats()["native_cycles"] == 0
+
+
+# -- fallbacks ------------------------------------------------------------------
+
+
+def _fake_cc(tmp_path, body):
+    path = tmp_path / "fakecc"
+    path.write_text(
+        '#!/bin/sh\nif [ "$1" = "--version" ]; then echo "fakecc 1.0"; exit 0; fi\n'
+        + body
+    )
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_no_compiler_falls_back_with_one_warning(fresh, monkeypatch):
+    monkeypatch.setenv("CC", str(fresh / "no-such-cc"))
+    sim, warned = _run_accumulator()
+    assert len(warned) == 1
+    assert "no working C compiler" in str(warned[0].message)
+    assert sim.stats()["native_cycles"] == 0
+    assert native.status(sim.design).startswith("off (no working C compiler")
+
+
+def test_compile_error_falls_back_with_one_warning(fresh, monkeypatch):
+    monkeypatch.setenv("CC", _fake_cc(fresh, 'echo "error: no" >&2\nexit 1\n'))
+    sim, warned = _run_accumulator()
+    assert len(warned) == 1
+    assert "build failed" in str(warned[0].message)
+    assert sim.stats()["native_cycles"] == 0
+    assert not os.listdir(native.cache_dir())  # no temporary left behind
+
+
+@needs_cc
+@pytest.mark.parametrize("problem", ["unwritable", "foreign"])
+def test_unusable_cache_dir_uses_a_private_temp_dir(fresh, monkeypatch, problem):
+    if problem == "unwritable":
+        (fresh / "cache").write_text("a file where the directory should be")
+    else:
+        os.makedirs(fresh / "cache" / "repro-native")
+        owner = os.stat(fresh / "cache" / "repro-native").st_uid
+        monkeypatch.setattr(native.os, "getuid", lambda: owner + 1)
+    path = native.cache_dir()
+    assert not path.startswith(str(fresh))
+    assert os.stat(path).st_mode & 0o777 == 0o700
+    sim, warned = _run_accumulator()
+    assert not warned
+    assert sim.stats()["native_cycles"] == 6000
+
+
+@needs_cc
+def test_truncated_cached_library_is_rebuilt(fresh):
+    cc, version = native._compiler()
+    source = native.c_source(compile_design(repro.compile(Accumulator()).low))
+    path = native.library_path(version, source)
+    native._build(cc, source, path)
+    with open(path, "r+b") as fh:
+        fh.truncate(100)
+    sim, warned = _run_accumulator()
+    assert not warned
+    assert sim.stats()["native_cycles"] == 6000
+    assert os.path.getsize(path) > 100
+
+
+@needs_cc
+def test_two_processes_racing_on_one_key(fresh):
+    script = (
+        "import repro, sys\n"
+        "from repro.sim import Simulator\n"
+        "from tests.helpers import Accumulator\n"
+        "sim = Simulator(repro.compile(Accumulator()).low)\n"
+        "sim.reset(); sim.poke('en', 1); sim.poke('d', 7); sim.run(5000)\n"
+        "print(sim.state_digest(), sim.stats()['native_cycles'])\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), ROOT]),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(2)
+    ]
+    outs = [p.communicate(timeout=120) for p in procs]
+    design = repro.compile(Accumulator())
+    ref = Simulator(design.low, options=SessionOptions(fast=False))
+    ref.reset()
+    ref.poke("en", 1)
+    ref.poke("d", 7)
+    ref.run(5000)
+    for proc, (out, err) in zip(procs, outs, strict=True):
+        assert proc.returncode == 0, err
+        assert out.split() == [ref.state_digest(), "5000"]
+    assert len(os.listdir(native.cache_dir())) == 1  # one library, no temporaries
+
+
+# -- threads ------------------------------------------------------------------------
+
+
+def _spin_design():
+    words = assemble("loop:\n addi a0, a0, 1\n j loop\n").words
+    return repro.compile(RV32Core(words, 64))
+
+
+class Stopped(Exception):
+    pass
+
+
+def _stop_on_hit(hit):
+    raise Stopped(hit.time)
+
+
+@needs_cc
+@pytest.mark.parametrize("arm", ["breakpoint", "pause"])
+def test_arming_from_another_thread_stops_a_native_run(arm):
+    design = _spin_design()
+    sim = Simulator(design.low)
+    rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), _stop_on_hit)
+    rt.attach()
+    sim.reset()
+
+    def arm_once_running():
+        deadline = time.monotonic() + 30
+        while sim.get_time() < 1000 and time.monotonic() < deadline:
+            time.sleep(0)
+        if arm == "pause":
+            rt.request_pause()
+        else:
+            rt.add_breakpoint(*line_of(design, "pc"))
+
+    budget = 10**7
+    armer = threading.Thread(target=arm_once_running, daemon=True)
+    armer.start()
+    with pytest.raises(Stopped) as stop:
+        sim.run(budget)
+    armer.join(timeout=30)
+    assert 1000 <= stop.value.args[0] < budget // 10
+    assert sim.stats()["native_cycles"] >= 999
+
+
+@needs_cc
+def test_threads_share_one_compiled_design():
+    """More threads than cores run simulators of one compiled design, and
+    race to load its kernel, while the interpreter switches threads every
+    10 us: each must still end bit-identical to its own reference."""
+    design = repro.compile(Accumulator())
+    compiled = compile_design(design.low)
+    offsets = (3, 5, 7, 11)
+
+    def drive(sim, d):
+        sim.reset()
+        sim.poke("en", 1)
+        sim.poke("d", d)
+        for _ in range(50):
+            sim.run(2000)
+
+    sims = [Simulator(design.low, compiled=compiled) for _ in offsets]
+    threads = [
+        threading.Thread(target=drive, args=(sim, d))
+        for sim, d in zip(sims, offsets, strict=True)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for sim, d in zip(sims, offsets, strict=True):
+        ref = Simulator(design.low, options=SessionOptions(fast=False))
+        drive(ref, d)
+        assert sim.stats()["native_cycles"] == 100_000
+        _same(sim, ref)
+
+
+# -- observability -----------------------------------------------------------------
+
+
+@needs_cc
+def test_native_cycles_metric_and_build_span(fresh):
+    d = repro.compile(Counter())
+    sim = Simulator(d.low, options=SessionOptions(obs="trace"))
+    sim.reset()
+    sim.poke("en", 1)
+    sim.run(500)
+    (span,) = [s for s in sim.obs.tracer.spans if s.name == "sim.native_build"]
+    assert span.args["cache"] == "miss" and span.args["ms"] > 0
+    metrics = sim.obs.metrics.snapshot()["metrics"]
+    (series,) = [m for m in metrics if m["name"] == "sim_native_cycles_total"]
+    assert series["value"] == 500
+
+    again = Simulator(d.low, options=SessionOptions(obs="trace"))
+    again.reset()
+    again.run(10)
+    (span,) = [s for s in again.obs.tracer.spans if s.name == "sim.native_build"]
+    assert span.args["cache"] == "memo"

@@ -265,6 +265,7 @@ class TestObservability:
         assert rc == 0
         out = capsys.readouterr().out
         assert "200 cycles in" in out
+        assert "native free-run tier: o" in out  # "on", or "off (why)"
         assert "sim_ticks_total" in out
         with open(snap) as f:
             names = {m["name"] for m in json.load(f)["metrics"]}
