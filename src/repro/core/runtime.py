@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 from ..sim.interface import SimulatorError, SimulatorInterface
@@ -227,8 +228,18 @@ class Runtime:
             self._posedges_at_attach = self._posedges()
             # Rewind hook: any set_time (reverse debugging, or a client
             # jumping around directly) re-primes watchpoint `last` values
-            # against the restored state.
-            self._time_cb_id = self.sim.add_set_time_callback(self._on_set_time)
+            # against the restored state.  It reaches this runtime through
+            # a weak reference, so an idle attached runtime and its backend
+            # form no reference cycle and are freed as soon as both are
+            # dropped.
+            self_ref = weakref.ref(self)
+
+            def on_set_time(sim, time: int) -> None:
+                rt = self_ref()
+                if rt is not None:
+                    rt.watchpoints.rewound(sim)
+
+            self._time_cb_id = self.sim.add_set_time_callback(on_set_time)
             self._sync_clock_callback()
 
     def detach(self) -> None:
@@ -239,9 +250,6 @@ class Runtime:
             self._attached = False
             self._sync_clock_callback()
             self.sim.remove_set_time_callback(self._time_cb_id)
-
-    def _on_set_time(self, sim, time: int) -> None:
-        self.watchpoints.rewound(sim)
 
     @property
     def attached(self) -> bool:

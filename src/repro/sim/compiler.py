@@ -23,9 +23,10 @@ This mirrors how compiled simulators (Verilator) work and keeps the
 per-cycle cost low enough that the hgdb callback overhead (paper Fig. 5) is
 measurable against realistic simulation work.  ``Simulator.run()`` goes
 further when nothing observes single cycles: :mod:`repro.sim.native`
-re-walks the same IR into one C function that runs many ticks and tick
-cones per call.  Clock callbacks still fire from the next posedge: adding
-one sets the break flag that function polls every cycle.
+translates the same IR, which the design retains, into one C function
+that runs many ticks and tick cones per call.  Clock callbacks still fire
+from the next posedge: adding one sets the break flag that function
+polls every cycle.
 
 The generated code must agree with ``repro.ir.eval.eval_prim`` — property
 tests enforce it.
@@ -79,6 +80,10 @@ class RegisterSpec:
     next_code: str | None
     reset_index: int | None
     init_code: str | None
+    # The IR behind the codes, resolved in the instance at ``path``.
+    path: str = ""
+    next_expr: Expr | None = None
+    init_expr: Expr | None = None
 
 
 @dataclass(slots=True)
@@ -127,6 +132,13 @@ class CompiledDesign:
     # Per-assignment metadata, aligned with the levelized topo order.
     order_targets: list[int] = field(default_factory=list)
     order_code: list[str] = field(default_factory=list)
+    # The IR behind the generated code, as (instance path, IR) pairs for
+    # the other code generators (:func:`compile_vector`,
+    # :mod:`repro.sim.native`): the expression at every schedule position,
+    # then the memory writes and the stops/printfs in statement order.
+    order_exprs: list[tuple[str, Expr]] = field(default_factory=list)
+    mem_writes: list[tuple[str, MemWrite]] = field(default_factory=list)
+    effects: list[tuple[str, Stop | Printf]] = field(default_factory=list)
     order_deps: list[frozenset] = field(default_factory=list)
     order_reads_mem: list[bool] = field(default_factory=list)
     # Level structure of the schedule: same-level assignments are mutually
@@ -516,6 +528,9 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     mem_ops: list[tuple[str, str, str, int, int]] = []  # (en, addr, data, mi, depth)
     printf_specs: list[tuple[str, int]] = []
     reads_mem: dict[int, bool] = {}
+    expr_of: dict[int, tuple[str, Expr]] = {}
+    mem_writes: list[tuple[str, MemWrite]] = []
+    effects: list[tuple[str, Stop | Printf]] = []
 
     def add_signal(path: str, width: int, kind: str, signed: bool, local: str) -> int:
         idx = len(signals)
@@ -586,12 +601,13 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         cg = _Codegen(path, signal_index, mem_index, mems, wide_indices)
         reg_names = {s.name for s in m.body if isinstance(s, DefRegister)}
         reg_decl = {s.name: s for s in m.body if isinstance(s, DefRegister)}
-        reg_next: dict[str, str] = {}
+        reg_next: dict[str, Expr] = {}
 
         for s in m.body:
             if isinstance(s, DefNode):
                 target = cg.sig(s.name)
                 assignments.append((target, cg.raw(s.value), path))
+                expr_of[target] = (path, s.value)
                 assigned.add(target)
                 reads_mem[target] = _expr_reads_mem(s.value)
                 dep_map[target] = {
@@ -601,7 +617,7 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                 }
             elif isinstance(s, Connect):
                 if isinstance(s.loc, Ref) and s.loc.name in reg_names:
-                    reg_next[s.loc.name] = cg.raw(s.expr)
+                    reg_next[s.loc.name] = s.expr
                     continue
                 if isinstance(s.loc, Ref):
                     target = cg.sig(s.loc.name)
@@ -609,6 +625,7 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                     inst = s.loc.expr.name  # type: ignore[union-attr]
                     target = cg.sig(f"{inst}.{s.loc.name}")
                 assignments.append((target, cg.raw(s.expr), path))
+                expr_of[target] = (path, s.expr)
                 assigned.add(target)
                 reads_mem[target] = _expr_reads_mem(s.expr)
                 dep_map[target] = {
@@ -620,26 +637,32 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                 mi = mem_index[f"{path}.{s.mem}"]
                 depth = mems[mi].depth
                 mem_ops.append((cg.raw(s.en), cg.raw(s.addr), cg.raw(s.data), mi, depth))
+                mem_writes.append((path, s))
             elif isinstance(s, Stop):
+                effects.append((path, s))
                 stop_lines.append(
                     f"    if {cg.raw(s.cond)}: "
                     f"raise SimulationFinished({s.exit_code}, time)"
                 )
             elif isinstance(s, Printf):
+                effects.append((path, s))
                 pi = len(printf_specs)
                 printf_specs.append((s.fmt, len(s.args)))
                 args = "".join(f", {cg.raw(a)}" for a in s.args)
                 stop_lines.append(f"    if {cg.raw(s.cond)}: _pf({pi}{args})")
 
-        for name, code in reg_next.items():
+        for name, nxt in reg_next.items():
             decl = reg_decl[name]
             reset_idx = None
-            init_code = None
+            init = None
             if decl.reset is not None and decl.init is not None:
                 reset_idx = signal_index[next(iter(_expr_dep_keys(decl.reset, path)))]
-                init_code = cg.raw(decl.init)
+                init = decl.init
             registers.append(
-                RegisterSpec(cg.sig(name), decl.typ.bit_width(), code, reset_idx, init_code)
+                RegisterSpec(
+                    cg.sig(name), decl.typ.bit_width(), cg.raw(nxt), reset_idx,
+                    None if init is None else cg.raw(init), path, nxt, init,
+                )
             )
         for name, decl in reg_decl.items():
             if name not in reg_next and decl.reset is not None and decl.init is not None:
@@ -647,7 +670,7 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                 registers.append(
                     RegisterSpec(
                         cg.sig(name), decl.typ.bit_width(),
-                        None, reset_idx, cg.raw(decl.init),
+                        None, reset_idx, cg.raw(decl.init), path, None, decl.init,
                     )
                 )
 
@@ -777,6 +800,9 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         tick_journal_source=tick_journal_source,
         order_targets=order_targets,
         order_code=order_code,
+        order_exprs=[expr_of[t] for t in order_targets],
+        mem_writes=mem_writes,
+        effects=effects,
         order_deps=order_deps,
         order_reads_mem=order_reads_mem,
         order_level=order_level,
@@ -785,22 +811,6 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         namespace=namespace,
         _pos_of_target={t: p for p, t in enumerate(order_targets)},
     )
-
-
-def instance_paths(design: CompiledDesign) -> list[tuple[str, str]]:
-    """(path, module) of every instance, in ``compile_design``'s
-    declaration order: the walk order the kernel generators re-use."""
-    modules = design.circuit.modules
-    out: list[tuple[str, str]] = []
-
-    def visit(path: str, mod_name: str) -> None:
-        out.append((path, mod_name))
-        for s in modules[mod_name].body:
-            if isinstance(s, DefInstance):
-                visit(f"{path}.{s.name}", s.module)
-
-    visit(design.hierarchy.path, design.circuit.main)
-    return out
 
 
 def _topo_sort(assignments, dep_map, assigned, signals):
@@ -1376,117 +1386,78 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
     if cached is not None:
         return cached
 
-    circuit = design.circuit
     wide = design.wide_indices
     mems = design.mems
-    instances = instance_paths(design)
+    consts: dict[int, str] = {}  # np.uint64 constant pool, all instances
+    gens: dict[str, tuple[_Codegen, _VecCodegen]] = {}
 
-    def vec(fn, *args):
+    def gen(path: str) -> tuple[_Codegen, _VecCodegen]:
+        if path not in gens:
+            args = (path, design.signal_index, design.mem_index, mems, wide)
+            gens[path] = (_Codegen(*args), _VecCodegen(*args, consts))
+        return gens[path]
+
+    def scalar(path: str, e: Expr) -> str:
+        return gen(path)[0].raw(e)
+
+    def vec(path: str, e: Expr) -> str | None:
         try:
-            return fn(*args)
+            return gen(path)[1].raw(e)
         except _NeedScalar:
             return None
 
-    # Re-walk the retained IR in compile_design's exact statement order,
-    # regenerating a vector expression per statement (or None = fallback).
-    consts: dict[int, str] = {}  # np.uint64 constant pool, all instances
-    assign_vec: dict[int, str | None] = {}
-    reg_entries: list[dict] = []
-    effects: list[dict] = []
-    mem_entries: list[dict] = []
-    n_printf = 0
-
-    for path, mod_name in instances:
-        m = circuit.modules[mod_name]
-        cg = _Codegen(path, design.signal_index, design.mem_index, mems, wide)
-        vg = _VecCodegen(
-            path, design.signal_index, design.mem_index, mems, wide, consts
+    # Translate the IR compile_design retained: a vector expression per
+    # statement, or None = per-world scalar fallback.
+    order_vec = [
+        None if target in wide else vec(path, e)
+        for target, (path, e) in zip(
+            design.order_targets, design.order_exprs, strict=True
         )
-        reg_names = {s.name for s in m.body if isinstance(s, DefRegister)}
-        reg_decl = {s.name: s for s in m.body if isinstance(s, DefRegister)}
-        reg_next: dict[str, str | None] = {}
-
-        for s in m.body:
-            if isinstance(s, DefNode):
-                target = cg.sig(s.name)
-                assign_vec[target] = (
-                    None if target in wide else vec(vg.raw, s.value)
-                )
-            elif isinstance(s, Connect):
-                if isinstance(s.loc, Ref) and s.loc.name in reg_names:
-                    reg_next[s.loc.name] = vec(vg.raw, s.expr)
-                    continue
-                if isinstance(s.loc, Ref):
-                    target = cg.sig(s.loc.name)
-                else:
-                    inst = s.loc.expr.name  # type: ignore[union-attr]
-                    target = cg.sig(f"{inst}.{s.loc.name}")
-                assign_vec[target] = (
-                    None if target in wide else vec(vg.raw, s.expr)
-                )
-            elif isinstance(s, MemWrite):
-                mi = design.mem_index[f"{path}.{s.mem}"]
-                trip = None
-                if mems[mi].width <= LANE_BITS:
-                    parts = (vec(vg.raw, s.en), vec(vg.raw, s.addr),
-                             vec(vg.raw, s.data))
-                    if None not in parts:
-                        trip = parts
-                mem_entries.append({
-                    "vec": trip,
-                    "scalar": (cg.raw(s.en), cg.raw(s.addr), cg.raw(s.data)),
-                    "mi": mi, "depth": mems[mi].depth,
-                })
-            elif isinstance(s, Stop):
-                effects.append({
-                    "kind": "stop",
-                    "vec": vec(vg.raw, s.cond),
-                    "scalar": cg.raw(s.cond),
-                    "code": s.exit_code,
-                })
-            elif isinstance(s, Printf):
-                pi = n_printf
-                n_printf += 1
-                cond_v = vec(vg.raw, s.cond)
-                args_v = [vec(vg.raw, arg) for arg in s.args]
-                if cond_v is None or None in args_v:
-                    cond_v = None
-                effects.append({
-                    "kind": "printf", "pi": pi,
-                    "vec": cond_v, "vec_args": args_v,
-                    "scalar": cg.raw(s.cond),
-                    "scalar_args": [cg.raw(arg) for arg in s.args],
-                })
-
-        for name, next_v in reg_next.items():
-            decl = reg_decl[name]
-            idx = cg.sig(name)
-            entry = {"index": idx, "next_v": None if idx in wide else next_v,
-                     "reset": None, "init_v": None}
-            if decl.reset is not None and decl.init is not None:
-                entry["reset"] = design.signal_index[
-                    next(iter(_expr_dep_keys(decl.reset, path)))
-                ]
-                entry["init_v"] = (
-                    None if idx in wide else vec(vg.raw, decl.init)
-                )
-            reg_entries.append(entry)
-        for name, decl in reg_decl.items():
-            if (name not in reg_next and decl.reset is not None
-                    and decl.init is not None):
-                idx = cg.sig(name)
-                reg_entries.append({
-                    "index": idx, "next_v": None,
-                    "reset": design.signal_index[
-                        next(iter(_expr_dep_keys(decl.reset, path)))
-                    ],
-                    "init_v": None if idx in wide else vec(vg.raw, decl.init),
-                })
-
-    if set(assign_vec) != set(design.order_targets):
-        raise SimulatorError("internal: vector comb walk mismatch")
-    if n_printf != len(design.printf_specs):
-        raise SimulatorError("internal: vector printf walk mismatch")
+    ]
+    reg_vec: list[tuple[str | None, str | None]] = []  # (next, init)
+    for spec in design.registers:
+        if spec.index in wide:
+            reg_vec.append((None, None))
+            continue
+        reg_vec.append(tuple(
+            None if e is None else vec(spec.path, e)
+            for e in (spec.next_expr, spec.init_expr)
+        ))
+    effects: list[dict] = []
+    n_printf = 0
+    for path, s in design.effects:
+        if isinstance(s, Stop):
+            effects.append({
+                "kind": "stop",
+                "vec": vec(path, s.cond),
+                "scalar": scalar(path, s.cond),
+                "code": s.exit_code,
+            })
+            continue
+        cond_v = vec(path, s.cond)
+        args_v = [vec(path, arg) for arg in s.args]
+        if cond_v is None or None in args_v:
+            cond_v = None
+        effects.append({
+            "kind": "printf", "pi": n_printf,
+            "vec": cond_v, "vec_args": args_v,
+            "scalar": scalar(path, s.cond),
+            "scalar_args": [scalar(path, arg) for arg in s.args],
+        })
+        n_printf += 1
+    mem_entries: list[dict] = []
+    for path, s in design.mem_writes:
+        mi = design.mem_index[f"{path}.{s.mem}"]
+        trip = None
+        if mems[mi].width <= LANE_BITS:
+            parts = (vec(path, s.en), vec(path, s.addr), vec(path, s.data))
+            if None not in parts:
+                trip = parts
+        mem_entries.append({
+            "vec": trip,
+            "scalar": tuple(scalar(path, x) for x in (s.en, s.addr, s.data)),
+            "mi": mi, "depth": mems[mi].depth,
+        })
 
     sfn_src: list[str] = []
     n_vector = 0
@@ -1495,8 +1466,7 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
     # Combinational settle.
     comb_body: list[str] = []
     comb_fallback = False
-    for p, target in enumerate(design.order_targets):
-        code = assign_vec[target]
+    for p, (target, code) in enumerate(zip(design.order_targets, order_vec)):
         if code is None:
             comb_fallback = True
             n_scalar += 1
@@ -1534,15 +1504,13 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
 
     # Registers: decide vector vs fallback per register as one unit.
     reg_vec_ok: list[bool] = []
-    for i, (spec, ent) in enumerate(
-        zip(design.registers, reg_entries, strict=True)
+    for i, (spec, (next_v, init_v)) in enumerate(
+        zip(design.registers, reg_vec, strict=True)
     ):
-        if spec.index != ent["index"] or spec.reset_index != ent["reset"]:
-            raise SimulatorError("internal: vector register walk mismatch")
         ok = spec.index not in wide
-        if spec.next_code is not None and ent["next_v"] is None:
+        if spec.next_code is not None and next_v is None:
             ok = False
-        if spec.reset_index is not None and ent["init_v"] is None:
+        if spec.reset_index is not None and init_v is None:
             ok = False
         reg_vec_ok.append(ok)
         if ok:
@@ -1636,13 +1604,13 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
                     f"        if _act[_k] and _spfc{si}(*_A[_k]): "
                     f"_pfk({eff['pi']}, _k, _spfa{si}(*_A[_k]))",
                 ]
-        for i, (spec, ent) in enumerate(
-            zip(design.registers, reg_entries, strict=True)
+        for i, (spec, (next_v, _init_v)) in enumerate(
+            zip(design.registers, reg_vec, strict=True)
         ):
             if spec.next_code is None:
                 continue
             if reg_vec_ok[i]:
-                code = ent["next_v"]
+                code = next_v
                 if _BARE_ROW_RE.fullmatch(code):
                     code = f"({code}).copy()"  # defer: row mutates in stores
                 body.append(f"    _t{i} = {code}")
@@ -1708,8 +1676,8 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
             run_hot.clear()
             run_cold.clear()
 
-        for i, (spec, ent) in enumerate(
-            zip(design.registers, reg_entries, strict=True)
+        for i, (spec, (_next_v, init_v)) in enumerate(
+            zip(design.registers, reg_vec, strict=True)
         ):
             if reg_vec_ok[i]:
                 ridx = spec.reset_index
@@ -1723,12 +1691,12 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
                     if spec.next_code is not None:
                         body.append(
                             f"    v[{spec.index}] = _vsel(v[{ridx}], "
-                            f"({ent['init_v']}), _t{i})"
+                            f"({init_v}), _t{i})"
                         )
                     else:
                         body.append(
                             f"    v[{spec.index}] = _vsel(v[{ridx}], "
-                            f"({ent['init_v']}), v[{spec.index}])"
+                            f"({init_v}), v[{spec.index}])"
                         )
                     continue
                 if run_rst is not None and run_rst != ridx:
@@ -1737,13 +1705,13 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
                 if spec.next_code is not None:
                     run_hot.append(
                         f"v[{spec.index}] = _vsel(_rr{ridx}, "
-                        f"({ent['init_v']}), _t{i})"
+                        f"({init_v}), _t{i})"
                     )
                     run_cold.append(f"v[{spec.index}] = _t{i}")
                 else:
                     run_hot.append(
                         f"v[{spec.index}] = _vsel(_rr{ridx}, "
-                        f"({ent['init_v']}), v[{spec.index}])"
+                        f"({init_v}), v[{spec.index}])"
                     )
             elif spec.next_code is not None:
                 flush_run()

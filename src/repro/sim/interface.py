@@ -18,8 +18,6 @@ Primitives (paper's list):
 
 from __future__ import annotations
 
-import types
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -205,16 +203,10 @@ class SimulatorInterface(ABC):
 
     def add_set_time_callback(self, fn) -> int:
         """Register ``fn(sim, time)`` to run after every successful
-        ``set_time``.  Returns an id for :meth:`remove_set_time_callback`.
-
-        A bound method is held weakly: an attached debugger that holds
-        this backend is not kept alive by it, so the pair is freed as soon
-        as both are dropped instead of waiting for the cyclic collector."""
+        ``set_time``.  Returns an id for :meth:`remove_set_time_callback`."""
         cbs = self.__dict__.setdefault("_set_time_callbacks", {})
         cb_id = self.__dict__.get("_next_set_time_cb_id", 1)
         self.__dict__["_next_set_time_cb_id"] = cb_id + 1
-        if isinstance(fn, types.MethodType):
-            fn = weakref.WeakMethod(fn)
         cbs[cb_id] = fn
         return cb_id
 
@@ -224,10 +216,6 @@ class SimulatorInterface(ABC):
 
     def _notify_set_time(self, time: int) -> None:
         for fn in tuple(self.__dict__.get("_set_time_callbacks", {}).values()):
-            if isinstance(fn, weakref.WeakMethod):
-                fn = fn()
-                if fn is None:  # its object is gone
-                    continue
             fn(self, time)
 
     @property

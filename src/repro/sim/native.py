@@ -33,9 +33,7 @@ from array import array
 
 from ..ir.eval import literal_raw
 from ..ir.expr import Literal, MemRead, PrimOp, Ref, SubField
-from ..ir.stmt import Connect, DefNode, DefRegister, MemWrite, Printf, Stop
 from ..ir.types import SIntType
-from .compiler import instance_paths
 from .interface import SimulatorError
 
 #: Compiler flags (part of the cache key).  Everything is computed in
@@ -45,8 +43,6 @@ FLAGS = ("-O1", "-pipe", "-fPIC", "-shared", "-fwrapv")
 #: Ctrl-C and other signals are handled within milliseconds.
 SLICE = 1 << 16
 _M64 = (1 << 64) - 1
-#: ``array`` typecode of a C pointer (the kernel's memory pointer table).
-_PTR = "Q" if ctypes.sizeof(ctypes.c_void_p) == 8 else "I"
 _COMPARE = dict(lt="<", leq="<=", gt=">", geq=">=", eq="==", neq="!=")
 _RING = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 
@@ -61,16 +57,15 @@ typedef __int128 i128;
 #define ST(p, i, x) do { u128 x_ = (x); (p)[2 * (i)] = (u64)x_; \\
     (p)[2 * (i) + 1] = (u64)(x_ >> 64); } while (0)
 #define SAT(s) ((s) >> 64 ? ~0ULL : (u64)(s))
-/* Truncating division on N-bit lanes U, dividing magnitudes as D; a zero
-   divisor gives 0.  N = 32 divides 64-bit lanes in 32 bits: faster. */
-#define DIVS(N, U, I, D) \\
-static inline U u##N##div(U a, U b) { return b ? (D)a / (D)b : 0; } \\
-static inline U u##N##rem(U a, U b) { return b ? (D)a % (D)b : 0; } \\
+/* Truncating division on N-bit lanes; a zero divisor gives 0. */
+#define DIVS(N, U, I) \\
+static inline U u##N##div(U a, U b) { return b ? a / b : 0; } \\
+static inline U u##N##rem(U a, U b) { return b ? a % b : 0; } \\
 static inline U s##N##div(U a, U b) { if (!b) return 0; \\
-    U q = (D)((I)a < 0 ? -a : a) / (D)((I)b < 0 ? -b : b); \\
+    U q = ((I)a < 0 ? -a : a) / ((I)b < 0 ? -b : b); \\
     return (I)(a ^ b) < 0 ? -q : q; } \\
 static inline U s##N##rem(U a, U b) { if (!b) return 0; \\
-    U r = (D)((I)a < 0 ? -a : a) % (D)((I)b < 0 ? -b : b); \\
+    U r = ((I)a < 0 ? -a : a) % ((I)b < 0 ? -b : b); \\
     return (I)a < 0 ? -r : r; }
 /* Dynamic shifts; the amount saturates, so past the width gives 0 (or the
    sign fill). */
@@ -78,9 +73,8 @@ static inline U s##N##rem(U a, U b) { if (!b) return 0; \\
 static inline U shl##N(U x, u64 s, u64 w) { return s >= w ? 0 : x << s; } \\
 static inline U shr##N(U x, u64 s, u64 w) { return s >= w ? 0 : x >> s; } \\
 static inline U sra##N(U x, u64 s) { return (U)((I)x >> (s < N ? s : N - 1)); }
-DIVS(32, u64, i64, uint32_t)
-DIVS(64, u64, i64, u64)
-DIVS(128, u128, i128, u128)
+DIVS(64, u64, i64)
+DIVS(128, u128, i128)
 SHIFTS(64, u64, i64)
 SHIFTS(128, u128, i128)
 """
@@ -158,7 +152,7 @@ class _CGen:
             return f"LD(m{mi}, {addr})"
         if isinstance(e, PrimOp):
             return self._prim(e)
-        raise SimulatorError(f"cannot compile expression {e!r}")
+        raise _Ineligible(f"no C for expression {e!r}")
 
     def val(self, e, n: int) -> str:
         width = e.typ.bit_width()
@@ -190,8 +184,7 @@ class _CGen:
                 if signed:
                     x, y = f"(i{cw}){x}", f"(i{cw}){y}"
                 return f"(u64)({x} {_COMPARE[op]} {y})"
-            fn = f"{'s' if signed else 'u'}{32 if exact <= 32 else cw}{op}"
-            code = f"{fn}({x}, {y})"
+            code = f"{'s' if signed else 'u'}{cw}{op}({x}, {y})"
             return _cast(_mask(code, rw, cw), cw, n)
         if op == "not":
             return _mask(f"~{self.val(a[0], n)}", rw, n)
@@ -245,81 +238,45 @@ class _CGen:
             return f"({self.raw(a[0])} ? {t} : {f})"
         if op in ("as_uint", "as_sint"):
             return self.raw(a[0])
-        raise SimulatorError(f"cannot compile op {op!r}")
+        raise _Ineligible(f"no C for op {op!r}")
 
 
 def c_source(design) -> str:
     """The kernel source for ``design``; raises :class:`_Ineligible`."""
-    for sig in design.signals:
-        _ctype(sig.width)
-    for spec in design.mems:
-        _ctype(spec.width)
+    _ctype(max([sig.width for sig in design.signals] + [m.width for m in design.mems]))
     wide_slot = {idx: k for k, idx in enumerate(sorted(design.wide_indices))}
-    assign: dict[int, tuple] = {}
-    conds: list[str] = []
-    mem_writes: list[str] = []
-    nexts: list[tuple] = []  # (index, cg, next expr or None, init expr or None)
-    # Re-walk the IR in compile_design's statement order (like
-    # compile_vector), emitting C for the parts a free-running edge runs.
-    for path, mod_name in instance_paths(design):
-        cg = _CGen(path, design, wide_slot)
-        body = design.circuit.modules[mod_name].body
-        regs = {s.name: s for s in body if isinstance(s, DefRegister)}
-        reg_next: dict[str, object] = {}
-        for s in body:
-            if isinstance(s, DefNode):
-                assign[cg.sig(s.name)] = (cg, s.value)
-            elif isinstance(s, Connect):
-                if isinstance(s.loc, Ref) and s.loc.name in regs:
-                    reg_next[s.loc.name] = s.expr
-                elif isinstance(s.loc, Ref):
-                    assign[cg.sig(s.loc.name)] = (cg, s.expr)
-                else:
-                    port = f"{s.loc.expr.name}.{s.loc.name}"
-                    assign[cg.sig(port)] = (cg, s.expr)
-            elif isinstance(s, MemWrite):
-                mi = design.mem_index[f"{path}.{s.mem}"]
-                spec = design.mems[mi]
-                addr = f"(u64)({cg.raw(s.addr)} % {_const(spec.depth, 64)})"
-                width = _ctype(s.data.typ.bit_width())
-                if _ctype(spec.width) == 64:
-                    if width > 64:
-                        raise _Ineligible("a wide value is written to a 64-bit memory")
-                    put = f"m{mi}[a_] = {cg.raw(s.data)};"
-                else:
-                    put = f"ST(m{mi}, a_, {_cast(cg.raw(s.data), width, 128)});"
-                # Mark the written 64-word block: only those are copied back.
-                mem_writes.append(
-                    f"if ({cg.raw(s.en)}) "
-                    f"{{ u64 a_ = {addr}; {put} d{mi}[a_ >> 6] = 1; }}"
-                )
-            elif isinstance(s, (Stop, Printf)):
-                conds.append(cg.raw(s.cond))
-        # compile_design's register order: next values in connect order,
-        # then the reset-only registers.
-        inits = {
-            name: decl.init if decl.reset is not None else None
-            for name, decl in regs.items()
-        }
-        for name, expr in reg_next.items():
-            nexts.append((cg.sig(name), cg, expr, inits[name]))
-        for name, init in inits.items():
-            if name not in reg_next and init is not None:
-                nexts.append((cg.sig(name), cg, None, init))
-    regs_in_order = [r[0] for r in nexts] == [r.index for r in design.registers]
-    if set(assign) != set(design.order_targets) or not regs_in_order:
-        raise SimulatorError("internal: native IR walk mismatch")
 
+    def cg(path: str) -> _CGen:
+        return _CGen(path, design, wide_slot)
+
+    # compile_design's tick, in its order, then the tick cone.
+    conds = [cg(path).raw(s.cond) for path, s in design.effects]
     body = [f"if ({' || '.join(conds)}) break;"] if conds else []
-    for i, (_idx, cg, expr, _init) in enumerate(nexts):
-        if expr is not None:
-            body.append(f"u{_ctype(expr.typ.bit_width())} t{i} = {cg.raw(expr)};")
-    body += mem_writes
-    registers = zip(design.registers, nexts, strict=True)
-    for i, (spec, (_idx, cg, expr, init)) in enumerate(registers):
+    for i, spec in enumerate(design.registers):
+        if spec.next_expr is not None:
+            ty = _ctype(spec.next_expr.typ.bit_width())
+            body.append(f"u{ty} t{i} = {cg(spec.path).raw(spec.next_expr)};")
+    for path, s in design.mem_writes:
+        g = cg(path)
+        mi = design.mem_index[f"{path}.{s.mem}"]
+        spec = design.mems[mi]
+        addr = f"(u64)({g.raw(s.addr)} % {_const(spec.depth, 64)})"
+        width = _ctype(s.data.typ.bit_width())
+        if _ctype(spec.width) == 64:
+            if width > 64:
+                raise _Ineligible("a wide value is written to a 64-bit memory")
+            put = f"m{mi}[a_] = {g.raw(s.data)};"
+        else:
+            put = f"ST(m{mi}, a_, {_cast(g.raw(s.data), width, 128)});"
+        # Mark the written 64-word block: only those are copied back.
+        body.append(
+            f"if ({g.raw(s.en)}) {{ u64 a_ = {addr}; {put} d{mi}[a_ >> 6] = 1; }}"
+        )
+    for i, spec in enumerate(design.registers):
+        g, expr, init = cg(spec.path), spec.next_expr, spec.init_expr
         if expr is None:
-            put = cg.store(spec.index, cg.raw(init), init.typ.bit_width())
-            body.append(f"if ({cg.lane(spec.reset_index)}) {put}")
+            put = g.store(spec.index, g.raw(init), init.typ.bit_width())
+            body.append(f"if ({g.lane(spec.reset_index)}) {put}")
             continue
         width = expr.typ.bit_width()
         value = f"t{i}"
@@ -327,15 +284,15 @@ def c_source(design) -> str:
             n = _ctype(max(width, init.typ.bit_width()))
             iw = _ctype(init.typ.bit_width())
             value = (
-                f"({cg.lane(spec.reset_index)} ? {_cast(cg.raw(init), iw, n)}"
+                f"({g.lane(spec.reset_index)} ? {_cast(g.raw(init), iw, n)}"
                 f" : {_cast(value, _ctype(width), n)})"
             )
             width = max(width, init.typ.bit_width())
-        body.append(cg.store(spec.index, value, width))
+        body.append(g.store(spec.index, value, width))
     for p in design._mask_positions(design.tick_mask()):
-        target = design.order_targets[p]
-        cg, expr = assign[target]
-        body.append(cg.store(target, cg.raw(expr), expr.typ.bit_width()))
+        path, expr = design.order_exprs[p]
+        g, width = cg(path), expr.typ.bit_width()
+        body.append(g.store(design.order_targets[p], g.raw(expr), width))
 
     n_sig = len(design.signals)
     layout = [(spec.width, spec.depth) for spec in design.mems]
@@ -394,7 +351,7 @@ class Kernel:
             for wide, mem in zip(self.mems, mems, strict=True)
         ]
         marks = [array("B", bytes((len(mem) + 63) >> 6)) for mem in mems]
-        ptrs = array(_PTR, [b.buffer_info()[0] for b in (*bufs, *marks)] or [0])
+        ptrs = array("Q", [b.buffer_info()[0] for b in (*bufs, *marks)] or [0])
         s, mp = state.buffer_info()[0], ptrs.buffer_info()[0]
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
         try:

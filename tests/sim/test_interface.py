@@ -98,46 +98,6 @@ class TestInterfaceDefaults:
         m._notify_set_time(9)
         assert seen == [("a", 7), ("b", 7), ("b", 9)]
 
-    def test_set_time_callback_holds_bound_methods_weakly(self):
-        """A bound-method observer (an attached debugger) is not kept alive
-        by the backend it watches: dropping both frees them at once, with
-        no reference cycle left for the cyclic collector."""
-        import gc
-        import weakref
-
-        from repro.core import Runtime
-        from repro.symtable import SQLiteSymbolTable, write_symbol_table
-
-        d = repro.compile(Counter())
-        sim = Simulator(d.low)
-        rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(d)))
-        rt.attach()
-        sim.reset()
-        sim.run(100)
-        gone = weakref.ref(sim)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            del sim, rt
-            assert gone() is None
-        finally:
-            if was_enabled:
-                gc.enable()
-
-        m = self._Minimal()
-        seen = []
-
-        class Observer:
-            def on(self, sim, t):
-                seen.append(t)
-
-        obs = Observer()
-        m.add_set_time_callback(obs.on)
-        m._notify_set_time(3)
-        del obs
-        m._notify_set_time(4)  # the observer is gone: skipped
-        assert seen == [3]
-
     def test_finished_exception_carries_code(self):
         exc = SimulationFinished(3, 42)
         assert exc.exit_code == 3 and exc.time == 42

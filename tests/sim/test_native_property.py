@@ -202,6 +202,7 @@ def test_native_free_run_matches_reference(data):
         assert status.startswith("off (ineligible"), status
     if native._compiler()[1] is not None:
         assert status == "on" or status.startswith("off (ineligible"), status
+        assert "no C for" not in status, status  # only width is ineligible
     if status == "on" and not gen.effects:
         assert fast.stats()["native_cycles"] > 0
     assert ref.stats()["native_cycles"] == 0
