@@ -15,7 +15,8 @@ measured numbers).  An idle runtime registers no clock callback at all
 idle columns read is the estimator's noise floor.  The table also
 reports, without asserting it, an *armed* column: a breakpoint on the
 register-file writeback whose condition never holds, evaluated at every
-writeback.
+writeback — by the native kernel, which returns to Python only on cycles
+where it holds, so the column reads near the idle one.
 """
 
 from __future__ import annotations

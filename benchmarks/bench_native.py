@@ -9,13 +9,20 @@ chunks, which is what ``run()`` did before the native tier), and the
 tier's cost model: a cold build, a warm load from the disk cache, the
 copy in and out around one segment, and the kernel's time per cycle.
 
+The armed row runs the same suite with an attached Runtime and a
+breakpoint on the register-file writeback whose condition never holds:
+through ``run()`` the kernel evaluates the breakpoint's wake predicate
+every cycle, against the same armed suite stepped in Python.  It must be
+at least 10x faster too.
+
 Every configuration must end every program bit-identical to the
-reference; in smoke mode (``REPRO_BENCH_SMOKE=1``) that parity is all
-this module asserts.
+reference, and the armed runs with no hit; in smoke mode
+(``REPRO_BENCH_SMOKE=1``) that parity is all this module asserts.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import tempfile
 import time
@@ -24,6 +31,7 @@ from array import array
 import pytest
 
 import repro
+from repro.core import Runtime
 from repro.cpu import RV32Core, assemble
 from repro.hub import SessionOptions
 from repro.sim import Simulator, compile_design, native
@@ -33,6 +41,18 @@ from conftest import best_of
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _MAX_CYCLES = 200_000
 _BAR = 10.0
+#: The armed row's breakpoint: a PC no suite program reaches.
+_ARMED_CONDITION = "pc == 0xFFFFFFF0"
+needs_cc = pytest.mark.skipif(
+    native._compiler()[1] is None, reason="needs a working C compiler ($CC or cc)"
+)
+
+
+def _writeback_line() -> tuple[str, int]:
+    """(file, line) of the register-file writeback in the CPU source."""
+    lines, first = inspect.getsourcelines(RV32Core)
+    at = next(i for i, text in enumerate(lines) if "regs.write(rd, wb_val" in text)
+    return inspect.getsourcefile(RV32Core), first + at
 
 
 def _step_run(sim) -> None:
@@ -41,31 +61,41 @@ def _step_run(sim) -> None:
         sim.step(1024)
 
 
-def _suite(progs, fast, driver):
-    """Run every program to completion; returns the simulators."""
-    sims = []
-    for bench, design, compiled in progs:
+def _suite(progs, fast, driver, armed=False):
+    """Run every program to completion (``armed``: with the never-true
+    breakpoint inserted); returns the simulators and the seconds spent in
+    ``driver``."""
+    sims, spent = [], 0.0
+    for bench, design, compiled, table in progs:
         options = SessionOptions(fast=fast)
         sim = Simulator(design.low, compiled=compiled, options=options)
+        if armed:
+            rt = Runtime(sim, table)
+            rt.attach()
+            bps = rt.add_breakpoint(*_writeback_line(), condition=_ARMED_CONDITION)
         sim.reset()
+        t0 = time.perf_counter()
         driver(sim)
+        spent += time.perf_counter() - t0
         assert sim.exit_code == 0 and sim.peek("tohost") == bench.expected, bench.name
+        if armed:
+            assert not any(bp.hit_count for bp in bps), bench.name
         sims.append(sim)
-    return sims
+    return sims, spent
 
 
 @pytest.fixture(scope="module")
 def progs(compiled_suite):
     return [
-        (bench, design, compile_design(design.low))
-        for (_name, debug), (bench, design, _st) in sorted(compiled_suite.items())
+        (bench, design, compile_design(design.low), table)
+        for (_name, debug), (bench, design, table) in sorted(compiled_suite.items())
         if not debug
     ]
 
 
 def _cost_model(progs) -> dict:
     """Cold build and warm load in a fresh cache; copy and per-cycle cost."""
-    _bench, design, _compiled = progs[0]
+    _bench, design, _compiled, _table = progs[0]
     saved_env, saved_memo = os.environ.get("XDG_CACHE_HOME"), native._LOADED
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["XDG_CACHE_HOME"] = tmp
@@ -88,7 +118,8 @@ def _cost_model(progs) -> dict:
     sim.reset()
 
     def one_cycle():
-        kernel.run(sim._v, sim._w, sim.mems, 1, array("q", [0]), array("q", [0]))
+        prog, wake = array("q", [0, 0]), array("Q", [0])
+        kernel.run(sim._v, sim._w, sim.mems, 1, array("q", [0]), prog, wake)
 
     copy = best_of(one_cycle, n=20)
     spin = repro.compile(RV32Core(assemble("l:\n addi a0, a0, 1\n j l\n").words, 8192))
@@ -104,9 +135,7 @@ def _cost_model(progs) -> dict:
     }
 
 
-@pytest.mark.skipif(
-    native._compiler()[1] is None, reason="needs a working C compiler ($CC or cc)"
-)
+@needs_cc
 def test_native_free_run_bar(progs, capsys):
     """Reference, Python fast path and native on the RV32 suite."""
     configs = {
@@ -116,7 +145,7 @@ def test_native_free_run_bar(progs, capsys):
     }
     digests = {}
     for name, (fast, driver) in configs.items():
-        sims = _suite(progs, fast, driver)
+        sims, _spent = _suite(progs, fast, driver)
         digests[name] = [(s.get_time(), s.state_digest()) for s in sims]
         if name == "native":
             assert all(s.stats()["native_cycles"] > 0 for s in sims)
@@ -150,3 +179,43 @@ def test_native_free_run_bar(progs, capsys):
     if not _SMOKE:
         ratio = secs["reference"] / secs["native"]
         assert ratio >= _BAR, f"native only {ratio:.1f}x the reference"
+
+
+@needs_cc
+def test_native_armed_bar(progs, capsys):
+    """The armed suite: ``run()``, where the kernel evaluates the
+    breakpoint's wake, against the same armed suite stepped in Python."""
+    configs = {
+        "armed python": _step_run,
+        "armed native": lambda sim: sim.run(_MAX_CYCLES),
+    }
+    digests = {}
+    for name, driver in configs.items():
+        sims, _spent = _suite(progs, True, driver, armed=True)
+        digests[name] = [(s.get_time(), s.state_digest()) for s in sims]
+        if name == "armed native":
+            assert all(s.stats()["native_cycles"] > 0 for s in sims)
+    assert digests["armed native"] == digests["armed python"]
+    cycles = sum(t for t, _d in digests["armed python"])
+
+    # Only the drivers are timed: attaching a Runtime and inserting the
+    # breakpoint cost the same on both sides and are not what is compared.
+    reps = 1 if _SMOKE else 5
+    secs = {
+        name: min(_suite(progs, True, driver, armed=True)[1] for _ in range(reps))
+        for name, driver in configs.items()
+    }
+    ratio = secs["armed python"] / secs["armed native"]
+    lines = [
+        "",
+        f"=== armed ({_ARMED_CONDITION!r} on the writeback line) ===",
+        *(
+            f"{name:14s} {sec * 1e3:9.1f} ms {cycles / sec:11.0f} cycles/s"
+            for name, sec in secs.items()
+        ),
+        f"native vs python: {ratio:.1f}x",
+    ]
+    with capsys.disabled():
+        print("\n".join(lines))
+    if not _SMOKE:
+        assert ratio >= _BAR, f"armed native only {ratio:.1f}x the armed Python path"

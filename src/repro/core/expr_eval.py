@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..sim.interface import WAKE_BINARY_OPS
+
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - vector conditions need numpy
@@ -342,6 +344,37 @@ def compile_fn(node, bind, env: dict | None = None, arg: str = "_v"):
     code = f"def _compiled({arg}):\n    return {src}"
     exec(compile(code, "<repro-expr>", "exec"), ns)
     return ns["_compiled"]
+
+
+# -- wake predicates (conditions the native kernel evaluates) ---------------
+#
+# On unsigned values below 2**64 every operator below equals `evaluate`
+# exactly in 64-bit C, and each is total, so the kernel may evaluate both
+# sides of `&&`/`||`.  Arithmetic, shifts, `~`, unary `-` and `?:` can leave
+# that range, so they stay Python.
+
+
+def to_wake(node, bind):
+    """Translate an AST into a wake predicate (the tuple format documented
+    on ``SimulatorInterface.add_clock_callback``).
+
+    ``bind(name)`` supplies a ``("sig", i)`` or ``("num", v)`` leaf (raise
+    :class:`ExprError` for names it cannot bind to a 64-bit lane).  Raises
+    :class:`ExprError` for anything outside the exact subset: operators
+    other than ``WAKE_BINARY_OPS``, ``!`` and unary ``+``, and constants
+    outside ``[0, 2**64)``.
+    """
+    if isinstance(node, Num | Name):
+        leaf = ("num", node.value) if isinstance(node, Num) else bind(node.name)
+        if leaf[0] == "num" and not 0 <= leaf[1] < 1 << 64:
+            raise ExprError(f"constant {leaf[1]} is outside 64 unsigned bits")
+        return leaf
+    if isinstance(node, Unary) and node.op in ("!", "+"):
+        x = to_wake(node.operand, bind)
+        return ("!", x) if node.op == "!" else x
+    if isinstance(node, Binary) and node.op in WAKE_BINARY_OPS:
+        return (node.op, to_wake(node.left, bind), to_wake(node.right, bind))
+    raise ExprError(f"no exact 64-bit form for {node!r}")
 
 
 # -- vectorized compilation (many-worlds conditions) ------------------------

@@ -22,7 +22,10 @@ breakpoint or watchpoint inserted, step mode, or a pending pause — so an
 attached runtime with nothing armed costs the simulation nothing per
 cycle (the paper's Fig. 5 configuration, Sec. 4.3).  A pause requested
 from another thread arms it; the simulator picks the callback up at the
-next posedge.
+next posedge.  While only breakpoints arm it, the callback carries a
+*wake*: the OR of every inserted breakpoint's enable∧condition, so a
+native ``run()`` leaves C only on cycles where one can hit (see
+:meth:`Runtime._wake`).
 """
 
 from __future__ import annotations
@@ -151,6 +154,10 @@ class Runtime:
         on_hit: synchronous handler called with a :class:`HitGroup`;
             returns the next :class:`Command`.  While the handler runs the
             simulator is paused — exactly like a blocking VPI callback.
+
+    The simulator reaches a runtime's callbacks only through a weak
+    reference (so a dropped pair is freed without the cyclic collector):
+    keep the runtime referenced for as long as it debugs.
     """
 
     def __init__(
@@ -172,6 +179,7 @@ class Runtime:
         self.warnings: list[str] = []
         self._warned: set[str] = set()
         self._cb_id: int | None = None
+        self._cb_wake = None  # the wake the registered callback carries
         self._time_cb_id: int | None = None
         self._attached = False
         # Arming and the clock-callback registration change together under
@@ -210,11 +218,29 @@ class Runtime:
         self._vector = (
             self._worlds is not None and self._sim_matrix is not None
         )
+        # Breakpoint wakes bind names to a live simulator's narrow lanes.
+        self._wakes_ok = self._worlds is None and self._sim_wide is not None
         # stats_callbacks: posedges of earlier attached spans, and the
         # backend's posedge count when the current span began.
         self._posedges_before = 0
         self._posedges_at_attach = 0
-        self.stats_bp_evals = 0
+        # stats_bp_evals: evaluations Python ran, and for the registered
+        # wake its breakpoint count and the engine's native cycle count
+        # when it was registered.
+        self._bp_evals = 0
+        self._wake_terms = 0
+        self._native_at_wake = 0
+        # The clock callback reaches this runtime through a weak reference,
+        # so an armed attached runtime and its backend form no reference
+        # cycle either.
+        self_ref = weakref.ref(self)
+
+        def on_clock(sim) -> None:
+            rt = self_ref()
+            if rt is not None:
+                rt._on_clock(sim)
+
+        self._clock_fn = on_clock
 
     # -- attachment -------------------------------------------------------
 
@@ -256,14 +282,34 @@ class Runtime:
         return self._attached
 
     def _sync_clock_callback(self) -> None:
-        """Register the clock callback iff attached and armed (under
+        """Register the clock callback iff attached and armed, carrying the
+        current wake; re-register only when the wake changes (under
         ``_arm_lock``)."""
         want = self._attached and self._armed
-        if want and self._cb_id is None:
-            self._cb_id = self.sim.add_clock_callback(self._on_clock)
-        elif not want and self._cb_id is not None:
+        wake = self._wake() if want else None
+        if self._cb_id is not None and not (want and wake == self._cb_wake):
+            self._bp_evals = self.stats_bp_evals
+            self._wake_terms = 0
             self.sim.remove_clock_callback(self._cb_id)
             self._cb_id = None
+        if want and self._cb_id is None:
+            self._cb_wake = wake
+            if wake is not None:
+                self._wake_terms = len(self.scheduler.inserted)
+                self._native_at_wake = self.sim.native_cycles
+            self._cb_id = self.sim.add_clock_callback(self._clock_fn, wake)
+
+    @property
+    def stats_bp_evals(self) -> int:
+        """Breakpoint condition evaluations.  On a cycle the native kernel
+        ran under this runtime's wake, no breakpoint could hit, and the
+        Python scan would have evaluated each inserted breakpoint once:
+        those count from the engine's native cycle count, at no cost per
+        cycle."""
+        n = self._bp_evals
+        if self._wake_terms:
+            n += self._wake_terms * (self.sim.native_cycles - self._native_at_wake)
+        return n
 
     def _posedges(self) -> int:
         """The backend's posedge count (the live engines count ticks); a
@@ -274,7 +320,8 @@ class Runtime:
     @property
     def stats_callbacks(self) -> int:
         """Posedges seen while attached: the clock callbacks run while
-        armed plus the posedges spent idle with no callback registered.
+        armed plus the posedges with no callback registered (idle) or run
+        natively under its wake.
         Derived from the backend's posedge count, so it costs nothing per
         cycle and is never negative; on the live engines it never falls,
         a ``set_time`` rewind included."""
@@ -299,7 +346,14 @@ class Runtime:
             return matches[0]
         return None
 
+    def _set_step_mode(self, on: bool) -> None:
+        if on != self._step_mode:
+            self._step_mode = on
+            self._update_armed()
+
     def _update_armed(self) -> None:
+        """Re-derive arming and the callback's wake: every change to
+        breakpoints, watchpoints, step mode or a pending pause ends here."""
         with self._arm_lock:
             self._armed = bool(
                 self.scheduler.inserted
@@ -418,27 +472,8 @@ class Runtime:
         return resolve
 
     def _scope_resolver(self, bp: BreakpointRec):
-        """Resolve source-level names: scoped vars, generator vars, then raw
-        RTL names within the instance."""
-        rtl = self._rtl_resolver(bp.instance_name)
-
-        def resolve(name: str) -> int:
-            local = self.symtable.resolve_scoped_var(bp.id, name)
-            if local is not None:
-                return rtl(local)
-            var = self.symtable.resolve_instance_var(bp.instance_id, name)
-            if var is not None:
-                if var.is_rtl:
-                    return rtl(var.value)
-                try:
-                    return int(var.value, 0)
-                except ValueError as exc:
-                    raise expr_eval.ExprError(
-                        f"generator variable {name!r} is not numeric"
-                    ) from exc
-            return rtl(name)
-
-        return resolve
+        """Resolve source-level names to values (see :meth:`_scope_binder`)."""
+        return self._scope_binder(bp, self._rtl_resolver(bp.instance_name), int)
 
     # -- compiled conditions (the per-cycle fast path) ----------------------
 
@@ -497,12 +532,26 @@ class Runtime:
 
         return bind
 
-    def _scope_binder(self, bp: BreakpointRec, env: dict):
-        """Compile-time variant of :meth:`_scope_resolver`: names resolve
-        once, to an index/path/constant, instead of on every evaluation."""
-        rtl = self._rtl_binder(bp.instance_name, env)
+    def _wake_binder(self, instance_name: str):
+        """Bind RTL names to wake leaves: narrow value-table lanes."""
+        base = self.instance_map.get(instance_name, instance_name)
 
-        def bind(name: str) -> str:
+        def bind(name: str) -> tuple:
+            idx = self._signal_index.get(f"{base}.{name}")
+            if idx is None or idx in self._sim_wide:
+                raise expr_eval.ExprError(f"{base}.{name} has no 64-bit lane")
+            return ("sig", idx)
+
+        return bind
+
+    def _scope_binder(self, bp: BreakpointRec, rtl, const=repr):
+        """Resolve a source-level name: a scoped variable, a generator
+        variable, then a raw RTL name within the instance.  ``rtl(name)``
+        binds an RTL name and ``const(value)`` a numeric generator
+        variable, so one search serves values, compiled Python source and
+        wake leaves."""
+
+        def bind(name: str):
             local = self.symtable.resolve_scoped_var(bp.id, name)
             if local is not None:
                 return rtl(local)
@@ -511,7 +560,7 @@ class Runtime:
                 if var.is_rtl:
                     return rtl(var.value)
                 try:
-                    return repr(int(var.value, 0))
+                    return const(int(var.value, 0))
                 except ValueError as exc:
                     raise expr_eval.ExprError(
                         f"generator variable {name!r} is not numeric"
@@ -540,10 +589,9 @@ class Runtime:
                 )
         if bp.condition_ast is not None:
             try:
+                rtl = self._rtl_binder(bp.rec.instance_name, env)
                 parts.append(
-                    to_src(
-                        bp.condition_ast, self._scope_binder(bp.rec, env)
-                    )
+                    to_src(bp.condition_ast, self._scope_binder(bp.rec, rtl))
                 )
             except expr_eval.ExprError as exc:
                 self._warn_once(
@@ -585,9 +633,47 @@ class Runtime:
                     lines.append(f"    if {src}: out.append({j})")
             lines.append("    return out")
             exec(compile("\n".join(lines), "<repro-group-cond>", "exec"), env)
-            return env["_grp"]
+            # Popped, so the closure and its globals (which hold the
+            # backend) form no reference cycle.
+            return env.pop("_grp")
         except Exception:
             return False
+
+    def _wake(self):
+        """The wake the clock callback carries: the OR over inserted
+        breakpoints of enable∧condition.  None (every posedge stays
+        Python) while a watchpoint, step mode or a pause is armed, without
+        compiled scalar conditions on a live simulator's value table, or
+        when a breakpoint has no exact wake term."""
+        ready = self._wakes_ok and self._compile_conditions
+        if not ready or self._step_mode or self._pause_requested:
+            return None
+        if len(self.watchpoints) or not self.scheduler.inserted:
+            return None
+        wake = None
+        for bp in list(self.scheduler.inserted.values()):
+            if bp.wake is None:
+                bp.wake = self._bp_wake(bp)
+            if bp.wake is False:
+                return None
+            wake = bp.wake if wake is None else ("||", wake, bp.wake)
+        return wake
+
+    def _bp_wake(self, bp: InsertedBreakpoint):
+        """One breakpoint's enable∧condition as a wake term, or False when
+        it has neither or either has no exact form.  Every case where the
+        Python path warns raises ExprError here, so it stays Python and
+        warns as before."""
+        rtl = self._wake_binder(bp.rec.instance_name)
+        scope = self._scope_binder(bp.rec, rtl, lambda v: ("num", v))
+        asts = ((bp.enable_ast, rtl), (bp.condition_ast, scope))
+        try:
+            parts = [expr_eval.to_wake(a, b) for a, b in asts if a is not None]
+        except expr_eval.ExprError:
+            return False
+        if not parts:
+            return False
+        return parts[0] if len(parts) == 1 else ("&&", *parts)
 
     def _eval_group(self, group: Group) -> list:
         """All breakpoints of a group that hit this cycle.
@@ -614,7 +700,7 @@ class Runtime:
                     "failed to compile for per-world evaluation; skipped"
                 )
                 return []
-            self.stats_bp_evals += len(bps)
+            self._bp_evals += len(bps)
             alive = self.sim.active_worlds
             alive_set = set(alive)
             hits = []
@@ -638,7 +724,7 @@ class Runtime:
             group.compiled = fn
         if fn is False:
             return [bp for bp in bps if self._bp_hits(bp)]
-        self.stats_bp_evals += len(bps)
+        self._bp_evals += len(bps)
         hits = []
         for j in fn(self._sim_values):
             bp = bps[j]
@@ -650,7 +736,7 @@ class Runtime:
         return hits
 
     def _bp_hits(self, bp: InsertedBreakpoint) -> bool:
-        self.stats_bp_evals += 1
+        self._bp_evals += 1
         if bp.enable_ast is not None:
             try:
                 if not expr_eval.evaluate(bp.enable_ast, self._rtl_resolver(bp.rec.instance_name)):
@@ -735,7 +821,7 @@ class Runtime:
             if kind is CommandKind.DETACH:
                 self.detach()
                 return
-            self._step_mode = kind in (CommandKind.STEP, CommandKind.REVERSE_STEP)
+            self._set_step_mode(kind in (CommandKind.STEP, CommandKind.REVERSE_STEP))
 
     def _groups(self) -> list[Group]:
         return self.scheduler.groups(all_bps=self._step_mode)
@@ -759,6 +845,7 @@ class Runtime:
         if self._pause_requested:
             self._pause_requested = False
             self._step_mode = True
+            self._update_armed()
             groups = self._groups()
 
         while True:
@@ -814,8 +901,7 @@ class Runtime:
             if kind is CommandKind.DETACH:
                 self.detach()
                 return
-            self._step_mode = kind in (CommandKind.STEP, CommandKind.REVERSE_STEP)
-            self._update_armed()
+            self._set_step_mode(kind in (CommandKind.STEP, CommandKind.REVERSE_STEP))
             direction = -1 if kind in (
                 CommandKind.REVERSE_STEP, CommandKind.REVERSE_CONTINUE
             ) else 1

@@ -22,6 +22,8 @@ class InsertedBreakpoint:
 
     ``hit_count`` counts condition-passing evaluations; ``ignore_count``
     (gdb's ``ignore N``) suppresses that many hits before stopping.
+    ``wake`` is the runtime's cache slot for the enable∧condition wake term
+    (None = not yet computed, False = no exact form).
     """
 
     rec: BreakpointRec
@@ -30,6 +32,7 @@ class InsertedBreakpoint:
     condition_src: str | None = None
     hit_count: int = 0
     ignore_count: int = 0
+    wake: object = None
 
     @property
     def id(self) -> int:

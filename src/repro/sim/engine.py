@@ -43,12 +43,14 @@ the next posedge on; an idle debugger registers nothing and costs
 nothing per cycle.
 
 ``run()`` goes one step further when nothing observes single cycles —
-``fast=True``, no clock callback, no trace sink, no timeline: it hands
-the whole remaining budget to the design's native C kernel
-(:mod:`repro.sim.native`) and falls back to the Python edge loop for the
-cycles the kernel leaves to it.  Registering a callback sets the
-simulator's break flag, which the kernel polls every cycle, so a
-callback registered mid-run still fires from the next posedge.
+``fast=True``, no trace sink, no timeline, and no callback without a
+wake: it hands the whole remaining budget to the design's native C kernel
+(:mod:`repro.sim.native`), which returns before any cycle where a
+callback's wake predicate holds, and falls back to the Python edge loop
+for the cycles the kernel leaves to it.  Registering a callback
+publishes the new combined wake and then sets the simulator's break
+flag, which the kernel polls every cycle, so a callback registered
+mid-run still fires from the next posedge.
 """
 
 from __future__ import annotations
@@ -237,13 +239,15 @@ class Simulator(SimulatorInterface):
         self._fast = fast
         self._time = 0
         self._finished: int | None = None
-        self._callbacks: dict[int, object] = {}
+        self._callbacks: dict[int, tuple] = {}  # id -> (fn, wake)
         self._cb_list: tuple = ()
         self._cb_ids = itertools.count(1)
         self._cb_lock = threading.Lock()
-        # Native free-run: the break flag the kernel polls every cycle
-        # (set by add_clock_callback) and, while a kernel segment runs,
-        # (start time, cycles-done cell) for a live get_time().
+        # Native free-run: the callbacks' combined wake program (None when
+        # a callback has no wake), the break flag the kernel polls every
+        # cycle (set by add_clock_callback) and, while a kernel segment
+        # runs, (start time, [cycles done, woke]) for a live get_time().
+        self._wake = native.wake_program((), self.design)
         self._native_brk = array("q", [0])
         self._native_seg: tuple | None = None
         # Settle bookkeeping (fast path): pokes accumulate indices into
@@ -260,6 +264,7 @@ class Simulator(SimulatorInterface):
         self._stat_settle_seeds = 0
         self._stat_settle_tick = 0
         self._stat_native_cycles = 0
+        self._stat_native_wakes = 0
         # Time travel: all history state (entry ring, delta baselines, the
         # memory-write journal the generated journaling tick feeds) lives
         # on the Timeline, bound to this simulator's store and memories.
@@ -512,12 +517,13 @@ class Simulator(SimulatorInterface):
         """Run until a ``Stop`` fires or ``max_cycles`` elapse.  Returns the
         exit code, or None on timeout.
 
-        With ``fast=True`` and nothing observing single cycles (no clock
-        callback, trace sink or timeline) the design's native kernel runs
-        the remaining budget.  It returns before any cycle whose stop or
-        printf condition holds, or when a callback is registered; Python
-        then runs the rest of that 1024-cycle chunk, so stops, printfs and
-        callbacks behave exactly as in :meth:`step`."""
+        With ``fast=True`` and nothing observing single cycles (no trace
+        sink, timeline or clock callback without a wake) the design's
+        native kernel runs the remaining budget.  It returns before any
+        cycle whose stop or printf condition or callback wake holds, or
+        when a callback is registered; Python then runs the rest of that
+        1024-cycle chunk, so stops, printfs and callbacks behave exactly
+        as in :meth:`step`."""
         budget = max_cycles
         ran = 0
         native_ok = self._fast and self._trace is None and self.timeline is None
@@ -536,23 +542,26 @@ class Simulator(SimulatorInterface):
 
     def _run_native(self, budget: int) -> int:
         """One native segment of up to ``budget`` cycles; returns the
-        cycles it ran (0 when the design has no kernel or a callback is
-        registered)."""
+        cycles it ran (0 when the design has no kernel or a callback has
+        no wake)."""
         kernel = native.kernel_for(self.design, self.obs)
         if kernel is None:
             return 0
-        # Clear the break flag *before* reading the callback list: a
-        # callback registered in between either shows up here or sets
-        # the flag again, so the kernel stops at once.
+        # Clear the break flag *before* reading the wake: a callback
+        # registered in between either shows up here or sets the flag
+        # again, so the kernel stops at once.
         self._native_brk[0] = 0
-        if self._cb_list:
+        wake = self._wake
+        if wake is None:
             return 0
         self._settle()
         t0 = self._time
-        prog = array("q", [0])
+        prog = array("q", [0, 0])
         self._native_seg = (t0, prog)
         try:
-            kernel.run(self._v, self._w, self.mems, budget, self._native_brk, prog)
+            kernel.run(
+                self._v, self._w, self.mems, budget, self._native_brk, prog, wake
+            )
         finally:
             # The kernel settled its tick cone after every edge, exactly
             # as the Python fast path would have.
@@ -560,6 +569,7 @@ class Simulator(SimulatorInterface):
             self._time = t0 + done
             self._stat_ticks += done
             self._stat_native_cycles += done
+            self._stat_native_wakes += prog[1]
             if self.design.tick_mask():
                 self._stat_settle_tick += done
             self._native_seg = None
@@ -641,6 +651,7 @@ class Simulator(SimulatorInterface):
             "cone_fallbacks": design.stat_cone_fallbacks,
             "printfs": len(self._printf_out),
             "native_cycles": self._stat_native_cycles,
+            "native_wakes": self._stat_native_wakes,
         }
         timeline = self.timeline
         if timeline is not None:
@@ -655,6 +666,12 @@ class Simulator(SimulatorInterface):
                 }
             )
         return out
+
+    @property
+    def native_cycles(self) -> int:
+        """``stats()["native_cycles"]``, without the timeline's stats
+        (which walk the retained history)."""
+        return self._stat_native_cycles
 
     def _collect_metrics(self, reg) -> None:
         """Snapshot-time collector: fold the always-on ints into metrics."""
@@ -672,6 +689,10 @@ class Simulator(SimulatorInterface):
         reg.counter(
             "sim_native_cycles_total", "Clock posedges run by the native kernel"
         ).set_total(s["native_cycles"])
+        reg.counter(
+            "sim_native_wakes_total",
+            "Native kernel returns because a clock callback's wake held",
+        ).set_total(s["native_wakes"])
         reg.counter(
             "sim_cone_cache_hits_total", "Mask-cone cache hits"
         ).set_total(s["cone_hits"])
@@ -749,20 +770,30 @@ class Simulator(SimulatorInterface):
     def clock_name(self) -> str:
         return self.design.signals[self.design.clock_index].path
 
-    def add_clock_callback(self, fn) -> int:
+    def add_clock_callback(self, fn, wake=None) -> int:
         cb_id = next(self._cb_ids)
         with self._cb_lock:
-            self._callbacks[cb_id] = fn
-            self._cb_list = tuple(self._callbacks.values())
-        # After publishing the list: a running native segment stops at its
-        # next posedge and Python fires the callback from there.
+            self._publish_callbacks({**self._callbacks, cb_id: (fn, wake)})
+        # After publishing: a running native segment stops at its next
+        # posedge, Python fires the callback from there, and the next
+        # segment runs under the new wake.
         self._native_brk[0] = 1
         return cb_id
 
     def remove_clock_callback(self, cb_id: int) -> None:
         with self._cb_lock:
-            self._callbacks.pop(cb_id, None)
-            self._cb_list = tuple(self._callbacks.values())
+            callbacks = dict(self._callbacks)
+            callbacks.pop(cb_id, None)
+            self._publish_callbacks(callbacks)
+
+    def _publish_callbacks(self, callbacks: dict) -> None:
+        """Publish ``callbacks`` with what ``step()`` and ``run()`` read:
+        the functions, and their combined wake as one new program (under
+        ``_cb_lock``).  A malformed wake raises before anything changes."""
+        wakes = [wake for _fn, wake in callbacks.values()]
+        self._wake = native.wake_program(wakes, self.design)
+        self._callbacks = callbacks
+        self._cb_list = tuple(fn for fn, _wake in callbacks.values())
 
     def get_time(self) -> int:
         seg = self._native_seg

@@ -21,6 +21,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+#: The binary operators of a wake predicate (see
+#: :meth:`SimulatorInterface.add_clock_callback`), with C semantics.
+WAKE_BINARY_OPS = ("==", "!=", "<", "<=", ">", ">=", "&", "|", "^", "&&", "||")
+
 
 class SimulatorError(Exception):
     """Raised on bad interface usage (unknown signal, unsupported op)."""
@@ -102,9 +106,22 @@ class SimulatorInterface(ABC):
     # -- callbacks ----------------------------------------------------------
 
     @abstractmethod
-    def add_clock_callback(self, fn) -> int:
+    def add_clock_callback(self, fn, wake=None) -> int:
         """Register ``fn(sim)`` to run at every clock posedge, after the
-        design has stabilized and before state updates.  Returns an id."""
+        design has stabilized and before state updates.  Returns an id.
+
+        ``wake`` optionally says when ``fn`` can act: a predicate over the
+        settled values that holds on every posedge where ``fn`` would do
+        more than return.  A backend with a native tier (the live
+        simulator's ``run()``) may skip ``fn`` on posedges where no
+        registered wake holds; a callback without a wake keeps every
+        posedge in Python.  Backends without a native tier ignore it.
+        A wake is a tuple tree: ``("sig", i)`` reads narrow value-table
+        lane ``i`` (a signal of at most 64 bits), ``("num", v)`` is a
+        constant, ``("!", x)`` is logical not, and ``(op, a, b)`` applies
+        ``op`` in :data:`WAKE_BINARY_OPS` (``== != < <= > >= & | ^ &&
+        ||``, as in C: compares and logic give 0 or 1).  Every value is
+        unsigned and below 2**64."""
 
     @abstractmethod
     def remove_clock_callback(self, cb_id: int) -> None:

@@ -556,7 +556,8 @@ class ManyWorldsSimulator(SimulatorInterface):
     def clock_name(self) -> str:
         return self.design.signals[self.design.clock_index].path
 
-    def add_clock_callback(self, fn) -> int:
+    def add_clock_callback(self, fn, wake=None) -> int:
+        # No native tier: every posedge runs in Python, so ``wake`` is unused.
         cb_id = next(self._cb_ids)
         with self._cb_lock:
             self._callbacks[cb_id] = fn

@@ -1,14 +1,16 @@
 """The native free-run tier: one C kernel per design shape.
 
-When nothing observes single cycles (``fast=True``, no clock callback,
-trace sink or timeline), ``Simulator.run()`` hands its budget to a C
-function emitted from the design's IR.  Per cycle it checks the break
-flag and every stop/printf condition, returning *before* the tick of a
-cycle where one holds (Python runs that cycle), then runs the tick and
-the tick cone exactly as the Python fast path does.  Values sit in
-64-bit lanes, 65-128-bit ones in ``unsigned __int128``, computed modulo
-2**64 or 2**128 in unsigned types; anything wider than 128 bits makes a
-design ineligible.  The source holds only indices and integer constants,
+When nothing observes single cycles (``fast=True``, no trace sink or
+timeline, and no clock callback without a wake), ``Simulator.run()`` hands
+its budget to a C function emitted from the design's IR.  Per cycle it
+checks the break flag, the callbacks' combined wake predicate (a postfix
+program the prelude interprets, see :func:`wake_program`) and every
+stop/printf condition, returning *before* the tick of a cycle where one
+holds (Python runs that cycle), then runs the tick and the tick cone
+exactly as the Python fast path does.  Values sit in 64-bit lanes,
+65-128-bit ones in ``unsigned __int128``, computed modulo 2**64 or 2**128
+in unsigned types; anything wider than 128 bits makes a design
+ineligible.  The source holds only indices and integer constants,
 so designs differing only in memory init share one library, built once
 with ``$CC`` (else ``cc``) into a per-user cache and loaded with ctypes.
 Any failure warns once per design (:class:`NativeWarning`) and leaves the
@@ -34,7 +36,7 @@ from array import array
 from ..ir.eval import literal_raw
 from ..ir.expr import Literal, MemRead, PrimOp, Ref, SubField
 from ..ir.types import SIntType
-from .interface import SimulatorError
+from .interface import WAKE_BINARY_OPS, SimulatorError
 
 #: Compiler flags (part of the cache key).  Everything is computed in
 #: unsigned types; ``-fwrapv`` is a second guard against signed overflow.
@@ -45,6 +47,10 @@ SLICE = 1 << 16
 _M64 = (1 << 64) - 1
 _COMPARE = dict(lt="<", leq="<=", gt=">", geq=">=", eq="==", neq="!=")
 _RING = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+#: Depth of the wake interpreter's stack: a deeper program cannot run.
+WAKE_STACK = 32
+#: Wake opcodes; the interpreter below numbers them the same way.
+_WAKE_CODE = {op: k for k, op in enumerate(("sig", "num", "!", *WAKE_BINARY_OPS))}
 
 _PRELUDE = """\
 #include <stdint.h>
@@ -77,6 +83,31 @@ DIVS(64, u64, i64)
 DIVS(128, u128, i128)
 SHIFTS(64, u64, i64)
 SHIFTS(128, u128, i128)
+"""
+_WAKE_CASES = "".join(
+    f"        case {_WAKE_CODE[op]}: st[k - 1] = st[k - 1] {op} b; break;\n"
+    for op in WAKE_BINARY_OPS
+)
+_WAKE_C = f"""\
+/* The wake interpreter: p[0] words of postfix code over the narrow lanes
+   follow (see wake_program); 1 when the predicate holds. */
+static int woke(const u64 *s, const u64 *p)
+{{
+    u64 st[{WAKE_STACK}], b;
+    int k = 0;
+    const u64 *end = p + 1 + p[0];
+    for (p++; p < end; p++) {{
+        switch (*p) {{
+        case 0: st[k++] = s[*++p]; continue;
+        case 1: st[k++] = *++p; continue;
+        case 2: st[k - 1] = !st[k - 1]; continue;
+        }}
+        b = st[--k];
+        switch (*p) {{
+{_WAKE_CASES}        }}
+    }}
+    return st[0] != 0;
+}}
 """
 
 
@@ -299,7 +330,7 @@ def c_source(design) -> str:
     head = [
         f"/* signals {n_sig}, wide {sorted(wide_slot)}, memories {layout} */",
         "int64_t repro_run(u64 *restrict s, u64 *const *mp, int64_t n,",
-        "                  const int64_t *brk, int64_t *prog)",
+        "                  const int64_t *brk, int64_t *prog, const u64 *wake)",
         "{",
         f"    u64 *restrict w = s + {n_sig};",
         "    (void)w;",
@@ -311,6 +342,7 @@ def c_source(design) -> str:
         "    int64_t base = *prog, i;",
         "    for (i = 0; i < n; i++) {",
         "        if (__atomic_load_n(brk, __ATOMIC_RELAXED)) break;",
+        "        if (wake[0] && woke(s, wake)) { prog[1] = 1; break; }",
     ]
     tail = [
         "        __atomic_store_n(prog, base + i + 1, __ATOMIC_RELAXED);",
@@ -318,7 +350,9 @@ def c_source(design) -> str:
         "    return i;",
         "}",
     ]
-    return "\n".join([_PRELUDE, *head, *(f"        {x}" for x in body), *tail, ""])
+    return "\n".join(
+        [_PRELUDE, _WAKE_C, *head, *(f"        {x}" for x in body), *tail, ""]
+    )
 
 
 class Kernel:
@@ -333,11 +367,13 @@ class Kernel:
         self.mems = [spec.width > 64 for spec in design.mems]
         self.depths = [spec.depth for spec in design.mems]
 
-    def run(self, v, w, mems, n: int, brk: array, prog: array) -> None:
+    def run(self, v, w, mems, n: int, brk: array, prog: array, wake: array) -> None:
         """Run up to ``n`` cycles on the values ``v``/``w`` and memories
         ``mems``, copied in and back in place (memories only in the
-        64-word blocks written).  ``prog[0]`` counts the cycles run, also
-        when the run is interrupted."""
+        64-word blocks written), stopping before a cycle where the
+        :func:`wake_program` ``wake`` holds.  ``prog[0]`` counts the cycles
+        run, also when the run is interrupted; ``prog[1]`` is set to 1 when
+        the wake stopped it."""
         # The kernel indexes these buffers by the design's layout.
         if len(v) != self.n_signals or [len(m) for m in mems] != self.depths:
             raise SimulatorError("native kernel: buffers do not match the design")
@@ -354,10 +390,11 @@ class Kernel:
         ptrs = array("Q", [b.buffer_info()[0] for b in (*bufs, *marks)] or [0])
         s, mp = state.buffer_info()[0], ptrs.buffer_info()[0]
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
+        code = wake.buffer_info()[0]
         try:
             while n > 0:
                 k = min(n, SLICE)
-                ran = self.fn(s, mp, k, flag, done)
+                ran = self.fn(s, mp, k, flag, done, code)
                 n -= ran
                 if ran < k:
                     break
@@ -376,6 +413,43 @@ class Kernel:
                             mem[lo:hi] = [buf[j] | buf[j + 1] << 64 for j in pairs]
                         else:
                             mem[lo:hi] = buf[lo:hi]
+
+
+# -- wake programs ------------------------------------------------------------
+
+
+def wake_program(wakes, design) -> array | None:
+    """The kernel's program for the OR of ``wakes`` (predicates in the
+    format of ``SimulatorInterface.add_clock_callback``): a length word,
+    then postfix code, one word per op or operand.  No wakes give the empty
+    program, which never wakes.  None when a wake is None or the program is
+    deeper than :data:`WAKE_STACK`; a malformed wake raises
+    :class:`SimulatorError`."""
+    code: list[int] = []
+    depth = 0
+    for k, wake in enumerate(wakes):
+        if wake is None:
+            return None
+        depth = max(depth, _emit(wake, code, design) + (k > 0))
+        if k:
+            code.append(_WAKE_CODE["||"])
+    return array("Q", [len(code), *code]) if depth <= WAKE_STACK else None
+
+
+def _emit(node, code: list[int], design) -> int:
+    """Append ``node``'s postfix code; returns the stack depth it needs."""
+    op, *args = node if isinstance(node, tuple) and node else (None,)
+    if op in ("sig", "num") and len(args) == 1 and isinstance(args[0], int):
+        x = args[0]
+        narrow = x < len(design.signals) and x not in design.wide_indices
+        if x >= 0 and (narrow if op == "sig" else x <= _M64):
+            code += (_WAKE_CODE[op], x)
+            return 1
+    elif (op == "!" and len(args) == 1) or (op in WAKE_BINARY_OPS and len(args) == 2):
+        depth = max(k + _emit(x, code, design) for k, x in enumerate(args))
+        code.append(_WAKE_CODE[op])
+        return depth
+    raise SimulatorError(f"malformed wake predicate {node!r}")
 
 
 # -- build, cache and load ---------------------------------------------------
@@ -437,7 +511,7 @@ def cache_dir() -> str:
 def _load(path: str):
     fn = ctypes.CDLL(path).repro_run
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.restype, fn.argtypes = i64, (ptr, ptr, i64, ptr, ptr)
+    fn.restype, fn.argtypes = i64, (ptr, ptr, i64, ptr, ptr, ptr)
     return fn
 
 

@@ -101,7 +101,8 @@ class ReplayEngine(SimulatorInterface):
     def clock_name(self) -> str:
         return self._clock.path
 
-    def add_clock_callback(self, fn) -> int:
+    def add_clock_callback(self, fn, wake=None) -> int:
+        # Replay steps every cycle in Python, so ``wake`` is unused.
         cb_id = next(self._cb_ids)
         self._callbacks[cb_id] = fn
         return cb_id

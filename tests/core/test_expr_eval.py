@@ -1,10 +1,29 @@
-"""Condition expression language tests (parser + evaluator)."""
+"""Condition expression language tests (parser + evaluator, and the wake
+predicates the native kernel evaluates)."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.expr_eval import ExprError, evaluate_str, names_in, parse, tokenize
+import repro
+import repro.hgf as hgf
+from repro.core.expr_eval import (
+    Binary,
+    ExprError,
+    Name,
+    Num,
+    Unary,
+    evaluate,
+    evaluate_str,
+    names_in,
+    parse,
+    to_wake,
+    tokenize,
+)
+from repro.sim import Simulator, compile_design, native
+from repro.sim.interface import WAKE_BINARY_OPS
 
 
 def ev(text, **env):
@@ -121,3 +140,122 @@ class TestPropertyVsPython:
         assert ev("a == b", a=a, b=b) == int(a == b)
         assert ev("a < b || a > b", a=a, b=b) == int(a != b)
         assert ev("a & b | a ^ b", a=a, b=b) == (a & b) | (a ^ b)
+
+
+class Sweep(hgf.Module):
+    """Registers of widths 1-64, each stepping the full-period LCG
+    x -> 5x + 3, plus two 64-bit registers alternating 0 with 2**64 - 1
+    and with 2**63."""
+
+    WIDTHS = (1, 2, 3, 8, 13, 31, 32, 33, 63, 64)
+
+    def __init__(self):
+        super().__init__()
+        regs = []
+        for w in self.WIDTHS:
+            r = self.reg(f"r{w}", w, init=0)
+            r <<= (r * 5 + 3)[w - 1 : 0]
+            regs.append((f"o{w}", w, r))
+        z = self.reg("z", 64, init=0)
+        z <<= ~z
+        h = self.reg("h", 64, init=0)
+        h <<= h ^ (1 << 63)
+        regs += [("oz", 64, z), ("oh", 64, h)]
+        for name, w, r in regs:
+            out = self.output(name, w)
+            out <<= r
+
+
+_NAMES = [f"r{w}" for w in Sweep.WIDTHS] + ["z", "h"]
+_CONSTS = (0, 1, 2**63, 2**64 - 1)
+_CYCLES = 300
+
+
+def _random_ast(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.25:
+            return Num(rng.choice(_CONSTS))
+        return Name(rng.choice(_NAMES))
+    if rng.random() < 0.15:
+        return Unary(rng.choice("!+"), _random_ast(rng, depth - 1))
+    left, right = _random_ast(rng, depth - 1), _random_ast(rng, depth - 1)
+    return Binary(rng.choice(WAKE_BINARY_OPS), left, right)
+
+
+def _predicates():
+    """Six seeded trees rooted at every subset operator, and at ``!``."""
+    rng = random.Random(18)
+    out = [
+        Binary(op, _random_ast(rng, 2), _random_ast(rng, 2))
+        for op in WAKE_BINARY_OPS
+        for _ in range(6)
+    ]
+    return out + [Unary("!", _random_ast(rng, 2)) for _ in range(6)]
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    design = repro.compile(Sweep())
+    return design, compile_design(design.low)
+
+
+def _sweep_run(sweep, ast, advance):
+    """Run the sweep with a callback carrying ``ast``'s wake; the callback
+    records (time, evaluate(ast) != 0) at every posedge it runs."""
+    design, compiled = sweep
+    sim = Simulator(design.low, compiled=compiled)
+    index = compiled.signal_index
+    fired = []
+
+    def resolve(name):
+        return int(sim.get_value(f"Sweep.{name}"))
+
+    sim.add_clock_callback(
+        lambda s: fired.append((s.get_time(), evaluate(ast, resolve) != 0)),
+        to_wake(ast, lambda name: ("sig", index[f"Sweep.{name}"])),
+    )
+    sim.reset()
+    advance(sim)
+    assert sim.get_time() == _CYCLES + 1
+    return sim, fired
+
+
+class TestWake:
+    @pytest.mark.parametrize(
+        "text",
+        ["a + 1", "a - 1", "a * 2", "a / 2", "a % 2", "a << 1", "a >> 1", "~a",
+         "-a", "a ? 1 : 0", "a == 18446744073709551616", "(a + 1) == 2 && a"],
+    )
+    def test_outside_the_subset_raises(self, text):
+        with pytest.raises(ExprError):
+            to_wake(parse(text), lambda name: ("sig", 0))
+
+    def test_unbindable_name_raises(self):
+        def bind(name):
+            raise ExprError(f"no lane for {name}")
+
+        with pytest.raises(ExprError):
+            to_wake(parse("a == 1"), bind)
+
+    def test_shape(self):
+        tree = to_wake(parse("!(a < 0xFFFFFFFF) || +b"), lambda n: ("sig", ord(n)))
+        below = ("<", ("sig", 97), ("num", 2**32 - 1))
+        assert tree == ("||", ("!", below), ("sig", 98))
+
+    @pytest.mark.parametrize("ast", _predicates(), ids=repr)
+    def test_callback_fires_exactly_where_evaluate_holds(self, sweep, ast):
+        """Under ``run()`` a callback runs on every cycle where its wake
+        holds; one cycle per ``run(1)`` it runs on those cycles only."""
+        _sim, reference = _sweep_run(sweep, ast, lambda s: s.step(_CYCLES))
+        holds = {t for t, v in reference if v}
+        sim, fired = _sweep_run(sweep, ast, lambda s: s.run(_CYCLES))
+        assert set(fired) <= set(reference)
+        assert {t for t, v in fired if v} == holds
+        if native.kernel_for(sweep[1]) is None:
+            return  # no compiler: run() stepped every cycle in Python
+        sim, fired = _sweep_run(
+            sweep, ast, lambda s: [s.run(1) for _ in range(_CYCLES)]
+        )
+        assert fired[1:] == [(t, True) for t in sorted(holds - {0})]
+        assert sim.stats()["native_cycles"] == _CYCLES - len(fired) + 1
+        assert sim.stats()["native_wakes"] == len(fired) - 1

@@ -354,6 +354,28 @@ class TestIdleHook:
             if was_enabled:
                 gc.enable()
 
+    def test_armed_attached_runtime_forms_no_reference_cycle(self):
+        """The same while armed: the simulator's clock callback reaches the
+        runtime through a weak reference."""
+        d = repro.compile(Accumulator())
+        sim = Simulator(d.low)
+        rt = make_runtime(d, sim)
+        rt.attach()
+        _f, line = line_of(d, "acc")
+        rt.add_breakpoint("helpers.py", line, condition="acc > 1000")
+        assert len(sim._cb_list) == 1
+        sim.reset()
+        sim.run(100)
+        gone = weakref.ref(sim)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del sim, rt
+            assert gone() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_arming_registers_and_last_removal_unregisters(self):
         d, sim = _setup()
         rt = make_runtime(d, sim)

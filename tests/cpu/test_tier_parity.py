@@ -2,13 +2,16 @@
 store: the reference (list store, ``fast=False``) against the list-store
 default, the typed-array store and the numpy store, the native free-run
 tier behind ``run()``, plus a default run with a Runtime that goes idle,
-then armed, then idle again, both stepped and run."""
+then armed, then idle again, both stepped and run, and the whole suite
+with breakpoints armed, run natively against stepped."""
+
+import inspect
 
 import pytest
 
 import repro
-from repro.core import Runtime
-from repro.cpu import RV32Core, assemble, benchmark_by_name
+from repro.core import CONTINUE, DETACH, STEP, Runtime
+from repro.cpu import RV32Core, assemble, benchmark_by_name, build_suite
 from repro.hub import SessionOptions
 from repro.sim import Simulator, compile_design, native, numpy_available
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
@@ -124,3 +127,134 @@ def _idle_armed_idle(program, advance):
     assert rt.stats_callbacks == sim.get_time() - attached_at
     if advance == "run" and native._compiler()[1] is not None:
         assert sim.stats()["native_cycles"] > 0
+
+
+# -- armed breakpoints on the whole suite: native run() against step() ------
+
+def _writeback_line() -> tuple[str, int]:
+    """(file, line) of the register-file writeback in the CPU source."""
+    lines, first = inspect.getsourcelines(RV32Core)
+    at = next(i for i, text in enumerate(lines) if "regs.write(rd, wb_val" in text)
+    return inspect.getsourcefile(RV32Core), first + at
+
+
+WRITEBACK = _writeback_line()
+
+
+@pytest.fixture(scope="module")
+def suite():
+    out = []
+    for bench in build_suite():
+        design = repro.compile(RV32Core(assemble(bench.source).words, 8192))
+        table = SQLiteSymbolTable(write_symbol_table(design))
+        out.append((bench, design, compile_design(design.low), table))
+    return out
+
+
+def _arm(*conditions, ignore=0, watch=None, **runtime_opts):
+    """Arm one runtime per condition on the writeback line (each ignoring
+    its first ``ignore`` hits, and watching ``watch`` when given); hits
+    record (runtime, hit record, native cycles so far)."""
+
+    def arm(sim, table, hits):
+        rts = []
+        for k, cond in enumerate(conditions):
+
+            def on_hit(hit, k=k):
+                hits.append((k, hit.to_record(), sim.stats()["native_cycles"]))
+                return CONTINUE
+
+            rt = Runtime(sim, table, on_hit, **runtime_opts)
+            rt.attach()
+            for bp in rt.add_breakpoint(*WRITEBACK, condition=cond):
+                bp.ignore_count = ignore
+            if watch is not None:
+                rt.add_watchpoint(watch)
+            rts.append(rt)
+        return rts
+
+    return arm
+
+
+def _step_then_detach(sim, table, hits):
+    """Step through 30 stops from the first hit on, then detach."""
+
+    def on_hit(hit):
+        hits.append((0, hit.to_record(), sim.stats()["native_cycles"]))
+        return STEP if len(hits) < 30 else DETACH
+
+    rt = Runtime(sim, table, on_hit)
+    rt.attach()
+    rt.add_breakpoint(*WRITEBACK, condition="wb_val == 7")
+    return [rt]
+
+
+def _armed_suite(suite, arm, advance):
+    """Every program armed by ``arm`` before reset and advanced to the end
+    by ``run(200_000)`` or by ``step()``: per program, what a debugger
+    observes, and the native cycles of the whole suite."""
+    out, native_cycles = [], 0
+    for bench, design, compiled, table in suite:
+        sim = Simulator(design.low, compiled=compiled)
+        hits = []
+        rts = arm(sim, table, hits)
+        sim.reset()
+        if advance == "run":
+            assert sim.run(200_000) == 0
+        else:
+            while not sim.finished:
+                sim.step(1024)
+        assert sim.peek("tohost") == bench.expected
+        out.append(
+            (
+                [(k, rec) for k, rec, _native in hits],
+                [[bp.hit_count for bp in rt.list_breakpoints()] for rt in rts],
+                [rt.stats_bp_evals for rt in rts],
+                [rt.stats_callbacks for rt in rts],
+                [rt.warnings for rt in rts],
+                sim.get_time(),
+                sim.state_digest(),
+            )
+        )
+        native_cycles += sim.stats()["native_cycles"]
+        if advance == "run" and arm is _step_then_detach and hits:
+            # nothing ran natively from the first stop until the detach
+            assert {native for _k, _rec, native in hits} == {hits[0][2]}
+    return out, native_cycles
+
+
+NATIVE = {
+    "never": (_arm("pc == 0xFFFFFFF0"), 0),
+    "rare": (_arm("wb_val == 7"), 123),
+    "frequent": (_arm("rd == 5 && pc > 0x40"), 4930),
+    "ignore": (_arm("wb_val == 7", ignore=3), 101),  # 3 fewer per program
+    "two runtimes": (_arm("wb_val == 7", "rd == 5 && pc > 0x40"), 123 + 4930),
+}
+PYTHON = {
+    "untranslatable": _arm("pc + 4 == 8"),
+    "watchpoint": _arm("wb_val == 7", watch="tohost"),
+    "step mode": _step_then_detach,
+    "compile_conditions=False": _arm("wb_val == 7", compile_conditions=False),
+}
+
+
+@pytest.mark.parametrize("scenario", list(NATIVE))
+def test_armed_suite_run_matches_stepping(suite, scenario):
+    """Hit times and frames, hit counts, evaluations and the final state
+    are the same whether the kernel stood in for the idle cycles or not."""
+    arm, hits = NATIVE[scenario]
+    stepped, _ = _armed_suite(suite, arm, "step")
+    ran, native_cycles = _armed_suite(suite, arm, "run")
+    assert ran == stepped
+    assert sum(len(program[0]) for program in ran) == hits
+    if scenario in ("never", "rare") and native._compiler()[1] is not None:
+        assert native_cycles > 0
+
+
+@pytest.mark.parametrize("scenario", list(PYTHON))
+def test_armed_suite_stays_python_without_a_wake(suite, scenario):
+    stepped, _ = _armed_suite(suite, PYTHON[scenario], "step")
+    ran, native_cycles = _armed_suite(suite, PYTHON[scenario], "run")
+    assert ran == stepped
+    if scenario != "step mode":
+        assert native_cycles == 0

@@ -108,7 +108,10 @@ class TestWire:
 
     def test_pause_during_cont_with_nothing_armed(self):
         # The session's runtime is idle (no callback registered) while it
-        # runs; a pause from a second connection must still stop it.
+        # runs; a pause from a second connection must still stop it.  The
+        # budget is far more than a Python session steps within the 30 s
+        # join below, so only the pause can end the cont in time, however
+        # late it lands.
         design, hub, host, port = _serve()
         _f, line = line_of(design, "count")
         with hub, HubClient(host, port) as first, HubClient(host, port) as second:
@@ -116,7 +119,7 @@ class TestWire:
             session.poke("en", 1)
             session.reset(1)
             bp = session.add_breakpoint("helpers.py", line)[0]
-            stop = session.run(10**6)
+            stop = session.run(10**9)
             assert stop.reason == "breakpoint"
             session.remove_breakpoint(bp["id"])
             result = {}
@@ -133,7 +136,7 @@ class TestWire:
             assert not runner.is_alive()
             paused = result["stop"]
             assert paused.reason == "breakpoint"
-            assert stop.time + 100 <= paused.time < 10**5
+            assert stop.time + 100 <= paused.time
             assert session.detach() is not None
 
     def _raw(self, host, port, lines: list[bytes]) -> list[dict]:

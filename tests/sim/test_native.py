@@ -20,10 +20,11 @@ import pytest
 
 import repro
 import repro.hgf as hgf
-from repro.core import Runtime
+from repro.core import CONTINUE, Runtime
 from repro.cpu import RV32Core, assemble
 from repro.hub import SessionOptions
 from repro.sim import Simulator, compile_design, native, numpy_available
+from repro.sim.interface import SimulatorError
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import Accumulator, Counter, line_of
 
@@ -174,6 +175,37 @@ def test_never_native_outside_free_run():
     for sim in (stepped, batch, callback, traced, timeline, reference):
         assert sim.get_time() == 2000
         assert sim.stats()["native_cycles"] == 0
+
+
+@pytest.mark.parametrize(
+    "wake",
+    [("sig", -1), ("sig", 10**6), ("num", 2**64), ("num", -1), ("sig", 1, 2),
+     ("+", ("sig", 1), ("num", 1)), ("!", ("sig", 1), ("sig", 2)), ("==",), "x"],
+    ids=repr,
+)
+def test_malformed_wake_is_rejected(wake):
+    sim = Simulator(repro.compile(Accumulator()).low)
+    with pytest.raises(SimulatorError, match="malformed wake"):
+        sim.add_clock_callback(lambda s: None, wake)
+    assert sim._cb_list == () and len(sim._wake) == 1  # nothing registered
+
+
+def test_wide_lane_wake_rejected_and_deep_wake_stays_python():
+    """A wake may not read a >64-bit lane; one deeper than the
+    interpreter's stack is accepted but keeps ``run()`` in Python."""
+    wide = Simulator(repro.compile(Wide()).low)
+    acc = wide.design.signal_index["Wide.acc"]
+    with pytest.raises(SimulatorError, match="malformed wake"):
+        wide.add_clock_callback(lambda s: None, ("sig", acc))
+    sim = Simulator(repro.compile(Accumulator()).low)
+    deep = ("sig", sim.design.signal_index["Accumulator.d"])
+    for _ in range(native.WAKE_STACK):
+        deep = ("==", ("num", 0), ("!", deep))
+    calls = []
+    sim.add_clock_callback(lambda s: calls.append(s.get_time()), deep)
+    assert sim._wake is None
+    sim.run(50)
+    assert len(calls) == 50 and sim.stats()["native_cycles"] == 0
 
 
 def test_ineligible_design_runs_in_python_without_warning():
@@ -331,6 +363,119 @@ def test_arming_from_another_thread_stops_a_native_run(arm):
     armer.join(timeout=30)
     assert 1000 <= stop.value.args[0] < budget // 10
     assert sim.stats()["native_cycles"] >= 999
+
+
+@needs_cc
+@pytest.mark.parametrize("change", ["add", "remove"])
+def test_breakpoint_changes_from_another_thread_under_a_wake(change):
+    """A native run under a wake (a never-true breakpoint keeps the runtime
+    armed) sees a breakpoint added or removed from another thread from
+    the next posedge on."""
+    design = repro.compile(Accumulator())
+    sim = Simulator(design.low)
+    hits = []
+
+    def on_hit(hit):
+        hits.append(hit.time)
+        if change == "add":
+            raise Stopped(hit.time)
+        return CONTINUE
+
+    rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), on_hit)
+    rt.attach()
+    line = line_of(design, "acc")
+    rt.add_breakpoint(*line, condition="acc == 70000")  # 16 bits: never
+    if change == "remove":
+        periodic = rt.add_breakpoint(*line, condition="(acc & 4095) == 0")
+    sim.reset()
+    sim.poke("en", 1)
+    sim.poke("d", 1)
+    seen = {}
+
+    def change_once_running():
+        deadline = time.monotonic() + 30
+        while sim.get_time() < 20_000 and time.monotonic() < deadline:
+            time.sleep(0)
+        seen["before"] = sim.get_time()
+        if change == "add":
+            rt.add_breakpoint(*line, condition="acc >= 0")
+        else:
+            rt.remove_breakpoint(periodic[0].rec.id)
+        seen["after"] = sim.get_time()
+
+    # Natively this design runs ~4 ns per cycle: the budget leaves the
+    # changer ample time, and an added breakpoint ends the run long before.
+    budget = 10**9 if change == "add" else 10**8
+    changer = threading.Thread(target=change_once_running, daemon=True)
+    changer.start()
+    if change == "add":
+        with pytest.raises(Stopped):
+            sim.run(budget)
+    else:
+        assert sim.run(budget) is None
+    changer.join(timeout=30)
+    assert not changer.is_alive()
+    assert 20_000 <= seen["before"] <= seen["after"] < budget // 10
+    if change == "add":
+        assert seen["before"] <= hits[0] <= seen["after"] + 1
+    else:
+        assert len(hits) >= 4 and max(hits) <= seen["after"]
+        assert sim.get_time() == budget + 1
+    assert sim.stats()["native_cycles"] >= 19_000
+
+
+@needs_cc
+def test_breakpoint_churn_from_threads_during_native_runs():
+    """More threads than cores insert and remove never-true breakpoints
+    while the interpreter switches threads every 10 us and the simulator
+    runs natively: no wake update is lost, so the simulator ends running
+    exactly the runtime's own wake, with no hit and the reference state."""
+    design = repro.compile(Accumulator())
+    sim = Simulator(design.low)
+    hits = []
+    rt = Runtime(
+        sim,
+        SQLiteSymbolTable(write_symbol_table(design)),
+        lambda hit: hits.append(hit) or CONTINUE,
+    )
+    rt.attach()
+    line = line_of(design, "acc")
+    sim.reset()
+    sim.poke("en", 1)
+    sim.poke("d", 1)
+
+    def churn(k):
+        for j in range(20):  # acc has 16 bits: none of these ever holds
+            (bp,) = rt.add_breakpoint(*line, condition=f"acc == {70000 + 50 * k + j}")
+            if j % 3:
+                rt.remove_breakpoint(bp.rec.id)
+
+    threads = [threading.Thread(target=churn, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+            sim.run(20_000)
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    sim.run(20_000)
+    registered = [] if rt._cb_id is None else [rt._cb_wake]
+    assert registered == ([rt._wake()] if rt.list_breakpoints() else [])
+    assert sim._wake == native.wake_program(registered, sim.design)
+    assert not hits
+    assert sim.stats()["native_cycles"] > 0
+    ref = Simulator(design.low, options=SessionOptions(fast=False))
+    ref.reset()
+    ref.poke("en", 1)
+    ref.poke("d", 1)
+    ref.run(sim.get_time() - 1)
+    _same(sim, ref)
 
 
 @needs_cc
