@@ -154,7 +154,7 @@ class Sweep(hgf.Module):
         regs = []
         for w in self.WIDTHS:
             r = self.reg(f"r{w}", w, init=0)
-            r <<= (r * 5 + 3)[w - 1 : 0]
+            r <<= ((r << 2) + r + 3)[w - 1 : 0]  # 5r + 3 within 128 bits
             regs.append((f"o{w}", w, r))
         z = self.reg("z", 64, init=0)
         z <<= ~z
@@ -183,14 +183,21 @@ def _random_ast(rng, depth):
 
 
 def _predicates():
-    """Six seeded trees rooted at every subset operator, and at ``!``."""
+    """Six seeded trees rooted at every subset operator and at ``!``, and
+    every comparison on operands that are equal on some cycles."""
     rng = random.Random(18)
     out = [
         Binary(op, _random_ast(rng, 2), _random_ast(rng, 2))
         for op in WAKE_BINARY_OPS
         for _ in range(6)
     ]
-    return out + [Unary("!", _random_ast(rng, 2)) for _ in range(6)]
+    out += [Unary("!", _random_ast(rng, 2)) for _ in range(6)]
+    edges = [("z", 2**64 - 1), ("h", 2**63), ("r2", 2), ("r64", None)]
+    return out + [
+        Binary(op, Name(name), Name(name) if value is None else Num(value))
+        for op in ("==", "!=", "<", "<=", ">", ">=")
+        for name, value in edges
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +258,9 @@ class TestWake:
         sim, fired = _sweep_run(sweep, ast, lambda s: s.run(_CYCLES))
         assert set(fired) <= set(reference)
         assert {t for t, v in fired if v} == holds
-        if native.kernel_for(sweep[1]) is None:
+        if native._compiler()[1] is None:
             return  # no compiler: run() stepped every cycle in Python
+        assert native.kernel_for(sweep[1]) is not None
         sim, fired = _sweep_run(
             sweep, ast, lambda s: [s.run(1) for _ in range(_CYCLES)]
         )
