@@ -37,7 +37,7 @@ import time
 import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
-from repro.sim import Simulator, numpy_available
+from repro.sim import SessionOptions, Simulator, numpy_available
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
 from conftest import TIMING_REPS, best_of as _best_of
@@ -65,7 +65,7 @@ def test_fastpath_poke_speedup(compiled_suite, capsys):
     _bench, design, _st = compiled_suite[("vvadd", False)]
     sims = {}
     for fast in (True, False):
-        sim = Simulator(design.low, fast=fast)
+        sim = Simulator(design.low, options=SessionOptions(fast=fast))
         sim.reset()
         _poke_workload(sim, 2)  # warm cone caches / interpreter equally
         sims[fast] = sim
@@ -144,7 +144,7 @@ def test_fastpath_batched_multi_poke_speedup(capsys):
     design = repro.compile(_ManyInputMix(_BATCH_INPUTS))
     sims = {}
     for label, fn in (("batched", _batched_workload), ("eager", _eager_workload)):
-        sim = Simulator(design.low, fast=True)
+        sim = Simulator(design.low, options=SessionOptions(fast=True))
         sim.reset()
         fn(sim, 2)  # warm the cone caches equally
         sims[label] = (sim, fn)
@@ -154,7 +154,7 @@ def test_fastpath_batched_multi_poke_speedup(capsys):
 
     # Identical stimulus must leave both schedules in identical state, and
     # both must match the full-comb reference over the same run count.
-    ref = Simulator(design.low, fast=False)
+    ref = Simulator(design.low, options=SessionOptions(fast=False))
     ref.reset()
     _batched_workload(ref, 2)
     for _ in range(TIMING_REPS):
@@ -300,7 +300,8 @@ def test_fastpath_vectorized_store_speedup(capsys):
     sims = {}
     for kind in (vec_kind, "list"):
         sim = Simulator(
-            design.low, snapshots=_STORE_SNAPSHOTS, fast=True, store=kind
+            design.low,
+            options=SessionOptions(snapshots=_STORE_SNAPSHOTS, fast=True, store=kind),
         )
         sim.reset()
         sim.step(4)  # warm cone caches, take the first snapshots
@@ -343,7 +344,7 @@ def test_fastpath_obs_disabled_overhead(compiled_suite, capsys):
     _bench, design, _st = compiled_suite[("vvadd", False)]
     sims = {}
     for mode in ("off", "metrics"):
-        sim = Simulator(design.low, fast=True, obs=mode)
+        sim = Simulator(design.low, options=SessionOptions(fast=True, obs=mode))
         sim.reset()
         _poke_workload(sim, 2)  # warm cone caches equally
         sims[mode] = sim
@@ -387,7 +388,7 @@ def test_fastpath_armed_stepping_report(capsys):
         ("fast", True, True),
         ("reference", False, False),
     ):
-        sim = Simulator(design.low, fast=fast)
+        sim = Simulator(design.low, options=SessionOptions(fast=fast))
         rt = Runtime(sim, st, lambda h: CONTINUE, compile_conditions=compiled)
         rt.attach()
         sim.reset()

@@ -7,7 +7,7 @@ performance is less important compared to the simulator interface"
 (Sec. 3.4).
 
 Measured: native vs RPC symbol table query latency; debugger protocol
-round-trip; simulator interface get_value cost.
+round-trip (one debug hub request); simulator interface get_value cost.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core import Runtime
-from repro.core.protocol import DebugClient, DebugServer
 from repro.cpu import RV32Core, assemble, benchmark_by_name
+from repro.hub import DebugHub, HubClient
 from repro.sim import Simulator
 from repro.symtable import (
     RPCSymbolTable,
@@ -78,12 +77,11 @@ def test_fig1_simulator_get_value(benchmark, cpu_setup):
 
 
 def test_fig1_debug_protocol_round_trip(benchmark, cpu_setup):
-    """One debugger request/response over the RPC protocol."""
-    design, st = cpu_setup
-    sim = Simulator(design.low)
-    rt = Runtime(sim, st)
-    with DebugServer(rt) as server:
-        client = DebugClient(*server.address)
-
-        benchmark(lambda: client.request("info", what="time"))
-        client.close()
+    """One debugger request/response over the debug protocol: a hub
+    session's ``get_time`` through :class:`HubClient`."""
+    design, _st = cpu_setup
+    with DebugHub(design) as hub:
+        host, port = hub.serve_background()
+        with HubClient(host, port) as client:
+            session = client.attach()
+            benchmark(session.get_time)

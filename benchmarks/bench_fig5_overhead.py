@@ -10,13 +10,20 @@ no breakpoint is inserted.
 normalized to the baseline, and asserts the hgdb overhead bound (with CI
 head-room: the paper's bound is 5%, we assert 30% per benchmark and 10%
 on the suite geomean for a Python-process-noise margin and report the
-measured numbers).  An idle runtime registers no clock callback at all
+measured numbers).  Each (program, build) is compiled once and every
+simulator reuses that ``CompiledDesign``, as a debug session does, so a
+run times the simulation rather than the native kernel's lookup.  A
+single native run takes well under a millisecond, so one sample is a
+batch of runs with the configurations taking turns run by run.  An idle
+runtime registers no clock callback at all
 (``tests/core/test_runtime.py`` checks that structurally), so what the
 idle columns read is the estimator's noise floor.  The table also
 reports, without asserting it, an *armed* column: a breakpoint on the
 register-file writeback whose condition never holds, evaluated at every
 writeback — by the native kernel, which returns to Python only on cycles
-where it holds, so the column reads near the idle one.
+where it holds, so the column reads the kernel's per-cycle cost of
+interpreting the breakpoint's wake program (15-25% over a run that
+interprets none).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import pytest
 
 from repro.core import Runtime
 from repro.cpu import RV32Core
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator, compile_design
 
 BENCH_NAMES = [
     "multiply", "mm", "mt-matmul", "vvadd", "qsort",
@@ -42,6 +49,8 @@ if _SMOKE:
     BENCH_NAMES = BENCH_NAMES[:2]
 
 _REPEATS = 1 if _SMOKE else 5
+#: runs per timed sample in the Fig. 5 table
+_BATCH = 1 if _SMOKE else 40
 _MAX_CYCLES = 100_000
 #: The armed column's breakpoint: a PC no suite program reaches.
 _ARMED_CONDITION = "pc == 0xFFFFFFF0"
@@ -57,10 +66,23 @@ def _writeback_line() -> tuple[str, int]:
     raise LookupError("register-file writeback not found")
 
 
-def _run_once(bench, design, st, hgdb, fast: bool = True) -> tuple[float, int]:
+@pytest.fixture(scope="module")
+def compiled_designs(compiled_suite):
+    """{(bench name, debug): CompiledDesign}, compiled once per module."""
+    return {
+        key: compile_design(design.low, None)
+        for key, (_bench, design, _st) in compiled_suite.items()
+    }
+
+
+def _run_once(
+    bench, design, compiled, st, hgdb, fast: bool = True
+) -> tuple[float, int]:
     """One measured simulation run; returns (seconds, cycles).  ``hgdb``
     is False (detached), True (attached, idle) or ``"armed"``."""
-    sim = Simulator(design.low, fast=fast)
+    sim = Simulator(
+        design.low, compiled=compiled, options=SessionOptions(fast=fast)
+    )
     if hgdb:
         rt = Runtime(sim, st)
         rt.attach()
@@ -75,30 +97,36 @@ def _run_once(bench, design, st, hgdb, fast: bool = True) -> tuple[float, int]:
     return dt, sim.get_time()
 
 
-def _measure_configs(bench, configs, repeats: int = _REPEATS) -> list[float]:
-    """Best-of-N for several configurations, *interleaved* so machine-load
-    drift affects all configurations equally (the comparison is relative).
-    Each configuration is ``(design, st, hgdb)`` or ``(design, st, hgdb,
-    fast)``."""
+def _measure_configs(
+    bench, configs, repeats: int = _REPEATS, batch: int = 1
+) -> list[float]:
+    """Best-of-N for several configurations.  One sample of a
+    configuration is the summed time of ``batch`` runs, and within a
+    sample the configurations take turns run by run, so machine-load
+    drift affects all of them equally (the comparison is relative).  Each
+    configuration is ``(design, compiled, st, hgdb)`` or ``(design,
+    compiled, st, hgdb, fast)``."""
     best = [float("inf")] * len(configs)
     for _ in range(repeats):
-        for i, cfg in enumerate(configs):
-            dt, _cycles = _run_once(bench, *cfg)
-            if dt < best[i]:
-                best[i] = dt
+        sample = [0.0] * len(configs)
+        for _ in range(batch):
+            for i, cfg in enumerate(configs):
+                sample[i] += _run_once(bench, *cfg)[0]
+        best = [min(b, s) for b, s in zip(best, sample, strict=True)]
     return best
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
 @pytest.mark.parametrize("config", ["baseline", "baseline+hgdb", "debug", "debug+hgdb"])
-def test_fig5_point(benchmark, compiled_suite, name, config):
+def test_fig5_point(benchmark, compiled_suite, compiled_designs, name, config):
     """One (benchmark, configuration) cell of Fig. 5."""
     debug = config.startswith("debug")
     hgdb = config.endswith("hgdb")
     bench, design, st = compiled_suite[(name, debug)]
+    compiled = compiled_designs[(name, debug)]
 
     def setup():
-        sim = Simulator(design.low)
+        sim = Simulator(design.low, compiled=compiled)
         if hgdb:
             rt = Runtime(sim, st)
             rt.attach()
@@ -112,7 +140,7 @@ def test_fig5_point(benchmark, compiled_suite, name, config):
     benchmark.pedantic(run, setup=setup, rounds=3)
 
 
-def test_fig5_table(benchmark, compiled_suite, capsys):
+def test_fig5_table(benchmark, compiled_suite, compiled_designs, capsys):
     """Regenerate the full Fig. 5 table and check the overhead claim."""
 
     rows: list[tuple[str, float, float, float, float, float]] = []
@@ -122,15 +150,18 @@ def test_fig5_table(benchmark, compiled_suite, capsys):
         for name in BENCH_NAMES:
             bench, d_opt, st_opt = compiled_suite[(name, False)]
             _b, d_dbg, st_dbg = compiled_suite[(name, True)]
+            c_opt = compiled_designs[(name, False)]
+            c_dbg = compiled_designs[(name, True)]
             base, base_hgdb, dbg, dbg_hgdb, armed = _measure_configs(
                 bench,
                 [
-                    (d_opt, st_opt, False),
-                    (d_opt, st_opt, True),
-                    (d_dbg, st_dbg, False),
-                    (d_dbg, st_dbg, True),
-                    (d_opt, st_opt, "armed"),
+                    (d_opt, c_opt, st_opt, False),
+                    (d_opt, c_opt, st_opt, True),
+                    (d_dbg, c_dbg, st_dbg, False),
+                    (d_dbg, c_dbg, st_dbg, True),
+                    (d_opt, c_opt, st_opt, "armed"),
                 ],
+                batch=_BATCH,
             )
             rows.append((name, base, base_hgdb, dbg, dbg_hgdb, armed))
 
@@ -172,10 +203,10 @@ def test_fig5_table(benchmark, compiled_suite, capsys):
     if _SMOKE:
         return  # single-repeat smoke runs are too noisy for the bounds
 
-    # The paper's qualitative claims.  Bounds carry CI head-room: each run
-    # is only tens of milliseconds of Python, so individual cells see
-    # ±10-20% process noise when the whole benchmark suite runs in one
-    # batch; measured in isolation the geomean is ~2-5% (EXPERIMENTS.md).
+    # The paper's qualitative claims.  Bounds carry CI head-room: a
+    # sample is a batch of sub-millisecond native runs, so individual
+    # cells still see process noise when the whole benchmark suite runs
+    # in one batch.
     for name, base, base_h, dbg, dbg_h, _armed in rows:
         assert base_h / base - 1 < 0.30, f"{name}: baseline hgdb overhead too high"
         assert dbg_h / dbg - 1 < 0.30, f"{name}: debug hgdb overhead too high"
@@ -185,12 +216,13 @@ def test_fig5_table(benchmark, compiled_suite, capsys):
     assert geo_d < 0.10, "suite-wide debug overhead exceeds claim margin"
 
 
-def test_fig5_fast_vs_reference(compiled_suite, capsys):
-    """Fast-vs-reference rows: the dirty-set engine on the same free-running
-    workload as Fig. 5.  Free runs are clock-edge dominated (the tick cone
-    covers nearly the whole CPU datapath), so the expectation is parity —
-    the large wins live in the poke/condition paths (bench_fastpath.py);
-    this row guards against the fast path *regressing* plain simulation."""
+def test_fig5_fast_vs_reference(compiled_suite, compiled_designs, capsys):
+    """Fast-vs-reference rows on the same free-running workload as Fig. 5.
+    With ``fast=True`` and nothing observing single cycles, ``run()``
+    hands the whole budget to the native C kernel, so the "fast" side
+    runs native against the Python reference and the ratio reads far
+    below parity (0.01-0.04 on a 2-CPU container); this row guards
+    against the fast tier *regressing* plain simulation."""
     names = BENCH_NAMES[:1] if _SMOKE else BENCH_NAMES[:4]
     lines = [
         "",
@@ -200,8 +232,13 @@ def test_fig5_fast_vs_reference(compiled_suite, capsys):
     ratios = []
     for name in names:
         bench, design, st = compiled_suite[(name, False)]
+        compiled = compiled_designs[(name, False)]
         ref, fast = _measure_configs(
-            bench, [(design, st, False, False), (design, st, False, True)]
+            bench,
+            [
+                (design, compiled, st, False, False),
+                (design, compiled, st, False, True),
+            ],
         )
         ratios.append(fast / ref)
         lines.append(f"{name:12s} {ref * 1e3:9.1f}ms {fast * 1e3:9.1f}ms {fast / ref:7.3f}")

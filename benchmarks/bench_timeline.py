@@ -29,7 +29,7 @@ import os
 
 import repro
 import repro.hgf as hgf
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.sim.store import numpy_available
 
 from conftest import best_of
@@ -78,9 +78,9 @@ def _windows_at_budget(design, store_kind: str = "array"):
     for codec in ("raw", "rle"):
         sim = Simulator(
             design.low,
-            snapshot_bytes=_BUDGET,
-            snapshot_codec=codec,
-            store=store_kind,
+            options=SessionOptions(
+                snapshot_bytes=_BUDGET, snapshot_codec=codec, store=store_kind
+            ),
         )
         sim.reset()
         sim.step(_CYCLES)
@@ -135,8 +135,12 @@ def test_timeline_rewind_bit_identical_across_backends(capsys):
     backends = ["list", "array"] + (["numpy"] if numpy_available() else [])
     sims = []
     for kind in backends:
-        sim = Simulator(design.low, snapshots=64, snapshot_codec="rle",
-                        keyframe_every=16, store=kind)
+        sim = Simulator(
+            design.low,
+            options=SessionOptions(
+                snapshots=64, snapshot_codec="rle", keyframe_every=16, store=kind
+            ),
+        )
         sim.reset()
         sim.step(100 if not _SMOKE else 30)
         sims.append(sim)
@@ -165,10 +169,12 @@ def test_timeline_rewind_latency_report(capsys):
     for label, kf in (("no keyframes", 0), ("keyframe every 32", 32)):
         sim = Simulator(
             design.low,
-            snapshots=_LAT_WINDOW,
-            snapshot_codec="rle",
-            keyframe_every=kf,
-            store="array",
+            options=SessionOptions(
+                snapshots=_LAT_WINDOW,
+                snapshot_codec="rle",
+                keyframe_every=kf,
+                store="array",
+            ),
         )
         sim.reset()
         sim.step(_LAT_WINDOW + 50)

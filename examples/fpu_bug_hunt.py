@@ -18,14 +18,14 @@ from repro.fpu import (
     compare_op,
     float_to_bits,
 )
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
 
 def main() -> None:
     # --- 1. the testbench notices a mismatch -----------------------------
     design = repro.compile(FpuCmp(buggy=True))
-    sim = Simulator(design.low, snapshots=32)
+    sim = Simulator(design.low, options=SessionOptions(snapshots=32))
 
     a, b, rm = QNAN, float_to_bits(1.0), RM_FEQ  # feq(qNaN, 1.0)
     sim.reset()

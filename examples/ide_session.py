@@ -16,7 +16,7 @@ import repro
 import repro.hgf as hgf
 from repro.client import DapAdapter, ScriptedDapSession
 from repro.core import Runtime
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
 
@@ -50,7 +50,7 @@ class Simd4(hgf.Module):
 
 def main() -> None:
     design = repro.compile(Simd4())
-    sim = Simulator(design.low, snapshots=32)
+    sim = Simulator(design.low, options=SessionOptions(snapshots=32))
     runtime = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)))
     adapter = DapAdapter(runtime)
 

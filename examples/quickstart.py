@@ -7,7 +7,7 @@ import repro
 import repro.hgf as hgf
 from repro.client import ConsoleDebugger
 from repro.core import Runtime
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
 
@@ -48,7 +48,7 @@ def main() -> None:
     print("\n".join(design.verilog().splitlines()[:16]))
 
     # 3. Simulate with the hgdb runtime attached.
-    sim = Simulator(design.low, snapshots=128)
+    sim = Simulator(design.low, options=SessionOptions(snapshots=128))
     symtable = SQLiteSymbolTable(write_symbol_table(design))
     runtime = Runtime(sim, symtable)
 

@@ -178,13 +178,13 @@ def _cmd_shard(args) -> int:
     import json
 
     import repro
-    from .hub import SessionOptions
     from .shard import (
         BreakpointSpec,
         RetryPolicy,
         ShardSession,
         WatchSpec,
     )
+    from .sim import SessionOptions
 
     factory = load_design_factory(args.factory)
     if factory is None:

@@ -2,14 +2,14 @@
 
 ``Runtime`` bridges a simulation backend and a symbol table, emulating
 breakpoints at clock edges with SSA-derived enable conditions, scheduling
-them in lexical order (forward or reverse), reconstructing source-level
-stack frames, and serving debugger clients over an RPC protocol.
+them in lexical order (forward or reverse), and reconstructing
+source-level stack frames.  Debugger clients reach it through the
+session API and the debug hub's wire (:mod:`repro.hub`).
 """
 
 from .expr_eval import ExprError, evaluate_str, parse
 from .frames import Frame, FrameBuilder, VariableView, build_variable_tree
 from .matching import MatchError, locate_instance
-from .protocol import DebugClient, DebugServer
 from .runtime import (
     CONTINUE,
     DETACH,
@@ -30,8 +30,6 @@ __all__ = [
     "Command",
     "CommandKind",
     "DETACH",
-    "DebugClient",
-    "DebugServer",
     "DebuggerError",
     "ExprError",
     "Frame",

@@ -7,22 +7,16 @@ decoupled-debugger architecture at "debug service" scale instead of one
 process per engineer.  See ``docs/hub.md``.
 
 The light half of the package — the :class:`SessionHandle` protocol,
-:class:`SessionOptions`, :class:`StopInfo`, :class:`LocalSession` — lives
-in :mod:`repro.hub.api` and imports eagerly (the simulator itself depends
-on it for options resolution).  The server/client halves pull in asyncio
-and sockets and load lazily.
+:class:`StopInfo`, :class:`LocalSession` — lives in :mod:`repro.hub.api`
+and imports eagerly; :class:`SessionOptions` is
+:class:`repro.sim.SessionOptions`, re-exported.  The server/client halves
+pull in asyncio and sockets and load lazily.
 """
 
 from __future__ import annotations
 
-from .api import (
-    LocalSession,
-    SessionError,
-    SessionHandle,
-    SessionOptions,
-    StopInfo,
-    resolve_session_options,
-)
+from ..sim.engine import SessionOptions
+from .api import LocalSession, SessionError, SessionHandle, StopInfo
 
 __all__ = [
     "LocalSession",
@@ -30,7 +24,6 @@ __all__ = [
     "SessionHandle",
     "SessionOptions",
     "StopInfo",
-    "resolve_session_options",
     "DebugHub",
     "DebugSession",
     "HubClient",

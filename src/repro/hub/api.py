@@ -18,20 +18,16 @@ peek/poke, breakpoints, history, stats — and every backend implements it:
 Front ends in ``repro.client`` drive only this protocol — the same console
 works against a live simulator, a replayed trace, or a remote hub session.
 
-:class:`SessionOptions` is the one shared session configuration record
-(store / obs / strict / snapshot budget) accepted by ``Simulator``,
-``ShardSession``, and the hub server, replacing the per-constructor kwarg
-drift; the legacy keywords keep working behind a ``DeprecationWarning``
-(see :func:`resolve_session_options`).
+The one session configuration record, :class:`~repro.sim.SessionOptions`,
+lives beside the simulator; :mod:`repro.hub` re-exports it.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from ..core.runtime import (
     CONTINUE,
@@ -48,66 +44,6 @@ from ..sim.interface import SimulatorError
 
 class SessionError(Exception):
     """Raised on invalid session operations (wrong state, no capability)."""
-
-
-# -- shared session configuration ------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SessionOptions:
-    """The one session configuration record shared across the stack.
-
-    ``Simulator``, ``ShardSession``, and the hub server all accept
-    ``options=SessionOptions(...)`` instead of re-declaring these keywords
-    with subtly different defaults.  Field semantics match the historical
-    ``Simulator`` kwargs they replace (see ``repro.sim.engine``).
-    """
-
-    store: str | None = None        #: value-store backend ($REPRO_VALUE_STORE)
-    obs: object = None              #: observability depth ($REPRO_OBS)
-    strict: object = None           #: compile-time lint gate ($REPRO_LINT)
-    fast: bool = True               #: incremental-cone settle path
-    snapshots: int = 0              #: retained history entries (0 = off)
-    snapshot_bytes: int | None = None   #: byte-bounded history retention
-    snapshot_codec: str | None = None   #: timeline delta codec (raw/rle)
-    keyframe_every: int = 0         #: periodic full keyframes
-
-
-# Legacy-kwarg deprecation is reported once per (owner, keyword-set) per
-# process: the suite constructs thousands of simulators and a warning per
-# call would drown real output without adding information.
-_LEGACY_WARNED: set[str] = set()
-
-
-def resolve_session_options(
-    options: SessionOptions | None,
-    legacy: dict,
-    owner: str,
-) -> SessionOptions:
-    """Fold explicitly-passed legacy kwargs into a :class:`SessionOptions`.
-
-    ``legacy`` holds only the keywords the caller actually supplied.  Any
-    such keyword is deprecated in favor of ``options=`` and reports a
-    :class:`DeprecationWarning` (once per owner/keyword-set per process);
-    its value still wins over the corresponding ``options`` field, so old
-    call sites keep their exact behavior.
-    """
-    known = {f.name for f in fields(SessionOptions)}
-    unknown = set(legacy) - known
-    if unknown:
-        raise TypeError(f"{owner}: unknown session option(s) {sorted(unknown)}")
-    if legacy:
-        tag = f"{owner}:{','.join(sorted(legacy))}"
-        if tag not in _LEGACY_WARNED:
-            _LEGACY_WARNED.add(tag)
-            warnings.warn(
-                f"{owner}({', '.join(sorted(legacy))}=...) is deprecated; "
-                f"pass options=SessionOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    base = options if options is not None else SessionOptions()
-    return replace(base, **legacy) if legacy else base
 
 
 # -- stop reporting ---------------------------------------------------------
@@ -363,10 +299,11 @@ class LocalSession(SessionHandle):
     run-control surface owns a pump thread driving
     ``sim.run_cycles(...)``.  When a breakpoint hits, the runtime's
     synchronous ``on_hit`` callback serializes the stop, parks the pump on
-    a command queue (exactly the blocking-VPI-callback shape of
-    ``core/protocol.py``), and the client-side control call returns the
-    :class:`StopInfo`.  While stopped, data operations from the client
-    thread see stable, settled state — gdb at a ptrace stop.
+    a command queue (the blocking-VPI-callback shape: the simulator stays
+    inside its clock callback until the client's next command), and the
+    client-side control call returns the :class:`StopInfo`.  While
+    stopped, data operations from the client thread see stable, settled
+    state — gdb at a ptrace stop.
 
     Front ends that keep the classic passive shape (the embedding test
     drives ``sim.step`` and owns ``runtime.on_hit``) can use a
@@ -478,7 +415,8 @@ class LocalSession(SessionHandle):
         if timeline is None:
             raise SessionError(
                 "no timeline: this backend keeps no history (construct the "
-                "simulator with snapshots=N or snapshot_bytes=N)"
+                "simulator with options=SessionOptions(snapshots=N or "
+                "snapshot_bytes=N))"
             )
         path = self.runtime._resolve_watch_path(name, None)
         # Bound the walk up front: each sample is one set_time hop, and a
@@ -597,8 +535,8 @@ class LocalSession(SessionHandle):
         return self._resume(REVERSE_CONTINUE)
 
     def pause(self) -> None:
-        # Async by design (protocol.py's "pause" shape): the blocked
-        # control call collects the resulting StopInfo.
+        # Async by design: the runtime stops at the next clock edge, and
+        # the blocked control call collects the resulting StopInfo.
         if self._state == "running":
             self.runtime.request_pause()
 

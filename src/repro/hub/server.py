@@ -1,4 +1,10 @@
-"""The debug hub: compile once, debug many (ROADMAP's debug-service shape).
+"""The debug hub: compile once, debug many — and the hgdb debugging
+protocol (paper Sec. 3.5).
+
+Debugger tools reach the runtime over an RPC protocol "similar to gdb
+remote protocol"; this server is that protocol, and the only remote-debug
+transport in the package (the original uses WebSockets; the protocol
+*content* is what matters).
 
 :class:`DebugHub` elaborates, lints, and compiles one design and then
 multiplexes any number of concurrent debug sessions over the hot
@@ -41,9 +47,8 @@ import time
 
 from ..obs import make_obs
 from ..shard.wire import decode_message, encode_line
-from ..sim.compiler import compile_design
+from ..sim.engine import SessionOptions, compile_gated
 from ..symtable.writer import write_symbol_table
-from .api import SessionOptions, resolve_session_options
 from .session import DebugSession
 
 PROTOCOL_VERSION = 1
@@ -69,8 +74,7 @@ class DebugHub:
             (None disables eviction).
         obs: hub-side observability (``repro.obs``): sessions-active
             gauge, attach count/latency, per-session cycle counter.
-        legacy session keywords (``snapshots=``, ``store=``, ...) are
-            accepted like ``Simulator``'s, with the same deprecation.
+            Sessions take theirs from ``options.obs``.
     """
 
     def __init__(
@@ -81,9 +85,9 @@ class DebugHub:
         idle_ttl: float | None = None,
         obs=None,
         options: SessionOptions | None = None,
-        **legacy,
     ):
-        options = resolve_session_options(options, legacy, "DebugHub")
+        if options is None:
+            options = SessionOptions()
         low = getattr(design, "low", None)
         if low is None:
             raise HubError(
@@ -98,25 +102,20 @@ class DebugHub:
         # Serving a design to many engineers: lint it like a release
         # artifact.  strict=None (the SessionOptions default) hardens to
         # "error" here; an explicit strict (e.g. "warn", "off") wins.
-        from ..lint.engine import GATE_OFF, gate_circuit, resolve_gate
-
         strict = options.strict if options.strict is not None else "error"
-        mode = resolve_gate(strict)
-        if mode != GATE_OFF:
-            gate_circuit(self.circuit, mode, form="low",
-                         design=self.design_name)
+        self.compiled = compile_gated(
+            self.circuit, None, strict, self.obs, span="hub.compile"
+        )
         # Sessions must not re-gate what the hub just vetted (and their
         # simulators reuse `compiled` anyway, which skips the gate).
         self.options = dataclasses.replace(options, strict="off")
-        with self.obs.span("hub.compile", design=self.design_name):
-            self.compiled = compile_design(self.circuit, None)
-            # One on-disk symbol table; every session opens its own
-            # sqlite connection to it (connections don't cross threads).
-            fd, self._symtable_path = tempfile.mkstemp(
-                prefix=f"hgdb-hub-{self.design_name}-", suffix=".db"
-            )
-            os.close(fd)
-            write_symbol_table(design, self._symtable_path).close()
+        # One on-disk symbol table; every session opens its own sqlite
+        # connection to it (connections don't cross threads).
+        fd, self._symtable_path = tempfile.mkstemp(
+            prefix=f"hgdb-hub-{self.design_name}-", suffix=".db"
+        )
+        os.close(fd)
+        write_symbol_table(design, self._symtable_path).close()
 
         self._sessions: dict[int, DebugSession] = {}
         self._next_sid = 1

@@ -22,9 +22,9 @@ from __future__ import annotations
 import time as _time
 
 from ..core.runtime import Runtime
-from ..sim.engine import Simulator
+from ..sim.engine import SessionOptions, Simulator
 from ..symtable.query import SQLiteSymbolTable
-from .api import LocalSession, SessionError, SessionOptions, StopInfo
+from .api import LocalSession, SessionError, StopInfo
 
 #: SessionHandle methods reachable over the wire, by name.  An allowlist,
 #: not getattr-anything: the transport must never expose internals.

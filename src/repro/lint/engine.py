@@ -14,7 +14,7 @@ diagnostic types; ``Linter.lint`` includes their findings by default so
 ``repro lint`` shows form errors and style findings in one sorted report.
 
 The compile-time gate (:func:`gate_circuit`, driven by
-``Simulator(strict=...)`` and ``$REPRO_LINT``) turns findings into a
+``SessionOptions(strict=...)`` and ``$REPRO_LINT``) turns findings into a
 :class:`LintWarning` or — for error severity under ``"error"`` mode — a
 raised :class:`LintError`.
 """
@@ -237,7 +237,7 @@ def lint_circuit(
 
 
 def resolve_gate(strict=None) -> str:
-    """Normalize a ``Simulator(strict=...)`` value / ``$REPRO_LINT`` to a
+    """Normalize a ``SessionOptions(strict=...)`` value / ``$REPRO_LINT`` to a
     gate mode: ``"off"`` | ``"warn"`` | ``"error"``.
 
     ``None`` reads ``$REPRO_LINT`` (default off).  Booleans map to

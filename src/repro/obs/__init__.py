@@ -20,7 +20,7 @@ per-cycle hot path:
 ``Obs``
     the facade the instrumented layers hold.  Depth is selected by
     ``$REPRO_OBS=off|metrics|trace``, ``configure(mode)``, or an explicit
-    ``Simulator(obs=...)`` / ``ShardSession(obs=...)`` argument.  The
+    ``SessionOptions(obs=...)`` / ``DebugHub(obs=...)`` argument.  The
     disabled mode is a true no-op fast path: hot loops increment plain
     Python ints unconditionally (cheaper than any guard) and everything
     else is an attribute check against the ``NULL_OBS`` singleton.

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from ..obs import make_obs
 from ..sim.compiler import compile_design
+from ..sim.engine import SessionOptions
 from ..symtable.rpc import SymbolTableServer
 from ..symtable.writer import write_symbol_table
 from ..symtable.query import SQLiteSymbolTable
@@ -55,10 +56,6 @@ from .supervise import (
 )
 from .wire import WireError, decode_line
 from .worker import run_shard, run_world_group, worker_main
-
-
-#: distinguishes "kwarg not passed" from an explicit value (None included)
-_UNSET = object()
 
 
 def default_workers(n_shards: int) -> int:
@@ -130,38 +127,24 @@ class ShardSession:
             ``write_symbol_table(design)`` for a ``Design``.
         workers: pool size for :meth:`run`.  ``None`` sizes to the machine
             (:func:`default_workers`); ``0`` forces inline execution.
-        fast: forwarded to each worker's ``Simulator`` (deprecated; pass
-            ``options=SessionOptions(fast=...)``).
         compiled: reuse an existing ``CompiledDesign`` (e.g. the one a
             live console session is already running) instead of compiling
             the circuit again; this also preserves its ``top_path``.
-        obs: observability depth (``repro.obs``): an ``Obs``, a mode
-            string, or None (``configure``/``$REPRO_OBS``).  Deprecated;
-            pass ``options=SessionOptions(obs=...)``.  The session
-            holds the **coordinator-side** telemetry — attempt/retry/
-            termination counts, the heartbeat gap histogram, sweep and
-            per-attempt spans — while each worker (forked or inline)
-            builds its own per-shard ``Obs`` from the same mode; the
-            aggregated :class:`ShardReport` merges both sides, and
+        options: a :class:`repro.sim.SessionOptions` — the shared session
+            configuration record.  ``fast`` is forwarded to each worker's
+            ``Simulator``; other fields are per-shard and come from the
+            :class:`ShardSpec`.  ``obs`` sets the observability depth: the
+            session holds the **coordinator-side** telemetry —
+            attempt/retry/termination counts, the heartbeat gap histogram,
+            sweep and per-attempt spans — while each worker (forked or
+            inline) builds its own per-shard ``Obs`` from the same mode;
+            the aggregated :class:`ShardReport` merges both sides, and
             ``report.write_chrome_trace`` puts them on one timeline.
-        options: a :class:`repro.hub.SessionOptions` — the shared session
-            configuration record (``fast``/``obs`` here; other fields are
-            per-shard and come from the :class:`ShardSpec`).
     """
 
     def __init__(self, design, symtable=None, workers: int | None = None,
-                 fast=_UNSET, compiled=None, obs=_UNSET, options=None):
-        # Imported here (not at module top) to keep this package importable
-        # in any order relative to repro.hub (which lazily imports us for
-        # SessionHandle.shard_sweep).
-        from ..hub.api import resolve_session_options
-
-        legacy = {}
-        if fast is not _UNSET:
-            legacy["fast"] = fast
-        if obs is not _UNSET:
-            legacy["obs"] = obs
-        opt = resolve_session_options(options, legacy, "ShardSession")
+                 compiled=None, options: SessionOptions | None = None):
+        opt = options if options is not None else SessionOptions()
         self.options = opt
         self.obs = make_obs(opt.obs, proc="coordinator")
         low = getattr(design, "low", None)

@@ -21,9 +21,8 @@ import time
 
 from ..core.runtime import HitRecorder, Runtime
 from ..faults import FaultInjector, corrupt_line
-from ..hub.api import SessionOptions
 from ..obs import make_obs
-from ..sim.engine import Simulator
+from ..sim.engine import SessionOptions, Simulator
 from ..sim.manyworlds import ManyWorldsSimulator, make_sweep_stimulus
 from ..sim.store import numpy_available
 from ..symtable.query import SymbolTableInterface

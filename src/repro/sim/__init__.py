@@ -12,7 +12,7 @@ from .compiler import (
     compile_design,
     compile_vector,
 )
-from .engine import Simulator
+from .engine import SessionOptions, Simulator
 from .manyworlds import ManyWorldsSimulator, make_sweep_stimulus
 from .interface import (
     HierNode,
@@ -52,6 +52,7 @@ __all__ = [
     "MatrixStore",
     "Monitor",
     "NumpyStore",
+    "SessionOptions",
     "SignalInfo",
     "SimulationFinished",
     "Simulator",

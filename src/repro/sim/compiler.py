@@ -100,8 +100,8 @@ class CompiledDesign:
     """Everything the engine needs to run the flattened design.
 
     Beyond the monolithic ``comb``/``tick`` functions (the reference path),
-    the design carries enough per-assignment metadata — topo order, dependency
-    sets, levelized blocks — to compile *fanout cones*: for any set of changed
+    the design carries enough per-assignment metadata — levelized topo order,
+    dependency sets — to compile *fanout cones*: for any set of changed
     signals, a function that re-evaluates only the affected assignments in
     topo order.  Cones are computed and compiled lazily and cached, so a
     poke-heavy testbench pays for each distinct stimulus signal once.
@@ -141,11 +141,6 @@ class CompiledDesign:
     effects: list[tuple[str, Stop | Printf]] = field(default_factory=list)
     order_deps: list[frozenset] = field(default_factory=list)
     order_reads_mem: list[bool] = field(default_factory=list)
-    # Level structure of the schedule: same-level assignments are mutually
-    # independent.  Introspection / future multi-seed cone batching (see
-    # ROADMAP); the cone machinery itself only relies on the level *sort*.
-    order_level: list[int] = field(default_factory=list)
-    level_blocks: list[tuple[int, int]] = field(default_factory=list)
     state_indices: tuple[int, ...] = ()
     namespace: dict = field(default_factory=dict)
     _pos_of_target: dict[int, int] = field(default_factory=dict)
@@ -674,10 +669,10 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
                     )
                 )
 
-    # Topological sort of combinational assignments, then levelize: each
-    # assignment's level is one past the deepest combinational input it
-    # reads.  Re-ordering by level is still a valid topo order (same-level
-    # assignments are independent) and partitions the schedule into blocks.
+    # Topological sort of combinational assignments, then sort by level:
+    # each assignment's level is one past the deepest combinational input
+    # it reads.  Re-ordering by level is still a valid topo order (same-level
+    # assignments are independent).
     order = _topo_sort(assignments, dep_map, assigned, signals)
     level_of: dict[int, int] = {}
     for target, _code, _path in order:
@@ -689,13 +684,6 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     order_code = [c for _t, c, _p in order]
     order_deps = [frozenset(dep_map[t]) for t in order_targets]
     order_reads_mem = [reads_mem[t] for t in order_targets]
-    order_level = [level_of[t] for t in order_targets]
-    level_blocks: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(order_level) + 1):
-        if i == len(order_level) or order_level[i] != order_level[start]:
-            level_blocks.append((start, i))
-            start = i
 
     comb_lines = ["def comb(v, w, m):"]
     if not order:
@@ -805,8 +793,6 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         effects=effects,
         order_deps=order_deps,
         order_reads_mem=order_reads_mem,
-        order_level=order_level,
-        level_blocks=level_blocks,
         state_indices=state_indices,
         namespace=namespace,
         _pos_of_target={t: p for p, t in enumerate(order_targets)},

@@ -31,7 +31,7 @@ table or whole memories) and eviction folds the head keyframe forward in
 O(delta).  See ``docs/time_travel.md``.
 
 Signal values live in a pluggable :class:`~repro.sim.store.ValueStore`
-(``Simulator(store=...)`` / ``$REPRO_VALUE_STORE``): the plain-list
+(``SessionOptions(store=...)`` / ``$REPRO_VALUE_STORE``): the plain-list
 reference backend by default — the fastest scalar store on the paper's
 workloads, and the one the property tests pin every other backend
 against — typed 64-bit lanes, or a zero-copy numpy view for vectorized
@@ -60,6 +60,7 @@ import itertools
 import threading
 from array import array
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 from ..ir.stmt import Circuit
 from ..obs import make_obs
@@ -74,9 +75,6 @@ from .interface import (
 from .store import LANE_BITS, ValueStore, make_store
 from .timeline import Timeline, TimelineError
 
-# Sentinel distinguishing "caller passed this legacy kwarg" from its
-# default, so options= and the deprecated keywords can coexist.
-_UNSET = object()
 #: ``run()`` steps in chunks of this many cycles; after the native kernel
 #: returns early, Python finishes the chunk it stopped in.
 _CHUNK = 1024
@@ -108,6 +106,77 @@ class _PrintfDispatcher:
         self._tls.sink(index, *args)
 
 
+@dataclass(frozen=True, slots=True)
+class SessionOptions:
+    """The one session configuration record shared across the stack.
+
+    ``Simulator``, ``ManyWorldsSimulator``, ``ShardSession`` and the debug
+    hub take their session settings only as ``options=SessionOptions(...)``;
+    ``options=None`` means ``SessionOptions()``.
+    """
+
+    #: value-table backend name: ``"list"``, ``"array"``, ``"numpy"``, or
+    #: ``"auto"`` (``"list"``, the fastest scalar backend on the paper's
+    #: workloads).  None defers to ``$REPRO_VALUE_STORE``, then
+    #: ``"auto"``.  See :mod:`repro.sim.store`.
+    store: str | None = None
+    #: observability depth (:mod:`repro.obs`): an :class:`~repro.obs.Obs`
+    #: to share (how a shard worker's simulator reports into the shard's
+    #: registry), a mode string (``"off"``/``"metrics"``/``"trace"``), or
+    #: None to defer to ``repro.obs.configure`` then ``$REPRO_OBS``
+    #: (default off).  The hot path is identical in every mode: per-cycle
+    #: work bumps always-on plain ints and a registry collector folds them
+    #: into metrics only when a snapshot is taken.
+    obs: object = None
+    #: compile-time lint gate (:mod:`repro.lint`).  None defers to
+    #: ``$REPRO_LINT`` (default off); ``"warn"`` runs the linter and
+    #: reports findings as a ``LintWarning``; ``"error"`` (or True)
+    #: additionally raises ``LintError`` on error-severity findings (e.g.
+    #: a combinational cycle) before compiling.  The gate only runs where
+    #: the circuit is compiled — a shared ``compiled`` design is assumed
+    #: already vetted.
+    strict: object = None
+    #: the dirty-set incremental comb path.  False re-runs the full
+    #: ``comb`` function on every stimulus change — the reference
+    #: semantics the fast path is tested against.
+    fast: bool = True
+    #: how many per-cycle state snapshots to retain; 0 (with no
+    #: ``snapshot_bytes``) disables ``set_time``.
+    snapshots: int = 0
+    #: retain history up to ~this many bytes instead of (or in addition
+    #: to) an entry count — with the ``rle`` codec this is how long rewind
+    #: windows stay cheap.
+    snapshot_bytes: int | None = None
+    #: timeline delta codec — ``"raw"`` (store-native, the default),
+    #: ``"rle"`` (run-length-encoded, ~an order of magnitude smaller on
+    #: register-sparse designs), or None to defer to
+    #: ``$REPRO_TIMELINE_CODEC``.
+    snapshot_codec: str | None = None
+    #: insert a full timeline keyframe every K retained cycles (bounds
+    #: rewind latency to K delta replays); 0 keeps only the folded head
+    #: keyframe.
+    keyframe_every: int = 0
+
+
+def compile_gated(
+    circuit: Circuit,
+    top_path: str | None,
+    strict,
+    obs,
+    span: str = "sim.compile",
+) -> CompiledDesign:
+    """Lint-gate ``circuit`` at ``strict`` (see
+    :attr:`SessionOptions.strict`), then compile it inside an ``obs`` span
+    named ``span``."""
+    from ..lint.engine import GATE_OFF, gate_circuit, resolve_gate
+
+    mode = resolve_gate(strict)
+    if mode != GATE_OFF:
+        gate_circuit(circuit, mode, form="low", design=circuit.name)
+    with obs.span(span, design=circuit.name):
+        return compile_design(circuit, top_path)
+
+
 class Simulator(SimulatorInterface):
     """Execute a compiled Low-form circuit.
 
@@ -116,24 +185,8 @@ class Simulator(SimulatorInterface):
         top_path: hierarchical prefix for the root instance (defaults to the
             main module name).  Use e.g. ``"TestHarness.dut"`` to emulate a
             testbench wrapper around the generated IP (paper Sec. 3.4).
-        snapshots: how many per-cycle state snapshots to retain; 0 (with
-            no ``snapshot_bytes``) disables ``set_time``.
-        snapshot_bytes: retain history up to ~this many bytes instead of
-            (or in addition to) an entry count — with the ``rle`` codec
-            this is how long rewind windows stay cheap.
-        snapshot_codec: timeline delta codec — ``"raw"`` (store-native,
-            the default), ``"rle"`` (run-length-encoded, ~an order of
-            magnitude smaller on register-sparse designs), or None to
-            defer to ``$REPRO_TIMELINE_CODEC``.
-        keyframe_every: insert a full timeline keyframe every K retained
-            cycles (bounds rewind latency to K delta replays); 0 keeps
-            only the folded head keyframe.
         trace: an optional trace sink with ``begin(sim)`` / ``sample(sim)``
             methods (see ``repro.trace.VcdWriter.attach``).
-        fast: select the dirty-set incremental comb path (default).  With
-            ``fast=False`` every stimulus change re-runs the full ``comb``
-            function — the reference semantics the fast path is tested
-            against.
         compiled: reuse an already-compiled design instead of compiling
             ``circuit`` again.  This is how the shard coordinator and the
             debug hub elaborate and compile once and have every worker or
@@ -143,100 +196,34 @@ class Simulator(SimulatorInterface):
             per-stepping-simulator (see ``_PrintfDispatcher``); and the
             design's cone caches are value-independent.  Across forked
             processes each child owns a copy-on-write copy.
-        store: value-table backend name — ``"list"``, ``"array"``,
-            ``"numpy"``, or ``"auto"`` (``"list"``, the fastest scalar
-            backend on the paper's workloads).  ``None`` defers to
-            ``$REPRO_VALUE_STORE``, then ``"auto"``.  See
-            ``repro.sim.store``.
-        strict: compile-time lint gate (``repro.lint``).  ``None`` defers
-            to ``$REPRO_LINT`` (default off); ``"warn"`` runs the linter
-            and reports findings as a ``LintWarning``; ``"error"`` (or
-            ``True``) additionally raises ``LintError`` on error-severity
-            findings (e.g. a combinational cycle) before compiling.  The
-            gate only runs when this simulator compiles the circuit itself
-            — a shared ``compiled`` design is assumed already vetted.
-        obs: observability depth (``repro.obs``) — an :class:`~repro.obs.Obs`
-            to share (how a shard worker's simulator reports into the
-            shard's registry), a mode string (``"off"``/``"metrics"``/
-            ``"trace"``), or None to defer to ``repro.obs.configure`` then
-            ``$REPRO_OBS`` (default off).  The hot path is identical in
-            every mode: per-cycle work bumps always-on plain ints and a
-            registry collector folds them into metrics only when a
-            snapshot is taken.  ``stats()`` reads the same ints directly
-            and works in every mode, including off.
-        options: a :class:`~repro.hub.api.SessionOptions` bundling the
-            session-configuration keywords above (store / obs / strict /
-            fast / snapshot budget) — the one record shared with
-            ``ShardSession`` and the debug hub.  Passing the individual
-            keywords still works but is deprecated; an explicitly passed
-            keyword overrides the corresponding ``options`` field.
+        options: the :class:`SessionOptions` — value store, observability
+            depth, lint gate, fast path and snapshot budget.  ``stats()``
+            reads the always-on counters directly and works at every
+            observability depth, including off.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         top_path: str | None = None,
-        snapshots: int = _UNSET,
         trace=None,
-        fast: bool = _UNSET,
         compiled: CompiledDesign | None = None,
-        store: str | None = _UNSET,
-        snapshot_bytes: int | None = _UNSET,
-        snapshot_codec: str | None = _UNSET,
-        keyframe_every: int = _UNSET,
-        strict=_UNSET,
-        obs=_UNSET,
-        options=None,
+        options: SessionOptions | None = None,
     ):
-        # Imported lazily: repro.hub.api sits above the core runtime,
-        # which imports this package — a module-level import would cycle.
-        from ..hub.api import resolve_session_options
-
-        legacy = {
-            key: value
-            for key, value in (
-                ("snapshots", snapshots),
-                ("fast", fast),
-                ("store", store),
-                ("snapshot_bytes", snapshot_bytes),
-                ("snapshot_codec", snapshot_codec),
-                ("keyframe_every", keyframe_every),
-                ("strict", strict),
-                ("obs", obs),
-            )
-            if value is not _UNSET
-        }
-        opt = resolve_session_options(options, legacy, "Simulator")
-        snapshots = opt.snapshots
-        fast = opt.fast
-        store = opt.store
-        snapshot_bytes = opt.snapshot_bytes
-        snapshot_codec = opt.snapshot_codec
-        keyframe_every = opt.keyframe_every
-        strict = opt.strict
-        obs = opt.obs
-        self.obs = make_obs(obs, proc="sim")
-        if compiled is None:
-            from ..lint.engine import GATE_OFF, gate_circuit, resolve_gate
-
-            mode = resolve_gate(strict)
-            if mode != GATE_OFF:
-                gate_circuit(
-                    circuit, mode, form="low", design=circuit.name
-                )
+        opt = options if options is not None else SessionOptions()
+        self.obs = make_obs(opt.obs, proc="sim")
         if compiled is not None:
             self.design: CompiledDesign = compiled
         else:
-            with self.obs.span("sim.compile", design=circuit.name):
-                self.design = compile_design(circuit, top_path)
-        self.store: ValueStore = make_store(store, self.design)
+            self.design = compile_gated(circuit, top_path, opt.strict, self.obs)
+        self.store: ValueStore = make_store(opt.store, self.design)
         # The hot paths index the store's raw buffers directly; these
         # references are stable for the simulator's lifetime (the store
         # never rebinds them — generated code holds them across rewinds).
         self._v = self.store.narrow
         self._w = self.store.wide
         self.mems: list[list[int]] = self.design.initial_mems()
-        self._fast = fast
+        self._fast = opt.fast
         self._time = 0
         self._finished: int | None = None
         self._callbacks: dict[int, tuple] = {}  # id -> (fn, wake)
@@ -272,15 +259,15 @@ class Simulator(SimulatorInterface):
         # to register/input history with a one-time warning; a design with
         # no memories skips the journaling machinery entirely.
         self.timeline: Timeline | None = None
-        if snapshots or snapshot_bytes:
+        if opt.snapshots or opt.snapshot_bytes:
             self.timeline = Timeline(
                 self.store,
                 self.mems,
                 self.design.mems,
-                limit=snapshots or None,
-                byte_budget=snapshot_bytes or None,
-                codec=snapshot_codec,
-                keyframe_every=keyframe_every,
+                limit=opt.snapshots or None,
+                byte_budget=opt.snapshot_bytes or None,
+                codec=opt.snapshot_codec,
+                keyframe_every=opt.keyframe_every,
             )
         self._trace = trace
         self._printf_out: list[str] = []
@@ -594,7 +581,8 @@ class Simulator(SimulatorInterface):
         if self.timeline is None:
             raise TimelineError(
                 "time travel disabled: no retained history — construct "
-                "Simulator(snapshots=N) or Simulator(snapshot_bytes=N)"
+                "the simulator with options=SessionOptions(snapshots=N) "
+                "or SessionOptions(snapshot_bytes=N)"
             )
         self.timeline.restore(time)
         self._time = time

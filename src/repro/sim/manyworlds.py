@@ -39,8 +39,8 @@ except ImportError:  # pragma: no cover - exercised via SimulatorError below
 
 from ..ir.stmt import Circuit
 from ..obs import make_obs
-from .compiler import CompiledDesign, MemSpec, compile_design, compile_vector
-from .engine import _UNSET
+from .compiler import CompiledDesign, MemSpec, compile_vector
+from .engine import SessionOptions, compile_gated
 from .interface import HierNode, SimulatorError, SimulatorInterface
 from .store import LANE_BITS, MatrixStore
 from .timeline import Timeline, TimelineError
@@ -55,11 +55,11 @@ class ManyWorldsSimulator(SimulatorInterface):
         top_path: hierarchical prefix for the root instance.
         compiled: reuse an already-compiled design; the vector kernels are
             compiled (and cached) per ``(design, worlds)`` pair on top.
-        options: a :class:`~repro.hub.api.SessionOptions` — the same record
-            ``Simulator``/``ShardSession``/hub share.  ``snapshots`` /
-            ``snapshot_bytes`` / ``snapshot_codec`` / ``keyframe_every`` /
-            ``strict`` / ``obs`` apply; ``store`` and ``fast`` are owned by
-            the matrix backend and ignored.
+        options: a :class:`~repro.sim.engine.SessionOptions` — the same
+            record ``Simulator``/``ShardSession``/hub share.  ``snapshots``
+            / ``snapshot_bytes`` / ``snapshot_codec`` / ``keyframe_every``
+            / ``strict`` / ``obs`` apply; ``store`` and ``fast`` are owned
+            by the matrix backend and ignored.
     """
 
     def __init__(
@@ -68,44 +68,18 @@ class ManyWorldsSimulator(SimulatorInterface):
         worlds: int,
         top_path: str | None = None,
         compiled: CompiledDesign | None = None,
-        options=None,
-        snapshots: int = _UNSET,
-        snapshot_bytes: int | None = _UNSET,
-        snapshot_codec: str | None = _UNSET,
-        keyframe_every: int = _UNSET,
-        strict=_UNSET,
-        obs=_UNSET,
+        options: SessionOptions | None = None,
     ):
         if _np is None:
             raise SimulatorError("ManyWorldsSimulator requires numpy")
         if worlds < 1:
             raise SimulatorError("worlds must be >= 1")
-        from ..hub.api import resolve_session_options
-
-        legacy = {
-            key: value
-            for key, value in (
-                ("snapshots", snapshots),
-                ("snapshot_bytes", snapshot_bytes),
-                ("snapshot_codec", snapshot_codec),
-                ("keyframe_every", keyframe_every),
-                ("strict", strict),
-                ("obs", obs),
-            )
-            if value is not _UNSET
-        }
-        opt = resolve_session_options(options, legacy, "ManyWorldsSimulator")
+        opt = options if options is not None else SessionOptions()
         self.obs = make_obs(opt.obs, proc="manyworlds")
         if compiled is not None:
             self.design: CompiledDesign = compiled
         else:
-            from ..lint.engine import GATE_OFF, gate_circuit, resolve_gate
-
-            mode = resolve_gate(opt.strict)
-            if mode != GATE_OFF:
-                gate_circuit(circuit, mode, form="low", design=circuit.name)
-            with self.obs.span("sim.compile", design=circuit.name):
-                self.design = compile_design(circuit, top_path)
+            self.design = compile_gated(circuit, top_path, opt.strict, self.obs)
         self.worlds = worlds
         with self.obs.span("manyworlds.vectorize", worlds=str(worlds)):
             self.kernels = compile_vector(self.design, worlds)
@@ -581,8 +555,8 @@ class ManyWorldsSimulator(SimulatorInterface):
     def _apply_set_time(self, time: int) -> None:
         if self.timeline is None:
             raise TimelineError(
-                "time travel disabled: construct with snapshots=N "
-                "or snapshot_bytes=N"
+                "time travel disabled: construct with "
+                "options=SessionOptions(snapshots=N or snapshot_bytes=N)"
             )
         if self._n_active != self.worlds:
             # A finished world's live column keeps drifting (only its

@@ -32,7 +32,7 @@ generator emits ``w[i]`` instead of ``v[i]`` for them, so the hot path
 pays nothing for the possibility.  Designs without wide signals (the
 common case) carry an empty dict.
 
-Backend selection: ``Simulator(store=...)`` takes a backend name, the
+Backend selection: ``SessionOptions(store=...)`` takes a backend name, the
 ``REPRO_VALUE_STORE`` environment variable overrides the default, and
 ``"auto"`` (the default) picks ``list``, with or without numpy installed.
 The many-worlds engine keeps its own numpy :class:`MatrixStore`.

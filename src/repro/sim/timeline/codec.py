@@ -22,7 +22,7 @@ Codecs only cover the *narrow state delta*: keyframes, wide (>64-bit)
 overflow copies, and memory-word deltas are codec-independent (see
 ``timeline.py``).
 
-Selection: ``Timeline(codec=...)`` / ``Simulator(snapshot_codec=...)``
+Selection: ``Timeline(codec=...)`` / ``SessionOptions(snapshot_codec=...)``
 take a name; ``None`` defers to ``$REPRO_TIMELINE_CODEC``, then
 ``"raw"``.  Property tests pin both codecs bit-identical to each other
 and to the uncompressed reference path.

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.client import ConsoleDebugger
-from repro.sim import Simulator, numpy_available
+from repro.sim import SessionOptions, Simulator, numpy_available
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
 needs_numpy = pytest.mark.skipif(
@@ -15,7 +15,7 @@ needs_numpy = pytest.mark.skipif(
 
 def _session(script, mod_cls=Accumulator, pokes=None, cycles=4, bp_sink="acc"):
     d = repro.compile(mod_cls())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     rt = make_runtime(d, sim)
     dbg = ConsoleDebugger(rt, script=script)
     rt.attach()
@@ -257,7 +257,7 @@ class TestWorldsCommand:
 class TestTimelineCommand:
     def _debugger(self, snapshots=16):
         d = repro.compile(Accumulator())
-        sim = Simulator(d.low, snapshots=snapshots)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=snapshots))
         rt = make_runtime(d, sim)
         dbg = ConsoleDebugger(rt)
         rt.attach()
@@ -321,7 +321,7 @@ class TestTimelineCommand:
 class TestStatsCommand:
     def _dbg(self, obs="off"):
         d = repro.compile(Accumulator())
-        sim = Simulator(d.low, obs=obs, snapshots=16)
+        sim = Simulator(d.low, options=SessionOptions(obs=obs, snapshots=16))
         rt = make_runtime(d, sim)
         dbg = ConsoleDebugger(rt, script=[])
         sim.poke("en", 1)

@@ -3,13 +3,13 @@
 
 import repro
 from repro.client import DapAdapter, ScriptedDapSession
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
 
 def _adapter(mod_cls=Accumulator):
     d = repro.compile(mod_cls())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     rt = make_runtime(d, sim)
     adapter = DapAdapter(rt)
     return d, sim, rt, adapter
@@ -66,7 +66,7 @@ class TestRequests:
 class TestStoppedSession:
     def _scripted(self, mod_cls, pokes, bp_sink, at_stop, controls, cycles=3):
         d = repro.compile(mod_cls())
-        sim = Simulator(d.low, snapshots=32)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=32))
         rt = make_runtime(d, sim)
         ad = DapAdapter(rt)
         session = ScriptedDapSession(ad, at_stop, controls)

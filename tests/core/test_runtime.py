@@ -17,13 +17,19 @@ from repro.core import (
     STEP,
     DebuggerError,
 )
-from repro.sim import ManyWorldsSimulator, Simulator, native, numpy_available
+from repro.sim import (
+    ManyWorldsSimulator,
+    SessionOptions,
+    Simulator,
+    native,
+    numpy_available,
+)
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
 
 def _setup(mod_cls=Accumulator, snapshots=64, debug=False, **kw):
     d = repro.compile(mod_cls(), debug=debug)
-    sim = Simulator(d.low, snapshots=snapshots)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=snapshots))
     return d, sim
 
 

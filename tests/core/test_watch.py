@@ -4,13 +4,13 @@ import pytest
 
 import repro
 from repro.core import CONTINUE, DETACH, DebuggerError
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from tests.helpers import Accumulator, Counter, line_of, make_runtime
 
 
 def _setup(mod_cls=Counter):
     d = repro.compile(mod_cls())
-    sim = Simulator(d.low, snapshots=16)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=16))
     return d, sim
 
 

@@ -1,96 +1,132 @@
-"""SessionOptions: one configuration record across Simulator, ShardSession,
-and the hub — with once-per-owner deprecation for the legacy keywords."""
+"""SessionOptions: the one configuration record across Simulator,
+ManyWorldsSimulator, ShardSession and the hub — and the only way to pass
+session settings to them."""
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 import repro
-from repro.hub import DebugHub, SessionOptions, resolve_session_options
-from repro.hub.api import _LEGACY_WARNED
+import repro.hub
+import repro.sim
+from repro.hub import DebugHub
 from repro.shard import ShardSession
-from repro.sim import Simulator
+from repro.sim import ManyWorldsSimulator, SessionOptions, Simulator
 from tests.helpers import Accumulator, Counter
 
+#: the eight session fields, in declaration order, with their defaults
+FIELDS = {
+    "store": None,
+    "obs": None,
+    "strict": None,
+    "fast": True,
+    "snapshots": 0,
+    "snapshot_bytes": None,
+    "snapshot_codec": None,
+    "keyframe_every": 0,
+}
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_dedupe():
-    """The dedupe set is process-global; reset it so each test observes
-    its own first warning."""
-    saved = set(_LEGACY_WARNED)
-    _LEGACY_WARNED.clear()
-    yield
-    _LEGACY_WARNED.clear()
-    _LEGACY_WARNED.update(saved)
+
+class TestRecord:
+    def test_sim_and_hub_export_one_class(self):
+        assert repro.sim.SessionOptions is repro.hub.SessionOptions
+
+    def test_fields_and_defaults(self):
+        got = {f.name: f.default for f in dataclasses.fields(SessionOptions)}
+        assert got == FIELDS
+        assert list(got) == list(FIELDS)
 
 
-class TestResolve:
-    def test_legacy_value_wins_over_options_field(self):
-        with pytest.warns(DeprecationWarning):
-            opt = resolve_session_options(
-                SessionOptions(snapshots=4), {"snapshots": 9}, "T"
-            )
-        assert opt.snapshots == 9
+def _build(ctor: str, d, **kw):
+    if ctor == "Simulator":
+        return Simulator(d.low, **kw)
+    if ctor == "ManyWorldsSimulator":
+        return ManyWorldsSimulator(d.low, 2, **kw)
+    if ctor == "ShardSession":
+        return ShardSession(d, **kw)
+    return DebugHub(d, **kw)
 
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="unknown session option"):
-            resolve_session_options(None, {"bogus": 1}, "T")
 
-    def test_no_legacy_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opt = resolve_session_options(SessionOptions(fast=False), {}, "T")
-        assert opt.fast is False
+#: (constructor, session keyword it no longer takes)
+_REMOVED = (
+    [("Simulator", name) for name in FIELDS]
+    + [
+        ("ManyWorldsSimulator", name)
+        for name in FIELDS
+        if name not in ("store", "fast")
+    ]
+    + [("ShardSession", "fast"), ("ShardSession", "obs")]
+    # DebugHub's own obs= is hub-side telemetry, not a session setting.
+    + [("DebugHub", name) for name in FIELDS if name != "obs"]
+)
 
-    def test_warned_once_per_owner_and_keyword_set(self):
-        with pytest.warns(DeprecationWarning):
-            resolve_session_options(None, {"snapshots": 1}, "T")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a repeat would raise
-            resolve_session_options(None, {"snapshots": 2}, "T")
-        with pytest.warns(DeprecationWarning):  # new owner: new warning
-            resolve_session_options(None, {"snapshots": 1}, "U")
+
+class TestOptionsOnly:
+    @pytest.mark.parametrize(("ctor", "name"), _REMOVED)
+    def test_session_keyword_is_a_type_error(self, ctor, name):
+        d = repro.compile(Counter())
+        with pytest.raises(TypeError, match=name):
+            _build(ctor, d, **{name: FIELDS[name]})
+
+    def test_none_means_defaults(self):
+        d = repro.compile(Counter())
+        sim = Simulator(d.low, options=None)
+        assert sim.timeline is None
+        assert sim._fast is True
 
 
 class TestSimulator:
-    def test_legacy_kwarg_warns_and_still_works(self):
-        d = repro.compile(Counter())
-        with pytest.warns(DeprecationWarning, match="Simulator"):
-            sim = Simulator(d.low, snapshots=8)
-        assert sim.timeline is not None
-
     def test_options_equivalent_without_warning(self):
         d = repro.compile(Counter())
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             sim = Simulator(d.low, options=SessionOptions(snapshots=8))
         assert sim.timeline is not None
 
 
 class TestShardSession:
-    def test_legacy_kwarg_warns_and_still_works(self):
-        d = repro.compile(Accumulator())
-        with pytest.warns(DeprecationWarning, match="ShardSession"):
-            session = ShardSession(d, fast=False)
-        assert session.fast is False
-
     def test_options_flow_through(self):
         d = repro.compile(Accumulator())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session = ShardSession(d, options=SessionOptions(fast=False))
+        session = ShardSession(d, options=SessionOptions(fast=False))
         assert session.fast is False
         assert session.options.fast is False
 
 
 class TestHub:
-    def test_legacy_kwarg_warns_and_configures_sessions(self):
+    def test_options_configure_sessions(self):
         d = repro.compile(Counter())
-        with pytest.warns(DeprecationWarning, match="DebugHub"):
-            hub = DebugHub(d, snapshots=16)
-        with hub:
+        with DebugHub(d, options=SessionOptions(snapshots=16)) as hub:
             assert hub.options.snapshots == 16
             # The hub vets the design once; sessions never re-gate.
             assert hub.options.strict == "off"
             ds = hub.attach()
             assert ds.session._sim.timeline is not None
+
+
+def test_simulator_and_shard_load_no_hub_module():
+    """The simulator reads its own settings: building one, and importing
+    the shard farm, pulls in nothing from the debug hub."""
+    code = (
+        "import sys, repro\n"
+        "from repro.sim import Simulator\n"
+        "from tests.helpers import Counter\n"
+        "Simulator(repro.compile(Counter()).low).step(2)\n"
+        "import repro.shard\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.hub')))\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=root,
+        env=env,
+    )
+    assert out.stdout.strip() == "[]"

@@ -41,10 +41,12 @@ class TestWire:
             session.reset(1)
             bps = session.add_breakpoint("helpers.py", line)
             assert bps and bps[0]["line"] == line
+            assert bps[0]["enable"] == "(en == 1)"
             stop = session.run(10)
             assert stop.reason == "breakpoint"
             assert stop.stopped
             frame = stop.frames[0]
+            assert frame["instance"] == "Counter"
             local = {v["name"]: v.get("value") for v in frame["local"]}
             assert local["en"] == 1
             got = session.evaluate(
@@ -54,6 +56,11 @@ class TestWire:
             after = session.cont()
             assert after.reason == "breakpoint"
             assert after.time == stop.time + 1
+            # Let the run finish: the session's own loop ran every cycle.
+            session.clear_breakpoints()
+            done = session.cont()
+            assert done.reason == "done"
+            assert session.peek("out") == 10
 
     def test_state_machine_enforced_over_the_wire(self):
         # The protocol contract: resume commands only make sense at a
@@ -63,6 +70,65 @@ class TestWire:
             session = client.attach()
             with pytest.raises(SessionError, match="cannot resume"):
                 session.cont()
+
+    def test_attach_describes_the_session(self):
+        design, hub, host, port = _serve(
+            Accumulator, options=SessionOptions(snapshots=32)
+        )
+        with hub, HubClient(host, port) as client:
+            info = client.call("attach", {})
+            assert info["top"] == "Accumulator"
+            assert info["can_set_time"] is True
+
+    def test_files_and_time_over_the_wire(self):
+        design, hub, host, port = _serve(Accumulator)
+        with hub, HubClient(host, port) as client:
+            session = client.attach()
+            files = session.files()
+            assert files and files[0].endswith("helpers.py")
+            start = session.get_time()
+            stop = session.run(3)
+            assert stop.reason == "done"
+            assert session.get_time() == stop.time == start + 3
+
+    def test_list_and_remove_breakpoints(self):
+        design, hub, host, port = _serve(Accumulator)
+        _f, line = line_of(design, "acc")
+        with hub, HubClient(host, port) as client:
+            session = client.attach()
+            added = session.add_breakpoint("helpers.py", line, "acc > 3")
+            listed = session.breakpoints()
+            assert [bp["condition"] for bp in listed] == ["acc > 3"]
+            assert session.remove_breakpoint(added[0]["id"]) is True
+            assert session.breakpoints() == []
+
+    def test_poke_by_full_path(self):
+        design, hub, host, port = _serve(Accumulator)
+        with hub, HubClient(host, port) as client:
+            session = client.attach()
+            session.reset(1)
+            session.poke("Accumulator.d", 9)
+            assert session.peek("d") == 9
+
+    def test_reverse_cont_over_the_wire(self):
+        design, hub, host, port = _serve(
+            Accumulator, options=SessionOptions(snapshots=32)
+        )
+        _f, line = line_of(design, "acc")
+        with hub, HubClient(host, port) as client:
+            session = client.attach()
+            session.poke("en", 1)
+            session.poke("d", 1)
+            session.reset(1)
+            session.add_breakpoint("helpers.py", line)
+            first = session.run(3)
+            assert first.reason == "breakpoint"
+            second = session.cont()
+            assert second.time == first.time + 1
+            back = session.reverse_cont()
+            assert back.reason == "breakpoint"
+            assert back.time == second.time - 1
+            assert session.detach() is not None
 
     def test_reattach_by_sid_preserves_state(self):
         design, hub, host, port = _serve()

@@ -13,7 +13,7 @@ import repro
 from repro.client import ConsoleDebugger
 from repro.core import DETACH, Runtime
 from repro.fpu import FpuCmp, QNAN, RM_FEQ, compare_op, float_to_bits
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
 
@@ -25,7 +25,7 @@ def _mismatching_stimulus():
 @pytest.fixture()
 def buggy():
     design = repro.compile(FpuCmp(buggy=True))
-    sim = Simulator(design.low, snapshots=16)
+    sim = Simulator(design.low, options=SessionOptions(snapshots=16))
     st = SQLiteSymbolTable(write_symbol_table(design))
     return design, sim, st
 

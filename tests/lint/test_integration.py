@@ -9,7 +9,7 @@ import repro
 from repro.cli import main
 from repro.client import ConsoleDebugger
 from repro.lint import LintError, LintWarning, Severity, resolve_gate
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from tests.helpers import Counter, make_runtime
 from tests.lint.broken_designs import Loopy, Sloppy
 
@@ -54,17 +54,17 @@ class TestSimulatorGate:
     def test_strict_true_raises_on_error_finding(self):
         d = repro.compile(Loopy())
         with pytest.raises(LintError) as exc_info:
-            Simulator(d.low, strict=True)
+            Simulator(d.low, options=SessionOptions(strict=True))
         assert any(x.rule == "comb-cycle" for x in exc_info.value.diagnostics)
 
     def test_strict_true_passes_clean_design(self):
         d = repro.compile(Counter())
-        Simulator(d.low, strict=True).reset()
+        Simulator(d.low, options=SessionOptions(strict=True)).reset()
 
     def test_strict_false_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LINT", "error")
         d = repro.compile(Sloppy())
-        Simulator(d.low, strict=False).reset()
+        Simulator(d.low, options=SessionOptions(strict=False)).reset()
 
     def test_env_warn_emits_lint_warning(self, monkeypatch):
         monkeypatch.setenv("REPRO_LINT", "warn")

@@ -15,7 +15,7 @@ from repro.obs import (
 from repro.obs.tracer import NULL_SPAN
 from repro.shard import BreakpointSpec, ShardSpec
 from repro.shard.worker import run_shard
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import Accumulator, line_of
 
@@ -111,7 +111,7 @@ class TestOffModeParity:
     def test_simulator_off_state_matches_enabled(self):
         def digest(mode):
             d = repro.compile(Accumulator())
-            sim = Simulator(d.low, obs=mode)
+            sim = Simulator(d.low, options=SessionOptions(obs=mode))
             sim.poke("en", 1)
             sim.poke("d", 5)
             sim.reset()

@@ -10,6 +10,7 @@ import repro
 from repro.faults import FaultPlan
 from repro.obs import NULL_OBS
 from repro.shard import BreakpointSpec, RetryPolicy, ShardSession
+from repro.sim import SessionOptions
 from tests.helpers import Accumulator, line_of
 
 FAST = RetryPolicy(max_attempts=3, backoff_s=0.01, max_backoff_s=0.05)
@@ -23,7 +24,7 @@ def acc():
 
 
 def _sweep(d, bp, *, obs, workers, shards=2, **kwargs):
-    with ShardSession(d, workers=workers, obs=obs) as session:
+    with ShardSession(d, workers=workers, options=SessionOptions(obs=obs)) as session:
         return session.sweep(
             shards=shards, cycles=30, breakpoints=[bp], overrides={"en": 1},
             **kwargs,

@@ -7,14 +7,14 @@ import pytest
 
 import repro
 import repro.hgf as hgf
-from repro.sim import Simulator, SimulatorError
+from repro.sim import SessionOptions, Simulator, SimulatorError
 from tests.helpers import Accumulator, Counter
 
 
 @pytest.fixture()
 def counter_sim():
     d = repro.compile(Counter())
-    sim = Simulator(d.low, snapshots=64)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=64))
     sim.reset()
     return sim
 
@@ -162,7 +162,7 @@ class TestSetValueSetTime:
 
     def test_snapshot_ring_bounded(self):
         d = repro.compile(Counter())
-        sim = Simulator(d.low, snapshots=4)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=4))
         sim.reset()
         sim.poke("en", 1)
         sim.step(20)
@@ -184,7 +184,7 @@ class TestSetValueSetTime:
                 self.o <<= mem[0]
 
         d = repro.compile(M())
-        sim = Simulator(d.low, snapshots=64)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=64))
         sim.reset()
         sim.poke("wen", 1)
         sim.step(4)  # time is now 5

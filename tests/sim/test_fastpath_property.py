@@ -20,7 +20,7 @@ import pytest
 import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime, expr_eval
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from tests.helpers import Accumulator, AluLike, Counter, SumLoop, TwoLeaves, line_of, make_runtime
 
 
@@ -60,8 +60,8 @@ def test_fast_path_matches_reference(mod_cls, seed):
     """Random pokes/steps/rewinds: fast and reference sims stay in
     lockstep, signal-for-signal and memory-word-for-memory-word."""
     d = repro.compile(mod_cls())
-    fast = Simulator(d.low, snapshots=16, fast=True)
-    ref = Simulator(d.low, snapshots=16, fast=False)
+    fast = Simulator(d.low, options=SessionOptions(snapshots=16, fast=True))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=16, fast=False))
     rng = random.Random(seed)
     inputs = _poke_targets(fast)
 
@@ -95,7 +95,7 @@ def test_delta_snapshots_restore_recorded_state(mod_cls):
     """set_time reproduces the exact live state each snapshot cycle saw,
     including after a rewind followed by divergent re-execution."""
     d = repro.compile(mod_cls())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     rng = random.Random(7)
     inputs = _poke_targets(sim)
     sim.reset()
@@ -121,7 +121,7 @@ def test_delta_snapshots_restore_recorded_state(mod_cls):
     # Rewind, poke differently, re-execute: re-taken snapshots must
     # reflect the new run (the full-copy reference overwrote per-time
     # entries; the delta ring must behave identically).
-    sim2 = Simulator(d.low, snapshots=32)
+    sim2 = Simulator(d.low, options=SessionOptions(snapshots=32))
     sim2.reset()
     for name in inputs:
         sim2.poke(name, 1)
@@ -141,7 +141,7 @@ def test_set_time_repeat_and_forward_jump():
     forward to a later retained time both work (the full-copy reference
     kept entries until re-execution overwrote them)."""
     d = repro.compile(Counter())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     sim.reset()
     sim.poke("en", 1)
     sim.step(10)
@@ -162,7 +162,7 @@ def test_callback_rewind_keeps_mem_journal_live():
     memory-write journal: writes after the rewind still reach later
     delta snapshots."""
     d = repro.compile(MemMixer())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     sim.reset()
     sim.poke("wen", 1)
     sim.poke("waddr", 0)
@@ -192,9 +192,9 @@ def test_batched_multi_poke_matches_sequential_and_reference(mod_cls, seed):
     sequential (flush after every poke), and reference (full comb) — must
     be indistinguishable at every observation point."""
     d = repro.compile(mod_cls())
-    batched = Simulator(d.low, fast=True)
-    sequential = Simulator(d.low, fast=True)
-    ref = Simulator(d.low, fast=False)
+    batched = Simulator(d.low, options=SessionOptions(fast=True))
+    sequential = Simulator(d.low, options=SessionOptions(fast=True))
+    ref = Simulator(d.low, options=SessionOptions(fast=False))
     sims = (batched, sequential, ref)
     rng = random.Random(seed)
     inputs = _poke_targets(batched)
@@ -226,8 +226,9 @@ def test_batched_multi_poke_matches_sequential_and_reference(mod_cls, seed):
 
 class QuietLanes(hgf.Module):
     """Several enable-gated lanes: with enables low, most cycles change no
-    register at all — the activity-tracked tick must skip their cones yet
-    stay bit-identical to the full reference."""
+    register at all — the fast path's clock edge (the reference tick, then
+    the precomputed tick cone) must stay bit-identical to the full
+    reference through those quiet cycles."""
 
     def __init__(self, n: int = 4):
         super().__init__()
@@ -248,8 +249,8 @@ def test_activity_tracked_tick_matches_full_tick(seed):
     """Quiet-cycle-dominated runs: sparse register activity (including
     cycles where nothing changes) stays lockstep with the reference."""
     d = repro.compile(QuietLanes())
-    fast = Simulator(d.low, snapshots=8, fast=True)
-    ref = Simulator(d.low, snapshots=8, fast=False)
+    fast = Simulator(d.low, options=SessionOptions(snapshots=8, fast=True))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=8, fast=False))
     rng = random.Random(seed)
     for sim in (fast, ref):
         sim.reset()
@@ -280,8 +281,8 @@ def test_mask_cone_cache_saturation_fallback(monkeypatch, mod_cls):
 
     monkeypatch.setattr(CompiledDesign, "MASK_CONE_CAP", 0)
     d = repro.compile(mod_cls())
-    fast = Simulator(d.low, snapshots=8, fast=True)
-    ref = Simulator(d.low, snapshots=8, fast=False)
+    fast = Simulator(d.low, options=SessionOptions(snapshots=8, fast=True))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=8, fast=False))
     assert fast.design.MASK_CONE_CAP == 0
     rng = random.Random(11)
     inputs = _poke_targets(fast)
@@ -309,7 +310,7 @@ def test_watchpoints_across_set_time_rewind():
     from tests.helpers import make_runtime
 
     d = repro.compile(Counter())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     hits = []
     rt = make_runtime(
         d, sim,
@@ -347,7 +348,7 @@ def test_watchpoint_rewind_via_reverse_continue():
     from tests.helpers import line_of, make_runtime
 
     d = repro.compile(Accumulator())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     seen = []
     commands = iter([REVERSE_CONTINUE] + [CONTINUE] * 50)
 
@@ -374,21 +375,16 @@ def test_watchpoint_rewind_via_reverse_continue():
 
 @pytest.mark.parametrize("mod_cls", MODULES)
 def test_levelized_schedule_invariants(mod_cls):
-    """The levelized order is a valid topo order: every combinational
-    dependency has a strictly smaller level, and level_blocks partition
-    the schedule into contiguous same-level runs."""
+    """The levelized order is a valid topo order, which is all the cone
+    machinery relies on: every combinational dependency of a schedule
+    position is scheduled before it."""
     design = repro.compile(mod_cls())
     cd = Simulator(design.low).design
-    pairs = zip(cd.order_targets, cd.order_level, strict=False)
-    level_of = {t: lvl for t, lvl in pairs}
+    pos_of = {t: pos for pos, t in enumerate(cd.order_targets)}
     for pos, deps in enumerate(cd.order_deps):
         for dep in deps:
-            if dep in level_of and dep != cd.order_targets[pos]:
-                assert level_of[dep] < cd.order_level[pos]
-    flat = [p for start, end in cd.level_blocks for p in range(start, end)]
-    assert flat == list(range(len(cd.order_targets)))
-    for start, end in cd.level_blocks:
-        assert len({cd.order_level[p] for p in range(start, end)}) <= 1
+            if dep in pos_of and dep != cd.order_targets[pos]:
+                assert pos_of[dep] < pos
 
 
 def _random_expr(rng, names, depth=0):
@@ -451,7 +447,7 @@ def test_runtime_compiled_hits_match_interpreter(condition):
     seqs = []
     for compiled in (True, False):
         d = repro.compile(Accumulator())
-        sim = Simulator(d.low, snapshots=16, fast=compiled)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=16, fast=compiled))
         hits = []
 
         def on_hit(h):

@@ -20,7 +20,7 @@ import pytest
 
 import repro
 import repro.hgf as hgf
-from repro.sim import Simulator, SimulatorError
+from repro.sim import SessionOptions, Simulator, SimulatorError
 from repro.sim.store import (
     ListStore,
     NumpyStore,
@@ -102,13 +102,13 @@ def test_env_override_selects_backend(monkeypatch):
     monkeypatch.setenv("REPRO_VALUE_STORE", "array")
     assert Simulator(d.low).store.kind == "array"
     # An explicit argument beats the environment.
-    assert Simulator(d.low, store="list").store.kind == "list"
+    assert Simulator(d.low, options=SessionOptions(store="list")).store.kind == "list"
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_store_sequence_protocol(kind):
     d = repro.compile(Counter())
-    sim = Simulator(d.low, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(store=kind))
     store = sim.values
     assert store.kind == kind
     assert len(store) == len(sim.design.signals)
@@ -121,7 +121,7 @@ def test_store_negative_index_and_slice_cover_wide(kind):
     """list[int] semantics hold even for wide signals: negative indices
     and slices must not fall through to the unused narrow lane."""
     d = repro.compile(WideMixer())
-    sim = Simulator(d.low, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(store=kind))
     sim.reset()
     sim.poke("a", 1 << 90)
     sim.poke("b", 3)
@@ -149,7 +149,7 @@ def test_backend_parity_property(mod_cls, seed):
     and reference paths on the typed backends — in bit-identical state."""
     d = repro.compile(mod_cls())
     sims = [
-        Simulator(d.low, snapshots=16, store=kind, fast=fast)
+        Simulator(d.low, options=SessionOptions(snapshots=16, store=kind, fast=fast))
         for kind in BACKENDS
         for fast in (True, False)
     ]
@@ -164,7 +164,7 @@ def test_backend_parity_property(mod_cls, seed):
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_wide_signals_roundtrip(kind):
     d = repro.compile(WideMixer())
-    sim = Simulator(d.low, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(store=kind))
     sim.reset()
     big = (1 << 95) | (1 << 70) | 12345
     sim.poke("a", big)
@@ -188,7 +188,7 @@ def test_wide_watchpoint_and_condition(kind):
     from repro.core import CONTINUE
 
     d = repro.compile(WideMixer())
-    sim = Simulator(d.low, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(store=kind))
     hits = []
     rt = make_runtime(
         d, sim, lambda h: (hits.append((h.time, h.watch["new"])), CONTINUE)[1]
@@ -210,7 +210,7 @@ def test_wide_watchpoint_and_condition(kind):
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_negative_poke_masks_to_width(kind):
     d = repro.compile(Accumulator())
-    sim = Simulator(d.low, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(store=kind))
     sim.reset()
     sim.poke("d", -1)          # 8-bit input: stores 0xFF, not -1
     assert sim.peek("d") == 0xFF
@@ -223,7 +223,7 @@ def test_negative_poke_masks_to_width(kind):
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_negative_poke_wide_signal(kind):
     d = repro.compile(WideMixer())
-    sim = Simulator(d.low, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(store=kind))
     sim.reset()
     sim.poke("a", -1)
     assert sim.peek("a") == (1 << 96) - 1
@@ -239,8 +239,8 @@ def test_rewind_across_keyframe_boundary(kind, mod_cls):
     rewinding to the oldest retained time must reconstruct exactly, then
     re-execution must reproduce the original run."""
     d = repro.compile(mod_cls())
-    sim = Simulator(d.low, snapshots=4, store=kind)
-    ref = Simulator(d.low, snapshots=0, store="list")
+    sim = Simulator(d.low, options=SessionOptions(snapshots=4, store=kind))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=0, store="list"))
     rng = random.Random(3)
     inputs = sorted(n for n in sim.design.top_inputs if n != "clock")
     sim.reset()
@@ -284,7 +284,7 @@ def test_snapshot_skips_mem_copy_when_no_memories(kind):
     """Bugfix: designs without memories must not pay for (empty) memory
     keyframes or the journaling tick variant."""
     d = repro.compile(Counter())
-    sim = Simulator(d.low, snapshots=8, store=kind)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=8, store=kind))
     assert sim.timeline.snap_mems is False
     sim.reset()
     sim.poke("en", 1)
@@ -308,7 +308,7 @@ def test_state_digest_backend_independent():
     d = repro.compile(Accumulator())
     digests = set()
     for kind in BACKENDS:
-        sim = Simulator(d.low, store=kind)
+        sim = Simulator(d.low, options=SessionOptions(store=kind))
         sim.reset()
         sim.poke("en", 1)
         sim.poke("d", 7)
@@ -333,7 +333,8 @@ def test_state_digest_distinguishes_states():
 def test_store_digest_bytes_uses_raw_buffer():
     d = repro.compile(Counter())
     for kind in BACKENDS:
-        store = make_store(kind, Simulator(d.low, store=kind).design)
+        sim = Simulator(d.low, options=SessionOptions(store=kind))
+        store = make_store(kind, sim.design)
         blob = store.digest_bytes()
         assert isinstance(blob, bytes)
         assert len(blob) >= 8 * len(store)

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.core import CONTINUE, REVERSE_STEP, Runtime
-from repro.sim import Simulator, TimelineError
+from repro.sim import SessionOptions, Simulator, TimelineError
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from repro.trace import ReplayEngine, VcdWriter
 from tests.helpers import Counter
@@ -42,8 +42,12 @@ def backend(request, tmp_path):
     """
     d = repro.compile(Counter())
     if request.param == "live":
-        sim = Simulator(d.low, snapshots=64, snapshot_codec="rle",
-                        keyframe_every=4)
+        sim = Simulator(
+            d.low,
+            options=SessionOptions(
+                snapshots=64, snapshot_codec="rle", keyframe_every=4
+            ),
+        )
         _run_stimulus(sim)
         return sim
     path = str(tmp_path / "run.vcd")
@@ -126,7 +130,7 @@ def test_live_and_replay_history_identical(tmp_path):
     d = repro.compile(Counter())
     path = str(tmp_path / "run.vcd")
     w = VcdWriter(path)
-    live = Simulator(d.low, snapshots=64, trace=w)
+    live = Simulator(d.low, trace=w, options=SessionOptions(snapshots=64))
     _run_stimulus(live)
     w.close()
     rp = ReplayEngine.from_file(path)
@@ -146,7 +150,7 @@ def test_reverse_step_through_runtime(mode, tmp_path):
     d = repro.compile(Counter())
     st = SQLiteSymbolTable(write_symbol_table(d))
     if mode == "live":
-        sim = Simulator(d.low, snapshots=64)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=64))
     else:
         path = str(tmp_path / "run.vcd")
         w = VcdWriter(path)

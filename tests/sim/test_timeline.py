@@ -13,7 +13,7 @@ import pytest
 
 import repro
 import repro.hgf as hgf
-from repro.sim import Simulator, SimulatorError, Timeline, TimelineError
+from repro.sim import SessionOptions, Simulator, SimulatorError, Timeline, TimelineError
 from repro.sim.store import numpy_available
 from repro.sim.timeline import (
     MEM_HISTORY_WORD_CAP,
@@ -30,7 +30,7 @@ BACKENDS = ["list", "array"] + (["numpy"] if numpy_available() else [])
 
 def _counter(**kw):
     d = repro.compile(Counter())
-    sim = Simulator(d.low, **kw)
+    sim = Simulator(d.low, options=SessionOptions(**kw))
     sim.reset()
     sim.poke("en", 1)
     return sim
@@ -59,7 +59,8 @@ class TestErrors:
 
     def test_empty_timeline_message(self):
         d = repro.compile(Counter())
-        sim = Simulator(d.low, snapshots=4)  # no step yet: nothing recorded
+        # no step yet: nothing recorded
+        sim = Simulator(d.low, options=SessionOptions(snapshots=4))
         with pytest.raises(TimelineError, match="empty"):
             sim.set_time(0)
 
@@ -86,7 +87,10 @@ class TestErrors:
         with pytest.raises(SimulatorError, match="must be > 0"):
             Timeline(sim.store, sim.mems, sim.design.mems, limit=-1)
         with pytest.raises(SimulatorError, match="unknown timeline codec"):
-            Simulator(sim.design.circuit, snapshots=4, snapshot_codec="zip")
+            Simulator(
+                sim.design.circuit,
+                options=SessionOptions(snapshots=4, snapshot_codec="zip"),
+            )
 
 
 # -- codec selection ---------------------------------------------------------
@@ -219,7 +223,7 @@ class TestMemGating:
     def test_oversized_memories_warn_once_and_degrade(self):
         d = repro.compile(_BigMem(MEM_HISTORY_WORD_CAP + 1))
         with pytest.warns(RuntimeWarning, match="memory history disabled"):
-            sim = Simulator(d.low, snapshots=8)
+            sim = Simulator(d.low, options=SessionOptions(snapshots=8))
         assert sim.timeline.snap_mems is False
         sim.reset()
         sim.step(6)
@@ -229,7 +233,7 @@ class TestMemGating:
 
     def test_small_memories_keep_history_silently(self, recwarn):
         d = repro.compile(_BigMem(8))
-        sim = Simulator(d.low, snapshots=8)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=8))
         assert sim.timeline.snap_mems is True
         assert not any(
             isinstance(w.message, RuntimeWarning) for w in recwarn.list
@@ -288,8 +292,8 @@ class TestWire:
 
     def test_mem_divergence_localized(self):
         d = repro.compile(_BigMem(8))
-        a = Simulator(d.low, snapshots=32)
-        b = Simulator(d.low, snapshots=32)
+        a = Simulator(d.low, options=SessionOptions(snapshots=32))
+        b = Simulator(d.low, options=SessionOptions(snapshots=32))
         for sim in (a, b):
             sim.reset()
             sim.step(6)
@@ -365,7 +369,7 @@ class TestHistory:
                 self.stop(r == 5, 3)
 
         d = repro.compile(Stopper())
-        sim = Simulator(d.low, snapshots=64)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=64))
         sim.reset()
         sim.run(100)
         assert sim.finished and sim.exit_code == 3
@@ -393,10 +397,11 @@ class TestHistory:
         """Regression: snapshots=N with snapshot_bytes=0 is the plain
         entry-limited ring, not a construction error."""
         d = repro.compile(Counter())
-        sim = Simulator(d.low, snapshots=8, snapshot_bytes=0)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=8, snapshot_bytes=0))
         assert sim.timeline is not None
         assert sim.timeline.byte_budget is None
-        assert Simulator(d.low, snapshot_bytes=0).timeline is None
+        sim = Simulator(d.low, options=SessionOptions(snapshot_bytes=0))
+        assert sim.timeline is None
 
     def test_history_after_rewind_preserves_forward_window(self):
         """Regression: a read-only history query right after a rewind

@@ -16,7 +16,7 @@ import random
 import pytest
 
 import repro
-from repro.sim import Simulator
+from repro.sim import SessionOptions, Simulator
 from repro.sim.store import numpy_available
 from tests.helpers import Accumulator, Counter, TwoLeaves
 
@@ -35,12 +35,28 @@ def _lanes(d, kind, snapshots=24):
     """One workload, three history representations: rle (periodic
     keyframes), raw (the seed ring), and the full-comb reference."""
     return [
-        Simulator(d.low, snapshots=snapshots, store=kind, fast=True,
-                  snapshot_codec="rle", keyframe_every=5),
-        Simulator(d.low, snapshots=snapshots, store=kind, fast=True,
-                  snapshot_codec="raw"),
-        Simulator(d.low, snapshots=snapshots, store=kind, fast=False,
-                  snapshot_codec="raw"),
+        Simulator(
+            d.low,
+            options=SessionOptions(
+                snapshots=snapshots,
+                store=kind,
+                fast=True,
+                snapshot_codec="rle",
+                keyframe_every=5,
+            ),
+        ),
+        Simulator(
+            d.low,
+            options=SessionOptions(
+                snapshots=snapshots, store=kind, fast=True, snapshot_codec="raw"
+            ),
+        ),
+        Simulator(
+            d.low,
+            options=SessionOptions(
+                snapshots=snapshots, store=kind, fast=False, snapshot_codec="raw"
+            ),
+        ),
     ]
 
 
@@ -132,9 +148,16 @@ def test_byte_budget_lockstep_with_entry_ring(kind):
     """A byte-budgeted rle timeline must agree with the entry-count raw
     ring on every cycle both retain."""
     d = repro.compile(Counter())
-    budgeted = Simulator(d.low, snapshot_bytes=1 << 16, store=kind,
-                         snapshot_codec="rle", keyframe_every=16)
-    ring = Simulator(d.low, snapshots=64, store=kind)
+    budgeted = Simulator(
+        d.low,
+        options=SessionOptions(
+            snapshot_bytes=1 << 16,
+            store=kind,
+            snapshot_codec="rle",
+            keyframe_every=16,
+        ),
+    )
+    ring = Simulator(d.low, options=SessionOptions(snapshots=64, store=kind))
     for sim in (budgeted, ring):
         sim.reset()
         sim.poke("en", 1)
