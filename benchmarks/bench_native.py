@@ -7,7 +7,16 @@ engine (list store, ``fast=False``).  The table also reports the ratio
 against the Python fast path (the same engine stepped in 1024-cycle
 chunks, which is what ``run()`` did before the native tier), and the
 tier's cost model: a cold build, a warm load from the disk cache, the
-copy in and out around one segment, and the kernel's time per cycle.
+fixed cost of one segment (a one-cycle kernel call: the value table's
+copy in and back; memories are shared in place), and the kernel's time
+per cycle.
+
+The two timeline rows keep 64 snapshots, as a reverse-debugging session
+does.  Through ``run()`` each native segment is checkpointed, and its
+last 64 cycles are re-executed into the timeline (the kernel re-runs the
+rest of the segment first); the row must be at least 10x faster than the
+same suite stepped in Python with the same timeline, and retain the same
+cycles.
 
 The armed row runs the same suite with an attached Runtime and a
 breakpoint on the register-file writeback whose condition never holds:
@@ -16,8 +25,9 @@ every cycle, against the same armed suite stepped in Python.  It must be
 at least 10x faster too.
 
 Every configuration must end every program bit-identical to the
-reference, and the armed runs with no hit; in smoke mode
-(``REPRO_BENCH_SMOKE=1``) that parity is all this module asserts.
+reference (the timeline rows with the same retained cycles), and the
+armed runs with no hit; in smoke mode (``REPRO_BENCH_SMOKE=1``) that
+parity is all this module asserts.
 """
 
 from __future__ import annotations
@@ -61,13 +71,17 @@ def _step_run(sim) -> None:
         sim.step(1024)
 
 
-def _suite(progs, fast, driver, armed=False):
+def _native_run(sim) -> None:
+    sim.run(_MAX_CYCLES)
+
+
+def _suite(progs, fast, driver, armed=False, snapshots=0):
     """Run every program to completion (``armed``: with the never-true
-    breakpoint inserted); returns the simulators and the seconds spent in
-    ``driver``."""
+    breakpoint inserted; ``snapshots``: keeping that many); returns the
+    simulators and the seconds spent in ``driver``."""
     sims, spent = [], 0.0
     for bench, design, compiled, table in progs:
-        options = SessionOptions(fast=fast)
+        options = SessionOptions(fast=fast, snapshots=snapshots)
         sim = Simulator(design.low, compiled=compiled, options=options)
         if armed:
             rt = Runtime(sim, table)
@@ -121,7 +135,7 @@ def _cost_model(progs) -> dict:
         prog, wake = array("q", [0, 0]), array("Q", [0])
         kernel.run(sim._v, sim._w, sim.mems, 1, array("q", [0]), prog, wake)
 
-    copy = best_of(one_cycle, n=20)
+    segment = best_of(one_cycle, n=200)
     spin = repro.compile(RV32Core(assemble("l:\n addi a0, a0, 1\n j l\n").words, 8192))
     spinner = Simulator(spin.low)
     spinner.reset()
@@ -130,48 +144,61 @@ def _cost_model(progs) -> dict:
     return {
         "cold_ms": times[0] * 1e3,
         "warm_ms": times[1] * 1e3,
-        "copy_us": copy * 1e6,
+        "segment_us": segment * 1e6,
         "ns_per_cycle": per_cycle * 1e9,
     }
 
 
 @needs_cc
 def test_native_free_run_bar(progs, capsys):
-    """Reference, Python fast path and native on the RV32 suite."""
+    """Reference, Python fast path and native on the RV32 suite, then
+    both again keeping 64 snapshots."""
     configs = {
-        "reference": (False, _step_run),
-        "python fast": (True, _step_run),
-        "native": (True, lambda sim: sim.run(_MAX_CYCLES)),
+        "reference": (False, _step_run, 0),
+        "python fast": (True, _step_run, 0),
+        "native": (True, _native_run, 0),
+        "python fast, timeline 64": (True, _step_run, 64),
+        "native, timeline 64": (True, _native_run, 64),
     }
-    digests = {}
-    for name, (fast, driver) in configs.items():
-        sims, _spent = _suite(progs, fast, driver)
-        digests[name] = [(s.get_time(), s.state_digest()) for s in sims]
-        if name == "native":
+    runs = {}
+    for name, (fast, driver, snapshots) in configs.items():
+        sims, _spent = _suite(progs, fast, driver, snapshots=snapshots)
+        runs[name] = [
+            (s.get_time(), s.state_digest(), s.timeline and s.timeline.times())
+            for s in sims
+        ]
+        if driver is _native_run:
             assert all(s.stats()["native_cycles"] > 0 for s in sims)
-    assert digests["native"] == digests["python fast"] == digests["reference"]
-    cycles = sum(t for t, _d in digests["reference"])
+    assert runs["native"] == runs["python fast"] == runs["reference"]
+    assert runs["native, timeline 64"] == runs["python fast, timeline 64"]
+    assert [r[:2] for r in runs["native, timeline 64"]] == [
+        r[:2] for r in runs["reference"]
+    ]
+    cycles = sum(r[0] for r in runs["reference"])
 
+    reps = 1 if _SMOKE else 5
     secs = {
-        name: best_of(_suite, progs, fast, driver, n=1 if _SMOKE else 5)
-        for name, (fast, driver) in configs.items()
+        name: best_of(_suite, progs, fast, driver, False, snapshots, n=reps)
+        for name, (fast, driver, snapshots) in configs.items()
     }
     cost = _cost_model(progs)
     lines = [
         "",
         "=== native free-run tier: RV32 suite through Simulator.run() ===",
-        f"{'configuration':14s} {'suite ms':>9s} {'cycles/s':>11s}"
+        f"{'configuration':24s} {'suite ms':>9s} {'cycles/s':>11s}"
         f" {'vs reference':>13s}",
     ]
     for name, sec in secs.items():
         lines.append(
-            f"{name:14s} {sec * 1e3:9.1f} {cycles / sec:11.0f}"
+            f"{name:24s} {sec * 1e3:9.1f} {cycles / sec:11.0f}"
             f" {secs['reference'] / sec:12.1f}x"
         )
+    timeline = secs["python fast, timeline 64"] / secs["native, timeline 64"]
     lines += [
-        f"native vs python fast: {secs['python fast'] / secs['native']:.1f}x",
+        f"native vs python fast: {secs['python fast'] / secs['native']:.1f}x; "
+        f"with timeline 64: {timeline:.1f}x",
         f"cold build {cost['cold_ms']:.0f} ms, warm load {cost['warm_ms']:.1f} ms, "
-        f"copy in+out per segment {cost['copy_us']:.0f} us, "
+        f"fixed cost of one segment {cost['segment_us']:.1f} us, "
         f"kernel {cost['ns_per_cycle']:.1f} ns/cycle",
     ]
     with capsys.disabled():
@@ -179,6 +206,7 @@ def test_native_free_run_bar(progs, capsys):
     if not _SMOKE:
         ratio = secs["reference"] / secs["native"]
         assert ratio >= _BAR, f"native only {ratio:.1f}x the reference"
+        assert timeline >= _BAR, f"native with a timeline only {timeline:.1f}x"
 
 
 @needs_cc

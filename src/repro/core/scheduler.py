@@ -119,7 +119,8 @@ class Scheduler:
             return self._all_groups()
         if self._ins_cache is None:
             table: dict[GroupKey, Group] = {}
-            for bp in self.inserted.values():
+            # A snapshot: another thread may insert or remove meanwhile.
+            for bp in list(self.inserted.values()):
                 key = group_key(bp.rec)
                 table.setdefault(key, Group(key)).breakpoints.append(bp)
             self._ins_cache = [table[k] for k in sorted(table)]

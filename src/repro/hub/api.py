@@ -39,6 +39,7 @@ from ..core.runtime import (
     HitGroup,
     Runtime,
 )
+from ..sim.engine import Simulator
 from ..sim.interface import SimulatorError
 
 
@@ -289,15 +290,25 @@ class SessionHandle(ABC):
 
 
 class _SessionAbort(Exception):
-    """Raised inside the run loop's stimulus hook to abort a detach."""
+    """Raised inside the run loop to abort it for a detach."""
+
+
+def _abort_run(sim) -> None:
+    """The clock callback a detach registers: registering it stops a
+    native segment within a cycle, and it ends the run at that posedge."""
+    raise _SessionAbort
 
 
 class LocalSession(SessionHandle):
     """A :class:`SessionHandle` over an in-process :class:`Runtime`.
 
     Data operations delegate straight to the runtime and its backend; the
-    run-control surface owns a pump thread driving
-    ``sim.run_cycles(...)``.  When a breakpoint hits, the runtime's
+    run-control surface owns a pump thread driving the backend.  A live
+    :class:`~repro.sim.Simulator` without ``stimulus`` free-runs through
+    ``sim.run(...)``, so stretches where no breakpoint can hit run in the
+    native kernel, timeline or not; a session with ``stimulus`` (the hub's
+    seeded sessions) or another backend advances one cycle at a time
+    through ``sim.run_cycles(...)``.  When a breakpoint hits, the runtime's
     synchronous ``on_hit`` callback serializes the stop, parks the pump on
     a command queue (the blocking-VPI-callback shape: the simulator stays
     inside its clock callback until the client's next command), and the
@@ -541,8 +552,11 @@ class LocalSession(SessionHandle):
             self.runtime.request_pause()
 
     def detach(self) -> StopInfo | None:
+        # Abort a run in flight *before* taking the control lock, which a
+        # run or cont holds until its stop arrives.
+        self._abort = True
+        abort_cb = self._sim.add_clock_callback(_abort_run)
         with self._ctl:
-            self._abort = True
             if self._state == "stopped":
                 self._state = "running"
                 self._cmds.put(DETACH)
@@ -555,7 +569,8 @@ class LocalSession(SessionHandle):
                 self._thread.join(timeout=self.stop_timeout)
                 self._thread = None
             self.runtime.detach()
-            return out
+        self._sim.remove_clock_callback(abort_cb)
+        return out
 
     def reset(self, cycles: int = 1) -> None:
         self._check_data_ok()
@@ -597,25 +612,29 @@ class LocalSession(SessionHandle):
 
     def _run_loop(self, cycles: int) -> None:
         sim = self._sim
+        free = self._stimulus is None and isinstance(sim, Simulator)
+        ticks = sim.stats()["ticks"] if free else 0
         done = 0
         try:
-            done = sim.run_cycles(cycles, stimulus=self._stimulus_hook)
+            if free:
+                sim.run(cycles)
+            else:
+                done = sim.run_cycles(cycles, stimulus=self._stimulus_hook)
             info = StopInfo(
                 reason="done",
                 time=sim.get_time(),
-                cycles=done,
                 exit_code=getattr(sim, "exit_code", None),
             )
         except _SessionAbort:
-            info = StopInfo(
-                reason="detached", time=sim.get_time(), cycles=done
-            )
+            info = StopInfo(reason="detached", time=sim.get_time())
         except Exception as exc:  # noqa: BLE001 - session boundary
             info = StopInfo(
                 reason="error",
                 time=sim.get_time(),
                 message=f"{type(exc).__name__}: {exc}",
             )
+        # The cycles this call ran (through run(): the engine's posedges).
+        info.cycles = sim.stats()["ticks"] - ticks if free else done
         self._state = "idle"
         self._stop_bp = None
         self._stops.put(info)

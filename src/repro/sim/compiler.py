@@ -35,6 +35,7 @@ tests enforce it.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 
 try:
@@ -173,13 +174,16 @@ class CompiledDesign:
         """Storage expression for a signal (see :func:`_lane_expr`)."""
         return _lane_expr(index, self.wide_indices)
 
-    def initial_mems(self) -> list[list[int]]:
-        out = []
+    def initial_mems(self) -> list:
+        """Fresh memory contents: an ``array('Q')`` per memory of at most
+        64-bit words (the native kernel works on it in place), a list of
+        ints per wider one."""
+        out: list = []
         for spec in self.mems:
             data = [0] * spec.depth
             if spec.init:
                 data[: len(spec.init)] = list(spec.init)
-            out.append(data)
+            out.append(array("Q", data) if spec.width <= LANE_BITS else data)
         return out
 
     # -- fanout cones (the dirty-set fast path) ---------------------------

@@ -43,14 +43,18 @@ the next posedge on; an idle debugger registers nothing and costs
 nothing per cycle.
 
 ``run()`` goes one step further when nothing observes single cycles —
-``fast=True``, no trace sink, no timeline, and no callback without a
-wake: it hands the whole remaining budget to the design's native C kernel
-(:mod:`repro.sim.native`), which returns before any cycle where a
-callback's wake predicate holds, and falls back to the Python edge loop
-for the cycles the kernel leaves to it.  Registering a callback
+``fast=True``, no trace sink, no byte-budget timeline, and no callback
+without a wake: it hands the whole remaining budget to the design's
+native C kernel (:mod:`repro.sim.native`), which returns before any cycle
+where a callback's wake predicate holds, and falls back to the Python
+edge loop for the cycles the kernel leaves to it.  Registering a callback
 publishes the new combined wake and then sets the simulator's break
 flag, which the kernel polls every cycle, so a callback registered
-mid-run still fires from the next posedge.
+mid-run still fires from the next posedge.  Under a ``snapshots=N``
+timeline a native segment is checkpointed first; when the kernel
+returns, the checkpoint is restored, the kernel re-runs all but the last
+N cycles, and Python steps those N, so the timeline retains exactly what
+stepping would have recorded (``docs/time_travel.md``).
 """
 
 from __future__ import annotations
@@ -222,7 +226,7 @@ class Simulator(SimulatorInterface):
         # never rebinds them — generated code holds them across rewinds).
         self._v = self.store.narrow
         self._w = self.store.wide
-        self.mems: list[list[int]] = self.design.initial_mems()
+        self.mems: list = self.design.initial_mems()
         self._fast = opt.fast
         self._time = 0
         self._finished: int | None = None
@@ -233,7 +237,8 @@ class Simulator(SimulatorInterface):
         # Native free-run: the callbacks' combined wake program (None when
         # a callback has no wake), the break flag the kernel polls every
         # cycle (set by add_clock_callback) and, while a kernel segment
-        # runs, (start time, [cycles done, woke]) for a live get_time().
+        # runs or is re-executed for the timeline, (time, [cycles done])
+        # for a live get_time().
         self._wake = native.wake_program((), self.design)
         self._native_brk = array("q", [0])
         self._native_seg: tuple | None = None
@@ -459,6 +464,7 @@ class Simulator(SimulatorInterface):
         # the design has neither registers nor memory reads; a reference
         # edge owes the full comb.
         owes_tick = fast and design.tick_mask() != 0
+        refilling = self._native_seg is not None
         for _ in range(cycles):
             if self._finished is not None:
                 return
@@ -466,8 +472,10 @@ class Simulator(SimulatorInterface):
             if self._trace is not None:
                 self._trace.sample(self)
             # Read per cycle: a callback registered from another thread
-            # fires from the next posedge on.
-            cb_list = self._cb_list
+            # fires from the next posedge on.  While a native segment's
+            # tail is re-executed for the timeline (_refill) none fires:
+            # no wake held on those cycles.
+            cb_list = () if refilling else self._cb_list
             if cb_list:
                 for fn in cb_list:
                     fn(self)
@@ -505,15 +513,23 @@ class Simulator(SimulatorInterface):
         exit code, or None on timeout.
 
         With ``fast=True`` and nothing observing single cycles (no trace
-        sink, timeline or clock callback without a wake) the design's
-        native kernel runs the remaining budget.  It returns before any
-        cycle whose stop or printf condition or callback wake holds, or
-        when a callback is registered; Python then runs the rest of that
-        1024-cycle chunk, so stops, printfs and callbacks behave exactly
-        as in :meth:`step`."""
+        sink, no byte-budget timeline, no clock callback without a wake)
+        the design's native kernel runs the remaining budget.  It returns
+        before any cycle whose stop or printf condition or callback wake
+        holds, or when a callback is registered; Python then runs the rest
+        of that 1024-cycle chunk, so stops, printfs and callbacks behave
+        exactly as in :meth:`step`.  A ``snapshots=N`` timeline ends up
+        with the same entries as under :meth:`step` (see :meth:`_refill`);
+        each cycle counts once in ``ticks``, ``native_cycles`` and the
+        settle counts."""
         budget = max_cycles
         ran = 0
-        native_ok = self._fast and self._trace is None and self.timeline is None
+        timeline = self.timeline
+        native_ok = (
+            self._fast
+            and self._trace is None
+            and (timeline is None or timeline.byte_budget is None)
+        )
         while budget > 0 and self._finished is None:
             if native_ok:
                 done = self._run_native(budget)
@@ -530,7 +546,10 @@ class Simulator(SimulatorInterface):
     def _run_native(self, budget: int) -> int:
         """One native segment of up to ``budget`` cycles; returns the
         cycles it ran (0 when the design has no kernel or a callback has
-        no wake)."""
+        no wake, or when a timeline would keep every cycle it can run)."""
+        timeline = self.timeline
+        if timeline is not None and budget <= timeline.limit:
+            return 0  # _refill would step every one of them again
         kernel = native.kernel_for(self.design, self.obs)
         if kernel is None:
             return 0
@@ -542,6 +561,11 @@ class Simulator(SimulatorInterface):
         if wake is None:
             return 0
         self._settle()
+        if timeline is not None:
+            store = self.store
+            saved = (
+                store.copy_narrow(), store.copy_wide(), [m[:] for m in self.mems]
+            )
         t0 = self._time
         prog = array("q", [0, 0])
         self._native_seg = (t0, prog)
@@ -549,6 +573,10 @@ class Simulator(SimulatorInterface):
             kernel.run(
                 self._v, self._w, self.mems, budget, self._native_brk, prog, wake
             )
+        except BaseException:
+            if timeline is not None and prog[0]:
+                timeline.restart()  # nothing recorded the kernel's cycles
+            raise
         finally:
             # The kernel settled its tick cone after every edge, exactly
             # as the Python fast path would have.
@@ -560,7 +588,53 @@ class Simulator(SimulatorInterface):
             if self.design.tick_mask():
                 self._stat_settle_tick += done
             self._native_seg = None
+        if timeline is not None and done:
+            self._refill(kernel, saved, t0)
         return done
+
+    def _refill(self, kernel, saved: tuple, t0: int) -> None:
+        """Give the timeline the entries stepping would have recorded for
+        the native segment from ``t0`` to now (k): an N-entry window keeps
+        only the last N.  Restore the checkpoint ``saved`` (taken at
+        ``t0``), re-run natively to k - N (then restart the timeline: its
+        memory journal missed the kernel's writes), and step the rest in
+        Python, recording but firing no callback.  The first pass already
+        counted these cycles, so the counters the re-execution moves (it
+        only ticks and settles tick cones) are put back; ``get_time()``
+        holds at k meanwhile.  Any exception restarts the timeline, so the
+        window never spans unrecorded cycles."""
+        timeline = self.timeline
+        k = self._time
+        ticks, settles = self._stat_ticks, self._stat_settle_tick
+        self._native_seg = (k, (0,))
+        try:
+            values, wide, mems = saved
+            self.store.restore_narrow(values)
+            self.store.restore_wide(wide)
+            for mem, copy in zip(self.mems, mems, strict=True):
+                mem[:] = copy
+            self._time = t0
+            skip = k - timeline.limit - t0
+            if skip > 0:
+                # A private break flag and an empty wake: nothing may cut
+                # the re-run short.
+                brk, prog, never = array("q", [0]), array("q", [0, 0]), array("Q", [0])
+                try:
+                    kernel.run(self._v, self._w, self.mems, skip, brk, prog, never)
+                finally:
+                    self._time += prog[0]
+                if prog[0] != skip:
+                    raise SimulatorError(
+                        f"native re-run from cycle {t0} ran {prog[0]} of {skip} cycles"
+                    )
+                timeline.restart()
+            self.step(k - self._time)
+        except BaseException:
+            timeline.restart()
+            raise
+        finally:
+            self._stat_ticks, self._stat_settle_tick = ticks, settles
+            self._native_seg = None
 
     # -- time travel (delegated to repro.sim.timeline) ----------------------
 

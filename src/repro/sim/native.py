@@ -1,17 +1,21 @@
 """The native free-run tier: one C kernel per design shape.
 
 When nothing observes single cycles (``fast=True``, no trace sink or
-timeline, and no clock callback without a wake), ``Simulator.run()`` hands
-its budget to a C function emitted from the design's IR.  Per cycle it
-checks the break flag, the callbacks' combined wake predicate (a postfix
-program the prelude interprets, see :func:`wake_program`) and every
-stop/printf condition, returning *before* the tick of a cycle where one
-holds (Python runs that cycle), then runs the tick and the tick cone
-exactly as the Python fast path does.  Values sit in 64-bit lanes,
-65-128-bit ones in ``unsigned __int128``, computed modulo 2**64 or 2**128
-in unsigned types; anything wider than 128 bits makes a design
-ineligible.  The source holds only indices and integer constants,
-so designs differing only in memory init share one library, built once
+byte-budget timeline, and no clock callback without a wake),
+``Simulator.run()`` hands its budget to a C function emitted from the
+design's IR; under an entry-limited timeline the engine re-executes each
+segment's last cycles into the window.  Per cycle it checks the break
+flag, the callbacks' combined wake predicate (a postfix program the
+prelude interprets, see :func:`wake_program`) and every stop/printf
+condition, returning *before* the tick of a cycle where one holds (Python
+runs that cycle), then runs the tick and the tick cone exactly as the
+Python fast path does.  Values sit in 64-bit lanes, 65-128-bit ones in
+``unsigned __int128``, computed modulo 2**64 or 2**128 in unsigned types;
+anything wider than 128 bits makes a design ineligible.  A memory of at
+most 64-bit words is an ``array('Q')`` the kernel works on in place; the
+value table and wider memories are copied in and back around each call.
+The source holds only indices and integer constants, so designs
+differing only in memory init share one library, built once
 with ``$CC`` (else ``cc``) into a per-user cache and loaded with ctypes.
 Any failure warns once per design (:class:`NativeWarning`) and leaves the
 design in Python.  See ``docs/performance.md`` §7.
@@ -298,11 +302,10 @@ def c_source(design) -> str:
                 raise _Ineligible("a wide value is written to a 64-bit memory")
             put = f"m{mi}[a_] = {g.raw(s.data)};"
         else:
-            put = f"ST(m{mi}, a_, {_cast(g.raw(s.data), width, 128)});"
-        # Mark the written 64-word block: only those are copied back.
-        body.append(
-            f"if ({g.raw(s.en)}) {{ u64 a_ = {addr}; {put} d{mi}[a_ >> 6] = 1; }}"
-        )
+            # Mark the written 64-word block: only those are copied back.
+            data = _cast(g.raw(s.data), width, 128)
+            put = f"ST(m{mi}, a_, {data}); d{mi}[a_ >> 6] = 1;"
+        body.append(f"if ({g.raw(s.en)}) {{ u64 a_ = {addr}; {put} }}")
     for i, spec in enumerate(design.registers):
         g, expr, init = cg(spec.path), spec.next_expr, spec.init_expr
         if expr is None:
@@ -337,7 +340,8 @@ def c_source(design) -> str:
         *(f"    u64 *restrict m{mi} = mp[{mi}];" for mi in range(len(layout))),
         *(
             f"    uint8_t *restrict d{mi} = (uint8_t *)mp[{len(layout) + mi}];"
-            for mi in range(len(layout))
+            for mi, (width, _depth) in enumerate(layout)
+            if width > 64
         ),
         "    int64_t base = *prog, i;",
         "    for (i = 0; i < n; i++) {",
@@ -369,24 +373,34 @@ class Kernel:
 
     def run(self, v, w, mems, n: int, brk: array, prog: array, wake: array) -> None:
         """Run up to ``n`` cycles on the values ``v``/``w`` and memories
-        ``mems``, copied in and back in place (memories only in the
-        64-word blocks written), stopping before a cycle where the
-        :func:`wake_program` ``wake`` holds.  ``prog[0]`` counts the cycles
-        run, also when the run is interrupted; ``prog[1]`` is set to 1 when
-        the wake stopped it."""
-        # The kernel indexes these buffers by the design's layout.
-        if len(v) != self.n_signals or [len(m) for m in mems] != self.depths:
+        ``mems``, stopping before a cycle where the :func:`wake_program`
+        ``wake`` holds.  A memory of at most 64-bit words is the kernel's
+        own buffer: its ``array('Q')`` is shared in place, never copied.
+        The value table and each wider memory are copied in and back in
+        place (a wide memory only in the 64-word blocks written).
+        ``prog[0]`` counts the cycles run, also when the run is
+        interrupted; ``prog[1]`` is set to 1 when the wake stopped it."""
+        # The kernel indexes these buffers by the design's layout, and
+        # dereferences a narrow memory's buffer directly.
+        if len(v) != self.n_signals or len(mems) != len(self.depths):
             raise SimulatorError("native kernel: buffers do not match the design")
+        bufs, marks = [], []
+        for wide, depth, mem in zip(self.mems, self.depths, mems, strict=True):
+            narrow = isinstance(mem, array) and mem.typecode == "Q"
+            if len(mem) != depth or not (wide or narrow):
+                raise SimulatorError(
+                    f"native kernel: a {type(mem).__name__} of {len(mem)} words "
+                    f"for a {depth}-word memory (one of <= 64-bit words must be "
+                    "an array('Q'))"
+                )
+            if wide:
+                bufs.append(array("Q", (h for x in mem for h in (x & _M64, x >> 64))))
+            else:
+                bufs.append(mem)
+            marks.append(array("B", bytes((depth + 63) >> 6) if wide else b""))
         state = array("Q", v)
         for i in self.wide:
             state.extend((w[i] & _M64, w[i] >> 64))
-        bufs = [
-            array("Q", (h for x in mem for h in (x & _M64, x >> 64)))
-            if wide
-            else array("Q", mem)
-            for wide, mem in zip(self.mems, mems, strict=True)
-        ]
-        marks = [array("B", bytes((len(mem) + 63) >> 6)) for mem in mems]
         ptrs = array("Q", [b.buffer_info()[0] for b in (*bufs, *marks)] or [0])
         s, mp = state.buffer_info()[0], ptrs.buffer_info()[0]
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
@@ -404,15 +418,11 @@ class Kernel:
                 base = self.n_signals
                 for k, i in enumerate(self.wide):
                     w[i] = state[base + 2 * k] | state[base + 2 * k + 1] << 64
-                copies = zip(self.mems, mems, bufs, marks, strict=True)
-                for wide, mem, buf, mark in copies:
+                for mem, buf, mark in zip(mems, bufs, marks, strict=True):
                     for blk in (b for b, hit in enumerate(mark) if hit):
                         lo, hi = blk << 6, min((blk + 1) << 6, len(mem))
-                        if wide:
-                            pairs = range(2 * lo, 2 * hi, 2)
-                            mem[lo:hi] = [buf[j] | buf[j + 1] << 64 for j in pairs]
-                        else:
-                            mem[lo:hi] = buf[lo:hi]
+                        pairs = range(2 * lo, 2 * hi, 2)
+                        mem[lo:hi] = [buf[j] | buf[j + 1] << 64 for j in pairs]
 
 
 # -- wake programs ------------------------------------------------------------

@@ -73,7 +73,7 @@ class TimelineEntry:
     time: int
     values: object | None = None
     wide: dict | None = None
-    mem_copy: list[list[int]] | None = None
+    mem_copy: list | None = None
     delta: object | None = None
     delta_mem: dict | None = None
     # Byte estimate, maintained eagerly only under a byte budget (the
@@ -183,7 +183,8 @@ class Timeline(TimelineView):
 
     Args:
         store: the simulator's value store (restored in place on rewind).
-        mems: the simulator's live memory lists (restored in place).
+        mems: the simulator's live memories (restored in place; copied by
+            slice, so an ``array('Q')`` and a list of ints both work).
         mem_specs: the compiled design's :class:`MemSpec` list — decides
             memory-history gating against :data:`MEM_HISTORY_WORD_CAP`.
         limit: retain at most this many entries (None = unbounded).
@@ -198,7 +199,7 @@ class Timeline(TimelineView):
     def __init__(
         self,
         store,
-        mems: list[list[int]],
+        mems: list,
         mem_specs=(),
         *,
         limit: int | None = None,
@@ -343,13 +344,22 @@ class Timeline(TimelineView):
             while len(entries) > limit and len(entries) > 1:
                 self._evict_oldest()
 
+    def restart(self) -> None:
+        """Drop every entry and the delta baseline, so the next
+        :meth:`record` is a keyframe.  For state reached without recording
+        (the native kernel's cycles): the memory-write journal missed its
+        writes, so a delta across the gap would be wrong."""
+        self.entries.clear()
+        self.by_time.clear()
+        self.mem_written.clear()
+        self._base = None
+        self._nbytes = 0
+
     def _make_keyframe(self, time: int) -> TimelineEntry:
         self.stat_keyframes += 1
         store = self.store
         values = store.copy_narrow()
-        mem_copy = (
-            [mem.copy() for mem in self.mems] if self.snap_mems else None
-        )
+        mem_copy = [mem[:] for mem in self.mems] if self.snap_mems else None
         self._base = store.capture_state()
         self.mem_written.clear()
         self._since_key = 0
@@ -418,7 +428,7 @@ class Timeline(TimelineView):
                 break
         vals = store.clone_narrow(segment[0].values)
         mems_rec = (
-            [mem.copy() for mem in segment[0].mem_copy]
+            [mem[:] for mem in segment[0].mem_copy]
             if segment[0].mem_copy is not None
             else None
         )

@@ -3,7 +3,8 @@ store: the reference (list store, ``fast=False``) against the list-store
 default, the typed-array store and the numpy store, the native free-run
 tier behind ``run()``, plus a default run with a Runtime that goes idle,
 then armed, then idle again, both stepped and run, and the whole suite
-with breakpoints armed, run natively against stepped."""
+with breakpoints armed, run natively against stepped, with and without a
+64-entry timeline."""
 
 import inspect
 
@@ -189,13 +190,15 @@ def _step_then_detach(sim, table, hits):
     return [rt]
 
 
-def _armed_suite(suite, arm, advance):
+def _armed_suite(suite, arm, advance, options=None):
     """Every program armed by ``arm`` before reset and advanced to the end
     by ``run(200_000)`` or by ``step()``: per program, what a debugger
-    observes, and the native cycles of the whole suite."""
+    observes (with a timeline, its retained cycles and the state at the
+    oldest, which folds in every memory write before it), and the native
+    cycles of the whole suite."""
     out, native_cycles = [], 0
     for bench, design, compiled, table in suite:
-        sim = Simulator(design.low, compiled=compiled)
+        sim = Simulator(design.low, compiled=compiled, options=options)
         hits = []
         rts = arm(sim, table, hits)
         sim.reset()
@@ -214,9 +217,13 @@ def _armed_suite(suite, arm, advance):
                 [rt.warnings for rt in rts],
                 sim.get_time(),
                 sim.state_digest(),
+                sim.timeline and sim.timeline.times(),
             )
         )
         native_cycles += sim.stats()["native_cycles"]
+        if sim.timeline is not None:
+            sim.set_time(sim.timeline.times()[0])
+            out[-1] += (sim.state_digest(),)
         if advance == "run" and arm is _step_then_detach and hits:
             # nothing ran natively from the first stop until the detach
             assert {native for _k, _rec, native in hits} == {hits[0][2]}
@@ -248,6 +255,22 @@ def test_armed_suite_run_matches_stepping(suite, scenario):
     assert ran == stepped
     assert sum(len(program[0]) for program in ran) == hits
     if scenario in ("never", "rare") and native._compiler()[1] is not None:
+        assert native_cycles > 0
+
+
+@pytest.mark.parametrize("scenario", list(NATIVE))
+def test_armed_suite_run_matches_stepping_under_a_timeline(suite, scenario):
+    """The same with 64 snapshots: after each native segment ``run()``
+    re-executes the window's cycles into the timeline, which must retain
+    what stepping recorded."""
+    arm, hits = NATIVE[scenario]
+    options = SessionOptions(snapshots=64)
+    stepped, _ = _armed_suite(suite, arm, "step", options)
+    ran, native_cycles = _armed_suite(suite, arm, "run", options)
+    assert ran == stepped
+    assert sum(len(program[0]) for program in ran) == hits
+    assert all(len(program[-2]) == 64 for program in ran)
+    if native._compiler()[1] is not None:
         assert native_cycles > 0
 
 

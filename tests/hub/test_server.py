@@ -1,6 +1,7 @@
 """Debug hub server: wire round-trips, re-attach, eviction, the lint
 gate, the shard endpoint, and hub-side observability."""
 
+import contextlib
 import json
 import socket
 import threading
@@ -9,11 +10,17 @@ import time
 import pytest
 
 import repro
+from repro.cpu import RV32Core, assemble, benchmark_by_name
 from repro.hub import DebugHub, HubClient, SessionError, SessionOptions
 from repro.hub.server import HubError
 from repro.lint import LintError
+from repro.sim import Simulator, native
 from tests.helpers import Accumulator, Counter, line_of
 from tests.lint.broken_designs import Loopy, Sloppy
+
+needs_cc = pytest.mark.skipif(
+    native._compiler()[1] is None, reason="needs a working C compiler ($CC or cc)"
+)
 
 
 def _serve(mod_cls=Counter, **kw):
@@ -250,6 +257,117 @@ class TestWire:
     def test_needs_compiled_design(self):
         with pytest.raises(HubError, match="repro.compile"):
             DebugHub(Counter())
+
+
+def _spin():
+    """An RV32 core looping forever: a run ends only when it is stopped."""
+    return RV32Core(assemble("loop:\n addi a0, a0, 1\n j loop\n").words, 64)
+
+
+class TestNativeRuns:
+    """A session without stimulus free-runs through ``Simulator.run()``,
+    so the native kernel runs it, timeline or not."""
+
+    def test_only_stimulus_free_sessions_run_natively(self):
+        design, hub, host, port = _serve(options=SessionOptions(snapshots=16))
+        with hub, HubClient(host, port) as client:
+            free = client.attach()
+            free.poke("en", 1)
+            free.reset(1)
+            stop = free.run(500)
+            assert (stop.reason, stop.cycles, stop.time) == ("done", 500, 501)
+            stats = free.stats()
+            assert stats["timeline_entries"] == 16
+            if native._compiler()[1] is not None:
+                assert stats["native_cycles"] == 500
+            seeded = client.attach(seed=3)
+            seeded.reset(1)
+            assert seeded.run(500).cycles == 500
+            assert seeded.stats()["native_cycles"] == 0
+
+    @needs_cc
+    def test_pause_stops_an_endless_run_that_can_reverse(self):
+        design, hub, host, port = _serve(_spin, options=SessionOptions(snapshots=64))
+        with hub, HubClient(host, port) as first, HubClient(host, port) as second:
+            session = first.attach()
+            session.reset(1)
+            result = {}
+            runner = threading.Thread(
+                target=lambda: result.update(stop=session.run(10**9)), daemon=True
+            )
+            runner.start()
+            other = second.attach(sid=session.sid)
+            deadline = time.monotonic() + 10
+            while other.get_time() < 100_000 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen = other.get_time()
+            other.pause()
+            runner.join(timeout=30)
+            assert not runner.is_alive()
+            paused = result["stop"]
+            assert paused.reason == "breakpoint"
+            assert 100_000 <= seen <= paused.time
+            stats = session.stats()
+            assert stats["native_cycles"] >= seen - 1
+            assert stats["timeline_entries"] == 64
+            back = session.reverse_step()
+            assert back.reason == "breakpoint"
+            assert back.time == paused.time - 1
+            assert session.detach() is not None
+
+    def test_run_to_completion_matches_a_stepped_simulator(self):
+        bench = benchmark_by_name("vvadd")
+        design = repro.compile(RV32Core(assemble(bench.source).words, 8192))
+        options = SessionOptions(snapshots=64, keyframe_every=8)
+        ref = Simulator(design.low, options=options)
+        ref.reset(1)
+        while not ref.finished:
+            ref.step(1)
+        with DebugHub(design, options=options) as hub:
+            host, port = hub.serve_background()
+            with HubClient(host, port) as client:
+                session = client.attach()
+                session.reset(1)
+                stop = session.run(200_000)
+                assert (stop.reason, stop.exit_code) == ("done", 0)
+                assert stop.cycles == ref.get_time() - 1
+                assert session.state_digest() == ref.state_digest()
+                # The 64 retained cycles, and the current one the walk adds.
+                window = session.history("pc", limit=100)
+                samples = ref.history(window["path"])
+                assert window["samples"] == [list(x) for x in samples]
+                now = ref.get_time()
+                assert [t for t, _pc in samples] == list(range(now - 64, now + 1))
+                assert session.peek("tohost") == bench.expected
+
+    def test_close_aborts_a_run_in_flight(self):
+        """Closing the hub detaches every session without waiting out a
+        ``run`` that never ends on its own."""
+        design, hub, host, port = _serve(_spin)
+        with HubClient(host, port) as client:
+            session = client.attach()
+            session.reset(1)
+
+            def run():
+                with contextlib.suppress(SessionError):
+                    session.run(10**9)  # the hub closes under it
+
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            (owned,) = hub._sessions.values()
+            deadline = time.monotonic() + 10
+            while owned.session._thread is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            pump = owned.session._thread
+            assert owned.state == "running"
+            closer = threading.Thread(target=hub.close, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "hub.close() waited for the run"
+            pump.join(timeout=10)
+            assert not pump.is_alive()
+            runner.join(timeout=10)
+            assert not runner.is_alive()
 
 
 class TestEviction:

@@ -14,7 +14,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from array import array
 
 import pytest
 
@@ -152,6 +154,8 @@ def test_typed_stores_run_native(store):
 
 
 def test_never_native_outside_free_run():
+    """Whatever observes single cycles keeps ``run()`` in Python; an
+    entry-limited timeline does not (it is refilled after each segment)."""
     d = repro.compile(Accumulator())
 
     class Sink:
@@ -166,15 +170,58 @@ def test_never_native_outside_free_run():
     callback = Simulator(d.low)
     callback.add_clock_callback(lambda sim: None)
     traced = Simulator(d.low, trace=Sink())
-    timeline = Simulator(d.low, options=SessionOptions(snapshots=8))
+    budgeted = Simulator(d.low, options=SessionOptions(snapshot_bytes=1 << 16))
     reference = Simulator(d.low, options=SessionOptions(fast=False))
+    timeline = Simulator(d.low, options=SessionOptions(snapshots=8))
     stepped.step(2000)
     batch.run_cycles(2000, stimulus=lambda sim, cycle: sim.poke("d", cycle & 0xFF))
-    for sim in (callback, traced, timeline, reference):
+    for sim in (callback, traced, budgeted, reference, timeline):
         sim.run(2000)
-    for sim in (stepped, batch, callback, traced, timeline, reference):
+    for sim in (stepped, batch, callback, traced, budgeted, reference):
         assert sim.get_time() == 2000
         assert sim.stats()["native_cycles"] == 0
+    assert timeline.get_time() == 2000
+    assert timeline.state_digest() == stepped.state_digest()
+    assert timeline.timeline.times() == list(range(1992, 2000))
+    if _has_compiler():
+        assert timeline.stats()["native_cycles"] == 2000
+
+
+@needs_cc
+def test_memories_are_shared_with_the_kernel_in_place():
+    """A native segment copies no memory: a one-cycle run() on the
+    8192-word core allocates less than that memory at peak, and every
+    memory is the same object afterwards."""
+    sim = Simulator(_spin_design(8192).low)
+    sim.reset()
+    sim.run(10)  # load the kernel and warm up
+    assert [len(m) for m in sim.mems] == [8192, 32]  # memory, register file
+    assert all(isinstance(m, array) and m.typecode == "Q" for m in sim.mems)
+    before = list(sim.mems)
+    tracemalloc.start()
+    try:
+        sim.run(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.stats()["native_cycles"] == 11
+    assert peak < 8192 * 8, peak
+    assert all(a is b for a, b in zip(sim.mems, before, strict=True))
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "bad",
+    [list(range(64)), array("Q", bytes(8 * 63)), array("L", bytes(64 * 8))],
+    ids=["list", "short", "typecode"],
+)
+def test_kernel_rejects_a_memory_it_cannot_share(bad):
+    sim = Simulator(_spin_design().low)
+    kernel = native.kernel_for(sim.design)
+    prog, wake = array("q", [0, 0]), array("Q", [0])
+    with pytest.raises(SimulatorError, match="array"):
+        kernel.run(sim._v, sim._w, [bad, sim.mems[1]], 1, array("q", [0]), prog, wake)
+    assert prog[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -324,9 +371,9 @@ def test_two_processes_racing_on_one_key(fresh):
 # -- threads ------------------------------------------------------------------------
 
 
-def _spin_design():
+def _spin_design(mem_words=64):
     words = assemble("loop:\n addi a0, a0, 1\n j loop\n").words
-    return repro.compile(RV32Core(words, 64))
+    return repro.compile(RV32Core(words, mem_words))
 
 
 class Stopped(Exception):
@@ -476,6 +523,35 @@ def test_breakpoint_churn_from_threads_during_native_runs():
     ref.poke("d", 1)
     ref.run(sim.get_time() - 1)
     _same(sim, ref)
+
+
+@needs_cc
+def test_get_time_never_falls_while_the_window_is_refilled():
+    """Under a timeline, run() re-executes each native segment from its
+    checkpoint; a thread polling get_time() meanwhile never reads a time
+    earlier than one it read before."""
+    sim = Simulator(_spin_design().low, options=SessionOptions(snapshots=64))
+    sim.reset()
+    seen, done = [], threading.Event()
+
+    def poll():
+        while not done.is_set():
+            seen.append(sim.get_time())
+
+    poller = threading.Thread(target=poll, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        poller.start()
+        sim.run(2_000_000)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    poller.join(timeout=30)
+    assert not poller.is_alive()
+    assert sim.get_time() == 2_000_001
+    assert sim.timeline.times() == list(range(2_000_001 - 64, 2_000_001))
+    assert len(seen) > 100 and seen == sorted(seen)
 
 
 @needs_cc

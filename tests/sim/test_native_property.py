@@ -10,6 +10,10 @@ alternates random pokes with ``run(k)`` on the default engine, where
 does.  After every segment both must agree on the state digest, the time,
 the exit code and the printf output.  Designs holding anything wider than
 128 bits must report themselves ineligible and still match.
+
+Under a drawn entry-limited timeline, ``run(k)`` (native segments whose
+tail is re-executed into the timeline) must retain exactly what
+``step(k)`` records: the same cycles, and the same state at each.
 """
 
 from __future__ import annotations
@@ -206,3 +210,55 @@ def test_native_free_run_matches_reference(data):
     if status == "on" and not gen.effects:
         assert fast.stats()["native_cycles"] > 0
     assert ref.stats()["native_cycles"] == 0
+
+
+@pytest.mark.filterwarnings("ignore::repro.sim.native.NativeWarning")
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_native_run_under_a_timeline_matches_stepping(data):
+    gen = Generated(data.draw, 128)
+    design = repro.compile(gen)
+    opts = {"snapshots": data.draw(st.integers(1, 80))}
+    if data.draw(st.booleans()):
+        opts["keyframe_every"] = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        opts["snapshot_codec"] = "rle"
+    fast = Simulator(design.low, options=SessionOptions(**opts))
+    ref = Simulator(design.low, options=SessionOptions(**opts))
+    budgeted = Simulator(design.low, options=SessionOptions(snapshot_bytes=4096))
+    sims = (fast, ref, budgeted)
+    for sim in sims:
+        sim.reset()
+    inputs = [n for n in fast.design.top_inputs if n.startswith("i")]
+    longest = 0  # a budget beyond the window is what runs natively
+    for _ in range(data.draw(st.integers(1, 5))):
+        for name in inputs:
+            if data.draw(st.booleans()):
+                value = data.draw(st.integers(0, (1 << 130) - 1))
+                for sim in sims:
+                    sim.poke(name, value)
+        k = data.draw(st.integers(1, 200))
+        longest = max(longest, k)
+        assert fast.run(k) == budgeted.run(k)
+        ref.step(k)
+        _check(fast, ref)
+        _check(budgeted, ref)
+        assert fast.timeline.times() == ref.timeline.times()
+        assert fast.stats()["ticks"] == ref.stats()["ticks"]
+        if fast.finished:
+            break
+    assert budgeted.stats()["native_cycles"] == 0
+    on = native.status(fast.design) == "on"
+    if on and not gen.effects and longest > opts["snapshots"]:
+        assert fast.stats()["native_cycles"] > 0
+    now = fast.get_time()
+    for t in ref.timeline.times():
+        fast.set_time(t)
+        ref.set_time(t)
+        assert fast.state_digest() == ref.state_digest(), (t, now)
