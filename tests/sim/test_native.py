@@ -554,6 +554,53 @@ def test_get_time_never_falls_while_the_window_is_refilled():
     assert len(seen) > 100 and seen == sorted(seen)
 
 
+class _Interrupt(BaseException):
+    """Stands in for Ctrl-C, which lands between kernel slices."""
+
+
+@needs_cc
+@pytest.mark.parametrize("call", [2, 7], ids=["first pass", "re-run"])
+def test_an_interrupted_native_run_restarts_the_timeline(monkeypatch, call):
+    """Whether an exception interrupts a segment's native pass or the re-run
+    that refills the window, the timeline restarts: it retains nothing,
+    its next record is a keyframe, and every state it then retains matches
+    a stepped run's."""
+    source = """
+    loop:
+        addi a0, a0, 1
+        andi a1, a0, 63
+        slli a1, a1, 2
+        sw a0, 128(a1)
+        j loop
+    """
+    design = repro.compile(RV32Core(assemble(source).words, 512))
+    sim = Simulator(design.low, options=SessionOptions(snapshots=16))
+    sim.reset()
+    kernel = native.kernel_for(sim.design)
+    calls, real = [], kernel.fn
+
+    def fn(*args):
+        calls.append(1)
+        if len(calls) == call:
+            raise _Interrupt
+        return real(*args)
+
+    monkeypatch.setattr(native, "SLICE", 1000)
+    monkeypatch.setattr(kernel, "fn", fn)
+    with pytest.raises(_Interrupt):
+        sim.run(5000)  # five 1000-cycle slices, then the re-run's five
+    assert sim.get_time() == 1001 and len(sim.timeline) == 0
+    sim.step(40)
+    ref = Simulator(design.low, options=SessionOptions(snapshots=16))
+    ref.reset()
+    ref.step(1040)
+    assert sim.timeline.times() == ref.timeline.times() == list(range(1025, 1041))
+    for t in ref.timeline.times():
+        sim.set_time(t)
+        ref.set_time(t)
+        assert sim.state_digest() == ref.state_digest(), t
+
+
 @needs_cc
 def test_threads_share_one_compiled_design():
     """More threads than cores run simulators of one compiled design, and
