@@ -51,10 +51,11 @@ edge loop for the cycles the kernel leaves to it.  Registering a callback
 publishes the new combined wake and then sets the simulator's break
 flag, which the kernel polls every cycle, so a callback registered
 mid-run still fires from the next posedge.  Under a ``snapshots=N``
-timeline a native segment is checkpointed first; when the kernel
-returns, the checkpoint is restored, the kernel re-runs all but the last
-N cycles, and Python steps those N, so the timeline retains exactly what
-stepping would have recorded (``docs/time_travel.md``).
+timeline a native segment is checkpointed before each kernel slice; when
+the kernel returns, the last checkpoint before the window is restored,
+the kernel re-runs up to the window, and Python steps the last N cycles,
+so the timeline retains exactly what stepping would have recorded
+(``docs/time_travel.md``).
 """
 
 from __future__ import annotations
@@ -561,18 +562,25 @@ class Simulator(SimulatorInterface):
         if wake is None:
             return 0
         self._settle()
-        if timeline is not None:
-            store = self.store
-            saved = (
-                store.copy_narrow(), store.copy_wide(), [m[:] for m in self.mems]
-            )
         t0 = self._time
         prog = array("q", [0, 0])
         self._native_seg = (t0, prog)
+        # Under a timeline the kernel runs a slice at a time, checkpointed
+        # before each, so _refill re-executes at most about one slice.
+        saved: list = []
+        piece = budget if timeline is None else native.SLICE
         try:
-            kernel.run(
-                self._v, self._w, self.mems, budget, self._native_brk, prog, wake
-            )
+            while True:
+                at = prog[0]
+                if timeline is not None:
+                    saved.append((t0 + at, self._checkpoint()))
+                    # One checkpoint N cycles old serves any later k.
+                    while len(saved) > 1 and saved[1][0] <= t0 + at - timeline.limit:
+                        del saved[0]
+                n = min(budget - at, piece)
+                kernel.run(self._v, self._w, self.mems, n, self._native_brk, prog, wake)
+                if prog[0] - at < n or prog[0] == budget:
+                    break
         except BaseException:
             if timeline is not None and prog[0]:
                 timeline.restart()  # nothing recorded the kernel's cycles
@@ -592,11 +600,18 @@ class Simulator(SimulatorInterface):
             self._refill(kernel, saved, t0)
         return done
 
-    def _refill(self, kernel, saved: tuple, t0: int) -> None:
+    def _checkpoint(self) -> tuple:
+        """The settled state ``_refill`` restores: the narrow and wide
+        values and a copy of each memory."""
+        store = self.store
+        return store.copy_narrow(), store.copy_wide(), [m[:] for m in self.mems]
+
+    def _refill(self, kernel, saved: list, t0: int) -> None:
         """Give the timeline the entries stepping would have recorded for
         the native segment from ``t0`` to now (k): an N-entry window keeps
-        only the last N.  Restore the checkpoint ``saved`` (taken at
-        ``t0``), re-run natively to k - N (then restart the timeline: its
+        only the cycles from ``start = max(t0, k - N)`` on.  Restore the
+        latest checkpoint in ``saved`` at or before ``start``, re-run
+        natively to ``start``, restart the timeline if ``start > t0`` (its
         memory journal missed the kernel's writes), and step the rest in
         Python, recording but firing no callback.  The first pass already
         counted these cycles, so the counters the re-execution moves (it
@@ -605,30 +620,33 @@ class Simulator(SimulatorInterface):
         window never spans unrecorded cycles."""
         timeline = self.timeline
         k = self._time
+        start = max(t0, k - timeline.limit)
+        at, (values, wide, mems) = [c for c in saved if c[0] <= start][-1]
         ticks, settles = self._stat_ticks, self._stat_settle_tick
         self._native_seg = (k, (0,))
         try:
-            values, wide, mems = saved
             self.store.restore_narrow(values)
             self.store.restore_wide(wide)
             for mem, copy in zip(self.mems, mems, strict=True):
                 mem[:] = copy
-            self._time = t0
-            skip = k - timeline.limit - t0
-            if skip > 0:
+            self._time = at
+            n = start - at
+            if n > 0:
                 # A private break flag and an empty wake: nothing may cut
                 # the re-run short.
                 brk, prog, never = array("q", [0]), array("q", [0, 0]), array("Q", [0])
                 try:
-                    kernel.run(self._v, self._w, self.mems, skip, brk, prog, never)
+                    kernel.run(self._v, self._w, self.mems, n, brk, prog, never)
                 finally:
                     self._time += prog[0]
-                if prog[0] != skip:
+                if self._time != start:
                     raise SimulatorError(
-                        f"native re-run from cycle {t0} ran {prog[0]} of {skip} cycles"
+                        f"native re-run from cycle {at} stopped at {self._time}, "
+                        f"before {start}"
                     )
+            if start > t0:
                 timeline.restart()
-            self.step(k - self._time)
+            self.step(k - start)
         except BaseException:
             timeline.restart()
             raise

@@ -46,7 +46,9 @@ from .interface import WAKE_BINARY_OPS, SimulatorError
 #: unsigned types; ``-fwrapv`` is a second guard against signed overflow.
 FLAGS = ("-O1", "-pipe", "-fPIC", "-shared", "-fwrapv")
 #: Cycles per kernel call: a long run returns to Python this often, so
-#: Ctrl-C and other signals are handled within milliseconds.
+#: Ctrl-C and other signals are handled within milliseconds.  Under a
+#: timeline the engine checkpoints this often too, which bounds how much
+#: of a segment it re-executes.
 SLICE = 1 << 16
 _M64 = (1 << 64) - 1
 _COMPARE = dict(lt="<", leq="<=", gt=">", geq=">=", eq="==", neq="!=")

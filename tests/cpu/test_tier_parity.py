@@ -274,6 +274,23 @@ def test_armed_suite_run_matches_stepping_under_a_timeline(suite, scenario):
         assert native_cycles > 0
 
 
+@pytest.mark.parametrize("piece", [37, 1000])
+def test_sliced_native_runs_refill_the_timeline(suite, monkeypatch, piece):
+    """Under a timeline the kernel runs a slice at a time, checkpointed
+    before each, and the window is re-executed from the last checkpoint
+    before it: with slices shorter and longer than the 64-entry window,
+    the result is still what stepping records."""
+    monkeypatch.setattr(native, "SLICE", piece)
+    arm, hits = NATIVE["rare"]
+    options = SessionOptions(snapshots=64)
+    stepped, _ = _armed_suite(suite, arm, "step", options)
+    ran, native_cycles = _armed_suite(suite, arm, "run", options)
+    assert ran == stepped
+    assert sum(len(program[0]) for program in ran) == hits
+    if native._compiler()[1] is not None:
+        assert native_cycles > 0
+
+
 @pytest.mark.parametrize("scenario", list(PYTHON))
 def test_armed_suite_stays_python_without_a_wake(suite, scenario):
     stepped, _ = _armed_suite(suite, PYTHON[scenario], "step")

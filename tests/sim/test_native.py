@@ -558,13 +558,8 @@ class _Interrupt(BaseException):
     """Stands in for Ctrl-C, which lands between kernel slices."""
 
 
-@needs_cc
-@pytest.mark.parametrize("call", [2, 7], ids=["first pass", "re-run"])
-def test_an_interrupted_native_run_restarts_the_timeline(monkeypatch, call):
-    """Whether an exception interrupts a segment's native pass or the re-run
-    that refills the window, the timeline restarts: it retains nothing,
-    its next record is a keyframe, and every state it then retains matches
-    a stepped run's."""
+def _store_loop_design():
+    """An RV32 core storing a counter round 64 words forever."""
     source = """
     loop:
         addi a0, a0, 1
@@ -573,7 +568,27 @@ def test_an_interrupted_native_run_restarts_the_timeline(monkeypatch, call):
         sw a0, 128(a1)
         j loop
     """
-    design = repro.compile(RV32Core(assemble(source).words, 512))
+    return repro.compile(RV32Core(assemble(source).words, 512))
+
+
+def _same_window(sim, ref):
+    assert sim.timeline.times() == ref.timeline.times()
+    for t in ref.timeline.times():
+        sim.set_time(t)
+        ref.set_time(t)
+        assert sim.state_digest() == ref.state_digest(), t
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "call,stop_at", [(2, 1001), (6, 4001)], ids=["first pass", "re-run"]
+)
+def test_an_interrupted_native_run_restarts_the_timeline(monkeypatch, call, stop_at):
+    """Whether an exception interrupts a segment's native pass or the re-run
+    that refills the window, the timeline restarts: it retains nothing,
+    its next record is a keyframe, and every state it then retains matches
+    a stepped run's."""
+    design = _store_loop_design()
     sim = Simulator(design.low, options=SessionOptions(snapshots=16))
     sim.reset()
     kernel = native.kernel_for(sim.design)
@@ -587,18 +602,35 @@ def test_an_interrupted_native_run_restarts_the_timeline(monkeypatch, call):
 
     monkeypatch.setattr(native, "SLICE", 1000)
     monkeypatch.setattr(kernel, "fn", fn)
+    # Five 1000-cycle slices from cycle 1, then the re-run from the last
+    # checkpoint (cycle 4001) up to the window.
     with pytest.raises(_Interrupt):
-        sim.run(5000)  # five 1000-cycle slices, then the re-run's five
-    assert sim.get_time() == 1001 and len(sim.timeline) == 0
+        sim.run(5000)
+    assert sim.get_time() == stop_at and len(sim.timeline) == 0
     sim.step(40)
     ref = Simulator(design.low, options=SessionOptions(snapshots=16))
     ref.reset()
-    ref.step(1040)
-    assert sim.timeline.times() == ref.timeline.times() == list(range(1025, 1041))
-    for t in ref.timeline.times():
-        sim.set_time(t)
-        ref.set_time(t)
-        assert sim.state_digest() == ref.state_digest(), t
+    ref.step(stop_at - 1 + 40)
+    assert sim.timeline.times() == list(range(stop_at + 24, stop_at + 40))
+    _same_window(sim, ref)
+
+
+@needs_cc
+def test_a_window_opening_on_a_checkpoint_restarts_the_timeline(monkeypatch):
+    """A segment whose window starts exactly at a slice checkpoint needs no
+    re-run, but the kernel's earlier slices went unrecorded, so the
+    timeline must still restart."""
+    monkeypatch.setattr(native, "SLICE", 1000)
+    design = _store_loop_design()
+    sim = Simulator(design.low, options=SessionOptions(snapshots=16))
+    ref = Simulator(design.low, options=SessionOptions(snapshots=16))
+    sim.reset()
+    ref.reset()
+    sim.run(1016)  # slices from cycles 1 and 1001; the window opens at 1001
+    ref.step(1016)
+    assert sim.timeline.times() == list(range(1001, 1017))
+    assert sim.stats()["native_cycles"] == 1016
+    _same_window(sim, ref)
 
 
 @needs_cc
