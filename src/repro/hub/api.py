@@ -290,7 +290,7 @@ class SessionHandle(ABC):
 
 
 class _SessionAbort(Exception):
-    """Raised inside the run loop to abort it for a detach."""
+    """Raised by the clock callback a detach registers, to end the run."""
 
 
 def _abort_run(sim) -> None:
@@ -335,7 +335,6 @@ class LocalSession(SessionHandle):
         self._ctl = threading.RLock()
         self._state = "idle"          # idle | running | stopped
         self._thread: threading.Thread | None = None
-        self._abort = False
         self._stop_bp = None          # BreakpointRec of the stopped frame
         self.last_stop: StopInfo | None = None
 
@@ -510,7 +509,6 @@ class LocalSession(SessionHandle):
                         exit_code=getattr(self._sim, "exit_code", None),
                     )
                 )
-            self._abort = False
             self._stops = queue.Queue()
             self._cmds = queue.Queue()
             self.runtime.on_hit = self._on_hit
@@ -554,22 +552,23 @@ class LocalSession(SessionHandle):
     def detach(self) -> StopInfo | None:
         # Abort a run in flight *before* taking the control lock, which a
         # run or cont holds until its stop arrives.
-        self._abort = True
         abort_cb = self._sim.add_clock_callback(_abort_run)
-        with self._ctl:
-            if self._state == "stopped":
-                self._state = "running"
-                self._cmds.put(DETACH)
-                out = self._wait_stop()
-            elif self._state == "running":
-                out = self._wait_stop()
-            else:
-                out = None
-            if self._thread is not None:
-                self._thread.join(timeout=self.stop_timeout)
-                self._thread = None
-            self.runtime.detach()
-        self._sim.remove_clock_callback(abort_cb)
+        try:
+            with self._ctl:
+                if self._state == "stopped":
+                    self._state = "running"
+                    self._cmds.put(DETACH)
+                    out = self._wait_stop()
+                elif self._state == "running":
+                    out = self._wait_stop()
+                else:
+                    out = None
+                if self._thread is not None:
+                    self._thread.join(timeout=self.stop_timeout)
+                    self._thread = None
+                self.runtime.detach()
+        finally:
+            self._sim.remove_clock_callback(abort_cb)
         return out
 
     def reset(self, cycles: int = 1) -> None:
@@ -604,22 +603,16 @@ class LocalSession(SessionHandle):
         self._state = "running"
         return cmd
 
-    def _stimulus_hook(self, sim, cycle: int) -> None:
-        if self._abort:
-            raise _SessionAbort
-        if self._stimulus is not None:
-            self._stimulus(sim, cycle)
-
     def _run_loop(self, cycles: int) -> None:
         sim = self._sim
         free = self._stimulus is None and isinstance(sim, Simulator)
-        ticks = sim.stats()["ticks"] if free else 0
+        ticks = sim.ticks if free else 0
         done = 0
         try:
             if free:
                 sim.run(cycles)
             else:
-                done = sim.run_cycles(cycles, stimulus=self._stimulus_hook)
+                done = sim.run_cycles(cycles, stimulus=self._stimulus)
             info = StopInfo(
                 reason="done",
                 time=sim.get_time(),
@@ -634,7 +627,7 @@ class LocalSession(SessionHandle):
                 message=f"{type(exc).__name__}: {exc}",
             )
         # The cycles this call ran (through run(): the engine's posedges).
-        info.cycles = sim.stats()["ticks"] - ticks if free else done
+        info.cycles = sim.ticks - ticks if free else done
         self._state = "idle"
         self._stop_bp = None
         self._stops.put(info)

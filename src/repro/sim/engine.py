@@ -617,7 +617,8 @@ class Simulator(SimulatorInterface):
         counted these cycles, so the counters the re-execution moves (it
         only ticks and settles tick cones) are put back; ``get_time()``
         holds at k meanwhile.  Any exception restarts the timeline, so the
-        window never spans unrecorded cycles."""
+        window never spans unrecorded cycles, and leaves the simulator
+        where the re-execution got to, uncounting the cycles after it."""
         timeline = self.timeline
         k = self._time
         start = max(t0, k - timeline.limit)
@@ -651,7 +652,12 @@ class Simulator(SimulatorInterface):
             timeline.restart()
             raise
         finally:
-            self._stat_ticks, self._stat_settle_tick = ticks, settles
+            lost = k - self._time  # 0 unless interrupted
+            self._stat_ticks = ticks - lost
+            self._stat_native_cycles -= lost
+            if self.design.tick_mask():
+                settles -= lost
+            self._stat_settle_tick = settles
             self._native_seg = None
 
     # -- time travel (delegated to repro.sim.timeline) ----------------------
@@ -746,6 +752,11 @@ class Simulator(SimulatorInterface):
                 }
             )
         return out
+
+    @property
+    def ticks(self) -> int:
+        """``stats()["ticks"]``, without the timeline's stats."""
+        return self._stat_ticks
 
     @property
     def native_cycles(self) -> int:

@@ -11,11 +11,11 @@ import pytest
 
 import repro
 from repro.cpu import RV32Core, assemble, benchmark_by_name
-from repro.hub import DebugHub, HubClient, SessionError, SessionOptions
+from repro.hub import DebugHub, HubClient, LocalSession, SessionError, SessionOptions
 from repro.hub.server import HubError
 from repro.lint import LintError
 from repro.sim import Simulator, native
-from tests.helpers import Accumulator, Counter, line_of
+from tests.helpers import Accumulator, Counter, line_of, make_runtime
 from tests.lint.broken_designs import Loopy, Sloppy
 
 needs_cc = pytest.mark.skipif(
@@ -339,6 +339,22 @@ class TestNativeRuns:
                 now = ref.get_time()
                 assert [t for t, _pc in samples] == list(range(now - 64, now + 1))
                 assert session.peek("tohost") == bench.expected
+
+    def test_a_failed_detach_leaves_the_session_runnable(self):
+        """A detach whose wait for the stop fails still removes the abort
+        callback it registered, so the session's next run is not cut
+        short."""
+        design = repro.compile(Counter())
+        session = LocalSession(make_runtime(design, Simulator(design.low)))
+        session.poke("en", 1)
+        session.reset(1)
+        session.stop_timeout = 0.01
+        session._state = "running"  # a run whose stop never arrives
+        with pytest.raises(SessionError, match="no stop"):
+            session.detach()
+        session._state = "idle"
+        stop = session.run(500)
+        assert (stop.reason, stop.cycles, stop.time) == ("done", 500, 501)
 
     def test_close_aborts_a_run_in_flight(self):
         """Closing the hub detaches every session without waiting out a

@@ -607,10 +607,15 @@ def test_an_interrupted_native_run_restarts_the_timeline(monkeypatch, call, stop
     with pytest.raises(_Interrupt):
         sim.run(5000)
     assert sim.get_time() == stop_at and len(sim.timeline) == 0
+    # The counters count the cycles up to where the simulator stopped.
+    assert sim.ticks == stop_at and sim.native_cycles == stop_at - 1
     sim.step(40)
     ref = Simulator(design.low, options=SessionOptions(snapshots=16))
     ref.reset()
     ref.step(stop_at - 1 + 40)
+    stats, ref_stats = sim.stats(), ref.stats()
+    for key in ("ticks", "settle_tick"):
+        assert stats[key] == ref_stats[key], key
     assert sim.timeline.times() == list(range(stop_at + 24, stop_at + 40))
     _same_window(sim, ref)
 
