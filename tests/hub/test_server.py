@@ -356,12 +356,13 @@ class TestNativeRuns:
         stop = session.run(500)
         assert (stop.reason, stop.cycles, stop.time) == ("done", 500, 501)
 
-    def test_close_aborts_a_run_in_flight(self):
+    @pytest.mark.parametrize("seed", [None, 3], ids=["free", "seeded"])
+    def test_close_aborts_a_run_in_flight(self, seed):
         """Closing the hub detaches every session without waiting out a
-        ``run`` that never ends on its own."""
+        ``run`` that never ends on its own, native or stepped."""
         design, hub, host, port = _serve(_spin)
         with HubClient(host, port) as client:
-            session = client.attach()
+            session = client.attach(seed=seed)
             session.reset(1)
 
             def run():
