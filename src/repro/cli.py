@@ -469,11 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard.add_argument(
         "--worlds", type=int, default=0, metavar="N",
-        help="pack N consecutive shards per worker as scenario worlds of "
-             "one vectorized many-worlds simulator (needs numpy; groups "
-             "that arm breakpoints/watchpoints run their members "
-             "sequentially instead).  Results are identical either way; "
-             "0 = one shard per worker",
+        help="pack N consecutive shards into each worker attempt, run "
+             "one after another; results are identical to the unpacked "
+             "sweep.  0 = one shard per attempt",
     )
     p_shard.add_argument(
         "-b", "--breakpoint", action="append",

@@ -6,11 +6,13 @@ users" north star in miniature: the design is elaborated and compiled
 (``symtable/rpc.py``), and N worker processes — forked so they inherit
 the compiled design for free — run :class:`ShardSpec` attempts with their
 own ``Simulator`` + ``Runtime``, streaming hit/progress events back over
-per-worker pipes as JSON lines.  A worker serves one sweep's attempts
-back to back, so a sweep forks at most ``workers`` processes unless an
-attempt fails.  The coordinator multiplexes those pipes onto one event
-queue, hands each idle worker the next shard, and passes the merged
-results to :class:`~repro.shard.aggregate.ShardReport`.
+per-worker pipes as JSON lines.  A worker serves attempt after attempt
+for the life of its session: one that ends a sweep cleanly waits idle
+for the next sweep, so a session forks at most ``workers`` processes
+unless an attempt fails or a worker dies.  The coordinator multiplexes
+those pipes onto one event queue, hands each idle worker the next shard,
+and passes the merged results to
+:class:`~repro.shard.aggregate.ShardReport`.
 
 ``workers=0`` runs every shard inline in this process (no fork, native
 symbol table) — the reference semantics the multi-process path is tested
@@ -25,10 +27,12 @@ import os
 import queue
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..obs import make_obs
+from ..sim import native
 from ..sim.compiler import compile_design
 from ..sim.engine import SessionOptions
 from ..symtable.rpc import SymbolTableServer
@@ -96,7 +100,7 @@ class _Attempt:
 
 @dataclass(slots=True, eq=False)
 class _Worker:
-    """One forked worker process, serving one sweep's attempts back to
+    """One forked worker process, serving its session's attempts back to
     back: the pipe attempts are sent over, the thread pumping its event
     pipe, and the attempt it is running (None while idle or exiting)."""
 
@@ -104,6 +108,60 @@ class _Worker:
     inbox: object
     pump: threading.Thread | None = None
     attempt: _Attempt | None = None
+
+
+@dataclass(slots=True, eq=False)
+class _Pool:
+    """A session's forked workers and the one queue their pumps feed.
+    Between sweeps it holds only workers that ended their last attempt
+    cleanly, idle; any other worker is gone or retired before a sweep
+    returns."""
+
+    events: queue.Queue = field(default_factory=queue.Queue)
+    live: list = field(default_factory=list)    # forked, not gone or retired
+    idle: list = field(default_factory=list)    # live, waiting for an attempt
+    pumps: list = field(default_factory=list)   # pump threads not yet joined
+
+    def shut(self, grace: float = 5.0) -> None:
+        """End every worker: an idle one is asked to stop, a busy one is
+        terminated (killed past ``grace`` seconds), and every pump is
+        joined."""
+        for w in self.live:
+            if w.attempt is None:
+                # Idle, or about to exit on its own: tell it to stop.
+                with contextlib.suppress(OSError):
+                    w.inbox.send(None)
+            elif w.proc.is_alive():
+                w.proc.terminate()  # cut off mid-attempt
+        _reap([w.proc for w in self.live], grace)
+        for w in self.live:
+            w.inbox.close()
+        self.live.clear()
+        self.idle.clear()
+        self.join_pumps()
+
+    def join_pumps(self) -> None:
+        """Join the pumps of workers that are gone: each has read (or is
+        about to read) its pipe's EOF."""
+        live = {id(w.pump) for w in self.live}
+        for pump in [p for p in self.pumps if id(p) not in live]:
+            pump.join(timeout=1.0)
+            self.pumps.remove(pump)
+
+
+def _reap(procs: list, grace: float) -> None:
+    """Wait up to ``grace`` seconds for ``procs`` to exit, then kill the
+    ones still running and wait for those too."""
+    stop_at = time.monotonic() + grace
+    for p in procs:
+        p.join(timeout=max(0.0, stop_at - time.monotonic()))
+        if p.is_alive():
+            # terminate() was not enough (SIGTERM masked or the worker is
+            # wedged in uninterruptible state): escalate.
+            p.kill()
+    for p in procs:
+        if p.is_alive():
+            p.join(timeout=5)
 
 
 @dataclass(slots=True)
@@ -140,6 +198,10 @@ class ShardSession:
             inline) builds its own per-shard ``Obs`` from the same mode;
             the aggregated :class:`ShardReport` merges both sides, and
             ``report.write_chrome_trace`` puts them on one timeline.
+
+    Forked workers live for the session: :meth:`close` (or leaving the
+    ``with`` block) ends them, as does a sweep that raises.  Sweeps on one
+    session run one at a time.
     """
 
     def __init__(self, design, symtable=None, workers: int | None = None,
@@ -164,6 +226,10 @@ class ShardSession:
             else compile_design(self.circuit, None)
         )
         self._server: SymbolTableServer | None = None
+        self._pool = _Pool()
+        self._sweep_lock = threading.Lock()
+        # A session dropped without close() still ends its workers.
+        self._finalizer = weakref.finalize(self, self._pool.shut)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -174,9 +240,12 @@ class ShardSession:
         return self._server.address
 
     def close(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
+        """End the forked workers and stop the symbol-table server."""
+        with self._sweep_lock:
+            self._finalizer()
+            if self._server is not None:
+                self._server.stop()
+                self._server = None
 
     def __enter__(self) -> ShardSession:
         return self
@@ -213,13 +282,9 @@ class ShardSession:
         ``retry``/``deadline``/``faults`` are forwarded to :meth:`run`.
 
         ``worlds_per_shard > 1`` packs that many consecutive shards into
-        each worker as scenario *worlds* of one vectorized many-worlds
-        simulator (:class:`~repro.shard.spec.WorldGroupSpec`), so
-        processes × SIMD compose: the report is flattened back to one
-        result per shard, digest-identical to the unpacked sweep.
-        Groups that arm breakpoints/watchpoints/hit limits/timeline
-        streaming — or run where numpy is unavailable — transparently
-        fall back to sequential member execution inside the worker.
+        each worker attempt (:class:`~repro.shard.spec.WorldGroupSpec`),
+        run one after another: the report is flattened back to one result
+        per shard, digest-identical to the unpacked sweep.
         """
         specs = make_sweep(
             shards, cycles, seed_base=seed_base, overrides=overrides,
@@ -274,7 +339,9 @@ class ShardSession:
         workers = self.workers
         if workers is None:
             workers = default_workers(len(specs))
-        with self.obs.span("shard.sweep", shards=len(specs), workers=workers):
+        with self._sweep_lock, self.obs.span(
+            "shard.sweep", shards=len(specs), workers=workers
+        ):
             report = (
                 self._run_inline(specs, on_event)
                 if workers <= 0 or not _fork_available()
@@ -383,7 +450,12 @@ class ShardSession:
                 faults.rpc_injector() if faults is not None else None
             )
         ctx = multiprocessing.get_context("fork")
-        events: queue.Queue = queue.Queue()
+        pool = self._pool
+        events, live, idle = pool.events, pool.live, pool.idle
+        if not live:
+            # Load the kernel once, here: every worker forked from now on
+            # inherits it instead of building and loading its own.
+            native.kernel_for(self.compiled)
         now = time.monotonic
         # Coordinator-side supervision metrics, resolved once; every
         # per-event touch below is guarded by a single `is not None`.
@@ -413,9 +485,6 @@ class ShardSession:
 
         pending: deque[_Job] = deque(_Job(spec) for spec in specs)
         waiting: list[_Job] = []            # retries sitting out a backoff
-        forked: list[_Worker] = []          # every worker of this sweep
-        live: list[_Worker] = []            # forked, not yet gone or retired
-        idle: list[_Worker] = []            # live, waiting for an attempt
         zombies: list[_Zombie] = []
         results: dict[int, ShardResult] = {}
         fallback: list[_Job] = []
@@ -428,10 +497,7 @@ class ShardSession:
                 args=(
                     self.circuit, self.compiled, host, port, w_conn, r_inbox,
                 ),
-                kwargs={
-                    "obs_mode": self.obs.mode,
-                    "listening": on_event is not None,
-                },
+                kwargs={"obs_mode": self.obs.mode},
                 daemon=True,
             )
             proc.start()
@@ -446,7 +512,7 @@ class ShardSession:
                 target=_pump_pipe, args=(r_conn, w, events), daemon=True,
             )
             w.pump.start()
-            forked.append(w)
+            pool.pumps.append(w.pump)
             live.append(w)
             return w
 
@@ -457,7 +523,16 @@ class ShardSession:
             # the last line an attempt writes; a worker whose attempt
             # ended any other way is never reused.  So a line can never
             # be credited to an attempt that did not write it.
-            w = idle.pop() if idle else fork_worker()
+            w = None
+            while idle and w is None:
+                w = idle.pop()
+                if not w.proc.is_alive():
+                    # Died while idle (between sweeps, say): its attempt
+                    # goes to another worker, and its EOF is stale.
+                    drop(w)
+                    w = None
+            if w is None:
+                w = fork_worker()
             fault = (
                 faults.fault_for(job.spec.shard_id, job.attempt, job.spec.cycles)
                 if faults is not None else None
@@ -474,9 +549,9 @@ class ShardSession:
                 ),
             )
             with contextlib.suppress(OSError):
-                # A worker that died while idle cannot take it; its pipe
-                # EOF settles this attempt as a crash.
-                w.inbox.send((job.spec.to_wire(), fault))
+                # A worker that died since cannot take it; its pipe EOF
+                # settles this attempt as a crash.
+                w.inbox.send((job.spec.to_wire(), fault, on_event is not None))
 
         def drop(w: _Worker) -> None:
             """Forget a worker that has exited or is being retired."""
@@ -685,29 +760,17 @@ class ShardSession:
                 if sweep_deadline is not None and now() >= sweep_deadline:
                     raise sweep_expired()
                 results[job.spec.shard_id] = self._run_fallback(job, on_event)
+            # Only the idle workers stay for the next sweep; one that ran
+            # a faulted attempt exits on its own.
+            for w in [w for w in live if w not in idle]:
+                drop(w)
+                zombies.append(_Zombie(w.proc, now()))
+        except BaseException:
+            pool.shut()  # a sweep that raises ends the pool
+            raise
         finally:
-            for w in live:
-                if w.attempt is None:
-                    # Idle, or about to exit on its own: tell it to stop.
-                    with contextlib.suppress(OSError):
-                        w.inbox.send(None)
-                elif w.proc.is_alive():
-                    w.proc.terminate()  # cut off mid-attempt
-                w.inbox.close()
-            procs = [w.proc for w in live] + [z.proc for z in zombies]
-            stop_at = time.monotonic() + 5.0
-            for p in procs:
-                p.join(timeout=max(0.0, stop_at - time.monotonic()))
-                if p.is_alive():
-                    # terminate() was not enough (SIGTERM masked or the
-                    # worker is wedged in uninterruptible state): escalate.
-                    p.kill()
-            for p in procs:
-                if p.is_alive():
-                    p.join(timeout=5)
-            # Every worker is gone, so every pump reads its EOF and ends.
-            for w in forked:
-                w.pump.join(timeout=1.0)
+            _reap([z.proc for z in zombies], 5.0)
+            pool.join_pumps()
             if self._server is not None:
                 self._server.faults = None
 

@@ -211,16 +211,14 @@ class ShardResult:
 
 @dataclass(frozen=True, slots=True)
 class WorldGroupSpec:
-    """M shards packed into one worker as scenario *worlds*.
+    """M shards packed into one worker attempt as scenario *worlds*.
 
     A world group rides the pool exactly like a single :class:`ShardSpec`
-    (one process, one attempt token, one done event) but runs its members
-    together — vectorized in a
-    :class:`~repro.sim.manyworlds.ManyWorldsSimulator` when eligible (no
-    breakpoints/watchpoints/hit limits/timeline streaming and numpy
-    present), member-by-member sequentially otherwise.  Either way each
-    member still reports its own :class:`ShardResult`, digest-identical
-    to running it as a standalone shard: processes × SIMD compose.
+    (one process, one attempt token, one done event); the worker runs its
+    members one after another, each as a scalar stimulus tape
+    (:func:`~repro.shard.worker.run_world_group`).  Each member still
+    reports its own :class:`ShardResult`, digest-identical to running it
+    as a standalone shard.
     """
 
     members: tuple = ()                              # ShardSpec...

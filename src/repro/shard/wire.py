@@ -38,8 +38,8 @@ feeds to :func:`repro.sim.timeline.first_timeline_divergence` for
 stateful divergence localization.  Absent/None for older producers, so
 the protocol version is unchanged.
 
-A *world group* attempt (``WorldGroupSpec``: M scenarios packed into one
-worker, vectorized many-worlds when eligible) settles with a single
+A *world group* attempt (``WorldGroupSpec``: M shards packed into one
+worker attempt, run one after another) settles with a single
 ``done`` whose result is ``{"shard_id": N, "group": [member result
 wires...]}`` — see :func:`group_done_event`.
 

@@ -18,13 +18,12 @@ import contextlib
 import os
 import random
 import time
+from array import array
 
 from ..core.runtime import HitRecorder, Runtime
 from ..faults import FaultInjector, corrupt_line
 from ..obs import make_obs
 from ..sim.engine import SessionOptions, Simulator
-from ..sim.manyworlds import ManyWorldsSimulator, make_sweep_stimulus
-from ..sim.store import numpy_available
 from ..symtable.query import SymbolTableInterface
 from ..symtable.rpc import RPCSymbolTable
 from .spec import ShardResult, ShardSpec, WorldGroupSpec
@@ -57,16 +56,79 @@ def stimulus_inputs(design, spec: ShardSpec) -> list[tuple[str, int]]:
     ]
 
 
-def make_stimulus(sim: Simulator, spec: ShardSpec):
-    """Build the per-cycle stimulus callback for ``run_cycles``."""
-    rng = random.Random(spec.seed)
-    inputs = stimulus_inputs(sim.design, spec)
+#: Most rows a stimulus tape draws at once, so a long run holds at most
+#: this many cycles of values.
+TAPE_ROWS = 4096
 
-    def stimulus(s, _cycle: int) -> None:
-        for name, width in inputs:
-            s.poke(name, rng.getrandbits(width))
 
-    return stimulus
+class Stimulus:
+    """The spec's stimulus, for ``run_cycles``: called as ``(sim, cycle)``
+    it pokes one cycle's values into any backend, and as a *tape* it hands
+    :class:`~repro.sim.Simulator` rows for the native kernel to poke.
+
+    A row is one cycle's values, one word per input of
+    :func:`stimulus_inputs`, drawn in that order from ``Random(seed)``.
+    Rows are drawn at most :data:`TAPE_ROWS` at a time; those drawn but not
+    yet run stay queued, and a call takes the queue's head before drawing,
+    so every run sees one sequence whichever way it took its rows.
+    """
+
+    __slots__ = ("_rng", "_inputs", "columns", "_rows", "_head")
+
+    def __init__(self, design, spec: ShardSpec):
+        self._rng = random.Random(spec.seed)
+        self._inputs = stimulus_inputs(design, spec)
+        index = [design.top_inputs[name] for name, _width in self._inputs]
+        #: the inputs' signal indices; None when one is wider than the
+        #: kernel's 64-bit lanes, so the tape cannot run.
+        self.columns = (
+            None if any(i in design.wide_indices for i in index) else index
+        )
+        self._rows = array("Q")
+        self._head = 0  # the first queued row
+
+    def __call__(self, sim, _cycle: int) -> None:
+        n = len(self._inputs)
+        at = self._head * n
+        if at < len(self._rows):
+            self._head += 1
+            for (name, _width), value in zip(
+                self._inputs, self._rows[at : at + n], strict=True
+            ):
+                sim.poke(name, value)
+            return
+        bits = self._rng.getrandbits
+        for name, width in self._inputs:
+            sim.poke(name, bits(width))
+
+    def rows(self, n: int) -> tuple[array, int, int]:
+        """``(buffer, first, count)``: ``count`` queued rows from row
+        ``first`` of ``buffer``, at least one and, when the queue is
+        empty, at most ``min(n, TAPE_ROWS)`` newly drawn.  Mark the rows
+        applied with :meth:`consume`."""
+        widths = [width for _name, width in self._inputs]
+        if not widths:
+            return self._rows, 0, n  # nothing to draw or poke
+        queued = len(self._rows) // len(widths) - self._head
+        if queued <= 0:
+            bits = self._rng.getrandbits
+            queued = min(n, TAPE_ROWS)
+            self._rows = array(
+                "Q", [bits(w) for _ in range(queued) for w in widths]
+            )
+            self._head = 0
+        return self._rows, self._head, queued
+
+    def consume(self, rows: int) -> None:
+        """``rows`` queued rows were applied: drop them from the queue."""
+        if self._inputs:
+            self._head += rows
+
+
+def make_stimulus(sim: Simulator, spec: ShardSpec) -> Stimulus:
+    """The stimulus ``run_cycles`` takes for ``spec`` (see
+    :class:`Stimulus`)."""
+    return Stimulus(sim.design, spec)
 
 
 def run_shard(
@@ -225,115 +287,19 @@ def run_world_group(
     fast: bool = True,
     obs=None,
 ) -> list[ShardResult]:
-    """Run a :class:`WorldGroupSpec`'s members together in one process.
-
-    When the group is *vector-eligible* — numpy importable, more than one
-    member, and no member arms breakpoints, watchpoints, a hit limit, or
-    timeline streaming — all members advance in lockstep as scenario
-    worlds of one :class:`~repro.sim.manyworlds.ManyWorldsSimulator`
-    (per-world seeds/overrides honor the spec stimulus contract exactly).
-    Otherwise members run sequentially through :func:`run_shard` in this
-    same process.  Either way every member gets its own
-    :class:`ShardResult` whose ``state_digest``, ``exit_code``, and
-    cycle count are bit-identical to running it as a standalone shard.
-
-    ``obs`` is a mode (string/None), not a built ``Obs``: the sequential
-    path hands it to each member's :func:`run_shard` so per-shard
-    registries stay distinct, while the vector path builds one
-    group-level ``Obs`` (``worlds <id>`` process, worlds/sec gauges from
-    the simulator's collector) and ships it on the first member's result.
-    """
-    eligible = (
-        numpy_available()
-        and group.worlds > 1
-        and not any(
-            m.breakpoints
-            or m.watchpoints
-            or m.hit_limit is not None
-            or m.timeline_cycles
-            for m in group.members
+    """Run a :class:`WorldGroupSpec`'s members one after another in this
+    process, each through :func:`run_shard`, so each runs as a scalar
+    stimulus tape on the native kernel where it can.  Every member gets
+    its own :class:`ShardResult`, equal to running it as a standalone
+    shard, and its own per-shard observability built from the mode
+    ``obs``."""
+    return [
+        run_shard(
+            circuit, symtable, m, emit=emit, compiled=compiled,
+            fast=fast, obs=obs,
         )
-    )
-    if not eligible:
-        return [
-            run_shard(
-                circuit, symtable, m, emit=emit, compiled=compiled,
-                fast=fast, obs=obs,
-            )
-            for m in group.members
-        ]
-
-    t0 = time.perf_counter()
-    first = group.members[0]
-    gid = group.shard_id
-    obs = make_obs(obs, proc=f"worlds {gid}", labels={"shard": str(gid)})
-    with obs.span("worlds.setup", shard=gid, worlds=group.worlds):
-        sim = ManyWorldsSimulator(
-            circuit,
-            group.worlds,
-            compiled=compiled,
-            options=SessionOptions(fast=fast, obs=obs),
-        )
-        for name in sorted(first.overrides):
-            sim.poke_worlds(
-                name, [m.overrides[name] for m in group.members]
-            )
-        if first.reset_cycles:
-            sim.reset(first.reset_cycles)
-
-    beat_every = first.progress_every or max(1, min(first.cycles // 16, 2048))
-    on_progress = None
-    if emit is not None:
-        emit(heartbeat_event(gid, 0))  # armed: setup finished
-
-        def on_progress(_s, done: int) -> None:
-            emit(heartbeat_event(gid, done))
-
-    stimulus = make_sweep_stimulus(
-        sim, [m.seed for m in group.members], overrides=first.overrides
-    )
-    with obs.span("worlds.run", shard=gid, worlds=group.worlds):
-        ran = sim.run_cycles(
-            first.cycles,
-            stimulus=stimulus,
-            on_progress=on_progress,
-            progress_every=beat_every,
-        )
-    wall = time.perf_counter() - t0
-    obs_wire = None
-    if obs.metrics is not None:
-        obs_wire = obs.to_wire()
-        if emit is not None:
-            emit(stats_event(gid, obs_wire))
-    exit_codes = sim.exit_codes
-    finish_ticks = sim.finish_ticks
-    results = []
-    for k, m in enumerate(group.members):
-        # A finished world ran fewer stimulus cycles than the lockstep
-        # loop: its Stop fired at absolute tick `ft`, i.e. stimulus cycle
-        # ft - reset_cycles, and the scalar run loop breaks *before* the
-        # next cycle — so it counts ft + 1 - reset_cycles cycles (clamped:
-        # a Stop during reset means zero stimulus cycles ran).
-        ft = finish_ticks[k]
-        ran_k = (
-            min(ran, max(0, ft + 1 - first.reset_cycles))
-            if ft is not None
-            else ran
-        )
-        results.append(
-            ShardResult(
-                shard_id=m.shard_id,
-                seed=m.seed,
-                cycles=ran_k,
-                exit_code=exit_codes[k],
-                # One lockstep run served every member; amortize its wall
-                # time so summing member walls recovers the group's.
-                wall_time_s=wall / group.worlds,
-                state_digest=sim.state_digest(k),
-                obs=obs_wire if k == 0 else None,
-            )
-        )
-    return results
+        for m in group.members
+    ]
 
 
 class _MemoTable(SymbolTableInterface):
@@ -395,12 +361,13 @@ class _MemoTable(SymbolTableInterface):
 
 def worker_main(
     circuit, compiled, host: str, port: int, conn, inbox,
-    obs_mode: str | None = None, listening: bool = True,
+    obs_mode: str | None = None,
 ) -> None:
-    """Forked worker process main: serve one sweep's attempts back to back.
+    """Forked worker process main: serve its session's attempts back to
+    back, across sweeps.
 
     Each message on ``inbox`` (the read end of a one-way pipe from the
-    coordinator) is one attempt, ``(spec_wire, fault)``, run by
+    coordinator) is one attempt, ``(spec_wire, fault, listening)``, run by
     :func:`worker_entry` with events streamed through ``conn``.  ``None``,
     EOF, or the coordinator's death ends the loop.  The worker stays for
     another attempt only after a clean ``done`` of an attempt with no
@@ -423,7 +390,7 @@ def worker_main(
                 return
             if job is None:
                 return
-            spec_wire, fault = job
+            spec_wire, fault, listening = job
             clean = worker_entry(
                 circuit, compiled, spec_wire, host, port, conn, fault=fault,
                 obs_mode=obs_mode, listening=listening, memo=memo,
@@ -446,7 +413,8 @@ def worker_entry(
     the attempt sent a clean ``done``.  The pipe stays open: the worker
     loop (:func:`worker_main`) owns it.
 
-    ``listening`` says whether the sweep has an ``on_event`` listener.
+    ``listening`` says whether the attempt's sweep has an ``on_event``
+    listener.
     Without one the attempt sends no ``hit`` lines: the ``done`` result
     carries every hit, so streaming them too would only cost encoding,
     pipe and decoding work for records nobody reads.

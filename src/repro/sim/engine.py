@@ -600,6 +600,96 @@ class Simulator(SimulatorInterface):
             self._refill(kernel, saved, t0)
         return done
 
+    def run_cycles(
+        self,
+        cycles: int,
+        stimulus=None,
+        on_progress=None,
+        progress_every: int = 0,
+    ) -> int:
+        """:meth:`SimulatorInterface.run_cycles`, with the stimulus poked by
+        the native kernel when it is a tape (``columns`` and ``rows``, as
+        ``repro.shard.worker.make_stimulus`` builds).  The kernel runs
+        ``progress_every``-cycle segments, so ``on_progress`` keeps its
+        cadence.  When it stops before a cycle (a wake, a stop or printf
+        condition, a callback registered), that cycle's row is already
+        applied and Python runs the cycle without poking it again.
+        ``fast=False``, a trace sink, a timeline, a column wider than 64
+        bits, a callback without a wake and a design without a kernel keep
+        the Python loop.  Each tape cycle counts one seed settle (its row's
+        cone) in ``stats()``, besides its tick and tick cone."""
+        columns = getattr(stimulus, "columns", None)
+        if (
+            columns is None
+            or not self._fast
+            or self._trace is not None
+            or self.timeline is not None
+            or native.kernel_for(self.design, self.obs) is None
+        ):
+            return super().run_cycles(cycles, stimulus, on_progress, progress_every)
+        beat = progress_every if on_progress is not None else 0
+        done = 0
+        while done < cycles and self._finished is None:
+            end = min(cycles, done - done % beat + beat) if beat else cycles
+            ran, applied = self._run_tape(stimulus, columns, end - done)
+            done += ran
+            if applied:
+                self.step(1)  # the cycle the kernel stopped before
+                done += 1
+            elif done < end:
+                # No native run now: Python finishes this chunk.
+                stop = min(end, done - done % _CHUNK + _CHUNK)
+                while done < stop and self._finished is None:
+                    stimulus(self, done)
+                    self.step(1)
+                    done += 1
+            if beat and done % beat == 0:
+                on_progress(self, done)
+        return done
+
+    def _run_tape(self, stimulus, columns, n: int) -> tuple[int, bool]:
+        """Run up to ``n`` cycles natively, each poked from the tape
+        ``stimulus``.  Returns the cycles run, and whether the kernel
+        stopped before the next one with its row applied; ``(0, False)``
+        when a callback has no wake."""
+        kernel = native.kernel_for(self.design, self.obs)
+        self._native_brk[0] = 0  # before reading the wake: see _run_native
+        wake = self._wake
+        if wake is None:
+            return 0, False
+        self._settle()
+        t0 = self._time
+        prog = array("q", [0, 0])
+        self._native_seg = (t0, prog)
+        applied = 0
+        try:
+            while prog[0] < n:
+                at = prog[0]
+                rows, first, count = stimulus.rows(n - at)
+                k = min(n - at, count)
+                tape = native.tape_header(columns, rows, first)
+                try:
+                    kernel.run(
+                        self._v, self._w, self.mems, k, self._native_brk, prog,
+                        wake, tape,
+                    )
+                finally:
+                    stimulus.consume(tape[2] - first)
+                    applied += tape[2] - first
+                if prog[0] - at < k:
+                    break
+        finally:
+            done = prog[0]
+            self._time = t0 + done
+            self._stat_ticks += done
+            self._stat_native_cycles += done
+            self._stat_native_wakes += prog[1]
+            self._stat_settle_seeds += applied
+            if self.design.tick_mask():
+                self._stat_settle_tick += done
+            self._native_seg = None
+        return done, applied > done
+
     def _checkpoint(self) -> tuple:
         """The settled state ``_refill`` restores: the narrow and wide
         values and a copy of each memory."""

@@ -4,7 +4,10 @@ When nothing observes single cycles (``fast=True``, no trace sink or
 byte-budget timeline, and no clock callback without a wake),
 ``Simulator.run()`` hands its budget to a C function emitted from the
 design's IR; under an entry-limited timeline the engine re-executes each
-segment's last cycles into the window.  Per cycle it checks the break
+segment's last cycles into the window.  ``Simulator.run_cycles`` hands
+it a stimulus *tape* instead of poking from Python: per cycle the kernel
+first stores the tape's next row into the input lanes and settles their
+fanout cone.  Per cycle it then checks the break
 flag, the callbacks' combined wake predicate (a postfix program the
 prelude interprets, see :func:`wake_program`) and every stop/printf
 condition, returning *before* the tick of a cycle where one holds (Python
@@ -330,12 +333,25 @@ def c_source(design) -> str:
         g, width = cg(path), expr.typ.bit_width()
         body.append(g.store(design.order_targets[p], g.raw(expr), width))
 
+    # A tape row lands in the input lanes; then the merged fanout cone of
+    # every non-clock top input settles, as a Python poke's would.
+    seeds = 0
+    for idx in design.top_inputs.values():
+        if idx != design.clock_index:
+            seeds |= design.seed_mask(idx)
+    poke = []
+    for p in design._mask_positions(seeds):
+        path, expr = design.order_exprs[p]
+        g, width = cg(path), expr.typ.bit_width()
+        poke.append(g.store(design.order_targets[p], g.raw(expr), width))
+
     n_sig = len(design.signals)
     layout = [(spec.width, spec.depth) for spec in design.mems]
     head = [
         f"/* signals {n_sig}, wide {sorted(wide_slot)}, memories {layout} */",
         "int64_t repro_run(u64 *restrict s, u64 *const *mp, int64_t n,",
-        "                  const int64_t *brk, int64_t *prog, const u64 *wake)",
+        "                  const int64_t *brk, int64_t *prog, const u64 *wake,",
+        "                  u64 *tape)",
         "{",
         f"    u64 *restrict w = s + {n_sig};",
         "    (void)w;",
@@ -345,14 +361,23 @@ def c_source(design) -> str:
             for mi, (width, _depth) in enumerate(layout)
             if width > 64
         ),
+        "    const u64 nc = tape ? tape[0] : 0, *col = tape ? tape + 3 : 0;",
+        "    const u64 *row = tape ? (const u64 *)(uintptr_t)(tape[1]",
+        "        + 8 * nc * tape[2]) : 0;",
         "    int64_t base = *prog, i;",
         "    for (i = 0; i < n; i++) {",
+        "        if (tape) {",
+        "            for (u64 c = 0; c < nc; c++) s[col[c]] = row[c];",
+        "            row += nc;",
+        *(f"            {x}" for x in poke),
+        "        }",
         "        if (__atomic_load_n(brk, __ATOMIC_RELAXED)) break;",
         "        if (wake[0] && woke(s, wake)) { prog[1] = 1; break; }",
     ]
     tail = [
         "        __atomic_store_n(prog, base + i + 1, __ATOMIC_RELAXED);",
         "    }",
+        "    if (tape) tape[2] += i + (i < n);",
         "    return i;",
         "}",
     ]
@@ -373,7 +398,10 @@ class Kernel:
         self.mems = [spec.width > 64 for spec in design.mems]
         self.depths = [spec.depth for spec in design.mems]
 
-    def run(self, v, w, mems, n: int, brk: array, prog: array, wake: array) -> None:
+    def run(
+        self, v, w, mems, n: int, brk: array, prog: array, wake: array,
+        tape: array | None = None,
+    ) -> None:
         """Run up to ``n`` cycles on the values ``v``/``w`` and memories
         ``mems``, stopping before a cycle where the :func:`wake_program`
         ``wake`` holds.  A memory of at most 64-bit words is the kernel's
@@ -381,7 +409,15 @@ class Kernel:
         The value table and each wider memory are copied in and back in
         place (a wide memory only in the 64-word blocks written).
         ``prog[0]`` counts the cycles run, also when the run is
-        interrupted; ``prog[1]`` is set to 1 when the wake stopped it."""
+        interrupted; ``prog[1]`` is set to 1 when the wake stopped it.
+
+        ``tape`` (see :func:`tape_header`) pokes every cycle: its next row
+        goes into the input lanes and their cone settles before the
+        cycle's break, wake and stop/printf checks, so a run that stops
+        before a cycle leaves that cycle's row applied.  The kernel
+        advances the header's row index past every row it applied, at
+        least ``n`` rows must follow it, and its columns must be narrow
+        lanes."""
         # The kernel indexes these buffers by the design's layout, and
         # dereferences a narrow memory's buffer directly.
         if len(v) != self.n_signals or len(mems) != len(self.depths):
@@ -407,15 +443,18 @@ class Kernel:
         s, mp = state.buffer_info()[0], ptrs.buffer_info()[0]
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
         code = wake.buffer_info()[0]
+        rows = None if tape is None else tape.buffer_info()[0]
         try:
             while n > 0:
                 k = min(n, SLICE)
-                ran = self.fn(s, mp, k, flag, done, code)
+                ran = self.fn(s, mp, k, flag, done, code, rows)
                 n -= ran
                 if ran < k:
                     break
         finally:
-            if prog[0]:
+            # A tape run changed the inputs even when it stopped before
+            # finishing its first cycle.
+            if prog[0] or tape is not None:
                 v[:] = state[: self.n_signals] if self.wide else state
                 base = self.n_signals
                 for k, i in enumerate(self.wide):
@@ -425,6 +464,13 @@ class Kernel:
                         lo, hi = blk << 6, min((blk + 1) << 6, len(mem))
                         pairs = range(2 * lo, 2 * hi, 2)
                         mem[lo:hi] = [buf[j] | buf[j + 1] << 64 for j in pairs]
+
+
+def tape_header(columns, rows: array, first: int) -> array:
+    """The kernel's view of a stimulus tape: the column count, the address
+    of ``rows`` (one row per cycle, one word per column, row-major), the
+    index of the next row to apply, then each column's signal index."""
+    return array("Q", [len(columns), rows.buffer_info()[0], first, *columns])
 
 
 # -- wake programs ------------------------------------------------------------
@@ -523,7 +569,7 @@ def cache_dir() -> str:
 def _load(path: str):
     fn = ctypes.CDLL(path).repro_run
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.restype, fn.argtypes = i64, (ptr, ptr, i64, ptr, ptr, ptr)
+    fn.restype, fn.argtypes = i64, (ptr, ptr, i64, ptr, ptr, ptr, ptr)
     return fn
 
 

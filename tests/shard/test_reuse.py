@@ -1,12 +1,15 @@
-"""Reused workers: a forked sweep forks at most ``workers`` processes,
-each serving attempt after attempt and answering repeated symbol-table
-queries from its own memo.  Every result still equals the inline run,
-and no worker outlives the sweep."""
+"""Reused workers: a session forks at most ``workers`` processes, each
+serving attempt after attempt, sweep after sweep, and answering repeated
+symbol-table queries from its own memo.  Every result still equals the
+inline run, and no worker outlives its session."""
 
 import inspect
 import multiprocessing
+import os
+import signal
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -83,9 +86,11 @@ class TestReuse:
         assert all(r.attempts == len(r.failures) + 1 for r in hurt.results)
         assert [f["class"] for f in hurt.results[3].failures] == ["crash"]
 
-    def test_no_worker_outlives_a_sweep(self, fpu):
+    def test_no_worker_outlives_its_session(self, fpu):
         design, bp = fpu
-        assert _hunt(design, bp, workers=2).ok
+        with ShardSession(design, workers=2) as session:
+            assert session.sweep(8, CYCLES, breakpoints=[bp], retry=FAST).ok
+            assert len(multiprocessing.active_children()) == 2
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_timed_out_sweep(self, fpu):
@@ -125,6 +130,64 @@ class TestReuse:
         assert streamed == sorted(
             (s, rec["time"]) for s, rec in forked.iter_hits()
         )
+
+
+def _worker_pids(report) -> set:
+    return {s["pid"] for s in report.trace_spans() if s["proc"] != "coordinator"}
+
+
+class TestPool:
+    """A session keeps its cleanly idle workers from one sweep to the
+    next, until it closes."""
+
+    def test_two_sweeps_run_on_the_same_two_pids(self, fpu):
+        design, bp = fpu
+        with ShardSession(
+            design, workers=2, options=SessionOptions(obs="trace")
+        ) as session:
+            first = session.sweep(8, CYCLES, breakpoints=[bp], retry=FAST)
+            second = session.sweep(
+                8, CYCLES, seed_base=8, breakpoints=[bp], retry=FAST
+            )
+        assert len(_worker_pids(first)) == 2
+        assert _worker_pids(second) == _worker_pids(first)
+        assert _outcome(second) == _outcome(_hunt(design, bp, 0, seed_base=8))
+
+    def test_a_listener_added_in_a_later_sweep_gets_hit_events(self, fpu):
+        design, bp = fpu
+        events = []
+        with ShardSession(design, workers=2) as session:
+            quiet = session.sweep(4, CYCLES, breakpoints=[bp], retry=FAST)
+            loud = session.sweep(
+                4, CYCLES, breakpoints=[bp], retry=FAST, on_event=events.append
+            )
+        assert _outcome(loud) == _outcome(quiet)
+        streamed = sorted(
+            (e["shard"], e["record"]["time"]) for e in events if e["event"] == "hit"
+        )
+        assert streamed
+        assert streamed == sorted((s, rec["time"]) for s, rec in loud.iter_hits())
+
+    def test_a_worker_killed_while_idle_costs_no_attempt(self, fpu):
+        design, bp = fpu
+        with ShardSession(
+            design, workers=2, options=SessionOptions(obs="trace")
+        ) as session:
+            first = session.sweep(8, CYCLES, breakpoints=[bp], retry=FAST)
+            victim = min(_worker_pids(first))
+            os.kill(victim, signal.SIGKILL)
+            give_up = time.monotonic() + 10.0
+            while victim in {p.pid for p in multiprocessing.active_children()}:
+                assert time.monotonic() < give_up, "the killed worker lives on"
+                time.sleep(0.01)
+            second = session.sweep(8, CYCLES, breakpoints=[bp], retry=FAST)
+        assert second.ok
+        assert all(r.attempts == 1 and not r.failures for r in second.results)
+        assert _outcome(second) == _outcome(first)
+        pids = _worker_pids(second)
+        assert victim not in pids
+        assert len(pids) == 2
+        assert multiprocessing.active_children() == []
 
 
 class _CountingTable(SymbolTableInterface):

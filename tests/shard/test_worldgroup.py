@@ -1,19 +1,23 @@
-"""World-grouped shard sweeps: processes x SIMD compose.
+"""World-grouped shard sweeps.
 
 ``ShardSession.sweep(worlds_per_shard=M)`` packs M consecutive shards
-into one worker as scenario worlds of a vectorized
-:class:`~repro.sim.manyworlds.ManyWorldsSimulator`.  The contract: the
-report flattens back to one :class:`ShardResult` per shard, and every
-field that matters — state digest, cycles actually run, exit code, hit
-records — is identical to the same sweep run unpacked, inline or forked.
+into one worker attempt, which runs them one after another as scalar
+stimulus tapes.  The contract: the report flattens back to one
+:class:`ShardResult` per shard, and every field that matters — state
+digest, cycles actually run, exit code, hit records — is identical to
+the same sweep run unpacked, inline or forked.
 """
 
 from __future__ import annotations
+
+import ast
+import os
 
 import pytest
 
 import repro
 import repro.hgf as hgf
+import repro.shard
 from repro.shard import (
     BreakpointSpec,
     ShardError,
@@ -23,13 +27,8 @@ from repro.shard import (
     make_sweep,
 )
 from repro.shard.spec import ShardSpec
-from repro.sim import numpy_available
 
 from tests.helpers import Accumulator, line_of
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized groups need numpy"
-)
 
 
 class Stopper(hgf.Module):
@@ -94,12 +93,11 @@ def test_group_worlds_chunking():
 # -- digest parity: grouped == unpacked -------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("workers", [0, 2])
 def test_grouped_sweep_digest_identical(workers):
-    """Vectorized groups (inline and forked) produce per-shard results
-    identical to the plain sweep, including divergent per-world stop
-    cycles and exit codes."""
+    """Groups (inline and forked) produce per-shard results identical to
+    the plain sweep, including divergent per-member stop cycles and exit
+    codes."""
     design = repro.compile(Stopper())
     with ShardSession(design, workers=0) as s:
         plain = s.sweep(6, 400, overrides=None)
@@ -112,11 +110,9 @@ def test_grouped_sweep_digest_identical(workers):
     assert len(cycles) > 1, "per-world finish cycles must diverge"
 
 
-@needs_numpy
-def test_grouped_sweep_with_breakpoints_falls_back_sequential():
-    """Armed breakpoints make a group ineligible for vectorized execution;
-    it must still produce identical digests and hit counts member by
-    member (sequential fallback inside the worker)."""
+def test_grouped_sweep_with_breakpoints_matches_plain():
+    """A group whose members arm breakpoints and a hit limit produces
+    the plain sweep's digests and hit counts, member by member."""
     design = repro.compile(Accumulator())
     fn, line = line_of(design, "acc")
     bp = BreakpointSpec(fn, line, condition="acc > 30000")
@@ -133,20 +129,28 @@ def test_grouped_sweep_with_breakpoints_falls_back_sequential():
     assert any(r.hits for r in grouped.results)
 
 
-def test_grouped_sweep_without_numpy_still_correct(monkeypatch):
-    """Where numpy is missing the group runs its members sequentially in
-    one worker — same results, no hard dependency."""
-    import repro.shard.worker as worker_mod
+def test_shard_package_imports_no_numpy_or_manyworlds():
+    """World groups run on the scalar engine: no module of the shard
+    package imports numpy or the many-worlds simulator."""
+    root = os.path.dirname(repro.shard.__file__)
+    imported = set()
+    for name in os.listdir(root):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+    assert imported
+    assert not any(
+        {"numpy", "manyworlds"} & set(m.lower().split(".")) for m in imported
+    ), sorted(imported)
 
-    monkeypatch.setattr(worker_mod, "numpy_available", lambda: False)
-    design = repro.compile(Stopper())
-    with ShardSession(design, workers=0) as s:
-        plain = s.sweep(4, 200)
-        grouped = s.sweep(4, 200, worlds_per_shard=2)
-    assert _rows(grouped) == _rows(plain)
 
-
-@needs_numpy
 def test_run_accepts_prebuilt_groups():
     design = repro.compile(Stopper())
     specs = make_sweep(4, 150)

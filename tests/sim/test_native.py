@@ -697,3 +697,59 @@ def test_native_cycles_metric_and_build_span(fresh):
     again.run(10)
     (span,) = [s for s in again.obs.tracer.spans if s.name == "sim.native_build"]
     assert span.args["cache"] == "memo"
+
+
+# -- stimulus tapes -----------------------------------------------------------------
+
+
+class Beat(hgf.Module):
+    """A 4-bit cycle count and a random input: ``seen`` samples ``x`` on
+    every 16th cycle after reset, where the count wraps to 0."""
+
+    def __init__(self):
+        super().__init__()
+        x = self.input("x", 8)
+        self.o = self.output("o", 8)
+        n = self.reg("n", 4, init=0)
+        n <<= (n + 1)[3:0]
+        seen = self.reg("seen", 8, init=0)
+        with self.when(n == 0):
+            seen <<= x
+        self.o <<= seen
+
+
+def _beat_hunt(design, fast: bool, cycles: int = 100, beat: int = 16):
+    """A shard-style run of ``Beat`` under a breakpoint on ``seen``:
+    (hits, progress reports, digest, native cycles)."""
+    from repro.core import HitRecorder
+    from repro.shard import ShardSpec, make_stimulus
+
+    sim = Simulator(design.low, options=SessionOptions(fast=fast))
+    recorder = HitRecorder()
+    rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), recorder)
+    rt.attach()
+    rt.add_breakpoint(*line_of(design, "seen"))
+    sim.reset()
+    beats = []
+    stimulus = make_stimulus(sim, ShardSpec(0, seed=5, cycles=cycles))
+    ran = sim.run_cycles(
+        cycles, stimulus, on_progress=lambda s, k: beats.append(k), progress_every=beat
+    )
+    assert ran == cycles
+    return recorder.records, beats, sim.state_digest(), sim.native_cycles
+
+
+@needs_cc
+def test_a_tape_run_woken_on_the_first_row_of_each_segment():
+    """The wake holds on the first row after reset and on the first row of
+    every 16-cycle heartbeat segment, so each kernel call returns before
+    finishing its first cycle: the row it applied must reach Python."""
+    design = repro.compile(Beat())
+    tape = _beat_hunt(design, fast=True)
+    pokes = _beat_hunt(design, fast=False)
+    assert tape[:3] == pokes[:3]
+    # Reset is time 0, so segments start at times 1, 17, ..., 97.
+    woken = list(range(1, 101, 16))
+    assert [r["time"] for r in tape[0]] == [0, *woken]
+    assert tape[3] == 100 - len(woken)
+    assert pokes[3] == 0

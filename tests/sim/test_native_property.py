@@ -14,6 +14,11 @@ the exit code and the printf output.  Designs holding anything wider than
 Under a drawn entry-limited timeline, ``run(k)`` (native segments whose
 tail is re-executed into the timeline) must retain exactly what
 ``step(k)`` records: the same cycles, and the same state at each.
+
+Drawn stimulus tapes through ``run_cycles`` (the kernel poking each row)
+must match the same rows poked from Python, on the fast engine and on the
+reference, including the runtime's hit counts; every case the tape leaves
+to the Python loop must run no native cycle.
 """
 
 from __future__ import annotations
@@ -25,10 +30,14 @@ from hypothesis import strategies as st
 import repro
 import repro.hgf as hgf
 import repro.ir.expr as E
+from repro.core import CONTINUE, Runtime
 from repro.hgf.value import Value
 from repro.hub import SessionOptions
 from repro.ir.types import SIntType, UIntType
-from repro.sim import Simulator, native
+from repro.shard import ShardSpec, make_stimulus, run_shard
+from repro.sim import Simulator, compile_design, native
+from repro.symtable import SQLiteSymbolTable, write_symbol_table
+from tests.helpers import Accumulator
 
 BINARY = [
     "add", "sub", "mul", "div", "rem", "lt", "leq", "gt", "geq", "eq", "neq",
@@ -262,3 +271,193 @@ def test_native_run_under_a_timeline_matches_stepping(data):
         fast.set_time(t)
         ref.set_time(t)
         assert fast.state_digest() == ref.state_digest(), (t, now)
+
+
+# -- stimulus tapes ---------------------------------------------------------------
+
+
+class _Halt(Exception):
+    """Raised by a hit handler to stop a run early."""
+
+
+def _tape_twin(design, table, spec, bp, halt_at, fast=True, tape=True):
+    """A reset simulator with a runtime breaking at ``bp`` (its handler
+    raises :class:`_Halt` on hit ``halt_at``) and the spec's stimulus:
+    the tape itself, or (``tape=False``) a plain callable poking the same
+    rows from Python."""
+    sim = Simulator(design.low, options=SessionOptions(fast=fast))
+    hits = []
+
+    def on_hit(hit):
+        hits.append(hit.time)
+        if len(hits) == halt_at:
+            raise _Halt
+        return CONTINUE
+
+    rt = Runtime(sim, SQLiteSymbolTable(table), on_hit)
+    rt.attach()
+    for name, value in spec.overrides.items():
+        sim.poke(name, value)
+    sim.reset()
+    if bp is not None:
+        rt.add_breakpoint(*bp)
+    stimulus = make_stimulus(sim, spec)
+    if not tape:
+        rows = stimulus
+
+        def stimulus(s, cycle):
+            rows(s, cycle)
+
+    return sim, rt, stimulus, hits
+
+
+def _runtime_stats(rt):
+    return (
+        [bp.hit_count for bp in rt.list_breakpoints()],
+        rt.stats_bp_evals,
+        rt.stats_callbacks,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::repro.sim.native.NativeWarning")
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_tapes_match_python_pokes(data):
+    """Drawn tapes through ``run_cycles``, in drawn segments, heartbeat
+    cadences and kernel slices, with overrides dropping columns and a
+    breakpoint whose handler may stop a run early (the next run resumes
+    from the queued rows): the kernel run, the same rows poked from Python
+    on the fast engine, and the reference agree on the state, the time,
+    the exit code, the printf output and the progress reports, and their
+    runtimes on hit counts, evaluations and callbacks."""
+    gen = Generated(data.draw, data.draw(st.sampled_from([64, 64, 64, 100])))
+    design = repro.compile(gen)
+    compiled = compile_design(design.low)
+    inputs = sorted(n for n in compiled.top_inputs if n.startswith("i"))
+    overrides = {
+        name: data.draw(st.integers(0, (1 << 64) - 1))
+        for name in inputs
+        if data.draw(st.integers(0, 3)) == 0
+    }
+    seed = data.draw(st.integers(0, 1 << 30))
+    spec = ShardSpec(0, seed=seed, cycles=0, overrides=overrides)
+    table = write_symbol_table(design)
+    bp = None
+    recs = SQLiteSymbolTable(table).all_breakpoints()
+    if recs and data.draw(st.integers(0, 3)):
+        # A condition on an input: a wake the kernel can test.
+        rec = data.draw(st.sampled_from(recs))
+        name = data.draw(st.sampled_from(inputs))
+        low = data.draw(st.integers(0, 1))
+        bp = (rec.filename, rec.line, rec.column, f"({name} & 3) == {low}")
+    halt_at = data.draw(st.integers(1, 6)) if data.draw(st.booleans()) else 0
+    tape, pokes, ref = (
+        _tape_twin(design, table, spec, bp, halt_at),
+        _tape_twin(design, table, spec, bp, halt_at, tape=False),
+        _tape_twin(design, table, spec, bp, halt_at, fast=False),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(native, "SLICE", data.draw(st.integers(1, 9)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            k = data.draw(st.integers(0, 150))
+            every = data.draw(st.integers(0, 40))
+            outcomes = []
+            for sim, _rt, stimulus, _hits in (tape, pokes, ref):
+                beats = []
+                try:
+                    ran = sim.run_cycles(
+                        k, stimulus, on_progress=lambda s, n, b=beats: b.append(n),
+                        progress_every=every,
+                    )
+                except _Halt:
+                    ran = "halted"
+                outcomes.append((ran, beats))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            for sim, rt, _stimulus, hits in (tape, pokes):
+                _check(sim, ref[0])
+                assert hits == ref[3]
+                assert _runtime_stats(rt) == _runtime_stats(ref[1])
+            if ref[0].finished:
+                break
+    assert pokes[0].native_cycles == ref[0].native_cycles == 0
+    widths = [compiled.signals[compiled.top_inputs[n]].width for n in inputs]
+    if any(w > 64 for n, w in zip(inputs, widths) if n not in overrides):
+        assert tape[0].native_cycles == 0  # a wide column keeps Python
+
+
+class _Sink:
+    """A trace sink that records nothing."""
+
+    def begin(self, sim):
+        pass
+
+    def sample(self, sim):
+        pass
+
+
+class _WideIn(hgf.Module):
+    """A 100-bit input: a tape column wider than the kernel's 64-bit lanes."""
+
+    def __init__(self):
+        super().__init__()
+        d = self.input("d", 100)
+        acc = self.reg("acc", 100, init=0)
+        acc <<= (acc + d)[99:0]
+
+
+def _pinned_run(case, monkeypatch, module):
+    """A 300-cycle tape run of ``module`` under ``case``: (native cycles,
+    digest)."""
+    design = repro.compile(module)
+    spec = ShardSpec(0, seed=3, cycles=300)
+    if case == "on_cycle":
+        table = SQLiteSymbolTable(write_symbol_table(design))
+        res = run_shard(design.low, table, spec, on_cycle=lambda c: None, obs="metrics")
+        metrics = {m["name"]: m.get("value") for m in res.obs["metrics"]["metrics"]}
+        return metrics["sim_native_cycles_total"], res.state_digest
+    if case == "no compiler":
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setattr(native, "_COMPILERS", {})
+    opts = {
+        "timeline": {"snapshots": 8},
+        "reference": {"fast": False},
+    }.get(case, {})
+    sim = Simulator(
+        design.low,
+        compiled=compile_design(design.low),  # no kernel verdict yet
+        trace=_Sink() if case == "trace" else None,
+        options=SessionOptions(**opts),
+    )
+    if case == "watchpoint":
+        rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)))
+        rt.attach()
+        rt.add_watchpoint("acc")
+    sim.reset()
+    sim.run_cycles(300, make_stimulus(sim, spec))
+    return sim.native_cycles, sim.state_digest()
+
+
+@pytest.mark.filterwarnings("ignore::repro.sim.native.NativeWarning")
+@pytest.mark.parametrize(
+    "case",
+    ["timeline", "trace", "reference", "wide", "on_cycle", "watchpoint", "no compiler"],
+)
+def test_python_loop_cases_take_no_tape(case, monkeypatch):
+    """Each case the tape leaves to the Python loop runs no native cycle
+    and ends where a plain tape run does."""
+    module = _WideIn() if case == "wide" else Accumulator()
+    cycles, digest = _pinned_run(case, monkeypatch, module)
+    assert cycles == 0
+    monkeypatch.undo()
+    _, ref = _pinned_run("reference", monkeypatch, module)
+    assert digest == ref
+    plain_cycles, _ = _pinned_run("plain", monkeypatch, module)
+    if native._compiler()[1] is not None:
+        assert plain_cycles == (0 if case == "wide" else 300)
