@@ -760,8 +760,9 @@ class ShardSession:
                 if sweep_deadline is not None and now() >= sweep_deadline:
                     raise sweep_expired()
                 results[job.spec.shard_id] = self._run_fallback(job, on_event)
-            # Only the idle workers stay for the next sweep; one that ran
-            # a faulted attempt exits on its own.
+            # Only the idle workers stay for the next sweep; one whose
+            # attempt had a fault armed or reported an error exits on its
+            # own.
             for w in [w for w in live if w not in idle]:
                 drop(w)
                 zombies.append(_Zombie(w.proc, now()))

@@ -55,7 +55,9 @@ timeline a native segment is checkpointed before each kernel slice; when
 the kernel returns, the last checkpoint before the window is restored,
 the kernel re-runs up to the window, and Python steps the last N cycles,
 so the timeline retains exactly what stepping would have recorded
-(``docs/time_travel.md``).
+(``docs/time_travel.md``).  ``run_cycles()`` takes the kernel too when
+its stimulus is a *tape* (the shard stimulus): the kernel pokes each
+cycle's row itself (``docs/performance.md`` §8).
 """
 
 from __future__ import annotations
@@ -586,16 +588,7 @@ class Simulator(SimulatorInterface):
                 timeline.restart()  # nothing recorded the kernel's cycles
             raise
         finally:
-            # The kernel settled its tick cone after every edge, exactly
-            # as the Python fast path would have.
-            done = prog[0]
-            self._time = t0 + done
-            self._stat_ticks += done
-            self._stat_native_cycles += done
-            self._stat_native_wakes += prog[1]
-            if self.design.tick_mask():
-                self._stat_settle_tick += done
-            self._native_seg = None
+            done = self._end_segment(t0, prog)
         if timeline is not None and done:
             self._refill(kernel, saved, t0)
         return done
@@ -608,8 +601,8 @@ class Simulator(SimulatorInterface):
         progress_every: int = 0,
     ) -> int:
         """:meth:`SimulatorInterface.run_cycles`, with the stimulus poked by
-        the native kernel when it is a tape (``columns`` and ``rows``, as
-        ``repro.shard.worker.make_stimulus`` builds).  The kernel runs
+        the native kernel when it is a tape (``columns``, ``rows`` and
+        ``consume``, as ``repro.shard.worker.make_stimulus`` builds).  The kernel runs
         ``progress_every``-cycle segments, so ``on_progress`` keeps its
         cadence.  When it stops before a cycle (a wake, a stop or printf
         condition, a callback registered), that cycle's row is already
@@ -619,19 +612,21 @@ class Simulator(SimulatorInterface):
         the Python loop.  Each tape cycle counts one seed settle (its row's
         cone) in ``stats()``, besides its tick and tick cone."""
         columns = getattr(stimulus, "columns", None)
+        kernel = None
         if (
-            columns is None
-            or not self._fast
-            or self._trace is not None
-            or self.timeline is not None
-            or native.kernel_for(self.design, self.obs) is None
+            columns is not None
+            and self._fast
+            and self._trace is None
+            and self.timeline is None
         ):
+            kernel = native.kernel_for(self.design, self.obs)
+        if kernel is None:
             return super().run_cycles(cycles, stimulus, on_progress, progress_every)
         beat = progress_every if on_progress is not None else 0
         done = 0
         while done < cycles and self._finished is None:
             end = min(cycles, done - done % beat + beat) if beat else cycles
-            ran, applied = self._run_tape(stimulus, columns, end - done)
+            ran, applied = self._run_tape(kernel, stimulus, columns, end - done)
             done += ran
             if applied:
                 self.step(1)  # the cycle the kernel stopped before
@@ -647,12 +642,11 @@ class Simulator(SimulatorInterface):
                 on_progress(self, done)
         return done
 
-    def _run_tape(self, stimulus, columns, n: int) -> tuple[int, bool]:
-        """Run up to ``n`` cycles natively, each poked from the tape
+    def _run_tape(self, kernel, stimulus, columns, n: int) -> tuple[int, bool]:
+        """Run up to ``n`` cycles on ``kernel``, each poked from the tape
         ``stimulus``.  Returns the cycles run, and whether the kernel
         stopped before the next one with its row applied; ``(0, False)``
         when a callback has no wake."""
-        kernel = native.kernel_for(self.design, self.obs)
         self._native_brk[0] = 0  # before reading the wake: see _run_native
         wake = self._wake
         if wake is None:
@@ -679,16 +673,24 @@ class Simulator(SimulatorInterface):
                 if prog[0] - at < k:
                     break
         finally:
-            done = prog[0]
-            self._time = t0 + done
-            self._stat_ticks += done
-            self._stat_native_cycles += done
-            self._stat_native_wakes += prog[1]
+            done = self._end_segment(t0, prog)
             self._stat_settle_seeds += applied
-            if self.design.tick_mask():
-                self._stat_settle_tick += done
-            self._native_seg = None
         return done, applied > done
+
+    def _end_segment(self, t0: int, prog: array) -> int:
+        """Close the native segment that began at ``t0``: advance time and
+        count its cycles (``prog[0]``, returned) and wake (``prog[1]``).
+        The kernel settled its tick cone after every edge, exactly as the
+        Python fast path would have."""
+        done = prog[0]
+        self._time = t0 + done
+        self._stat_ticks += done
+        self._stat_native_cycles += done
+        self._stat_native_wakes += prog[1]
+        if self.design.tick_mask():
+            self._stat_settle_tick += done
+        self._native_seg = None
+        return done
 
     def _checkpoint(self) -> tuple:
         """The settled state ``_refill`` restores: the narrow and wide

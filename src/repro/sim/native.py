@@ -361,7 +361,7 @@ def c_source(design) -> str:
             for mi, (width, _depth) in enumerate(layout)
             if width > 64
         ),
-        "    const u64 nc = tape ? tape[0] : 0, *col = tape ? tape + 3 : 0;",
+        "    const u64 nc = tape ? tape[0] : 0, *col = tape ? tape + 4 : 0;",
         "    const u64 *row = tape ? (const u64 *)(uintptr_t)(tape[1]",
         "        + 8 * nc * tape[2]) : 0;",
         "    int64_t base = *prog, i;",
@@ -415,13 +415,19 @@ class Kernel:
         goes into the input lanes and their cone settles before the
         cycle's break, wake and stop/printf checks, so a run that stops
         before a cycle leaves that cycle's row applied.  The kernel
-        advances the header's row index past every row it applied, at
-        least ``n`` rows must follow it, and its columns must be narrow
-        lanes."""
+        advances the header's row index past every row it applied."""
         # The kernel indexes these buffers by the design's layout, and
         # dereferences a narrow memory's buffer directly.
         if len(v) != self.n_signals or len(mems) != len(self.depths):
             raise SimulatorError("native kernel: buffers do not match the design")
+        if tape is not None and (
+            tape[2] + n > tape[3]
+            or any(not 0 <= c < self.n_signals or c in self.wide for c in tape[4:])
+        ):
+            raise SimulatorError(
+                "native kernel: a tape needs a row per cycle and a narrow lane "
+                "per column"
+            )
         bufs, marks = [], []
         for wide, depth, mem in zip(self.mems, self.depths, mems, strict=True):
             narrow = isinstance(mem, array) and mem.typecode == "Q"
@@ -443,11 +449,11 @@ class Kernel:
         s, mp = state.buffer_info()[0], ptrs.buffer_info()[0]
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
         code = wake.buffer_info()[0]
-        rows = None if tape is None else tape.buffer_info()[0]
+        header = None if tape is None else tape.buffer_info()[0]
         try:
             while n > 0:
                 k = min(n, SLICE)
-                ran = self.fn(s, mp, k, flag, done, code, rows)
+                ran = self.fn(s, mp, k, flag, done, code, header)
                 n -= ran
                 if ran < k:
                     break
@@ -469,8 +475,11 @@ class Kernel:
 def tape_header(columns, rows: array, first: int) -> array:
     """The kernel's view of a stimulus tape: the column count, the address
     of ``rows`` (one row per cycle, one word per column, row-major), the
-    index of the next row to apply, then each column's signal index."""
-    return array("Q", [len(columns), rows.buffer_info()[0], first, *columns])
+    index of the next row to apply, the number of rows, then each
+    column's signal index.  Keep ``rows`` alive while the kernel runs."""
+    # With no columns every row is empty: any number of them fits.
+    count = len(rows) // len(columns) if columns else _M64
+    return array("Q", [len(columns), rows.buffer_info()[0], first, count, *columns])
 
 
 # -- wake programs ------------------------------------------------------------

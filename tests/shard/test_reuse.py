@@ -57,6 +57,10 @@ def _outcome(report):
     ]
 
 
+def _worker_pids(report) -> set:
+    return {s["pid"] for s in report.trace_spans() if s["proc"] != "coordinator"}
+
+
 class TestReuse:
     @pytest.mark.parametrize("seed_base", [0, 8, 1000])
     def test_eight_shards_fork_two_workers(self, fpu, seed_base):
@@ -66,10 +70,7 @@ class TestReuse:
             options=SessionOptions(obs="trace"),
         )
         inline = _hunt(design, bp, workers=0, seed_base=seed_base)
-        pids = {
-            s["pid"] for s in forked.trace_spans() if s["proc"] != "coordinator"
-        }
-        assert len(pids) == 2
+        assert len(_worker_pids(forked)) == 2
         assert _outcome(forked) == _outcome(inline)
         assert sum(len(r.hits) for r in inline.results) > 0
 
@@ -130,10 +131,6 @@ class TestReuse:
         assert streamed == sorted(
             (s, rec["time"]) for s, rec in forked.iter_hits()
         )
-
-
-def _worker_pids(report) -> set:
-    return {s["pid"] for s in report.trace_spans() if s["proc"] != "coordinator"}
 
 
 class TestPool:

@@ -753,3 +753,36 @@ def test_a_tape_run_woken_on_the_first_row_of_each_segment():
     assert [r["time"] for r in tape[0]] == [0, *woken]
     assert tape[3] == 100 - len(woken)
     assert pokes[3] == 0
+
+
+class _WideLane(hgf.Module):
+    """A 100-bit register next to an 8-bit input: one wide lane."""
+
+    def __init__(self):
+        super().__init__()
+        d = self.input("d", 8)
+        acc = self.reg("acc", 100, init=0)
+        acc <<= (acc + d.pad(100))[99:0]
+
+
+@needs_cc
+@pytest.mark.parametrize("bad", ["short", "out of range", "wide"])
+def test_kernel_rejects_a_tape_it_cannot_run(bad):
+    """A tape that is shorter than the run, or whose column is not a
+    narrow lane of the design, never reaches C."""
+    sim = Simulator(repro.compile(_WideLane()).low)
+    design = sim.design
+    kernel = native.kernel_for(design)
+    columns = [design.top_inputs["d"]]
+    if bad == "out of range":
+        columns = [len(design.signals)]
+    elif bad == "wide":
+        columns = [next(iter(design.wide_indices))]
+    rows = array("Q", [1, 2, 3])
+    tape = native.tape_header(columns, rows, 1 if bad == "short" else 0)
+    prog, wake = array("q", [0, 0]), array("Q", [0])
+    before = sim.state_digest()
+    with pytest.raises(SimulatorError, match="tape"):
+        kernel.run(sim._v, sim._w, sim.mems, 3, array("q", [0]), prog, wake, tape)
+    assert prog[0] == 0
+    assert sim.state_digest() == before
