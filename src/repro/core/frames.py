@@ -10,6 +10,7 @@ code" (Sec. 4.2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from ..sim.interface import SimulatorError, SimulatorInterface
@@ -155,31 +156,72 @@ def _assemble(bindings) -> list[VariableView]:
     return roots
 
 
-#: One planned variable: its dotted name split into parts, its full RTL
-#: path (None for a constant), and its RTL-local name or constant text.
-_PlanVar = tuple[tuple[str, ...], str | None, str]
-
-
 @dataclass(frozen=True, slots=True)
-class _FramePlan:
-    """What every frame of one breakpoint reads."""
+class FramePlan:
+    """What every frame of one breakpoint reads, and how it renders.
 
-    instance_path: str
-    local_vars: tuple[_PlanVar, ...]
-    generator_vars: tuple[_PlanVar, ...]
+    ``local`` and ``generator`` are the frame's variable trees with every
+    value replaced by a slot: a node is ``(name, slot, rtl, children)``,
+    and slot ``k`` takes the ``k``-th of the values read at a hit (in
+    ``paths`` order) followed by ``constants``.  :meth:`record` renders
+    :meth:`Frame.to_dict` from the values alone; a plan crosses the hub
+    wire once per breakpoint (:meth:`to_wire`, without ``paths``).
+    """
+
+    breakpoint_id: int
+    instance: str
+    filename: str
+    line: int
+    local: tuple
+    generator: tuple
+    constants: tuple = ()
+    #: the full RTL paths the values are read from (reading side only)
+    paths: tuple[str, ...] = ()
+
+    def record(self, values, time: int) -> dict:
+        """``Frame.to_dict()`` of the frame ``values`` make."""
+        vals = (*values, *self.constants)
+        return {
+            "breakpoint_id": self.breakpoint_id,
+            "instance": self.instance,
+            "filename": self.filename,
+            "line": self.line,
+            "time": time,
+            "local": _dicts(self.local, vals),
+            "generator": _dicts(self.generator, vals),
+        }
+
+    def to_wire(self) -> dict:
+        rec = {f: getattr(self, f) for f in self.__dataclass_fields__}
+        del rec["paths"]
+        return rec
+
+
+def _dicts(nodes, vals) -> list[dict]:
+    """:meth:`VariableView.to_dict` of each planned node."""
+    return [
+        {"name": name, "children": _dicts(children, vals)}
+        if children
+        else {"name": name, "value": vals[slot], "rtl": rtl}
+        for name, slot, rtl, children in nodes
+    ]
+
+
+def _nodes(views: list[VariableView]) -> tuple:
+    """A tree assembled with slots for values, as plan nodes."""
+    return tuple((v.name, v.value, v.rtl, _nodes(v.children)) for v in views)
 
 
 class FrameBuilder:
     """Builds frames by joining symbol table scope info with live values.
 
     The first frame of a breakpoint fetches its scope variables, and its
-    instance's generator variables, once: the resulting plan keeps each
-    variable's split name and joined RTL path, with generator variables
-    shared by every breakpoint of the instance.  Later hits only read leaf
-    values through ``sim.get_value``, so a hit costs no symbol-table
-    query — which matters when the table sits behind RPC.  Plans rely on
-    the table being read-only while a runtime is attached (see
-    :class:`~repro.symtable.query.SymbolTableInterface`).
+    instance's generator variables, once, into a :class:`FramePlan` (in
+    :attr:`plans`, by breakpoint id).  Later hits only read leaf values
+    through ``sim.get_value`` (:meth:`read`), so a hit costs no
+    symbol-table query — which matters when the table sits behind RPC.
+    Plans rely on the table being read-only while a runtime is attached
+    (see :class:`~repro.symtable.query.SymbolTableInterface`).
     """
 
     def __init__(
@@ -191,64 +233,72 @@ class FrameBuilder:
         self.symtable = symtable
         self.sim = sim
         self.instance_map = instance_map
-        self._plans: dict[int, _FramePlan] = {}
-        self._generator_plans: dict[int, tuple[_PlanVar, ...]] = {}
+        self.plans: dict[int, FramePlan] = {}
+        self._generator_vars: dict[int, list] = {}
 
     def rtl_path(self, instance_name: str, local: str) -> str:
         base = self.instance_map.get(instance_name, instance_name)
         return f"{base}.{local}"
 
-    def _plan_vars(self, instance_name: str, variables) -> tuple[_PlanVar, ...]:
-        return tuple(
-            (
-                tuple(_split_dotted(var.name)),
-                self.rtl_path(instance_name, var.value) if var.is_rtl else None,
-                var.value,
+    def plan(self, bp: BreakpointRec) -> FramePlan:
+        """``bp``'s frame plan, made at the first call."""
+        plan = self.plans.get(bp.id)
+        if plan is not None:
+            return plan
+        local = self.symtable.scope_variables(bp.id)
+        generator = self._generator_vars.get(bp.instance_id)
+        if generator is None:
+            generator = self._generator_vars[bp.instance_id] = (
+                self.symtable.generator_variables(bp.instance_id)
             )
-            for var in variables
+        variables = (*local, *generator)
+        paths = tuple(
+            self.rtl_path(bp.instance_name, v.value) for v in variables if v.is_rtl
         )
+        constants = tuple(v.value for v in variables if not v.is_rtl)
+        # Slots number the values read (in paths order), then the constants.
+        slots = {True: itertools.count(), False: itertools.count(len(paths))}
 
-    def _plan(self, bp: BreakpointRec) -> _FramePlan:
-        local_vars = self._plan_vars(
-            bp.instance_name, self.symtable.scope_variables(bp.id)
-        )
-        generator_vars = self._generator_plans.get(bp.instance_id)
-        if generator_vars is None:
-            generator_vars = self._generator_plans[bp.instance_id] = (
-                self._plan_vars(
-                    bp.instance_name,
-                    self.symtable.generator_variables(bp.instance_id),
-                )
-            )
-        plan = self._plans[bp.id] = _FramePlan(
+        def tree(variables) -> tuple:
+            bindings = []
+            for v in variables:
+                rtl = v.value if v.is_rtl else None
+                bindings.append((_split_dotted(v.name), next(slots[v.is_rtl]), rtl))
+            return _nodes(_assemble(bindings))
+
+        plan = self.plans[bp.id] = FramePlan(
+            bp.id,
             self.instance_map.get(bp.instance_name, bp.instance_name),
-            local_vars,
-            generator_vars,
+            bp.filename,
+            bp.line,
+            tree(local),
+            tree(generator),
+            constants,
+            paths,
         )
         return plan
 
-    def _tree(self, planned: tuple[_PlanVar, ...]) -> list[VariableView]:
+    def read(self, bp: BreakpointRec) -> list:
+        """The leaf values of ``bp``'s frame now, in plan order (None for
+        a signal the backend does not have)."""
         get_value = self.sim.get_value
-        bindings = []
-        for parts, path, text in planned:
-            if path is None:
-                bindings.append((parts, text, None))
-                continue
+        values = []
+        for path in self.plan(bp).paths:
             try:
-                value = get_value(path)
+                values.append(get_value(path))
             except SimulatorError:
-                value = None
-            bindings.append((parts, value, text))
-        return _assemble(bindings)
+                values.append(None)
+        return values
 
-    def build(self, bp: BreakpointRec, time: int) -> Frame:
-        plan = self._plans.get(bp.id)
-        if plan is None:
-            plan = self._plan(bp)
+    def build(self, bp: BreakpointRec, time: int, values=None) -> Frame:
+        """The frame of ``bp`` at ``time``, from the ``values`` :meth:`read`
+        returned at the hit, or from the backend's values now."""
+        plan = self.plan(bp)
+        rec = plan.record(self.read(bp) if values is None else values, time)
         return Frame(
             breakpoint=bp,
-            instance_path=plan.instance_path,
+            instance_path=plan.instance,
             time=time,
-            local_vars=self._tree(plan.local_vars),
-            generator_vars=self._tree(plan.generator_vars),
+            local_vars=[VariableView.from_dict(v) for v in rec["local"]],
+            generator_vars=[VariableView.from_dict(v) for v in rec["generator"]],
         )

@@ -69,6 +69,10 @@ class HitGroup:
     """Delivered to the client when a scheduling group hits: one frame per
     concurrent hardware thread (paper Fig. 4B).
 
+    Each frame is kept as its breakpoint and the values its frame plan
+    read at the hit (``reads``): :attr:`frames` builds the :class:`Frame`
+    objects on first read, and :meth:`to_record` never builds them.
+
     Watchpoint hits reuse the same shape with ``watch`` set to
     ``{"id", "label", "path", "old", "new"}`` and no frames.
 
@@ -81,20 +85,31 @@ class HitGroup:
     filename: str
     line: int
     column: int
-    frames: list[Frame] = field(default_factory=list)
+    reads: list[tuple[BreakpointRec, list]] = field(default_factory=list)
+    builder: FrameBuilder | None = field(default=None, repr=False)
     watch: dict | None = None
     worlds: tuple[int, ...] | None = None
+    _frames: list[Frame] | None = field(default=None, repr=False)
 
     @property
     def location(self) -> str:
         return f"{self.filename}:{self.line}"
+
+    @property
+    def frames(self) -> list[Frame]:
+        if self._frames is None:
+            self._frames = [
+                self.builder.build(bp, self.time, values)
+                for bp, values in self.reads
+            ]
+        return self._frames
 
     def to_record(self) -> dict:
         """A JSON-serializable rendering of this hit.
 
         This is the shape shipped over the shard wire protocol and fed to
         the cross-shard aggregator: plain dicts/lists/ints/strs only, with
-        frames flattened via :meth:`Frame.to_dict`.
+        each frame as its :meth:`Frame.to_dict`.
         """
         rec: dict = {
             "time": self.time,
@@ -102,8 +117,11 @@ class HitGroup:
             "line": self.line,
             "column": self.column,
         }
-        if self.frames:
-            rec["frames"] = [f.to_dict() for f in self.frames]
+        if self.reads:
+            rec["frames"] = [
+                self.builder.plan(bp).record(values, self.time)
+                for bp, values in self.reads
+            ]
         if self.watch is not None:
             rec["watch"] = dict(self.watch)
         if self.worlds is not None:
@@ -867,7 +885,7 @@ class Runtime:
                 continue
 
             group = groups[hit_idx]
-            now = self.sim.get_time()
+            worlds = None
             if self._vector:
                 # hits are (breakpoint, fired-world-indices) pairs; frames
                 # render world 0's view, the mask names the fired worlds.
@@ -875,24 +893,17 @@ class Runtime:
                 note = getattr(self.sim, "note_mask_hit", None)
                 if note is not None:
                     note(len(worlds))
-                hit = HitGroup(
-                    time=now,
-                    filename=group.key[0],
-                    line=group.key[1],
-                    column=group.key[2],
-                    frames=[
-                        self.frames.build(bp.rec, now) for bp, _ in hits
-                    ],
-                    worlds=worlds,
-                )
-            else:
-                hit = HitGroup(
-                    time=now,
-                    filename=group.key[0],
-                    line=group.key[1],
-                    column=group.key[2],
-                    frames=[self.frames.build(bp.rec, now) for bp in hits],
-                )
+                hits = [bp for bp, _ in hits]
+            frames = self.frames
+            hit = HitGroup(
+                time=self.sim.get_time(),
+                filename=group.key[0],
+                line=group.key[1],
+                column=group.key[2],
+                reads=[(bp.rec, frames.read(bp.rec)) for bp in hits],
+                builder=frames,
+                worlds=worlds,
+            )
             cmd = self.on_hit(hit)
             if self._flush is not None:
                 self._flush()  # client may have poked from the handler

@@ -10,7 +10,7 @@ The light half of the package — the :class:`SessionHandle` protocol,
 :class:`StopInfo`, :class:`LocalSession` — lives in :mod:`repro.hub.api`
 and imports eagerly; :class:`SessionOptions` is
 :class:`repro.sim.SessionOptions`, re-exported.  The server/client halves
-pull in asyncio and sockets and load lazily.
+pull in sockets and threads and load lazily; neither uses asyncio.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from __future__ import annotations
 import queue
 import threading
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..core.runtime import (
@@ -39,6 +40,7 @@ from ..core.runtime import (
     HitGroup,
     Runtime,
 )
+from ..core.frames import FramePlan
 from ..sim.engine import Simulator
 from ..sim.interface import SimulatorError
 
@@ -49,14 +51,20 @@ class SessionError(Exception):
 
 # -- stop reporting ---------------------------------------------------------
 
+#: The hub wire's version: 2 ships a stop frame as breakpoint id and values.
+PROTOCOL_VERSION = 2
+
 
 @dataclass(slots=True)
 class StopInfo:
     """Why a session's run loop handed control back to the client.
 
-    Wire-stable: every field is plain JSON data (frames are serialized
-    with :meth:`~repro.core.frames.Frame.to_dict`), so the same record is
-    returned by a local session and shipped by the hub protocol.
+    Wire-stable: every field is plain JSON data, and a stop carries each
+    frame as ``[breakpoint id, leaf values]`` (``frame_values``), so the
+    same record is returned by a local session and shipped by the hub
+    protocol.  :attr:`frames` renders each frame's
+    :meth:`~repro.core.frames.Frame.to_dict` on first read, through
+    ``plan`` (breakpoint id -> :class:`~repro.core.frames.FramePlan`).
     """
 
     reason: str                      #: breakpoint | watch | done | detached | error
@@ -64,11 +72,13 @@ class StopInfo:
     filename: str | None = None
     line: int | None = None
     column: int | None = None
-    frames: list = field(default_factory=list)
+    frame_values: list = field(default_factory=list)
     watch: dict | None = None
     cycles: int = 0                  #: cycles completed (done/detached)
     exit_code: int | None = None     #: Stop() exit code, when finished
     message: str | None = None       #: error text (reason == "error")
+    plan: Callable[[int], FramePlan] | None = field(default=None, repr=False)
+    _frames: list | None = field(default=None, repr=False)
 
     @property
     def stopped(self) -> bool:
@@ -79,14 +89,23 @@ class StopInfo:
     def location(self) -> str:
         return f"{self.filename}:{self.line}"
 
+    @property
+    def frames(self) -> list[dict]:
+        if self._frames is None:
+            self._frames = [
+                self.plan(bp_id).record(values, self.time)
+                for bp_id, values in self.frame_values
+            ]
+        return self._frames
+
     def to_wire(self) -> dict:
         rec = {"reason": self.reason, "time": self.time, "cycles": self.cycles}
         if self.filename is not None:
             rec.update(
                 filename=self.filename, line=self.line, column=self.column
             )
-        if self.frames:
-            rec["frames"] = self.frames
+        if self.frame_values:
+            rec["frames"] = self.frame_values
         if self.watch is not None:
             rec["watch"] = self.watch
         if self.exit_code is not None:
@@ -96,32 +115,32 @@ class StopInfo:
         return rec
 
     @classmethod
-    def from_wire(cls, rec: dict) -> StopInfo:
+    def from_wire(cls, rec: dict, plan: Callable[[int], FramePlan]) -> StopInfo:
         return cls(
             reason=rec["reason"],
             time=rec.get("time", 0),
             filename=rec.get("filename"),
             line=rec.get("line"),
             column=rec.get("column"),
-            frames=rec.get("frames", []),
+            frame_values=rec.get("frames", []),
             watch=rec.get("watch"),
             cycles=rec.get("cycles", 0),
             exit_code=rec.get("exit_code"),
             message=rec.get("message"),
+            plan=plan,
         )
 
     @classmethod
     def from_hit(cls, hit: HitGroup) -> StopInfo:
-        reason = "watch" if hit.watch is not None else "breakpoint"
-        rec = hit.to_record()
         return cls(
-            reason=reason,
+            reason="watch" if hit.watch is not None else "breakpoint",
             time=hit.time,
             filename=hit.filename,
             line=hit.line,
             column=hit.column,
-            frames=rec.get("frames", []),
-            watch=rec.get("watch"),
+            frame_values=[[bp.id, values] for bp, values in hit.reads],
+            watch=hit.watch,
+            plan=None if hit.builder is None else hit.builder.plans.__getitem__,
         )
 
 
@@ -399,6 +418,13 @@ class LocalSession(SessionHandle):
                 raise SessionError(f"unknown breakpoint id {breakpoint_id}")
         return self.runtime.evaluate(expr, bp)
 
+    def frame_plan(self, breakpoint_id: int) -> dict:
+        """A breakpoint's frame plan, in wire form (hub ``s.frame_plan``)."""
+        bp = self.runtime.symtable.breakpoint(int(breakpoint_id))
+        if bp is None:
+            raise SessionError(f"unknown breakpoint id {breakpoint_id}")
+        return self.runtime.frames.plan(bp).to_wire()
+
     # -- time / history --------------------------------------------------
 
     def get_time(self) -> int:
@@ -595,7 +621,7 @@ class LocalSession(SessionHandle):
 
     def _on_hit(self, hit: HitGroup) -> Command:
         info = StopInfo.from_hit(hit)
-        self._stop_bp = hit.frames[0].breakpoint if hit.frames else None
+        self._stop_bp = hit.reads[0][0] if hit.reads else None
         self._state = "stopped"
         self._stops.put(info)
         cmd = self._cmds.get()  # parked: the client owns the session now

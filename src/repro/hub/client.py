@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import socket
 
+from ..core.frames import FramePlan
 from ..shard.wire import decode_message, encode_line
-from .api import SessionError, SessionHandle, StopInfo
+from .api import PROTOCOL_VERSION, SessionError, SessionHandle, StopInfo
 
 
 class HubClient:
@@ -51,8 +52,9 @@ class HubClient:
         sid: int | None = None,
     ) -> "HubSession":
         """Create a session on the hub (or re-attach to ``sid``) and bind
-        it to this connection."""
-        params = {}
+        it to this connection.  The hub refuses a client of another
+        protocol version."""
+        params = {"protocol": PROTOCOL_VERSION}
         if seed is not None:
             params["seed"] = seed
         if name is not None:
@@ -92,6 +94,7 @@ class HubSession(SessionHandle):
         self.sid = info.get("sid")
         self.name = info.get("name")
         self._info = info
+        self._plans: dict[int, FramePlan] = {}
 
     # identity / capabilities -- the attach-time snapshot answers the
     # static questions without a round trip; describe() always re-asks.
@@ -168,22 +171,31 @@ class HubSession(SessionHandle):
 
     # control -- each call blocks until the remote session stops again
 
+    def _stop(self, method: str, params: dict | None = None) -> StopInfo:
+        return StopInfo.from_wire(self._client.call(method, params or {}), self._plan)
+
+    def _plan(self, bp_id: int) -> FramePlan:
+        """A breakpoint's frame plan, fetched once."""
+        plan = self._plans.get(bp_id)
+        if plan is None:
+            rec = self._client.call("s.frame_plan", {"breakpoint_id": bp_id})
+            plan = self._plans[bp_id] = FramePlan(**rec)
+        return plan
+
     def run(self, cycles: int) -> StopInfo:
-        return StopInfo.from_wire(
-            self._client.call("s.run", {"cycles": cycles})
-        )
+        return self._stop("s.run", {"cycles": cycles})
 
     def cont(self) -> StopInfo:
-        return StopInfo.from_wire(self._client.call("s.cont", {}))
+        return self._stop("s.cont")
 
     def step(self) -> StopInfo:
-        return StopInfo.from_wire(self._client.call("s.step", {}))
+        return self._stop("s.step")
 
     def reverse_step(self) -> StopInfo:
-        return StopInfo.from_wire(self._client.call("s.reverse_step", {}))
+        return self._stop("s.reverse_step")
 
     def reverse_cont(self) -> StopInfo:
-        return StopInfo.from_wire(self._client.call("s.reverse_cont", {}))
+        return self._stop("s.reverse_cont")
 
     def pause(self) -> None:
         self._client.call("s.pause", {})
@@ -191,7 +203,7 @@ class HubSession(SessionHandle):
     def detach(self) -> StopInfo | None:
         result = self._client.call("s.detach", {})
         self._client.call("detach", {})
-        return StopInfo.from_wire(result) if result else None
+        return StopInfo.from_wire(result, self._plan) if result else None
 
     def reset(self, cycles: int = 1) -> None:
         self._client.call("s.reset", {"cycles": cycles})
@@ -231,3 +243,4 @@ class HubSession(SessionHandle):
                 "deadline": deadline,
             },
         )
+

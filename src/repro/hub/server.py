@@ -29,18 +29,22 @@ response per line, matched by ``id``::
 ``attach`` per connection; re-attach to a surviving session by ``sid``).
 Hub-level methods: ``hello``, ``attach``, ``detach``, ``list_sessions``.
 
-The asyncio loop only shuffles frames; every session operation runs in a
-worker thread (``asyncio.to_thread``), so a session blocked at a
-breakpoint never stalls the other connections.  Sessions left idle past
-``idle_ttl`` are evicted by a background sweep (their simulator state is
-dropped; the design stays hot).
+Each connection has its own thread, which reads a line, dispatches it and
+writes the reply with blocking calls, so a session blocked at a
+breakpoint stalls only its own connection.  A stop ships each frame as
+its breakpoint id and leaf values; a client fetches each breakpoint's
+frame plan once (``s.frame_plan``), and ``attach`` carries the client's
+``PROTOCOL_VERSION``, which must be the hub's.  A timer thread evicts
+sessions idle past ``idle_ttl`` (the design stays hot).
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import dataclasses
 import os
+import socket
+import socketserver
 import tempfile
 import threading
 import time
@@ -49,9 +53,8 @@ from ..obs import make_obs
 from ..shard.wire import decode_message, encode_line
 from ..sim.engine import SessionOptions, compile_gated
 from ..symtable.writer import write_symbol_table
+from .api import PROTOCOL_VERSION
 from .session import DebugSession
-
-PROTOCOL_VERSION = 1
 
 
 class HubError(Exception):
@@ -120,10 +123,10 @@ class DebugHub:
         self._sessions: dict[int, DebugSession] = {}
         self._next_sid = 1
         self._lock = threading.Lock()
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        self._server: socketserver.TCPServer | None = None
+        self._threads: list[threading.Thread] = []  # accept loop, evictor
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._closing = threading.Event()
         if self.obs.metrics is not None:
             self._m_active = self.obs.metrics.gauge(
                 "hub_sessions_active", "debug sessions currently attached"
@@ -164,7 +167,12 @@ class DebugHub:
             obs=self.obs,
         )
         with self._lock:
-            self._sessions[sid] = session
+            closing = self._closing.is_set()
+            if not closing:
+                self._sessions[sid] = session
+        if closing:
+            session.close()
+            raise HubError("the hub is closing")
         if self._m_attaches is not None:
             self._m_attaches.inc()
             self._m_attach_s.observe(time.monotonic() - t0)
@@ -236,13 +244,19 @@ class DebugHub:
         }
 
     def _handle_request(self, bound: list, method: str, params: dict):
-        """Serve one request (worker thread).  ``bound`` is the
-        connection's one-element session-binding cell."""
+        """Serve one request.  ``bound`` is the connection's one-element
+        session-binding cell."""
         if self._m_requests is not None:
             self._m_requests.inc()
         if method == "hello":
             return self._hello()
         if method == "attach":
+            protocol = params.pop("protocol", None)
+            if protocol != PROTOCOL_VERSION:
+                raise HubError(
+                    f"client speaks hub protocol {protocol}, this hub "
+                    f"{PROTOCOL_VERSION}: upgrade the older side"
+                )
             sid = params.pop("sid", None)
             if sid is not None:
                 session = self.get_session(int(sid))
@@ -266,122 +280,106 @@ class DebugHub:
             return session.invoke(method[2:], params)
         raise HubError(f"unknown hub method {method!r}")
 
-    async def _serve_connection(self, reader, writer) -> None:
+    def _reply(self, bound: list, line: bytes) -> bytes:
+        # Reset per line: a line that does not decode is answered with a
+        # null id, never with the previous request's.
+        req_id = None
+        try:
+            req = decode_message(line)
+            if not isinstance(req, dict):
+                raise HubError("request must be a JSON object")
+            req_id = req.get("id")
+            result = self._handle_request(
+                bound, req.get("method", ""), req.get("params") or {}
+            )
+            return encode_line({"id": req_id, "result": result})
+        except Exception as exc:  # noqa: BLE001 - wire boundary
+            return encode_line(
+                {"id": req_id, "error": f"{exc}", "kind": type(exc).__name__}
+            )
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """One connection's thread: read a line, dispatch it, write the
+        reply, until the peer or :meth:`close` ends the stream."""
         bound: list = [None]  # the connection's attached session
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                # Reset per line: a line that does not decode is answered
-                # with a null id, never with the previous request's.
-                req_id = None
-                try:
-                    req = decode_message(line)
-                    if not isinstance(req, dict):
-                        raise HubError("request must be a JSON object")
-                    req_id = req.get("id")
-                    result = await asyncio.to_thread(
-                        self._handle_request,
-                        bound,
-                        req.get("method", ""),
-                        req.get("params") or {},
-                    )
-                    resp = {"id": req_id, "result": result}
-                except Exception as exc:  # noqa: BLE001 - wire boundary
-                    resp = {
-                        "id": req_id,
-                        "error": f"{exc}",
-                        "kind": type(exc).__name__,
-                    }
-                writer.write(encode_line(resp))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # hub shutdown while the connection was idle
+            with conn.makefile("rb") as lines:
+                for line in lines:
+                    conn.sendall(self._reply(bound, line))
+        except OSError:
+            pass  # the peer went away, or close() shut the socket
         finally:
             # The session survives a dropped connection (re-attach by
             # sid); the idle sweeper reaps it if nobody comes back.
-            writer.close()
+            with self._lock:
+                self._conns.pop(conn, None)
+            conn.close()
 
-    async def _evict_loop(self) -> None:
-        while True:
-            await asyncio.sleep(max(0.05, (self.idle_ttl or 1.0) / 4))
-            await asyncio.to_thread(self.evict_idle)
-
-    async def start(self) -> tuple[str, int]:
-        """Bind and start serving on the running event loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+    def _open(self, conn: socket.socket) -> None:
+        """Start serving an accepted connection on its own thread."""
+        thread = threading.Thread(
+            target=self._serve_connection, args=(conn,), daemon=True,
+            name="repro-hub-conn",
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.idle_ttl is not None:
-            self._evictor = self._loop.create_task(self._evict_loop())
-        return (self.host, self.port)
+        with self._lock:
+            if self._closing.is_set():
+                conn.close()
+                return
+            self._conns[conn] = thread
+        thread.start()
 
-    async def serve_forever(self) -> None:
-        await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    # -- threaded embedding ------------------------------------------------
+    def _evict_loop(self) -> None:
+        while not self._closing.wait(max(0.05, self.idle_ttl / 4)):
+            self.evict_idle()
 
     def serve_background(self) -> tuple[str, int]:
-        """Run the hub on a dedicated event-loop thread; returns the bound
-        address.  This is how tests, benchmarks, and in-process tools host
-        a hub next to their own code."""
-        started = threading.Event()
+        """Bind and serve on background threads — an accept loop, one
+        thread per connection and, with ``idle_ttl``, an eviction timer —
+        and return the bound address.  This is how the CLI, tests,
+        benchmarks, and in-process tools host a hub."""
+        hub = self
 
-        def main() -> None:
-            self._loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self._loop)
+        class Listener(socketserver.TCPServer):
+            allow_reuse_address = True
 
-            async def run() -> None:
-                await self.start()
-                started.set()
-                async with self._server:
-                    try:
-                        await self._server.serve_forever()
-                    except asyncio.CancelledError:
-                        pass
+            def process_request(self, conn, _address) -> None:
+                hub._open(conn)
 
-            try:
-                self._loop.run_until_complete(run())
-            finally:
-                self._loop.close()
-
-        self._thread = threading.Thread(
-            target=main, daemon=True, name="repro-hub"
-        )
-        self._thread.start()
-        if not started.wait(timeout=30):
-            raise HubError("hub failed to start within 30s")
+        self._server = Listener((self.host, self.port), None)
+        self.port = self._server.server_address[1]
+        loops = [lambda: self._server.serve_forever(poll_interval=0.05)]
+        if self.idle_ttl is not None:
+            loops.append(self._evict_loop)
+        for loop in loops:
+            thread = threading.Thread(target=loop, daemon=True, name="repro-hub")
+            thread.start()
+            self._threads.append(thread)
         return (self.host, self.port)
 
     def close(self) -> None:
-        """Stop serving, close every session, drop the symbol table."""
-        if self._closed:
-            return
-        self._closed = True
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-            def stop() -> None:
-                server.close()
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-
-            loop.call_soon_threadsafe(stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-        for sid in list(self._sessions):
+        """Stop serving: shut the listener and every connection, close
+        every session (aborting any run in flight), join the hub's
+        threads, and drop the symbol table."""
+        with self._lock:
+            if self._closing.is_set():
+                return
+            self._closing.set()
+            conns = list(self._conns.items())
+        if self._server is not None:
+            self._server.shutdown()
+            self._server.server_close()
+        for conn, _thread in conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        with self._lock:
+            sids = list(self._sessions)
+        for sid in sids:
             self.detach(sid)
-        try:
+        deadline = time.monotonic() + 10
+        for thread in [*self._threads, *(t for _c, t in conns)]:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        with contextlib.suppress(OSError):
             os.unlink(self._symtable_path)
-        except OSError:
-            pass
 
     def __enter__(self) -> DebugHub:
         return self

@@ -34,6 +34,7 @@ _WIRE_METHODS = frozenset(
         "peek",
         "poke",
         "evaluate",
+        "frame_plan",
         "get_time",
         "set_time",
         "timeline_info",

@@ -3,6 +3,7 @@ gate, the shard endpoint, and hub-side observability."""
 
 import contextlib
 import json
+import os
 import socket
 import threading
 import time
@@ -12,7 +13,7 @@ import pytest
 import repro
 from repro.cpu import RV32Core, assemble, benchmark_by_name
 from repro.hub import DebugHub, HubClient, LocalSession, SessionError, SessionOptions
-from repro.hub.server import HubError
+from repro.hub.server import PROTOCOL_VERSION, HubError
 from repro.lint import LintError
 from repro.sim import Simulator, native
 from tests.helpers import Accumulator, Counter, line_of, make_runtime
@@ -35,7 +36,7 @@ class TestWire:
         design, hub, host, port = _serve()
         with hub, HubClient(host, port) as client:
             info = client.hello()
-            assert info["protocol"] == 1
+            assert info["protocol"] == 2
             assert info["design"] == design.name
             assert info["sessions"] == 0
 
@@ -83,7 +84,7 @@ class TestWire:
             Accumulator, options=SessionOptions(snapshots=32)
         )
         with hub, HubClient(host, port) as client:
-            info = client.call("attach", {})
+            info = client.call("attach", {"protocol": PROTOCOL_VERSION})
             assert info["top"] == "Accumulator"
             assert info["can_set_time"] is True
 
@@ -240,7 +241,7 @@ class TestWire:
             err, ok = self._raw(host, port, [bad, hello])
         assert err["id"] is None
         assert err["kind"] == "WireError" and err["error"]
-        assert ok["id"] == 4 and ok["result"]["protocol"] == 1
+        assert ok["id"] == 4 and ok["result"]["protocol"] == 2
 
     def test_undecodable_line_never_reuses_the_previous_id(self):
         design, hub, host, port = _serve()
@@ -385,6 +386,58 @@ class TestNativeRuns:
             assert not pump.is_alive()
             runner.join(timeout=10)
             assert not runner.is_alive()
+
+    def test_busy_sessions_leave_the_hub_answering(self):
+        """Sessions blocked in endless runs hold no shared worker pool: a
+        further connection gets its hello, attach and pause answered, and
+        closing the hub ends every run."""
+        n = (os.cpu_count() or 1) + 4
+        design, hub, host, port = _serve(_spin)
+        # A bounded timeout, so a client still reading after a failure
+        # can be closed.
+        clients = [HubClient(host, port, timeout=30) for _ in range(n)]
+        try:
+            runners = []
+            for client in clients:
+                session = client.attach()
+                session.reset(1)
+                runner = threading.Thread(
+                    target=_run_until_closed, args=(session,), daemon=True
+                )
+                runner.start()
+                runners.append((session, runner))
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(
+                s["state"] != "running" for s in hub.list_sessions()
+            ):
+                time.sleep(0.01)
+            assert [s["state"] for s in hub.list_sessions()] == ["running"] * n
+            with HubClient(host, port, timeout=5) as other:
+                t0 = time.monotonic()
+                assert other.hello()["sessions"] == n
+                first, first_runner = runners[0]
+                other.attach(sid=first.sid).pause()
+                assert time.monotonic() - t0 < 5
+                first_runner.join(timeout=10)
+                assert not first_runner.is_alive()
+            closer = threading.Thread(target=hub.close, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "hub.close() waited for the runs"
+            for _session, runner in runners:
+                runner.join(timeout=10)
+                assert not runner.is_alive()
+            assert hub.session_count == 0
+        finally:
+            hub.close()
+            for client in clients:
+                client.close()
+
+
+def _run_until_closed(session) -> None:
+    """Run an endless session until a pause or the hub's close ends it."""
+    with contextlib.suppress(SessionError, OSError):
+        session.run(10**9)
 
 
 class TestEviction:
