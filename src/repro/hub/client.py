@@ -9,6 +9,7 @@ against an in-process :class:`~repro.hub.api.LocalSession`.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 
 from ..core.frames import FramePlan
@@ -73,6 +74,9 @@ class HubClient:
         return bool(self.call("detach").get("detached"))
 
     def close(self) -> None:
+        # Wake a call blocked on another thread, which the reader waits for.
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
         try:
             self._file.close()
         finally:

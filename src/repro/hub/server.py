@@ -235,21 +235,18 @@ class DebugHub:
 
     # -- wire protocol -----------------------------------------------------
 
-    def _hello(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "design": self.design_name,
-            "top": self.compiled.hierarchy.path,
-            "sessions": self.session_count,
-        }
-
     def _handle_request(self, bound: list, method: str, params: dict):
         """Serve one request.  ``bound`` is the connection's one-element
         session-binding cell."""
         if self._m_requests is not None:
             self._m_requests.inc()
         if method == "hello":
-            return self._hello()
+            return {
+                "protocol": PROTOCOL_VERSION,
+                "design": self.design_name,
+                "top": self.compiled.hierarchy.path,
+                "sessions": self.session_count,
+            }
         if method == "attach":
             protocol = params.pop("protocol", None)
             if protocol != PROTOCOL_VERSION:

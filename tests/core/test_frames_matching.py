@@ -8,14 +8,14 @@ import pytest
 import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
-from repro.core.frames import Frame, FrameBuilder, build_variable_tree
+from repro.core.frames import FrameBuilder, build_variable_tree
 from repro.core.matching import MatchError, locate_instance
 from repro.hub import SessionOptions
-from repro.sim import ManyWorldsSimulator, Simulator, SimulatorError
+from repro.sim import ManyWorldsSimulator, Simulator
 from repro.sim.store import numpy_available
 from repro.symtable import SQLiteSymbolTable, SymbolTableInterface, write_symbol_table
 from repro.trace import ReplayEngine, VcdWriter
-from tests.helpers import Counter, TwoLeaves, line_of
+from tests.helpers import Counter, TwoLeaves, fresh_frame, line_of
 
 
 class TestVariableTree:
@@ -234,33 +234,6 @@ class _CountingTable(SymbolTableInterface):
         }
 
 
-def _fresh_frame(table, sim, instance_map, bp, time) -> Frame:
-    """A frame from fresh symbol-table queries: the per-hit path that frame
-    plans replace, kept here as the reference."""
-    base = instance_map.get(bp.instance_name, bp.instance_name)
-
-    def tree(variables):
-        bindings = []
-        for var in variables:
-            if not var.is_rtl:
-                bindings.append((var.name, var.value, None))
-                continue
-            try:
-                value = sim.get_value(f"{base}.{var.value}")
-            except SimulatorError:
-                value = None
-            bindings.append((var.name, value, var.value))
-        return build_variable_tree(bindings)
-
-    return Frame(
-        bp,
-        base,
-        time,
-        tree(table.scope_variables(bp.id)),
-        tree(table.generator_variables(bp.instance_id)),
-    )
-
-
 def _armed(design, sim):
     """A runtime over ``sim`` with every breakpoint of ``design`` set,
     checking each frame it builds against a fresh-query build."""
@@ -270,7 +243,7 @@ def _armed(design, sim):
 
     def on_hit(hit):
         for frame in hit.frames:
-            fresh = _fresh_frame(
+            fresh = fresh_frame(
                 table, sim, runtime.instance_map, frame.breakpoint, hit.time
             )
             assert frame.to_dict() == fresh.to_dict()

@@ -118,3 +118,34 @@ def make_runtime(design, sim, on_hit=None):
 
     st = SQLiteSymbolTable(write_symbol_table(design))
     return Runtime(sim, st, on_hit)
+
+
+def fresh_frame(table, sim, instance_map, bp, time):
+    """A frame from fresh symbol-table queries and live values, assembled
+    by ``build_variable_tree``: the per-hit path that frame plans replace,
+    kept as the reference they are checked against."""
+    from repro.core.frames import Frame, build_variable_tree
+    from repro.sim import SimulatorError
+
+    base = instance_map.get(bp.instance_name, bp.instance_name)
+
+    def tree(variables):
+        bindings = []
+        for var in variables:
+            if not var.is_rtl:
+                bindings.append((var.name, var.value, None))
+                continue
+            try:
+                value = sim.get_value(f"{base}.{var.value}")
+            except SimulatorError:
+                value = None
+            bindings.append((var.name, value, var.value))
+        return build_variable_tree(bindings)
+
+    return Frame(
+        bp,
+        base,
+        time,
+        tree(table.scope_variables(bp.id)),
+        tree(table.generator_variables(bp.instance_id)),
+    )

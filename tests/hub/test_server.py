@@ -393,8 +393,8 @@ class TestNativeRuns:
         closing the hub ends every run."""
         n = (os.cpu_count() or 1) + 4
         design, hub, host, port = _serve(_spin)
-        # A bounded timeout, so a client still reading after a failure
-        # can be closed.
+        # A bounded timeout: a failing run of this test must not wait out
+        # the 300 s default on each client.
         clients = [HubClient(host, port, timeout=30) for _ in range(n)]
         try:
             runners = []
@@ -432,6 +432,32 @@ class TestNativeRuns:
             hub.close()
             for client in clients:
                 client.close()
+
+
+    def test_closing_a_client_wakes_its_call_in_flight(self):
+        """A client closed while another thread waits on its endless run
+        returns at once; the session keeps running on the hub."""
+        design, hub, host, port = _serve(_spin)
+        with hub:
+            client = HubClient(host, port)
+            session = client.attach()
+            session.reset(1)
+            runner = threading.Thread(
+                target=_run_until_closed, args=(session,), daemon=True
+            )
+            runner.start()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and (
+                hub.list_sessions()[0]["state"] != "running"
+            ):
+                time.sleep(0.01)
+            closer = threading.Thread(target=client.close, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "HubClient.close() waited for the run"
+            runner.join(timeout=10)
+            assert not runner.is_alive()
+            assert hub.list_sessions()[0]["state"] == "running"
 
 
 def _run_until_closed(session) -> None:

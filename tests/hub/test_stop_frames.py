@@ -20,7 +20,7 @@ from repro.cpu import RV32Core, assemble, benchmark_by_name
 from repro.hub import DebugHub, HubClient, LocalSession, SessionError, SessionOptions
 from repro.sim import Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
-from tests.helpers import Counter
+from tests.helpers import Counter, fresh_frame
 
 CONDITION = "rd == 5"
 STOPS = 300
@@ -46,9 +46,12 @@ def _local(design) -> LocalSession:
 
 def _drive(session, runtime, line, seed: int) -> set:
     """A seeded script of cont, step and reverse_step over ``STOPS``
-    stops; at each, the stop's frames must equal a fresh build.  Returns
-    the breakpoint ids the stops carried."""
-    fresh = FrameBuilder(runtime.symtable, runtime.sim, runtime.instance_map)
+    stops.  At each, a fresh ``FrameBuilder`` and the fresh-query
+    reference must agree; the stop's own frames, read only after the next
+    command, must equal them.  Returns the breakpoint ids the stops
+    carried."""
+    table, sim = runtime.symtable, runtime.sim
+    fresh = FrameBuilder(table, sim, runtime.instance_map)
     rng = random.Random(seed)
     session.reset(1)
     session.add_breakpoint(*line, CONDITION)
@@ -56,14 +59,15 @@ def _drive(session, runtime, line, seed: int) -> set:
     seen = set()
     for _ in range(STOPS):
         assert stop.reason == "breakpoint"
-        ids = [bp_id for bp_id, _values in stop.frame_values]
-        assert ids
-        expected = [
-            fresh.build(runtime.symtable.breakpoint(bp_id), stop.time).to_dict()
-            for bp_id in ids
+        bps = [table.breakpoint(bp_id) for bp_id, _values in stop.frame_values]
+        assert bps
+        expected = [fresh.build(bp, stop.time).to_dict() for bp in bps]
+        assert expected == [
+            fresh_frame(table, sim, runtime.instance_map, bp, stop.time).to_dict()
+            for bp in bps
         ]
-        assert stop.frames == expected
-        seen.update(ids)
+        seen.update(bp.id for bp in bps)
+        then = stop
         r = rng.random()
         if r < 0.7:
             stop = session.cont()
@@ -71,6 +75,7 @@ def _drive(session, runtime, line, seed: int) -> set:
             stop = session.step()
         else:
             stop = session.reverse_step()
+        assert then.frames == expected
     return seen
 
 
@@ -139,26 +144,31 @@ def test_unread_stops_build_no_frame(qsort, monkeypatch):
 def test_a_hit_builds_its_frames_when_read(qsort, monkeypatch):
     design, line = qsort
     built = _counting_builds(monkeypatch)
-    hits = []
+    hits, expected = [], []
 
     def on_hit(hit):
         hits.append(hit)
+        expected.append(
+            [
+                fresh_frame(table, sim, runtime.instance_map, bp, hit.time).to_dict()
+                for bp, _values in hit.reads
+            ]
+        )
         return CONTINUE
 
     sim = Simulator(design.low)
-    runtime = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), on_hit)
+    table = SQLiteSymbolTable(write_symbol_table(design))
+    runtime = Runtime(sim, table, on_hit)
     runtime.add_breakpoint(*line, condition=CONDITION)
     runtime.attach()
     sim.reset(1)
     sim.step(200)
     assert len(hits) > 10 and built == []
-    records = [hit.to_record() for hit in hits]
+    # Read after the run, records and frames still hold each hit's values.
+    assert [hit.to_record()["frames"] for hit in hits] == expected
     assert built == []
-    # Frames read after the run still show the values of their hit.
-    assert [
-        {"time": h.time, "frames": [f.to_dict() for f in h.frames]} for h in hits
-    ] == [{"time": r["time"], "frames": r["frames"]} for r in records]
-    assert len(built) == sum(len(h.reads) for h in hits)
+    assert [[f.to_dict() for f in hit.frames] for hit in hits] == expected
+    assert len(built) == sum(len(hit.reads) for hit in hits)
     assert hits[0].frames is hits[0].frames
 
 
