@@ -315,8 +315,7 @@ class DebugHub:
     def _open(self, conn: socket.socket) -> None:
         """Start serving an accepted connection on its own thread."""
         thread = threading.Thread(
-            target=self._serve_connection, args=(conn,), daemon=True,
-            name="repro-hub-conn",
+            target=self._serve_connection, args=(conn,), daemon=True
         )
         with self._lock:
             if self._closing.is_set():

@@ -121,9 +121,10 @@ def test_hostile_peers_leave_the_hub_serving():
         # steps on from there.
         session.remove_breakpoint(bp["id"])
         quitter = connect()
+        attach = {"protocol": 2, "sid": session.sid}
         quitter.sendall(
-            b'{"id": 1, "method": "attach", "params": {"protocol": 2, '
-            b'"sid": %d}}\n' % session.sid
+            json.dumps({"id": 1, "method": "attach", "params": attach}).encode()
+            + b"\n"
         )
         quitter.sendall(b'{"id": 2, "method": "s.cont", "params": {}}\n')
         _until(lambda: hub.list_sessions()[0]["state"] == "running")
