@@ -19,11 +19,6 @@ from dataclasses import dataclass
 
 from ..sim.interface import WAKE_BINARY_OPS
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - vector conditions need numpy
-    _np = None
-
 
 class ExprError(Exception):
     """Raised on parse errors or unresolvable names."""
@@ -376,123 +371,3 @@ def to_wake(node, bind):
         return (node.op, to_wake(node.left, bind), to_wake(node.right, bind))
     raise ExprError(f"no exact 64-bit form for {node!r}")
 
-
-# -- vectorized compilation (many-worlds conditions) ------------------------
-#
-# Against a ManyWorldsSimulator a condition evaluates over the whole
-# scenario axis at once: names bind to per-world *columns* and the result is
-# a mask.  Columns are object-dtype arrays of plain Python ints, so every
-# element-wise operation runs the exact unbounded-int arithmetic `evaluate`
-# uses — bit-for-bit, per world, including >64-bit values.  Comparison
-# results are normalized back to object arrays of Python bools (ints), so
-# `~`/arithmetic on them keep Python semantics instead of numpy's logical
-# ones.
-
-
-def _vb(x):
-    """Normalize a comparison result: object array in, scalar 0/1 out."""
-    if isinstance(x, _np.ndarray):
-        return x.astype(object)
-    return int(bool(x))
-
-
-def _vpair(f):
-    """Element-wise binary helper: Python semantics per world."""
-    uf = _np.frompyfunc(f, 2, 1) if _np is not None else None
-
-    def g(a, b):
-        if isinstance(a, _np.ndarray) or isinstance(b, _np.ndarray):
-            return uf(a, b)
-        return f(a, b)
-
-    return g
-
-
-_vshl = _vpair(lambda a, b: a << min(b, 256))
-_vshr = _vpair(lambda a, b: a >> min(b, 256))
-_vdiv = _vpair(_ee_div)
-_vmod = _vpair(_ee_mod)
-
-
-def _vwhere(c, t, f):
-    if not isinstance(c, _np.ndarray):
-        return t if c else f
-    if not isinstance(t, _np.ndarray):
-        t = _np.full(c.shape, t, dtype=object)
-    if not isinstance(f, _np.ndarray):
-        f = _np.full(c.shape, f, dtype=object)
-    return _np.where(c != 0, t, f)
-
-
-VECTOR_HELPERS = {
-    "_vb": _vb,
-    "_vshl": _vshl,
-    "_vshr": _vshr,
-    "_vdiv": _vdiv,
-    "_vmod": _vmod,
-    "_vwhere": _vwhere,
-}
-
-
-def vector_mask(x, worlds: int) -> tuple[int, ...] | None:
-    """Collapse a condition result to the tuple of world indices where it
-    holds, or None when it holds nowhere.  Scalars (conditions that never
-    touched a signal) apply to every world or none."""
-    if isinstance(x, _np.ndarray):
-        ks = _np.flatnonzero(x != 0)
-        return tuple(int(k) for k in ks) if len(ks) else None
-    return tuple(range(worlds)) if x else None
-
-
-def to_vector(node, bind) -> str:
-    """Translate an AST into per-world (column-wise) Python source.
-
-    Like :func:`to_python`, but the emitted source evaluates over whole
-    scenario columns: ``bind(name)`` supplies a fragment yielding an
-    object-dtype column (or a scalar for constants) and the result is a
-    column / scalar usable with :func:`vector_mask`.  The emitted source
-    references :data:`VECTOR_HELPERS` in addition to the names ``bind``
-    introduces.  Short-circuiting is dropped (all operators here are total
-    and pure), everything else matches `evaluate` per world.
-    """
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Name):
-        return bind(node.name)
-    if isinstance(node, Unary):
-        v = to_vector(node.operand, bind)
-        if node.op == "!":
-            return f"_vb(({v}) == 0)"
-        if node.op == "~":
-            return f"(~({v}))"
-        if node.op == "-":
-            return f"(-({v}))"
-        return f"({v})"
-    if isinstance(node, Binary):
-        op = node.op
-        a = to_vector(node.left, bind)
-        b = to_vector(node.right, bind)
-        if op == "||":
-            return f"_vb(((({a})) != 0) | ((({b})) != 0))"
-        if op == "&&":
-            return f"_vb(((({a})) != 0) & ((({b})) != 0))"
-        if op in _DIRECT_OPS:
-            return f"(({a}) {op} ({b}))"
-        if op in _CMP_OPS:
-            return f"_vb(({a}) {op} ({b}))"
-        if op == "<<":
-            return f"_vshl(({a}), ({b}))"
-        if op == ">>":
-            return f"_vshr(({a}), ({b}))"
-        if op == "/":
-            return f"_vdiv(({a}), ({b}))"
-        if op == "%":
-            return f"_vmod(({a}), ({b}))"
-        raise ExprError(f"unknown operator {op!r}")
-    if isinstance(node, Ternary):
-        return (
-            f"_vwhere(({to_vector(node.cond, bind)}),"
-            f" ({to_vector(node.then, bind)}),"
-            f" ({to_vector(node.other, bind)}))"
-        )
-    raise ExprError(f"cannot compile {node!r}")

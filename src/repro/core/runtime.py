@@ -77,8 +77,8 @@ class HitGroup:
     ``{"id", "label", "path", "old", "new"}`` and no frames.
 
     Against a many-worlds backend ``worlds`` carries the exact set of
-    scenario-world indices whose condition mask fired (watch hits put the
-    set in ``watch["worlds"]`` instead); it is None on scalar backends.
+    scenario-world indices whose conditions held (watch hits put the set
+    in ``watch["worlds"]`` instead); it is None on scalar backends.
     """
 
     time: int
@@ -227,15 +227,10 @@ class Runtime:
         self._sim_wide = store.wide if store is not None else None
         design = getattr(sim, "design", None)
         self._signal_index = getattr(design, "signal_index", None)
-        # Many-worlds backend: names bind to whole scenario columns and
-        # conditions evaluate as boolean masks over the world axis; hits
-        # report the exact set of worlds that fired (docs/manyworlds.md).
+        # Many-worlds backend: each compiled group runs once per running
+        # world, against that world's value table; hits report the exact
+        # set of worlds that fired (docs/manyworlds.md).
         self._worlds = getattr(sim, "worlds", None)
-        self._sim_matrix = getattr(store, "matrix", None)
-        self._wide_signals = getattr(store, "wide_signals", None)
-        self._vector = (
-            self._worlds is not None and self._sim_matrix is not None
-        )
         # Breakpoint wakes bind names to a live simulator's narrow lanes.
         self._wakes_ok = self._worlds is None and self._sim_wide is not None
         # stats_callbacks: posedges of earlier attached spans, and the
@@ -504,43 +499,15 @@ class Runtime:
             self.sim.get_value(path)
         except SimulatorError as exc:
             raise expr_eval.ExprError(str(exc)) from exc
-        if self._vector:
-            idx = (
-                self._signal_index.get(path)
-                if self._signal_index is not None
-                else None
-            )
-            if idx is None:
-                # get_value would read world 0 only — refuse, so the group
-                # compile fails loudly instead of silently mis-masking.
-                raise expr_eval.ExprError(
-                    f"{path!r} has no value-table index; cannot evaluate "
-                    "per world"
-                )
-            if self._wide_signals and idx in self._wide_signals:
-                env["_wcol"] = self._wide_column
-                return f"_wcol({idx})"
-            env["_mat"] = self._sim_matrix
-            return f"_mat[{idx}].astype(object)"
         if self._sim_values is not None and self._signal_index is not None:
             idx = self._signal_index.get(path)
             if idx is not None:
                 if self._sim_wide is not None and idx in self._sim_wide:
-                    env["_w"] = self._sim_wide
                     return f"_w[{idx}]"
                 return f"_v[{idx}]"
         key = f"_p{len(env)}"
         env[key] = path
         return f"_g({key})"
-
-    def _wide_column(self, idx: int):
-        """One >64-bit signal as an object-dtype per-world column."""
-        import numpy as np
-
-        wide, n = self._sim_wide, self._worlds
-        return np.array(
-            [wide[idx * n + k] for k in range(n)], dtype=object
-        )
 
     def _rtl_binder(self, instance_name: str, env: dict):
         base = self.instance_map.get(instance_name, instance_name)
@@ -590,12 +557,11 @@ class Runtime:
     def _bp_condition_source(self, bp: InsertedBreakpoint, env: dict) -> str:
         """Python source for one breakpoint's enable∧user condition, with
         the interpreter's warning semantics applied at compile time."""
-        to_src = expr_eval.to_vector if self._vector else expr_eval.to_python
         parts = []
         if bp.enable_ast is not None:
             try:
                 parts.append(
-                    to_src(
+                    expr_eval.to_python(
                         bp.enable_ast,
                         self._rtl_binder(bp.rec.instance_name, env),
                     )
@@ -609,7 +575,9 @@ class Runtime:
             try:
                 rtl = self._rtl_binder(bp.rec.instance_name, env)
                 parts.append(
-                    to_src(bp.condition_ast, self._scope_binder(bp.rec, rtl))
+                    expr_eval.to_python(
+                        bp.condition_ast, self._scope_binder(bp.rec, rtl)
+                    )
                 )
             except expr_eval.ExprError as exc:
                 self._warn_once(
@@ -618,37 +586,22 @@ class Runtime:
                 return "0"
         if not parts:
             return "1"
-        if self._vector and len(parts) > 1:
-            return "_vb(" + " & ".join(
-                f"((({p})) != 0)" for p in parts
-            ) + ")"
         return "(" + ") and (".join(parts) + ")"
 
     def _compile_group(self, group: Group):
         """Compile a whole scheduling group into one batched evaluator
-        ``fn(values) -> [passing breakpoint positions]``.  Returns False on
-        failure (callers fall back to the interpreter)."""
+        ``fn(narrow, wide) -> [passing breakpoint positions]`` over one
+        value table's buffers.  Returns False on failure (callers fall back
+        to the interpreter)."""
         try:
             env: dict = dict(expr_eval.COMPILE_HELPERS)
             env["_g"] = self.sim.get_value
-            if self._vector:
-                env.update(expr_eval.VECTOR_HELPERS)
-                worlds = self._worlds
-                env["_vmask"] = (
-                    lambda x: expr_eval.vector_mask(x, worlds)
-                )
             conds = [
                 self._bp_condition_source(bp, env) for bp in group.breakpoints
             ]
-            lines = ["def _grp(_v):", "    out = []"]
+            lines = ["def _grp(_v, _w):", "    out = []"]
             for j, src in enumerate(conds):
-                if self._vector:
-                    lines.append(f"    _ws{j} = _vmask({src})")
-                    lines.append(
-                        f"    if _ws{j} is not None: out.append(({j}, _ws{j}))"
-                    )
-                else:
-                    lines.append(f"    if {src}: out.append({j})")
+                lines.append(f"    if {src}: out.append({j})")
             lines.append("    return out")
             exec(compile("\n".join(lines), "<repro-group-cond>", "exec"), env)
             # Popped, so the closure and its globals (which hold the
@@ -698,10 +651,10 @@ class Runtime:
 
         Scalar backends: a list of breakpoints.  Many-worlds backends: a
         list of ``(breakpoint, world_indices)`` pairs — the exact worlds
-        whose condition mask fired, restricted to still-active worlds.
+        where the breakpoint hit, among the still-active worlds.
         """
         bps = group.breakpoints
-        if self._vector:
+        if self._worlds is not None:
             if not self._compile_conditions:
                 self._warn_once(
                     "many-worlds conditions require compiled conditions; "
@@ -718,22 +671,7 @@ class Runtime:
                     "failed to compile for per-world evaluation; skipped"
                 )
                 return []
-            self._bp_evals += len(bps)
-            alive = self.sim.active_worlds
-            alive_set = set(alive)
-            hits = []
-            for j, ws in fn(self._sim_values):
-                bp = bps[j]
-                if len(alive) != self._worlds:
-                    ws = tuple(k for k in ws if k in alive_set)
-                    if not ws:
-                        continue
-                bp.hit_count += len(ws)
-                if bp.ignore_count > 0:
-                    bp.ignore_count -= 1
-                    continue
-                hits.append((bp, ws))
-            return hits
+            return self._eval_worlds(fn, bps)
         if not self._compile_conditions:
             return [bp for bp in bps if self._bp_hits(bp)]
         fn = group.compiled
@@ -744,13 +682,34 @@ class Runtime:
             return [bp for bp in bps if self._bp_hits(bp)]
         self._bp_evals += len(bps)
         hits = []
-        for j in fn(self._sim_values):
+        for j in fn(self._sim_values, self._sim_wide):
             bp = bps[j]
             bp.hit_count += 1
             if bp.ignore_count > 0:
                 bp.ignore_count -= 1
                 continue
             hits.append(bp)
+        return hits
+
+    def _eval_worlds(self, fn, bps) -> list:
+        """Run a group's compiled evaluator once per running world, against
+        that world's value table: ``(breakpoint, world_indices)`` for every
+        breakpoint that hit in some world."""
+        self._bp_evals += len(bps)
+        sims = self.sim.sims
+        fired: dict[int, list[int]] = {}
+        for k in self.sim.active_worlds:
+            store = sims[k].store
+            for j in fn(store.narrow, store.wide):
+                fired.setdefault(j, []).append(k)
+        hits = []
+        for j in sorted(fired):
+            bp, ws = bps[j], tuple(fired[j])
+            bp.hit_count += len(ws)
+            if bp.ignore_count > 0:
+                bp.ignore_count -= 1
+                continue
+            hits.append((bp, ws))
         return hits
 
     def _bp_hits(self, bp: InsertedBreakpoint) -> bool:
@@ -886,9 +845,9 @@ class Runtime:
 
             group = groups[hit_idx]
             worlds = None
-            if self._vector:
+            if self._worlds is not None:
                 # hits are (breakpoint, fired-world-indices) pairs; frames
-                # render world 0's view, the mask names the fired worlds.
+                # render world 0's view, the set names the fired worlds.
                 worlds = tuple(sorted({k for _, ws in hits for k in ws}))
                 note = getattr(self.sim, "note_mask_hit", None)
                 if note is not None:

@@ -93,9 +93,8 @@ class WatchStore:
         self._signal_index = getattr(design, "signal_index", None)
         # Many-worlds backend: reads return per-world tuples and changes
         # report the exact set of worlds that fired.
-        self._matrix = getattr(store, "matrix", None)
-        self._wide_signals = getattr(store, "wide_signals", None)
-        self._worlds = getattr(sim, "worlds", None)
+        sims = getattr(sim, "sims", None)
+        self._world_stores = [s.store for s in sims] if sims is not None else None
 
     def add(self, path: str, label: str, condition: str | None = None) -> Watchpoint:
         wp = Watchpoint(self._next_id, path, label)
@@ -127,12 +126,9 @@ class WatchStore:
         return iter(self._watch.values())
 
     def _read(self, sim, wp: Watchpoint):
-        if wp.index is not None and self._matrix is not None:
-            idx, n = wp.index, self._worlds
-            if self._wide_signals and idx in self._wide_signals:
-                wide = self._wide
-                return tuple(wide[idx * n + k] for k in range(n))
-            return tuple(int(x) for x in self._matrix[idx])
+        if wp.index is not None and self._world_stores is not None:
+            idx = wp.index
+            return tuple(store[idx] for store in self._world_stores)
         if wp.index is not None and self._values is not None:
             if self._wide and wp.index in self._wide:
                 return self._wide[wp.index]
@@ -156,7 +152,7 @@ class WatchStore:
                 continue
             if isinstance(value, tuple):
                 # Many-worlds: per-world compare, restricted to worlds
-                # still running (a finished world's column drifts).
+                # still running.
                 hit = self._changed_worlds(sim, wp, last, value)
                 if hit is not None:
                     out.append(hit)

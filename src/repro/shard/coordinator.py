@@ -22,6 +22,7 @@ against, and the fallback on platforms without ``fork``.
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing
 import os
 import queue
@@ -500,7 +501,7 @@ class ShardSession:
                 kwargs={"obs_mode": self.obs.mode},
                 daemon=True,
             )
-            proc.start()
+            _start_frozen(proc)
             # Close the parent's copies of the worker's ends *before* the
             # next fork: later children must not inherit the event write
             # end, or this pipe would never report EOF if its worker
@@ -829,6 +830,20 @@ def _pump_pipe(conn, worker, events: queue.Queue) -> None:
     with contextlib.suppress(OSError):
         conn.close()
     events.put(("eof", worker, None))
+
+
+def _start_frozen(proc) -> None:
+    """Fork ``proc`` with every object of this process frozen out of the
+    child's garbage collector (``gc.freeze``).  Freeing an inherited cycle
+    can take a lock that another of our threads held at the fork (sqlite's
+    allocator mutex, while the symbol-table server answers a query), and
+    the worker would then hang for good.  The objects return to this
+    process's collector at once."""
+    gc.freeze()
+    try:
+        proc.start()
+    finally:
+        gc.unfreeze()
 
 
 def _fork_available() -> bool:

@@ -5,13 +5,7 @@ simulator interface (paper Sec. 3.3) used by the hgdb runtime; the same
 interface is implemented by ``repro.trace.ReplayEngine`` for offline traces.
 """
 
-from .compiler import (
-    CombLoopError,
-    CompiledDesign,
-    VectorKernels,
-    compile_design,
-    compile_vector,
-)
+from .compiler import CombLoopError, CompiledDesign, compile_design
 from .engine import SessionOptions, Simulator
 from .manyworlds import ManyWorldsSimulator, make_sweep_stimulus
 from .interface import (
@@ -24,13 +18,13 @@ from .interface import (
 from .store import (
     ArrayStore,
     ListStore,
-    MatrixStore,
     NumpyStore,
     ValueStore,
     make_store,
     numpy_available,
     resolve_store_kind,
 )
+from .stimulus import Stimulus
 from .testbench import Driver, Monitor, Testbench, Transaction
 from .timeline import (
     FullTraceTimeline,
@@ -49,7 +43,6 @@ __all__ = [
     "HierNode",
     "ListStore",
     "ManyWorldsSimulator",
-    "MatrixStore",
     "Monitor",
     "NumpyStore",
     "SessionOptions",
@@ -58,15 +51,14 @@ __all__ = [
     "Simulator",
     "SimulatorError",
     "SimulatorInterface",
+    "Stimulus",
     "Testbench",
     "Timeline",
     "TimelineError",
     "TimelineView",
     "Transaction",
     "ValueStore",
-    "VectorKernels",
     "compile_design",
-    "compile_vector",
     "first_timeline_divergence",
     "make_store",
     "make_sweep_stimulus",

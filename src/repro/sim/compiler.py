@@ -34,14 +34,8 @@ tests enforce it.
 
 from __future__ import annotations
 
-import re
 from array import array
 from dataclasses import dataclass, field
-
-try:
-    import numpy as _np
-except ImportError:  # the vector kernels are optional, like NumpyStore
-    _np = None
 
 from ..ir.eval import literal_raw
 from ..ir.expr import Expr, Literal, MemRead, PrimOp, Ref, SubField
@@ -134,9 +128,9 @@ class CompiledDesign:
     order_targets: list[int] = field(default_factory=list)
     order_code: list[str] = field(default_factory=list)
     # The IR behind the generated code, as (instance path, IR) pairs for
-    # the other code generators (:func:`compile_vector`,
-    # :mod:`repro.sim.native`): the expression at every schedule position,
-    # then the memory writes and the stops/printfs in statement order.
+    # the native code generator (:mod:`repro.sim.native`): the expression
+    # at every schedule position, then the memory writes and the
+    # stops/printfs in statement order.
     order_exprs: list[tuple[str, Expr]] = field(default_factory=list)
     mem_writes: list[tuple[str, MemWrite]] = field(default_factory=list)
     effects: list[tuple[str, Stop | Printf]] = field(default_factory=list)
@@ -159,9 +153,6 @@ class CompiledDesign:
     stat_cone_hits: int = 0
     stat_cone_misses: int = 0
     stat_cone_fallbacks: int = 0
-    # Many-worlds vector kernels, cached per world count (see
-    # :func:`compile_vector`).
-    _vector_kernels: dict = field(default_factory=dict)
     # The native free-run kernel (:mod:`repro.sim.native`), or why the
     # design runs in Python; None until the first eligible ``run()``.
     _native: object = None
@@ -830,916 +821,3 @@ def _topo_sort(assignments, dep_map, assigned, signals):
             "combinational loop involving: " + ", ".join(sorted(stuck)[:10])
         )
     return order
-
-
-# -- many-worlds vector kernels (repro.sim.manyworlds) -----------------------
-#
-# compile_vector() compiles one design for N scenario "worlds" at once: the
-# narrow value table widens to an (n_signals, worlds) uint64 matrix and every
-# levelized cone statement becomes one numpy ufunc chain over whole rows, so
-# a single vcomb/vtick call advances all N worlds in lockstep.
-#
-# Correctness rests on a mod-2**64 representation: each operand column is
-# congruent (mod 2**64) to the value the scalar path's unbounded-int code
-# computes, so wraparound uint64 arithmetic followed by the result-width mask
-# is bit-identical to the scalar result.  Sign-sensitive ops (ordered
-# compares, arithmetic shifts) reinterpret lanes as int64.  Statements that
-# touch anything wider than one lane — wide signals, wide memories, >64-bit
-# intermediates, signed div/rem — fall back to the *original* scalar code
-# run once per world through tiny per-world adapter views, preserving exact
-# parity at scalar speed for just those statements.
-
-_FULL64 = (1 << LANE_BITS) - 1
-_BARE_ROW_RE = re.compile(r"v\[\d+\]")
-_DIGITS_RE = re.compile(r"\d+")
-# A vector-code fragment made only of these characters is a pure python
-# integer expression: every column/memory reference or helper call would
-# contribute a letter or a bracket.  Such fragments are folded at codegen
-# time so every surviving expression provably touches an ndarray.
-_CONSTEXPR_RE = re.compile(r"^[0-9+\-*&|^~()<> ]+$")
-
-
-class _NeedScalar(Exception):
-    """Statement cannot be vectorized; fall back to per-world scalar code."""
-
-
-@dataclass(slots=True)
-class VectorKernels:
-    """Compiled many-worlds kernels for one (design, worlds) pair.
-
-    ``v`` is the (n_signals, worlds) uint64 matrix, ``w`` the flat wide
-    overflow dict keyed ``signal_index * worlds + world``, ``m`` the list of
-    memories — (worlds, depth) uint64 arrays for narrow memories, lists of
-    per-world python lists for wide ones.
-
-    ``vtick(v, w, m, time, _act, _stop)`` takes the active-world bool mask
-    and a stop callback ``_stop(exit_code, mask, time)``; memory writes and
-    stop/printf effects are masked by ``_act`` so finished worlds freeze,
-    while register/comb columns keep advancing (the simulator archives a
-    finished world's state at stop time).
-    """
-
-    worlds: int
-    vcomb: object
-    vtick: object
-    vtick_journal: object
-    vcomb_source: str
-    vtick_source: str
-    vtick_journal_source: str
-    namespace: dict
-    n_vector: int
-    n_scalar: int
-
-
-class _VecCodegen(_Codegen):
-    """Vector twin of :class:`_Codegen`: emits numpy column expressions in
-    mod-2**64 representation, raising :class:`_NeedScalar` for anything that
-    cannot be carried in one 64-bit lane per world.
-
-    Three per-op overheads dominate small-world kernels, so the emitter
-    works to avoid them: integer literals and result masks are pre-bound as
-    ``np.uint64`` namespace constants (skipping numpy's per-op python-int
-    coercion), literal-only subtrees are folded at codegen time, and masks
-    that are provably no-ops on canonical lanes are elided outright.
-    """
-
-    _ARITH_SYM = {"add": "+", "sub": "-", "mul": "*",
-                  "and": "&", "or": "|", "xor": "^"}
-
-    def __init__(
-        self,
-        path: str,
-        signal_index: dict[str, int],
-        mem_index: dict[str, int],
-        mems: list[MemSpec],
-        wide: frozenset,
-        consts: dict[int, str],
-    ):
-        super().__init__(path, signal_index, mem_index, mems, wide)
-        self.consts = consts  # shared value -> namespace-name pool
-
-    def const(self, value: int) -> str:
-        name = self.consts.get(value)
-        if name is None:
-            name = f"_K{len(self.consts)}"
-            self.consts[value] = name
-        return name
-
-    @staticmethod
-    def _arrayish(code: str) -> bool:
-        # Contains a column or memory read somewhere: every helper and
-        # ufunc is elementwise, so the runtime value is an ndarray and
-        # uint64 arithmetic wraps mod 2**64 natively.
-        return "v[" in code or "m[" in code
-
-    def _operand(self, code: str, other: str) -> str:
-        """Pre-bind an integer-literal operand of an infix numpy op as a
-        ``np.uint64`` constant when the other side is a column expression
-        (both-literal operands stay python ints and fold)."""
-        if _DIGITS_RE.fullmatch(code) and not _CONSTEXPR_RE.fullmatch(other):
-            return self.const(int(code))
-        return code
-
-    def _mask_to(self, code: str, mask: int, elide: bool = False) -> str:
-        if _CONSTEXPR_RE.fullmatch(code):
-            return str(eval(code) & mask)  # fold literal-only subtrees
-        if elide:
-            return code
-        return f"(({code}) & {self.const(mask)})"
-
-    def _arith_core(self, e: Expr):
-        """Unmasked ``(a op b)`` core of a two-operand arithmetic op, or
-        None.  Returns ``(code, canonical)`` where ``canonical`` means the
-        unmasked result already fits the op's width (bitwise ops over
-        unsigned canonical lanes)."""
-        if not isinstance(e, PrimOp):
-            return None
-        sym = self._ARITH_SYM.get(e.op)
-        if sym is None or e.typ.bit_width() > LANE_BITS:
-            return None
-        a = e.args
-        x, y = self.interp(a[0]), self.interp(a[1])
-        code = f"(({self._operand(x, y)}) {sym} ({self._operand(y, x)}))"
-        signed = (isinstance(a[0].typ, SIntType)
-                  or isinstance(a[1].typ, SIntType))
-        canonical = e.op in ("and", "or", "xor") and not signed
-        return code, canonical
-
-    def lane(self, idx: int) -> str:
-        if idx in self.wide:
-            raise _NeedScalar("wide signal")
-        return f"v[{idx}]"
-
-    def raw(self, e: Expr) -> str:
-        if isinstance(e, Ref):
-            return self.lane(self.sig(e.name))
-        if isinstance(e, Literal):
-            value = literal_raw(e)
-            if value > _FULL64:
-                raise _NeedScalar("wide literal")
-            return str(value)
-        if isinstance(e, SubField):
-            inst = e.expr.name  # type: ignore[union-attr]
-            return self.lane(self.sig(f"{inst}.{e.name}"))
-        if isinstance(e, MemRead):
-            mi = self.mem_index[f"{self.path}.{e.mem}"]
-            spec = self.mems[mi]
-            if spec.width > LANE_BITS:
-                raise _NeedScalar("wide memory")
-            return f"m[{mi}][_RW, ({self.raw(e.addr)}) % {spec.depth}]"
-        if isinstance(e, PrimOp):
-            return self._prim(e)
-        raise _NeedScalar(type(e).__name__)
-
-    def interp(self, e: Expr) -> str:
-        if isinstance(e, Literal):
-            return str(e.value & _FULL64)
-        if isinstance(e.typ, SIntType):
-            w = e.typ.width
-            if w > LANE_BITS:
-                raise _NeedScalar("wide signed")
-            if w == LANE_BITS:
-                return self.raw(e)
-            return f"_vsx({self.raw(e)}, {1 << (w - 1)})"
-        return self.raw(e)
-
-    def _prim(self, e: PrimOp) -> str:
-        op = e.op
-        rw = e.typ.bit_width()
-        if rw > LANE_BITS:
-            raise _NeedScalar(op)
-        M = (1 << rw) - 1
-        a = e.args
-        core = self._arith_core(e)
-        if core is not None:
-            code, canonical = core
-            # 64-bit lanes wrap mod 2**64 natively once an ndarray is in
-            # the expression, so the full-lane mask is a no-op.
-            elide = canonical or (rw == LANE_BITS and self._arrayish(code))
-            return self._mask_to(code, M, elide)
-        if op in ("div", "rem"):
-            if isinstance(a[0].typ, SIntType) or isinstance(a[1].typ, SIntType):
-                raise _NeedScalar(op)  # sign-sensitive trunc division
-            fn = "_vdivu" if op == "div" else "_vremu"
-            return self._mask_to(
-                f"{fn}({self.raw(a[0])}, {self.raw(a[1])})", M
-            )
-        if op in ("lt", "leq", "gt", "geq", "eq", "neq"):
-            sym = {"lt": "<", "leq": "<=", "gt": ">", "geq": ">=",
-                   "eq": "==", "neq": "!="}[op]
-            if isinstance(a[0].typ, SIntType) or isinstance(a[1].typ, SIntType):
-                for arg in a:
-                    if (not isinstance(arg.typ, SIntType)
-                            and arg.typ.bit_width() > LANE_BITS - 1):
-                        raise _NeedScalar(op)  # 64-bit UInt vs SInt compare
-                return (f"_vb(_vs64({self.interp(a[0])}) {sym} "
-                        f"_vs64({self.interp(a[1])}))")
-            x, y = self.raw(a[0]), self.raw(a[1])
-            return (f"_vb(({self._operand(x, y)}) {sym} "
-                    f"({self._operand(y, x)}))")
-        if op == "not":
-            code = f"(~({self.interp(a[0])}))"
-            return self._mask_to(
-                code, M, rw == LANE_BITS and self._arrayish(code)
-            )
-        if op == "neg":
-            code = f"(0 - ({self.interp(a[0])}))"
-            return self._mask_to(
-                code, M, rw == LANE_BITS and self._arrayish(code)
-            )
-        if op == "andr":
-            w = a[0].typ.bit_width()
-            if w > LANE_BITS:
-                raise _NeedScalar(op)
-            x = self.raw(a[0])
-            return f"_vb(({x}) == ({self._operand(str((1 << w) - 1), x)}))"
-        if op == "orr":
-            return f"_vb(({self.raw(a[0])}) != 0)"
-        if op == "xorr":
-            return f"_vxorr({self.raw(a[0])})"
-        if op == "cat":
-            wb = a[1].typ.bit_width()
-            x, y = self.raw(a[0]), self.raw(a[1])
-            return f"((({x}) << {self._operand(str(wb), x)}) | ({y}))"
-        if op == "bits":
-            hi, lo = e.params
-            m_ = (1 << (hi - lo + 1)) - 1
-            if lo == 0:
-                if hi >= a[0].typ.bit_width() - 1:
-                    return self.raw(a[0])  # full-width slice of a canonical lane
-                inner = self._arith_core(a[0])
-                if inner is not None:
-                    # (x & M_inner) & m_ == x & m_ for m_ within M_inner:
-                    # skip the arith op's own mask and apply the slice's.
-                    return self._mask_to(inner[0], m_)
-                return self._mask_to(self.raw(a[0]), m_)
-            if lo >= LANE_BITS:
-                raise _NeedScalar(op)
-            src = self.raw(a[0])
-            sh = self._operand(str(lo), src)
-            return self._mask_to(f"(({src}) >> {sh})", m_)
-        if op == "pad":
-            if isinstance(a[0].typ, SIntType):
-                code = self.interp(a[0])
-                return self._mask_to(
-                    code, M, rw == LANE_BITS and self._arrayish(code)
-                )
-            return self.interp(a[0])  # widening a canonical lane is a no-op
-        if op == "shl":
-            x = self.interp(a[0])
-            code = f"(({x}) << {self._operand(str(e.params[0]), x)})"
-            return self._mask_to(
-                code, M, rw == LANE_BITS and self._arrayish(code)
-            )
-        if op == "shr":
-            c = e.params[0]
-            if isinstance(a[0].typ, SIntType):
-                code = f"_vsra({self.interp(a[0])}, {min(c, 63)})"
-                return self._mask_to(
-                    code, M, rw == LANE_BITS and self._arrayish(code)
-                )
-            if c >= LANE_BITS:
-                return "0"
-            x = self.interp(a[0])
-            # A canonical lane shifted right always fits the result width.
-            return f"(({x}) >> {self._operand(str(c), x)})"
-        if op == "dshl":
-            code = f"_vdshl({self.interp(a[0])}, {self.raw(a[1])})"
-            return self._mask_to(
-                code, M, rw == LANE_BITS and self._arrayish(code)
-            )
-        if op == "dshr":
-            if isinstance(a[0].typ, SIntType):
-                code = f"_vdshrs({self.interp(a[0])}, {self.raw(a[1])})"
-                return self._mask_to(
-                    code, M, rw == LANE_BITS and self._arrayish(code)
-                )
-            # Unsigned dynamic shr of a canonical lane fits the width.
-            return f"_vdshru({self.raw(a[0])}, {self.raw(a[1])})"
-        if op == "mux":
-            t, f_ = self.interp(a[1]), self.interp(a[2])
-            if isinstance(a[1].typ, SIntType):
-                t = self._mask_to(t, M, rw == LANE_BITS and self._arrayish(t))
-            if isinstance(a[2].typ, SIntType):
-                f_ = self._mask_to(
-                    f_, M, rw == LANE_BITS and self._arrayish(f_)
-                )
-            tb, fb = self._operand(t, f_), self._operand(f_, t)
-            return f"_vsel({self.raw(a[0])}, ({tb}), ({fb}))"
-        if op in ("as_uint", "as_sint"):
-            return self.raw(a[0])
-        raise _NeedScalar(op)
-
-
-class _WorldLanes:
-    """Scalar-code view of one world's column: python ints in and out."""
-
-    __slots__ = ("mat", "k")
-
-    def __init__(self, mat, k):
-        self.mat = mat
-        self.k = k
-
-    def __getitem__(self, i):
-        return int(self.mat[i, self.k])
-
-    def __setitem__(self, i, value):
-        self.mat[i, self.k] = value
-
-
-class _WorldWide:
-    """One world's slice of the flat wide dict (key = index*worlds + k)."""
-
-    __slots__ = ("wide", "k", "stride")
-
-    def __init__(self, wide, k, stride):
-        self.wide = wide
-        self.k = k
-        self.stride = stride
-
-    def __getitem__(self, i):
-        return self.wide[i * self.stride + self.k]
-
-    def __setitem__(self, i, value):
-        self.wide[i * self.stride + self.k] = value
-
-    def __contains__(self, i):
-        return i * self.stride + self.k in self.wide
-
-
-class _WorldMemRow:
-    """Scalar-code view of one world's row of a (worlds, depth) memory."""
-
-    __slots__ = ("mem", "k")
-
-    def __init__(self, mem, k):
-        self.mem = mem
-        self.k = k
-
-    def __getitem__(self, a):
-        return int(self.mem[self.k, a])
-
-    def __setitem__(self, a, value):
-        self.mem[self.k, a] = value
-
-
-class _WorldMems:
-    __slots__ = ("mems", "k")
-
-    def __init__(self, mems, k):
-        self.mems = mems
-        self.k = k
-
-    def __getitem__(self, mi):
-        mem = self.mems[mi]
-        if isinstance(mem, list):  # wide memory: list of per-world lists
-            return mem[self.k]
-        return _WorldMemRow(mem, self.k)
-
-
-def _mkjw(mi, k, jw):
-    def rec(a):
-        jw((mi, (k, a)))
-    return rec
-
-
-def _vector_helpers(worlds: int) -> dict:
-    """Build the exec namespace for one world count: numpy helper functions
-    closed over ``worlds`` plus the scalar-fallback machinery."""
-    np = _np
-    u64 = np.uint64
-    i64 = np.int64
-    allt = np.ones(worlds, dtype=bool)
-    zw = np.zeros(worlds, dtype=bool)
-
-    def _as64(x):
-        return np.ascontiguousarray(x).view(i64)
-
-    def _vsx(x, c):
-        # sign-extend a w-bit lane into mod-2**64 representation; c = 2**(w-1)
-        if isinstance(x, int):
-            return ((x ^ c) - c) & _FULL64
-        return (x ^ c) - c
-
-    def _vs64(x):
-        if isinstance(x, int):
-            return x - (1 << 64) if x >= (1 << 63) else x
-        return _as64(x)
-
-    def _vb(x):
-        if isinstance(x, np.ndarray):
-            return x.astype(u64)
-        return 1 if x else 0
-
-    def _vsel(c, t, f):
-        if not isinstance(c, np.ndarray) or c.ndim == 0:
-            return t if c else f
-        if not (isinstance(t, np.ndarray) or isinstance(f, np.ndarray)):
-            t = np.full(worlds, t, dtype=u64)
-        return np.where(c != 0, t, f)
-
-    def _scalarize(b):
-        # np.uint64 scalars leak in from pre-bound constants; collapse
-        # them (and 0-d arrays) to python ints so the scalar fast paths
-        # and shape-dependent code below stay correct.
-        if not isinstance(b, np.ndarray) or b.ndim == 0:
-            return int(b)
-        return b
-
-    def _vdivu(a, b):
-        b = _scalarize(b)
-        if isinstance(b, int):
-            if not isinstance(a, np.ndarray):
-                return a // b if b else 0
-            if b == 0:
-                return np.zeros(worlds, dtype=u64)
-            return a // b
-        if isinstance(a, int):
-            a = np.full(b.shape, a, dtype=u64)
-        out = np.zeros(b.shape, dtype=u64)
-        np.floor_divide(a, b, out=out, where=b != 0)
-        return out
-
-    def _vremu(a, b):
-        b = _scalarize(b)
-        if isinstance(b, int):
-            if not isinstance(a, np.ndarray):
-                return a % b if b else 0
-            if b == 0:
-                return np.zeros(worlds, dtype=u64)
-            return a % b
-        if isinstance(a, int):
-            a = np.full(b.shape, a, dtype=u64)
-        out = np.zeros(b.shape, dtype=u64)
-        np.remainder(a, b, out=out, where=b != 0)
-        return out
-
-    def _vsra(x, c):
-        # arithmetic shift right of a mod-2**64 lane, 0 <= c <= 63
-        if isinstance(x, int):
-            xs = x - (1 << 64) if x >= (1 << 63) else x
-            return (xs >> c) & _FULL64
-        return (_as64(x) >> c).view(u64)
-
-    def _vdshl(a, b):
-        b = _scalarize(b)
-        if isinstance(b, int):
-            if b >= 64:
-                return 0 if isinstance(a, int) else np.zeros(worlds, dtype=u64)
-            return a << b
-        ok = b < 64
-        out = a << np.where(ok, b, 0).astype(u64)
-        return np.where(ok, out, 0).astype(u64)
-
-    def _vdshru(a, b):
-        b = _scalarize(b)
-        if isinstance(b, int):
-            if b >= 64:
-                return 0 if isinstance(a, int) else np.zeros(worlds, dtype=u64)
-            return a >> b
-        ok = b < 64
-        out = a >> np.where(ok, b, 0).astype(u64)
-        return np.where(ok, out, 0).astype(u64)
-
-    def _vdshrs(a, b):
-        b = _scalarize(b)
-        if isinstance(b, int):
-            return _vsra(a, min(b, 63))
-        safe = np.minimum(b, 63).astype(i64)
-        if isinstance(a, int):
-            a = np.full(b.shape, a, dtype=u64)
-        return (_as64(a) >> safe).view(u64)
-
-    def _vxorr(x):
-        if isinstance(x, int):
-            return x.bit_count() & 1
-        y = x ^ (x >> 32)
-        y = y ^ (y >> 16)
-        y = y ^ (y >> 8)
-        y = y ^ (y >> 4)
-        y = y ^ (y >> 2)
-        y = y ^ (y >> 1)
-        return y & 1
-
-    def _vmask(x):
-        # condition value -> bool hit mask, or None when no world fired
-        if not isinstance(x, np.ndarray) or x.ndim == 0:
-            return allt.copy() if x else None
-        m = x != 0
-        return m if m.any() else None
-
-    def _vidx(x, ks):
-        if isinstance(x, np.ndarray) and x.ndim:
-            return x[ks]
-        return x
-
-    def _vjw(ks, addrs):
-        kl = ks.tolist()
-        if isinstance(addrs, np.ndarray):
-            return zip(kl, addrs.tolist(), strict=True)
-        return zip(kl, [int(addrs)] * len(kl), strict=True)
-
-    def _mkadp(v, w, m):
-        return [
-            (_WorldLanes(v, k), _WorldWide(w, k, worlds), _WorldMems(m, k))
-            for k in range(worlds)
-        ]
-
-    return {
-        "_vsx": _vsx, "_vs64": _vs64, "_vb": _vb, "_vsel": _vsel,
-        "_vdivu": _vdivu, "_vremu": _vremu, "_vsra": _vsra,
-        "_vdshl": _vdshl, "_vdshru": _vdshru, "_vdshrs": _vdshrs,
-        "_vxorr": _vxorr, "_vmask": _vmask, "_vidx": _vidx, "_vjw": _vjw,
-        "_mkadp": _mkadp, "_mkjw": _mkjw,
-        "_RW": np.arange(worlds), "_RWL": range(worlds), "_ZW": zw,
-        "_sg": _sg, "_div": _div, "_rem": _rem, "_mins": _mins,
-        "_pfv": None,  # patched by ManyWorldsSimulator: _pfv(pi, mask, *cols)
-        "_pfk": None,  # patched by ManyWorldsSimulator: _pfk(pi, k, args)
-    }
-
-
-def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
-    """Compile ``design`` into fused many-worlds column kernels for ``worlds``
-    scenarios, cached on the design per world count.
-
-    Statement-level fallback keeps parity total: anything the vector codegen
-    cannot express in one lane per world reuses the already-generated scalar
-    code, executed per world through adapter views of the matrix.
-    """
-    if _np is None:
-        raise SimulatorError(
-            "many-worlds vector kernels require numpy (not installed)"
-        )
-    if worlds < 1:
-        raise SimulatorError("worlds must be >= 1")
-    cached = design._vector_kernels.get(worlds)
-    if cached is not None:
-        return cached
-
-    wide = design.wide_indices
-    mems = design.mems
-    consts: dict[int, str] = {}  # np.uint64 constant pool, all instances
-    gens: dict[str, tuple[_Codegen, _VecCodegen]] = {}
-
-    def gen(path: str) -> tuple[_Codegen, _VecCodegen]:
-        if path not in gens:
-            args = (path, design.signal_index, design.mem_index, mems, wide)
-            gens[path] = (_Codegen(*args), _VecCodegen(*args, consts))
-        return gens[path]
-
-    def scalar(path: str, e: Expr) -> str:
-        return gen(path)[0].raw(e)
-
-    def vec(path: str, e: Expr) -> str | None:
-        try:
-            return gen(path)[1].raw(e)
-        except _NeedScalar:
-            return None
-
-    # Translate the IR compile_design retained: a vector expression per
-    # statement, or None = per-world scalar fallback.
-    order_vec = [
-        None if target in wide else vec(path, e)
-        for target, (path, e) in zip(
-            design.order_targets, design.order_exprs, strict=True
-        )
-    ]
-    reg_vec: list[tuple[str | None, str | None]] = []  # (next, init)
-    for spec in design.registers:
-        if spec.index in wide:
-            reg_vec.append((None, None))
-            continue
-        reg_vec.append(tuple(
-            None if e is None else vec(spec.path, e)
-            for e in (spec.next_expr, spec.init_expr)
-        ))
-    effects: list[dict] = []
-    n_printf = 0
-    for path, s in design.effects:
-        if isinstance(s, Stop):
-            effects.append({
-                "kind": "stop",
-                "vec": vec(path, s.cond),
-                "scalar": scalar(path, s.cond),
-                "code": s.exit_code,
-            })
-            continue
-        cond_v = vec(path, s.cond)
-        args_v = [vec(path, arg) for arg in s.args]
-        if cond_v is None or None in args_v:
-            cond_v = None
-        effects.append({
-            "kind": "printf", "pi": n_printf,
-            "vec": cond_v, "vec_args": args_v,
-            "scalar": scalar(path, s.cond),
-            "scalar_args": [scalar(path, arg) for arg in s.args],
-        })
-        n_printf += 1
-    mem_entries: list[dict] = []
-    for path, s in design.mem_writes:
-        mi = design.mem_index[f"{path}.{s.mem}"]
-        trip = None
-        if mems[mi].width <= LANE_BITS:
-            parts = (vec(path, s.en), vec(path, s.addr), vec(path, s.data))
-            if None not in parts:
-                trip = parts
-        mem_entries.append({
-            "vec": trip,
-            "scalar": tuple(scalar(path, x) for x in (s.en, s.addr, s.data)),
-            "mi": mi, "depth": mems[mi].depth,
-        })
-
-    sfn_src: list[str] = []
-    n_vector = 0
-    n_scalar = 0
-
-    # Combinational settle.
-    comb_body: list[str] = []
-    comb_fallback = False
-    for p, (target, code) in enumerate(zip(design.order_targets, order_vec)):
-        if code is None:
-            comb_fallback = True
-            n_scalar += 1
-            sfn_src.append(
-                f"def _sc{p}(v, w, m):\n"
-                f"    {design.lane_target(target)} = {design.order_code[p]}"
-            )
-            comb_body.append(f"    for _k in _RWL: _sc{p}(*_A[_k])")
-        else:
-            n_vector += 1
-            comb_body.append(f"    v[{target}] = {code}")
-    comb_lines = ["def vcomb(v, w, m):"]
-    if comb_fallback:
-        comb_lines.append("    _A = _mkadp(v, w, m)")
-    comb_lines.extend(comb_body or ["    pass"])
-    vcomb_source = "\n".join(comb_lines)
-
-    # Effects: shared per-world scalar condition/arg functions.
-    for si, eff in enumerate(effects):
-        if eff["vec"] is not None:
-            n_vector += 1
-            continue
-        n_scalar += 1
-        if eff["kind"] == "stop":
-            sfn_src.append(
-                f"def _scond{si}(v, w, m):\n    return {eff['scalar']}"
-            )
-        else:
-            sfn_src.append(
-                f"def _spfc{si}(v, w, m):\n    return {eff['scalar']}"
-            )
-            args = ", ".join(eff["scalar_args"])
-            tail = f"({args},)" if args else "()"
-            sfn_src.append(f"def _spfa{si}(v, w, m):\n    return {tail}")
-
-    # Registers: decide vector vs fallback per register as one unit.
-    reg_vec_ok: list[bool] = []
-    for i, (spec, (next_v, init_v)) in enumerate(
-        zip(design.registers, reg_vec, strict=True)
-    ):
-        ok = spec.index not in wide
-        if spec.next_code is not None and next_v is None:
-            ok = False
-        if spec.reset_index is not None and init_v is None:
-            ok = False
-        reg_vec_ok.append(ok)
-        if ok:
-            n_vector += 1
-            continue
-        n_scalar += 1
-        slot = design.lane_target(spec.index)
-        if spec.next_code is not None:
-            sfn_src.append(f"def _sr{i}(v, w, m):\n    return {spec.next_code}")
-            if spec.reset_index is not None:
-                sfn_src.append(
-                    f"def _ss{i}(v, w, m, _t):\n"
-                    f"    {slot} = {spec.init_code} "
-                    f"if {design.lane_target(spec.reset_index)} else _t"
-                )
-            else:
-                sfn_src.append(f"def _ss{i}(v, w, m, _t):\n    {slot} = _t")
-        else:
-            sfn_src.append(
-                f"def _ss{i}(v, w, m):\n"
-                f"    if {design.lane_target(spec.reset_index)}: "
-                f"{slot} = {spec.init_code}"
-            )
-
-    # Memory writes.
-    for wi, me in enumerate(mem_entries):
-        if me["vec"] is not None:
-            n_vector += 1
-            continue
-        n_scalar += 1
-        en, addr, data = me["scalar"]
-        mi, depth = me["mi"], me["depth"]
-        sfn_src.append(
-            f"def _smw{wi}(v, w, m):\n"
-            f"    if {en}: m[{mi}][{addr} % {depth}] = {data}"
-        )
-        sfn_src.append(
-            f"def _smwj{wi}(v, w, m, _rec):\n"
-            f"    if {en}:\n"
-            f"        _ja = {addr} % {depth}\n"
-            f"        _rec(_ja)\n"
-            f"        m[{mi}][_ja] = {data}"
-        )
-
-    need_adapters = (
-        any(e["vec"] is None for e in effects)
-        or any(not ok for ok in reg_vec_ok)
-        or any(me["vec"] is None for me in mem_entries)
-    )
-
-    def build_tick(name: str, journal: bool) -> str:
-        extra = ", _jw" if journal else ""
-        body = [f"def {name}(v, w, m, time, _act, _stop{extra}):"]
-        if need_adapters:
-            body.append("    _A = _mkadp(v, w, m)")
-        # Same phase order as the scalar tick: stops/printfs observe the
-        # stable pre-edge state, register next-values are computed before
-        # memory writes, stores happen last.  Effects and memory writes are
-        # masked by _act; _stop mutates _act in place so a world that
-        # finishes at this edge is frozen for the rest of the tick.
-        for si, eff in enumerate(effects):
-            if eff["kind"] == "stop":
-                if eff["vec"] is not None:
-                    body += [
-                        f"    _sm{si} = _vmask({eff['vec']})",
-                        f"    if _sm{si} is not None:",
-                        f"        _sm{si} &= _act",
-                        f"        if _sm{si}.any(): "
-                        f"_stop({eff['code']}, _sm{si}, time)",
-                    ]
-                else:
-                    body += [
-                        f"    _sm{si} = _ZW.copy()",
-                        "    for _k in _RWL:",
-                        f"        if _act[_k] and _scond{si}(*_A[_k]): "
-                        f"_sm{si}[_k] = True",
-                        f"    if _sm{si}.any(): "
-                        f"_stop({eff['code']}, _sm{si}, time)",
-                    ]
-            elif eff["vec"] is not None:
-                args = "".join(f", ({c})" for c in eff["vec_args"])
-                body += [
-                    f"    _pm{si} = _vmask({eff['vec']})",
-                    f"    if _pm{si} is not None:",
-                    f"        _pm{si} &= _act",
-                    f"        if _pm{si}.any(): _pfv({eff['pi']}, _pm{si}{args})",
-                ]
-            else:
-                body += [
-                    "    for _k in _RWL:",
-                    f"        if _act[_k] and _spfc{si}(*_A[_k]): "
-                    f"_pfk({eff['pi']}, _k, _spfa{si}(*_A[_k]))",
-                ]
-        for i, (spec, (next_v, _init_v)) in enumerate(
-            zip(design.registers, reg_vec, strict=True)
-        ):
-            if spec.next_code is None:
-                continue
-            if reg_vec_ok[i]:
-                code = next_v
-                if _BARE_ROW_RE.fullmatch(code):
-                    code = f"({code}).copy()"  # defer: row mutates in stores
-                body.append(f"    _t{i} = {code}")
-            else:
-                body.append(f"    _t{i} = [_sr{i}(*_A[_k]) for _k in _RWL]")
-        for wi, me in enumerate(mem_entries):
-            mi, depth = me["mi"], me["depth"]
-            if me["vec"] is not None:
-                en, addr, data = me["vec"]
-                body += [
-                    f"    _wm{wi} = _vmask({en})",
-                    f"    if _wm{wi} is not None:",
-                    f"        _wm{wi} &= _act",
-                    f"        if _wm{wi}.any():",
-                    f"            _wk{wi} = _wm{wi}.nonzero()[0]",
-                    f"            _wa{wi} = _vidx(({addr}) % {depth}, _wk{wi})",
-                ]
-                if journal:
-                    body.append(
-                        f"            for _kk, _aa in _vjw(_wk{wi}, _wa{wi}): "
-                        f"_jw(({mi}, (_kk, _aa)))"
-                    )
-                body.append(
-                    f"            m[{mi}][_wk{wi}, _wa{wi}] = "
-                    f"_vidx({data}, _wk{wi})"
-                )
-            elif journal:
-                body += [
-                    "    for _k in _RWL:",
-                    f"        if _act[_k]: "
-                    f"_smwj{wi}(*_A[_k], _mkjw({mi}, _k, _jw))",
-                ]
-            else:
-                body += [
-                    "    for _k in _RWL:",
-                    f"        if _act[_k]: _smw{wi}(*_A[_k])",
-                ]
-        # Register stores.  Reset is low for virtually every tick of a
-        # run, so runs of vector registers sharing one reset row are
-        # guarded by a single hoisted ``.any()``: the common path does a
-        # plain row store per register instead of a np.where.  Hoisting
-        # is skipped for a reset row that is itself a register target
-        # this tick (the per-store read stays, matching the scalar tick).
-        reg_rows = {spec.index for spec in design.registers}
-        run_rst: int | None = None
-        run_hot: list[str] = []
-        run_cold: list[str] = []
-        hoisted: set[int] = set()
-
-        def flush_run() -> None:
-            nonlocal run_rst
-            if run_rst is None:
-                return
-            if run_rst not in hoisted:
-                hoisted.add(run_rst)
-                body.append(f"    _rr{run_rst} = v[{run_rst}]")
-                body.append(f"    _rb{run_rst} = _rr{run_rst}.any()")
-            body.append(f"    if _rb{run_rst}:")
-            body.extend(f"        {line}" for line in run_hot)
-            body.append("    else:")
-            body.extend(f"        {line}" for line in (run_cold or ["pass"]))
-            run_rst = None
-            run_hot.clear()
-            run_cold.clear()
-
-        for i, (spec, (_next_v, init_v)) in enumerate(
-            zip(design.registers, reg_vec, strict=True)
-        ):
-            if reg_vec_ok[i]:
-                ridx = spec.reset_index
-                if ridx is None:
-                    flush_run()
-                    if spec.next_code is not None:
-                        body.append(f"    v[{spec.index}] = _t{i}")
-                    continue
-                if ridx in reg_rows:
-                    flush_run()
-                    if spec.next_code is not None:
-                        body.append(
-                            f"    v[{spec.index}] = _vsel(v[{ridx}], "
-                            f"({init_v}), _t{i})"
-                        )
-                    else:
-                        body.append(
-                            f"    v[{spec.index}] = _vsel(v[{ridx}], "
-                            f"({init_v}), v[{spec.index}])"
-                        )
-                    continue
-                if run_rst is not None and run_rst != ridx:
-                    flush_run()
-                run_rst = ridx
-                if spec.next_code is not None:
-                    run_hot.append(
-                        f"v[{spec.index}] = _vsel(_rr{ridx}, "
-                        f"({init_v}), _t{i})"
-                    )
-                    run_cold.append(f"v[{spec.index}] = _t{i}")
-                else:
-                    run_hot.append(
-                        f"v[{spec.index}] = _vsel(_rr{ridx}, "
-                        f"({init_v}), v[{spec.index}])"
-                    )
-            elif spec.next_code is not None:
-                flush_run()
-                body.append(f"    for _k in _RWL: _ss{i}(*_A[_k], _t{i}[_k])")
-            else:
-                flush_run()
-                body.append(f"    for _k in _RWL: _ss{i}(*_A[_k])")
-        flush_run()
-        if len(body) == 1:
-            body.append("    pass")
-        return "\n".join(body)
-
-    vtick_source = build_tick("vtick", False)
-    vtick_journal_source = build_tick("vtick_journal", True)
-
-    namespace = _vector_helpers(worlds)
-    for value, cname in consts.items():
-        namespace[cname] = _np.uint64(value)
-    if sfn_src:
-        exec(compile("\n".join(sfn_src), "<repro-mw-scalar>", "exec"), namespace)
-    exec(compile(vcomb_source, "<repro-mw-comb>", "exec"), namespace)
-    exec(compile(vtick_source, "<repro-mw-tick>", "exec"), namespace)
-    exec(
-        compile(vtick_journal_source, "<repro-mw-tick-journal>", "exec"),
-        namespace,
-    )
-
-    kernels = VectorKernels(
-        worlds=worlds,
-        vcomb=namespace["vcomb"],
-        vtick=namespace["vtick"],
-        vtick_journal=namespace["vtick_journal"],
-        vcomb_source=vcomb_source,
-        vtick_source=vtick_source,
-        vtick_journal_source=vtick_journal_source,
-        namespace=namespace,
-        n_vector=n_vector,
-        n_scalar=n_scalar,
-    )
-    design._vector_kernels[worlds] = kernels
-    return kernels

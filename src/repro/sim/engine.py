@@ -602,11 +602,11 @@ class Simulator(SimulatorInterface):
     ) -> int:
         """:meth:`SimulatorInterface.run_cycles`, with the stimulus poked by
         the native kernel when it is a tape (``columns``, ``rows`` and
-        ``consume``, as ``repro.shard.worker.make_stimulus`` builds).  The kernel runs
-        ``progress_every``-cycle segments, so ``on_progress`` keeps its
-        cadence.  When it stops before a cycle (a wake, a stop or printf
-        condition, a callback registered), that cycle's row is already
-        applied and Python runs the cycle without poking it again.
+        ``consume``, as :class:`~repro.sim.stimulus.Stimulus` has).  The
+        kernel runs ``progress_every``-cycle segments, so ``on_progress``
+        keeps its cadence.  When it stops before a cycle (a wake, a stop or
+        printf condition, a callback registered), that cycle's row is
+        already applied and Python runs the cycle without poking it again.
         ``fast=False``, a trace sink, a timeline, a column wider than 64
         bits, a callback without a wake and a design without a kernel keep
         the Python loop.  Each tape cycle counts one seed settle (its row's

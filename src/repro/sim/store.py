@@ -35,20 +35,17 @@ common case) carry an empty dict.
 Backend selection: ``SessionOptions(store=...)`` takes a backend name, the
 ``REPRO_VALUE_STORE`` environment variable overrides the default, and
 ``"auto"`` (the default) picks ``list``, with or without numpy installed.
-The many-worlds engine keeps its own numpy :class:`MatrixStore`.
-Property tests pin all backends bit-identical to the list reference.
+numpy is imported only when a :class:`NumpyStore` is built, so the other
+backends never load it.  Property tests pin all backends bit-identical to
+the list reference.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from array import array
-
-try:
-    import numpy as _np
-except ImportError:  # the numpy backend is optional
-    _np = None
 
 from .interface import SimulatorError
 
@@ -63,7 +60,8 @@ STORE_KINDS = ("list", "array", "numpy", "auto")
 
 
 def numpy_available() -> bool:
-    return _np is not None
+    """Whether numpy is installed, answered without importing it."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 def resolve_store_kind(kind: str | None) -> str:
@@ -83,7 +81,7 @@ def resolve_store_kind(kind: str | None) -> str:
         )
     if kind == "auto":
         return "list"
-    if kind == "numpy" and _np is None:
+    if kind == "numpy" and not numpy_available():
         raise SimulatorError(
             "value store 'numpy' requested but numpy is not importable"
         )
@@ -382,17 +380,18 @@ class NumpyStore(ArrayStore):
     kind = "numpy"
 
     def __init__(self, n_signals, wide_indices, state_indices):
-        if _np is None:  # pragma: no cover - guarded by resolve_store_kind
-            raise SimulatorError("numpy is not importable")
+        import numpy as np
+
         super().__init__(n_signals, wide_indices, state_indices)
-        self.view = _np.frombuffer(self.narrow, dtype=_np.uint64)
-        self._state_idx = _np.array(self._narrow_state, dtype=_np.intp)
+        self._np = np
+        self.view = np.frombuffer(self.narrow, dtype=np.uint64)
+        self._state_idx = np.array(self._narrow_state, dtype=np.intp)
         # Per-cycle scratch: one gather target reused every scan, so the
         # steady-state delta path allocates only the (small) delta itself.
-        self._scratch = _np.zeros(len(self._narrow_state), dtype=_np.uint64)
+        self._scratch = np.zeros(len(self._narrow_state), dtype=np.uint64)
         self._empty_delta = (
-            _np.empty(0, dtype=_np.intp),
-            _np.empty(0, dtype=_np.uint64),
+            np.empty(0, dtype=np.intp),
+            np.empty(0, dtype=np.uint64),
         )
 
     def copy_narrow(self):
@@ -440,13 +439,14 @@ class NumpyStore(ArrayStore):
     def encode_rle(self, delta):
         """Vectorized run detection: one ``diff`` over the (ascending)
         changed-index array finds every run break."""
+        np = self._np
         ks, vals = delta
         if len(ks) == 0:
-            return (_np.empty(0, dtype=_np.int64), vals)
-        breaks = _np.flatnonzero(_np.diff(ks) != 1) + 1
-        starts = _np.concatenate((_np.zeros(1, dtype=_np.intp), breaks))
-        lengths = _np.diff(_np.append(starts, len(ks)))
-        runs = _np.empty(2 * len(starts), dtype=_np.int64)
+            return (np.empty(0, dtype=np.int64), vals)
+        breaks = np.flatnonzero(np.diff(ks) != 1) + 1
+        starts = np.concatenate((np.zeros(1, dtype=np.intp), breaks))
+        lengths = np.diff(np.append(starts, len(ks)))
+        runs = np.empty(2 * len(starts), dtype=np.int64)
         runs[0::2] = ks[starts]
         runs[1::2] = lengths
         return (runs, vals)
@@ -462,49 +462,3 @@ class NumpyStore(ArrayStore):
     def _narrow_bytes(self) -> bytes:
         return self.narrow.tobytes()
 
-
-class MatrixStore(NumpyStore):
-    """The many-worlds backend: N scenario worlds stacked as columns of one
-    ``(n_signals, worlds)`` uint64 matrix (``repro.sim.manyworlds``).
-
-    Storage is the flat NumpyStore buffer in signal-major order — flat index
-    ``signal * worlds + world`` — with ``matrix`` a zero-copy 2D view of it,
-    so every inherited bulk operation (snapshot delta scan, RLE codec,
-    keyframe copy/restore, digests) works unchanged over the flattened
-    layout: the :class:`~repro.sim.timeline.Timeline` machinery captures all
-    worlds at once without knowing they exist.  Signals wider than one lane
-    keep the overflow-dict representation with per-world flat keys, and
-    ``wide_signals`` records the *design-level* wide indices.
-
-    ``digest_bytes_world`` slices one world's column in the exact byte
-    layout :meth:`ValueStore.digest_bytes` produces for a scalar store, so
-    per-world digests compare bit-for-bit against sequential reference runs.
-    """
-
-    kind = "matrix"
-
-    def __init__(self, n_signals, wide_indices, state_indices, worlds):
-        if worlds < 1:
-            raise SimulatorError("worlds must be >= 1")
-        self.worlds = worlds
-        self.n_signals = n_signals
-        self.wide_signals = frozenset(wide_indices)
-        flat_wide = [
-            i * worlds + k for i in sorted(wide_indices) for k in range(worlds)
-        ]
-        flat_state = [
-            i * worlds + k for i in state_indices for k in range(worlds)
-        ]
-        super().__init__(n_signals * worlds, flat_wide, flat_state)
-        self.matrix = self.view.reshape(n_signals, worlds)
-
-    def digest_bytes_world(self, k: int) -> bytes:
-        """One world's column in scalar ``digest_bytes`` layout."""
-        out = self.matrix[:, k].tobytes()
-        if self.wide_signals:
-            stride = self.worlds
-            wide = self.wide
-            out += repr(
-                sorted((i, wide[i * stride + k]) for i in self.wide_signals)
-            ).encode()
-        return out

@@ -1,16 +1,10 @@
 """Scripted gdb-like console debugger tests."""
 
 
-import pytest
-
 import repro
 from repro.client import ConsoleDebugger
-from repro.sim import SessionOptions, Simulator, numpy_available
+from repro.sim import SessionOptions, Simulator
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="many-worlds simulation needs numpy"
-)
 
 
 def _session(script, mod_cls=Accumulator, pokes=None, cycles=4, bp_sink="acc"):
@@ -199,7 +193,6 @@ class TestWorldsCommand:
         dbg, _ = _session(["worlds", "q"])
         assert any("scalar backend: one world" in l for l in dbg.transcript)
 
-    @needs_numpy
     def test_worlds_hit_mask_at_stop(self):
         """At a mask-breakpoint stop, `worlds` renders the exact fired
         world subset as an X/. mask over the scenario axis."""
@@ -220,7 +213,6 @@ class TestWorldsCommand:
         joined = "\n".join(dbg.transcript)
         assert "hit mask  ...X  (1/4: world(s) 3)" in joined
 
-    @needs_numpy
     def test_worlds_lists_finished_worlds(self):
         """Outside a stop, `worlds` reports which worlds already hit
         their Stop and with what exit code."""

@@ -236,7 +236,9 @@ class _CountingTable(SymbolTableInterface):
 
 def _armed(design, sim):
     """A runtime over ``sim`` with every breakpoint of ``design`` set,
-    checking each frame it builds against a fresh-query build."""
+    checking each frame it builds against a fresh-query build.  The
+    simulator holds the runtime only weakly: keep the returned runtime
+    while the run goes on."""
     table = SQLiteSymbolTable(write_symbol_table(design))
     counting = _CountingTable(table)
     built: list = []
@@ -255,7 +257,7 @@ def _armed(design, sim):
     lines = {(b.filename, b.line) for b in table.all_breakpoints()}
     for filename, line in sorted(lines):
         runtime.add_breakpoint(filename, line)
-    return counting, built
+    return counting, built, runtime
 
 
 def _stimulus(cycles: int) -> list[int]:
@@ -272,7 +274,7 @@ def _run(sim, cycles: int) -> None:
 
 def _live(design, cycles, store):
     sim = Simulator(design.low, options=SessionOptions(store=store))
-    counting, built = _armed(design, sim)
+    counting, built, _runtime = _armed(design, sim)
     _run(sim, cycles)
     return counting, built
 
@@ -293,16 +295,14 @@ def _replay(design, cycles, tmp_path):
     _run(Simulator(design.low, trace=writer, options=SessionOptions()), cycles)
     writer.close()
     replay = ReplayEngine.from_file(path)
-    counting, built = _armed(design, replay)
+    counting, built, _runtime = _armed(design, replay)
     replay.run()
     return counting, built
 
 
 def _world0(design, cycles, _tmp_path):
-    if not numpy_available():
-        pytest.skip("numpy not installed")
     sim = ManyWorldsSimulator(design.low, 3, options=SessionOptions())
-    counting, built = _armed(design, sim)
+    counting, built, _runtime = _armed(design, sim)
     sim.reset()
     for x in _stimulus(cycles):
         sim.poke_worlds("x", [x, x ^ 1, x ^ 2])

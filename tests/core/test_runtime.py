@@ -22,7 +22,6 @@ from repro.sim import (
     SessionOptions,
     Simulator,
     native,
-    numpy_available,
 )
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
@@ -435,16 +434,7 @@ class TestIdleHook:
         # attached from the first posedge: one per posedge until detach
         assert seen[-1] == sim.stats()["ticks"] - 10
 
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "scalar",
-            pytest.param(
-                "worlds",
-                marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["scalar", "worlds"])
     def test_pause_from_another_thread_reaches_an_idle_runtime(self, backend):
         d = repro.compile(Accumulator())
         sim = Simulator(d.low) if backend == "scalar" else ManyWorldsSimulator(d.low, 2)
@@ -470,10 +460,11 @@ class TestIdleHook:
             rt.request_pause()
 
         # A native kernel free-runs this design hundreds of times faster
-        # than Python: only then does the budget scale with it, so "long
-        # before the budget" still means the pause, not the budget, ended
-        # the run.  The Python paths keep the 10**6 budget.
-        fast = backend == "scalar" and native.kernel_for(sim.design) is not None
+        # than Python (both backends: many-worlds hands each world to its
+        # own kernel run): only then does the budget scale with it, so
+        # "long before the budget" still means the pause, not the budget,
+        # ended the run.  The Python paths keep the 10**6 budget.
+        fast = native.kernel_for(sim.design) is not None
         budget = 10**9 if fast else 10**6
         pauser = threading.Thread(target=pause_once_running, daemon=True)
         pauser.start()

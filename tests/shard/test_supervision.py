@@ -3,6 +3,9 @@ the coordinator's failure paths end-to-end — crash, hang (including the
 terminate→kill escalation), corrupt wire, retry exhaustion with and
 without inline fallback, and the whole-sweep wall-clock budget."""
 
+import gc
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -19,6 +22,7 @@ from repro.shard import (
     as_deadline_policy,
     failure_record,
 )
+from repro.shard.coordinator import _start_frozen
 from repro.shard.supervise import (
     CORRUPT,
     CRASH,
@@ -355,3 +359,30 @@ class TestSweepTimeout:
         d, bp = acc
         report = _sweep(d, bp)
         assert report.ok and not report.retried
+
+
+def test_a_forked_worker_never_collects_inherited_garbage(tmp_path):
+    """Workers fork with the coordinator's objects frozen out of their
+    collector: a cycle the coordinator left for its collector is
+    finalized there, never in a worker, where freeing it could wait on a
+    lock another coordinator thread held at the fork."""
+    log = tmp_path / "finalized"
+
+    class Canary:
+        def __del__(self):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+    gc.disable()  # keep the cycle uncollected until the fork
+    try:
+        canary = Canary()
+        canary.cycle = canary
+        del canary
+        proc = multiprocessing.get_context("fork").Process(target=gc.collect)
+        _start_frozen(proc)
+        proc.join(timeout=10)
+        assert proc.exitcode == 0
+    finally:
+        gc.enable()
+    gc.collect()
+    assert log.read_text().split() == [str(os.getpid())]

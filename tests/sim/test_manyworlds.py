@@ -1,11 +1,11 @@
-"""Many-worlds vectorized simulation (``repro.sim.manyworlds``).
+"""Many-worlds simulation (``repro.sim.manyworlds``).
 
-The contract under test: N scenario worlds advanced in lockstep by fused
-numpy column kernels are **bit-identical**, per world, to N sequential
-reference ``Simulator`` runs of the same per-world stimulus — on every
-scalar store backend — and breakpoint/watchpoint conditions evaluate as
-masks over the scenario axis, reporting the exact set of worlds that
-fired (``docs/manyworlds.md``).
+The contract under test: N scenario worlds, one scalar ``Simulator`` each
+over a shared compiled design, are **bit-identical**, per world, to N
+sequential reference ``Simulator`` runs of the same per-world stimulus —
+on every scalar store backend — and breakpoint/watchpoint conditions
+evaluate once per world, reporting the exact set of worlds that fired
+(``docs/manyworlds.md``).
 """
 
 from __future__ import annotations
@@ -22,28 +22,25 @@ from repro.sim import (
     ManyWorldsSimulator,
     Simulator,
     SimulatorError,
+    Stimulus,
     make_sweep_stimulus,
+    native,
     numpy_available,
 )
 
 from tests.helpers import Accumulator, line_of, make_runtime
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="many-worlds needs numpy"
-)
-
-BACKENDS = ("list", "array", "numpy")
+BACKENDS = ["list", "array"] + (["numpy"] if numpy_available() else [])
 
 
 # -- designs ----------------------------------------------------------------
 
 
 class OpZoo(hgf.Module):
-    """Every vectorizable op shape: arith, compares, shifts (static and
-    dynamic, signed and unsigned), div/rem, mux, cat/bits/pad, reductions,
-    64-bit native-wrap lanes — the codegen's mask-elision and constant
-    pre-binding paths all fire here, so per-world parity against the
-    scalar engine pins their correctness."""
+    """Every op shape: arith, compares, shifts (static and dynamic, signed
+    and unsigned), div/rem, mux, cat/bits/pad, reductions, 64-bit
+    native-wrap lanes and >64-bit intermediates, so per-world parity
+    against the scalar engine covers the whole expression language."""
 
     def __init__(self):
         super().__init__()
@@ -85,7 +82,7 @@ class OpZoo(hgf.Module):
 
 
 class MemZoo(hgf.Module):
-    """Memory write + read under scenario batching."""
+    """Memory write + read across scenario worlds."""
 
     def __init__(self):
         super().__init__()
@@ -116,7 +113,7 @@ class Stopper(hgf.Module):
 
 class WideWorlds(hgf.Module):
     """Product of 64-bit operands: the 128-bit result and the 96-bit
-    register live in the per-world wide overflow dict, not the matrix."""
+    register live in each world's wide overflow dict, not its lanes."""
 
     def __init__(self):
         super().__init__()
@@ -131,6 +128,19 @@ class WideWorlds(hgf.Module):
         # every world sees the same x the narrow lanes stay identical and
         # divergence lives purely in the wide dict.
         self.o <<= x ^ self.lit(0xDEADBEEF, 64)
+
+
+class WideMem(hgf.Module):
+    """A 96-bit memory, written from the input every cycle."""
+
+    def __init__(self):
+        super().__init__()
+        a = self.input("a", 3)
+        d = self.input("d", 32)
+        self.o = self.output("o", 96)
+        mem = self.mem("wide", width=96, depth=8)
+        mem.write(a, d.cat(d).cat(d), self.lit(1, 1))
+        self.o <<= mem[(a + self.lit(1, 3))[2:0]]
 
 
 # -- reference runs ---------------------------------------------------------
@@ -180,16 +190,6 @@ def test_parity_vs_sequential_reference(design_cls, store):
         assert got[k] == _reference_digest(design, seed, 120, store), (
             f"world {k} diverged from the {store} reference"
         )
-
-
-def test_opzoo_compiles_vectorized():
-    design = repro.compile(OpZoo())
-    _digests, mw = _manyworlds_digests(design, [1, 2], 5)
-    assert mw.kernels.n_vector >= 24
-    # Exactly two statements fall back to the per-world scalar loop: n17
-    # and n18 slice a >64-bit intermediate (65-bit sum, 128-bit product)
-    # that a uint64 lane cannot hold pre-mask.
-    assert mw.kernels.n_scalar == 2
 
 
 def test_distinct_seeds_distinct_worlds():
@@ -366,16 +366,15 @@ def test_mask_breakpoint_can_pause_and_resume():
 def test_wide_product_parity(store):
     design = repro.compile(WideWorlds())
     seeds = [31 + k for k in range(3)]
-    got, mw = _manyworlds_digests(design, seeds, 80)
-    assert mw.kernels.n_scalar > 0, "the wide product must fall back"
+    got, _mw = _manyworlds_digests(design, seeds, 80)
     for k, seed in enumerate(seeds):
         assert got[k] == _reference_digest(design, seed, 80, store)
 
 
 def test_worlds_diverging_only_in_wide_dict():
-    """Poke distinct x for one cycle, then identical x forever: the
-    narrow matrix columns re-converge while the >64-bit register keeps
-    the worlds distinct purely through the wide overflow dict."""
+    """Poke distinct x for one cycle, then identical x forever: every
+    narrow signal re-converges across worlds while the >64-bit register
+    keeps the worlds distinct purely through the wide overflow dict."""
     design = repro.compile(WideWorlds())
     mw = ManyWorldsSimulator(design.low, 3)
     mw.reset(1)
@@ -383,16 +382,16 @@ def test_worlds_diverging_only_in_wide_dict():
     mw.step(1)
     mw.poke("x", 12345)  # identical across worlds from now on
     mw.step(10)
-    mw.flush()
 
-    store = mw.store
-    matrix = store.matrix
-    for row in range(matrix.shape[0]):
-        col0 = matrix[row, 0]
-        assert all(matrix[row, k] == col0 for k in range(3)), (
-            f"narrow row {row} diverged; divergence must be wide-only"
+    compiled = mw.design
+    assert compiled.wide_indices, "the design must carry wide signals"
+    for i, info in enumerate(compiled.signals):
+        if i in compiled.wide_indices:
+            continue
+        values = mw.peek_worlds(info.path)
+        assert values == values[:1] * 3, (
+            f"narrow signal {info.path} diverged; divergence must be wide-only"
         )
-    assert store.wide, "the wide dict carries the per-world state"
     digests = [mw.state_digest(k) for k in range(3)]
     assert len(set(digests)) == 3, "wide divergence must reach the digest"
 
@@ -402,7 +401,7 @@ def test_worlds_diverging_only_in_wide_dict():
     assert all(v < (1 << 96) for v in r_vals)
 
 
-# -- timeline over the matrix store ----------------------------------------
+# -- time travel ------------------------------------------------------------
 
 
 def test_set_time_rewinds_every_world():
@@ -458,14 +457,61 @@ def test_set_time_rewinds_every_world():
 
 def test_shared_session_options_record():
     """The same frozen SessionOptions record Simulator/hub/shard share
-    configures the many-worlds front end; matrix-owned knobs are ignored."""
+    builds every world: each world's simulator honours it."""
     design = repro.compile(Accumulator())
-    mw = ManyWorldsSimulator(
-        design.low, 2, options=SessionOptions(store="list", fast=False)
-    )
-    assert mw.store.kind == "matrix"  # store= is owned by the backend
+    options = SessionOptions(store="array", fast=False, snapshots=4)
+    mw = ManyWorldsSimulator(design.low, 2, options=options)
+    assert len(mw.sims) == 2
+    for sim in mw.sims:
+        assert sim.design is mw.design
+        assert sim.store.kind == "array"
+        assert sim._fast is False
+        assert sim.timeline is not None and sim.timeline.limit == 4
+    assert mw.store is mw.sims[0].store
     mw.reset(1)
     mw.poke("en", 1)
     mw.poke_worlds("d", [2, 3])
     mw.step(2)
     assert mw.peek_worlds("total") == [4, 6]
+    assert all(sim.stats()["settle_full"] > 0 for sim in mw.sims)
+
+
+def test_snapshots_with_a_wide_memory_rewind_every_world():
+    """Each world keeps its own timeline, so a >64-bit memory takes
+    snapshots as in a scalar run, and set_time restores every world."""
+    design = repro.compile(WideMem())
+    seeds = [11, 12, 13]
+    mw = ManyWorldsSimulator(
+        design.low, len(seeds), options=SessionOptions(snapshots=8)
+    )
+    mw.reset(1)
+    mw.run_cycles(12, stimulus=make_sweep_stimulus(mw, seeds))
+    target = mw.get_time() - 5
+    mw.set_time(target)
+    for k, seed in enumerate(seeds):
+        sim = Simulator(design.low, options=SessionOptions(snapshots=8))
+        sim.reset(1)
+        sim.run_cycles(12, stimulus=Stimulus(sim.design, seed))
+        sim.set_time(target)
+        assert mw.state_digest(k) == sim.state_digest(), f"world {k}"
+        assert mw.peek_worlds("o")[k] == sim.peek("o")
+
+
+def test_free_tape_run_goes_native_in_every_world():
+    """With nothing attached, run_cycles hands each world its tape: every
+    cycle of every world runs on the kernel."""
+    design = repro.compile(MemZoo())
+    mw = ManyWorldsSimulator(design.low, 4)
+    if native.kernel_for(mw.design) is None:
+        pytest.skip(f"no native kernel: {native.status(mw.design)}")
+    seeds = [5, 6, 7, 8]
+    ran = mw.run_cycles(300, stimulus=make_sweep_stimulus(mw, seeds))
+    assert ran == 300
+    assert [sim.stats()["native_cycles"] for sim in mw.sims] == [300] * 4
+    for k, seed in enumerate(seeds):
+        ref = Simulator(design.low)
+        tape = Stimulus(ref.design, seed)
+        # A plain function keeps the reference on the Python poke loop.
+        ref.run_cycles(300, stimulus=lambda s, c, tape=tape: tape(s, c))
+        assert ref.stats()["native_cycles"] == 0
+        assert mw.state_digest(k) == ref.state_digest(), f"world {k}"

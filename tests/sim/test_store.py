@@ -14,7 +14,11 @@ the plain-list reference across the cases that stress the representation:
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -410,3 +414,29 @@ def test_encode_rle_random_patterns_match_reference():
         ns, _nd, np_enc = _rle_roundtrip("numpy", n, changed)
         assert ns.rle_pairs(np_enc) == ListStore.rle_pairs(ref_enc)
         assert _run_count("numpy", np_enc) == _run_count("list", ref_enc)
+
+
+def test_default_path_loads_no_numpy():
+    """Only a NumpyStore imports numpy: importing the simulator, the
+    runtime, the shard farm, the hub server and the CLI, then stepping a
+    default Simulator, leaves it unloaded."""
+    code = (
+        "import sys, repro\n"
+        "import repro.sim, repro.core, repro.shard, repro.hub.server, repro.cli\n"
+        "from repro.sim import Simulator\n"
+        "from tests.helpers import Counter\n"
+        "Simulator(repro.compile(Counter()).low).step(2)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+    env.pop("REPRO_VALUE_STORE", None)  # a default Simulator, whatever the job pins
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=root,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"
