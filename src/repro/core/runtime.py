@@ -230,9 +230,9 @@ class Runtime:
         # Many-worlds backend: each compiled group runs once per running
         # world, against that world's value table; hits report the exact
         # set of worlds that fired (docs/manyworlds.md).
-        self._worlds = getattr(sim, "worlds", None)
+        self._world_stores = getattr(sim, "world_stores", None)
         # Breakpoint wakes bind names to a live simulator's narrow lanes.
-        self._wakes_ok = self._worlds is None and self._sim_wide is not None
+        self._wakes_ok = self._world_stores is None and self._sim_wide is not None
         # stats_callbacks: posedges of earlier attached spans, and the
         # backend's posedge count when the current span began.
         self._posedges_before = 0
@@ -654,7 +654,7 @@ class Runtime:
         where the breakpoint hit, among the still-active worlds.
         """
         bps = group.breakpoints
-        if self._worlds is not None:
+        if self._world_stores is not None:
             if not self._compile_conditions:
                 self._warn_once(
                     "many-worlds conditions require compiled conditions; "
@@ -696,10 +696,10 @@ class Runtime:
         that world's value table: ``(breakpoint, world_indices)`` for every
         breakpoint that hit in some world."""
         self._bp_evals += len(bps)
-        sims = self.sim.sims
+        stores = self._world_stores
         fired: dict[int, list[int]] = {}
         for k in self.sim.active_worlds:
-            store = sims[k].store
+            store = stores[k]
             for j in fn(store.narrow, store.wide):
                 fired.setdefault(j, []).append(k)
         hits = []
@@ -845,7 +845,7 @@ class Runtime:
 
             group = groups[hit_idx]
             worlds = None
-            if self._worlds is not None:
+            if self._world_stores is not None:
                 # hits are (breakpoint, fired-world-indices) pairs; frames
                 # render world 0's view, the set names the fired worlds.
                 worlds = tuple(sorted({k for _, ws in hits for k in ws}))

@@ -93,8 +93,7 @@ class WatchStore:
         self._signal_index = getattr(design, "signal_index", None)
         # Many-worlds backend: reads return per-world tuples and changes
         # report the exact set of worlds that fired.
-        sims = getattr(sim, "sims", None)
-        self._world_stores = [s.store for s in sims] if sims is not None else None
+        self._world_stores = getattr(sim, "world_stores", None)
 
     def add(self, path: str, label: str, condition: str | None = None) -> Watchpoint:
         wp = Watchpoint(self._next_id, path, label)

@@ -35,14 +35,10 @@ import threading
 from ..ir.stmt import Circuit
 from ..obs import make_obs
 from .compiler import CompiledDesign
-from .engine import SessionOptions, Simulator, compile_gated
+from .engine import _CHUNK, SessionOptions, Simulator, compile_gated
 from .interface import HierNode, SimulatorError, SimulatorInterface
 from .stimulus import Stimulus
 from .timeline import TimelineError
-
-#: Free runs hand each world at most this many cycles at a time, so a
-#: callback registered meanwhile fires from the next chunk on.
-_CHUNK = 1024
 
 
 class ManyWorldsSimulator(SimulatorInterface):
@@ -57,10 +53,13 @@ class ManyWorldsSimulator(SimulatorInterface):
         options: a :class:`~repro.sim.engine.SessionOptions` — the same
             record ``Simulator``/``ShardSession``/hub share.  Every world is
             built with it; ``obs`` configures this layer, whose
-            ``manyworlds_*`` metrics cover all worlds.
+            ``manyworlds_*`` metrics cover all worlds.  Time travel takes
+            ``snapshots=N``; a ``snapshot_bytes`` budget is refused, since
+            it would evict each world's history at its own pace.
 
     The scalar interface reads world 0: :meth:`get_value`, :attr:`store`
-    and :attr:`timeline` are world 0's.
+    and :attr:`timeline` are world 0's.  :attr:`world_stores` holds every
+    world's value store, by world index.
     """
 
     def __init__(
@@ -74,6 +73,14 @@ class ManyWorldsSimulator(SimulatorInterface):
         if worlds < 1:
             raise SimulatorError("worlds must be >= 1")
         opt = options if options is not None else SessionOptions()
+        if opt.snapshot_bytes:
+            # Byte-budget eviction follows each world's delta sizes, so the
+            # worlds would retain different cycles; the count bound keeps
+            # them aligned, and world 0's timeline speaks for all.
+            raise SimulatorError(
+                "many-worlds time travel takes SessionOptions(snapshots=N), "
+                "not snapshot_bytes"
+            )
         self.obs = make_obs(opt.obs, proc="manyworlds")
         if compiled is None:
             compiled = compile_gated(circuit, top_path, opt.strict, self.obs)
@@ -86,7 +93,8 @@ class ManyWorldsSimulator(SimulatorInterface):
             Simulator(None, compiled=compiled, options=world_opt)
             for _ in range(worlds)
         )
-        self.store = self.sims[0].store
+        self.world_stores = tuple(sim.store for sim in self.sims)
+        self.store = self.world_stores[0]
         self._callbacks: dict[int, object] = {}
         self._cb_list: tuple = ()
         self._cb_ids = itertools.count(1)
@@ -380,7 +388,7 @@ class ManyWorldsSimulator(SimulatorInterface):
         if self.timeline is None:
             raise TimelineError(
                 "time travel disabled: construct with "
-                "options=SessionOptions(snapshots=N or snapshot_bytes=N)"
+                "options=SessionOptions(snapshots=N)"
             )
         if any(sim.finished for sim in self.sims):
             # A finished world recorded no history past its Stop.

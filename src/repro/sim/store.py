@@ -380,8 +380,12 @@ class NumpyStore(ArrayStore):
     kind = "numpy"
 
     def __init__(self, n_signals, wide_indices, state_indices):
-        import numpy as np
-
+        try:
+            import numpy as np
+        except ImportError as exc:
+            raise SimulatorError(
+                "value store 'numpy' requested but numpy is not importable"
+            ) from exc
         super().__init__(n_signals, wide_indices, state_indices)
         self._np = np
         self.view = np.frombuffer(self.narrow, dtype=np.uint64)

@@ -462,7 +462,8 @@ def test_shared_session_options_record():
     options = SessionOptions(store="array", fast=False, snapshots=4)
     mw = ManyWorldsSimulator(design.low, 2, options=options)
     assert len(mw.sims) == 2
-    for sim in mw.sims:
+    for k, sim in enumerate(mw.sims):
+        assert mw.world_stores[k] is sim.store
         assert sim.design is mw.design
         assert sim.store.kind == "array"
         assert sim._fast is False
@@ -495,6 +496,24 @@ def test_snapshots_with_a_wide_memory_rewind_every_world():
         sim.set_time(target)
         assert mw.state_digest(k) == sim.state_digest(), f"world {k}"
         assert mw.peek_worlds("o")[k] == sim.peek("o")
+
+
+def test_byte_budget_timeline_is_refused():
+    """A byte budget would evict each world's history at its own pace, so
+    world 0's timeline could name cycles another world no longer holds:
+    many-worlds time travel takes a snapshot count only."""
+    design = repro.compile(Accumulator())
+    for options in (
+        SessionOptions(snapshot_bytes=1 << 16),
+        SessionOptions(snapshots=8, snapshot_bytes=1 << 16),
+    ):
+        with pytest.raises(SimulatorError, match="snapshots=N"):
+            ManyWorldsSimulator(design.low, 2, options=options)
+    # 0 means no budget, as for a scalar Simulator.
+    mw = ManyWorldsSimulator(
+        design.low, 2, options=SessionOptions(snapshots=8, snapshot_bytes=0)
+    )
+    assert mw.can_set_time
 
 
 def test_free_tape_run_goes_native_in_every_world():

@@ -99,6 +99,14 @@ def test_resolve_store_kind(monkeypatch):
         resolve_store_kind("rocksdb")
 
 
+def test_numpy_store_without_importable_numpy(monkeypatch):
+    """NumpyStore imports numpy when built: an install that cannot be
+    imported is the same SimulatorError resolve_store_kind gives."""
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+    with pytest.raises(SimulatorError, match="numpy is not importable"):
+        NumpyStore(4, (), ())
+
+
 def test_env_override_selects_backend(monkeypatch):
     monkeypatch.setenv("REPRO_VALUE_STORE", "list")
     d = repro.compile(Counter())
