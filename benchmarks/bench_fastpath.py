@@ -17,16 +17,10 @@ The per-cycle hot paths this repository compiles away (see
   as one exec-compiled closure over pre-resolved value-table indices.  The
   acceptance bar: >= 1.5x on per-cycle condition evaluation.
 
-* snapshot recording scanned every state signal per cycle in Python; the
-  vectorized value store (``store="numpy"``) runs the delta scan and the
-  keyframe copies over a zero-copy numpy view of the typed 64-bit lane
-  buffer.  The acceptance bar: >= 1.3x over the ``list`` store baseline on
-  a free-running tick workload with snapshots enabled.
-
 All comparisons run the exact same workload through the reference
-implementation (``fast=False`` / ``compile_conditions=False`` /
-``store="list"``), and all cross-check that the paths computed identical
-results before asserting on timing.
+implementation (``fast=False`` / ``compile_conditions=False``), and all
+cross-check that the paths computed identical results before asserting
+on timing.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import time
 import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
-from repro.sim import SessionOptions, Simulator, numpy_available
+from repro.sim import SessionOptions, Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
 from conftest import TIMING_REPS, best_of as _best_of
@@ -258,78 +252,6 @@ def test_fastpath_condition_eval_speedup(capsys):
         )
     if not _SMOKE:
         assert speedup >= 1.5, f"condition fast path only {speedup:.2f}x"
-
-
-# -- vectorized value store: free-running ticks under snapshots -------------
-
-
-class _SnapshotFarm(hgf.Module):
-    """Wide state, sparse activity: many input ports (state the snapshot
-    scan must cover every cycle) plus a few free-running counters (so each
-    cycle has real activity and a non-empty delta).  The per-cycle cost is
-    dominated by the snapshot state scan — exactly what the vectorized
-    store turns into one numpy gather/compare."""
-
-    def __init__(self, n_inputs: int = 384, n_regs: int = 4):
-        super().__init__()
-        ins = [self.input(f"i{k}", 16) for k in range(n_inputs)]
-        self.o = self.output("o", 16)
-        acc = self.lit(0, 16)
-        for k, p in enumerate(ins):
-            stage = self.wire(f"s{k}", 16)
-            stage <<= (acc ^ p)[15:0]
-            acc = stage
-        for j in range(n_regs):
-            r = self.reg(f"c{j}", 16, init=0)
-            r <<= (r + self.lit(2 * j + 1, 16))[15:0]
-            mix = self.wire(f"m{j}", 16)
-            mix <<= (acc ^ r)[15:0]
-            acc = mix
-        self.o <<= acc
-
-
-_STORE_CYCLES = 50 if _SMOKE else 4000
-_STORE_SNAPSHOTS = 32
-
-
-def test_fastpath_vectorized_store_speedup(capsys):
-    """Free-running tick workload with snapshots: the vectorized store's
-    delta scan vs. the list baseline's per-signal Python loop."""
-    design = repro.compile(_SnapshotFarm())
-    vec_kind = "numpy" if numpy_available() else "array"
-    sims = {}
-    for kind in (vec_kind, "list"):
-        sim = Simulator(
-            design.low,
-            options=SessionOptions(snapshots=_STORE_SNAPSHOTS, fast=True, store=kind),
-        )
-        sim.reset()
-        sim.step(4)  # warm cone caches, take the first snapshots
-        sims[kind] = sim
-
-    t_vec = _best_of(sims[vec_kind].step, _STORE_CYCLES)
-    t_list = _best_of(sims["list"].step, _STORE_CYCLES)
-
-    # Identical workload must leave both stores bit-identical, and the
-    # rewind window must reconstruct identically too.
-    assert sims[vec_kind].values.as_list() == sims["list"].values.as_list()
-    t = sims[vec_kind].timeline.times()[0]
-    for sim in sims.values():
-        sim.set_time(t)
-    assert sims[vec_kind].values.as_list() == sims["list"].values.as_list()
-
-    speedup = t_list / t_vec
-    with capsys.disabled():
-        print(
-            f"\n=== fastpath: value store, free-running ticks + snapshots "
-            f"({_STORE_CYCLES} cycles, {len(design.low.modules)} module(s), "
-            f"{len(sims['list'].design.state_indices)} state signals) ===\n"
-            f"list store (per-signal scan):   {t_list * 1e3:8.2f} ms\n"
-            f"{vec_kind} store (vectorized):     {t_vec * 1e3:8.2f} ms\n"
-            f"speedup: {speedup:.2f}x (bar: >= 1.3x, asserted on numpy)"
-        )
-    if not _SMOKE and vec_kind == "numpy":
-        assert speedup >= 1.3, f"vectorized store only {speedup:.2f}x"
 
 
 # -- observability off-mode overhead ----------------------------------------

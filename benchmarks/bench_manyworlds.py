@@ -19,8 +19,7 @@ Acceptance bars:
   aggregate cycles/s of the Python poke loop at N=32 — asserted in smoke
   too (smoke only shrinks the cycle count; the world count stays at 32);
 * per-world ``state_digest`` identical across the three, and to the
-  sequential reference on **every** store backend (list / array / numpy
-  scalar lanes, numpy where installed), asserted always.
+  sequential reference, asserted always.
 
 The throughput test skips where no kernel builds (no C compiler).
 """
@@ -31,11 +30,9 @@ import os
 
 import repro
 import repro.hgf as hgf
-from repro.hub import SessionOptions
 from repro.sim import Simulator, native
 from repro.sim.compiler import compile_design
 from repro.sim.manyworlds import ManyWorldsSimulator, make_sweep_stimulus
-from repro.sim.store import numpy_available
 from repro.shard.spec import ShardSpec
 from repro.shard.worker import make_stimulus
 
@@ -72,19 +69,13 @@ class _ManyWorldsPipe(hgf.Module):
         self.o <<= acc
 
 
-def _sequential_digests(
-    design, compiled, seeds, cycles, store="array", tape=True
-):
+def _sequential_digests(design, compiled, seeds, cycles, tape=True):
     """One seeded Simulator run per world under the shard seed contract:
     the stimulus as a tape (the kernel pokes it where one builds), or
     (``tape=False``) the same rows poked from Python each cycle."""
     digests = []
     for seed in seeds:
-        sim = Simulator(
-            design.low,
-            compiled=compiled,
-            options=SessionOptions(store=store, fast=True),
-        )
+        sim = Simulator(design.low, compiled=compiled)
         stim = make_stimulus(sim, ShardSpec(seed, seed=seed, cycles=0))
         if not tape:
             rows = stim
@@ -108,12 +99,10 @@ def test_manyworlds_throughput(capsys):
     seeds = list(range(_WORLDS))
 
     def tape_sweep():
-        return _sequential_digests(design, compiled, seeds, _CYCLES, "list")
+        return _sequential_digests(design, compiled, seeds, _CYCLES)
 
     def poke_sweep():
-        return _sequential_digests(
-            design, compiled, seeds, _CYCLES, "list", tape=False
-        )
+        return _sequential_digests(design, compiled, seeds, _CYCLES, tape=False)
 
     def worlds_sweep():
         mw = ManyWorldsSimulator(design.low, _WORLDS, compiled=compiled)
@@ -158,9 +147,8 @@ def test_manyworlds_throughput(capsys):
     )
 
 
-def test_manyworlds_digest_parity_all_backends(capsys):
-    """Per-world digests match the sequential reference on every scalar
-    store backend (list/array, and numpy where installed)."""
+def test_manyworlds_digest_parity(capsys):
+    """Per-world digests match the sequential scalar runs."""
     design = repro.compile(_ManyWorldsPipe(stages=6))
     compiled = compile_design(design.low, None)
     seeds = [7 * k + 3 for k in range(_PARITY_WORLDS)]
@@ -171,14 +159,10 @@ def test_manyworlds_digest_parity_all_backends(capsys):
     mw.run_cycles(_PARITY_CYCLES, stimulus=stim)
     worlds = [mw.state_digest(k) for k in range(_PARITY_WORLDS)]
 
-    backends = ["list", "array"] + (["numpy"] if numpy_available() else [])
-    for store in backends:
-        ref = _sequential_digests(
-            design, compiled, seeds, _PARITY_CYCLES, store=store
-        )
-        assert ref == worlds, f"{store} reference diverged from many-worlds"
+    ref = _sequential_digests(design, compiled, seeds, _PARITY_CYCLES)
+    assert ref == worlds, "the sequential reference diverged from many-worlds"
     with capsys.disabled():
         print(
             f"\n=== many-worlds parity: {_PARITY_WORLDS} worlds "
-            f"bit-identical on {'/'.join(backends)} ===\nok"
+            f"bit-identical to sequential runs ===\nok"
         )

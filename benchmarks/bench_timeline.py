@@ -2,7 +2,7 @@
 
 The ``repro.sim.timeline`` subsystem stores reverse-debug history as one
 head keyframe plus per-cycle deltas; the codec decides the delta
-representation.  The seed ring's ``raw`` codec keeps store-native
+representation.  The seed ring's ``raw`` codec keeps the
 ``{index: value}`` dicts — ~100+ bytes per changed signal once the dict
 table and two boxed ints are counted.  The ``rle`` codec collapses the
 consecutively-allocated register block of a module into ``(start,
@@ -14,8 +14,8 @@ block of free-running registers actually changing per cycle) that
 difference is the whole ballgame for reverse debugging: at an equal byte
 budget the rle timeline must retain a **>= 8x longer** ``set_time``
 window than the raw ring (the acceptance bar, asserted outside smoke
-mode), with rewind results bit-identical across codecs and store
-backends.
+mode), with rewind results bit-identical across codecs and to the
+reference path.
 
 Also reported (no hard bar — wall-clock): rewind latency to the oldest
 retained cycle with and without periodic keyframes (``keyframe_every``),
@@ -30,7 +30,6 @@ import os
 import repro
 import repro.hgf as hgf
 from repro.sim import SessionOptions, Simulator
-from repro.sim.store import numpy_available
 
 from conftest import best_of
 
@@ -71,16 +70,14 @@ class _RegisterSparse(hgf.Module):
         self.o <<= acc
 
 
-def _windows_at_budget(design, store_kind: str = "array"):
+def _windows_at_budget(design):
     """Run the same free-running workload under both codecs at one byte
     budget; returns {codec: sim}."""
     sims = {}
     for codec in ("raw", "rle"):
         sim = Simulator(
             design.low,
-            options=SessionOptions(
-                snapshot_bytes=_BUDGET, snapshot_codec=codec, store=store_kind
-            ),
+            options=SessionOptions(snapshot_bytes=_BUDGET, snapshot_codec=codec),
         )
         sim.reset()
         sim.step(_CYCLES)
@@ -127,34 +124,34 @@ def test_timeline_window_at_fixed_memory(capsys):
         assert ratio >= 8.0, f"rle window only {ratio:.1f}x the raw ring"
 
 
-def test_timeline_rewind_bit_identical_across_backends(capsys):
-    """Every store backend rewinds the bench scenario to the same bits
-    under the rle codec (the full schedule matrix lives in the property
-    suite; this pins the bench design itself)."""
+def test_timeline_rewind_bit_identical_to_reference(capsys):
+    """The rle codec with periodic keyframes rewinds the bench scenario to
+    the same bits as the raw ring on the reference path (the full
+    schedule matrix lives in the property suite; this pins the bench
+    design itself)."""
     design = repro.compile(_RegisterSparse(n_regs=16, n_inputs=16))
-    backends = ["list", "array"] + (["numpy"] if numpy_available() else [])
+    lanes = (
+        SessionOptions(snapshots=64, snapshot_codec="rle", keyframe_every=16),
+        SessionOptions(snapshots=64, fast=False),
+    )
     sims = []
-    for kind in backends:
-        sim = Simulator(
-            design.low,
-            options=SessionOptions(
-                snapshots=64, snapshot_codec="rle", keyframe_every=16, store=kind
-            ),
-        )
+    for options in lanes:
+        sim = Simulator(design.low, options=options)
         sim.reset()
         sim.step(100 if not _SMOKE else 30)
         sims.append(sim)
     times = sims[0].timeline.times()
+    assert sims[1].timeline.times() == times
     for t in (times[0], times[len(times) // 2], times[-1]):
         states = []
         for sim in sims:
             sim.set_time(t)
             states.append(sim.values.as_list())
-        assert all(s == states[0] for s in states[1:])
+        assert states[0] == states[1], f"rewinds diverged at cycle {t}"
     with capsys.disabled():
         print(
-            f"\n=== timeline: rle rewinds bit-identical on "
-            f"{'/'.join(backends)} ===\nok ({len(times)} retained cycles)"
+            f"\n=== timeline: rle rewinds bit-identical to the reference "
+            f"===\nok ({len(times)} retained cycles)"
         )
 
 
@@ -173,7 +170,6 @@ def test_timeline_rewind_latency_report(capsys):
                 snapshots=_LAT_WINDOW,
                 snapshot_codec="rle",
                 keyframe_every=kf,
-                store="array",
             ),
         )
         sim.reset()

@@ -215,11 +215,10 @@ class ShardReport:
     def state_groups(self) -> dict[int, dict[str, list[int]]]:
         """Per seed: final value-table digest -> shard ids.
 
-        Shard workers fingerprint their final state by hashing the raw
-        value-store buffer (``memoryview``/``tobytes``, no per-signal
-        boxing) plus memories.  Shards replicating one seed must land in
-        one digest group; more than one group for a seed is a determinism
-        bug caught without shipping any state across the wire.
+        Shard workers fingerprint their final state by hashing the value
+        table as 64-bit lanes plus memories.  Shards replicating one seed
+        must land in one digest group; more than one group for a seed is a
+        determinism bug caught without shipping any state across the wire.
         """
         out: dict[int, dict[str, list[int]]] = {}
         for r in self.results:

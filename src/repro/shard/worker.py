@@ -93,7 +93,7 @@ def run_shard(
         labels={"shard": str(spec.shard_id)},
     )
     # With timeline streaming the shard retains its last N cycles of
-    # state history (rle-compressed — store-native deltas collapse into
+    # state history (rle-compressed — each cycle's delta collapses into
     # index runs) and ships the serialized window home with the result,
     # so the aggregator can localize replica divergence to the first
     # divergent cycle and signal, not just report a digest mismatch.

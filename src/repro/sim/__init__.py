@@ -15,15 +15,7 @@ from .interface import (
     SimulatorError,
     SimulatorInterface,
 )
-from .store import (
-    ArrayStore,
-    ListStore,
-    NumpyStore,
-    ValueStore,
-    make_store,
-    numpy_available,
-    resolve_store_kind,
-)
+from .store import ValueStore, resolve_store_kind
 from .stimulus import Stimulus
 from .testbench import Driver, Monitor, Testbench, Transaction
 from .timeline import (
@@ -35,16 +27,13 @@ from .timeline import (
 )
 
 __all__ = [
-    "ArrayStore",
     "CombLoopError",
     "CompiledDesign",
     "Driver",
     "FullTraceTimeline",
     "HierNode",
-    "ListStore",
     "ManyWorldsSimulator",
     "Monitor",
-    "NumpyStore",
     "SessionOptions",
     "SignalInfo",
     "SimulationFinished",
@@ -60,8 +49,6 @@ __all__ = [
     "ValueStore",
     "compile_design",
     "first_timeline_divergence",
-    "make_store",
     "make_sweep_stimulus",
-    "numpy_available",
     "resolve_store_kind",
 ]

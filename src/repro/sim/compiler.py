@@ -8,8 +8,8 @@ topologically sorted, and two Python functions are generated with ``exec``:
 * ``tick(v, w, m)``  — fire stops/printfs, apply memory writes, then update
   all registers two-phase.
 
-``v`` is the *narrow* value buffer — one 64-bit lane per signal, pluggable
-storage (``repro.sim.store``); ``w`` is the overflow dict for signals wider
+``v`` is the *narrow* value list — one 64-bit lane per signal
+(``repro.sim.store``); ``w`` is the overflow dict for signals wider
 than one lane, selected statically per signal at codegen time so the common
 all-narrow design never touches it; ``m`` is the list of memory arrays.
 

@@ -30,12 +30,8 @@ byte-bounded retention.  Recording scans only the state signals
 table or whole memories) and eviction folds the head keyframe forward in
 O(delta).  See ``docs/time_travel.md``.
 
-Signal values live in a pluggable :class:`~repro.sim.store.ValueStore`
-(``SessionOptions(store=...)`` / ``$REPRO_VALUE_STORE``): the plain-list
-reference backend by default — the fastest scalar store on the paper's
-workloads, and the one the property tests pin every other backend
-against — typed 64-bit lanes, or a zero-copy numpy view for vectorized
-snapshot scans.
+Signal values live in a :class:`~repro.sim.store.ValueStore`: a plain
+``list[int]`` plus an overflow dict for signals wider than 64 bits.
 
 Clock callbacks are read once per cycle, so a callback registered from
 another thread (a debugger arming itself on a pause request) fires from
@@ -68,6 +64,7 @@ import threading
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..ir.stmt import Circuit
 from ..obs import make_obs
@@ -79,7 +76,7 @@ from .interface import (
     SimulatorError,
     SimulatorInterface,
 )
-from .store import LANE_BITS, ValueStore, make_store
+from .store import LANE_BITS, ValueStore
 from .timeline import Timeline, TimelineError
 
 #: ``run()`` steps in chunks of this many cycles; after the native kernel
@@ -122,11 +119,11 @@ class SessionOptions:
     ``options=None`` means ``SessionOptions()``.
     """
 
-    #: value-table backend name: ``"list"``, ``"array"``, ``"numpy"``, or
-    #: ``"auto"`` (``"list"``, the fastest scalar backend on the paper's
-    #: workloads).  None defers to ``$REPRO_VALUE_STORE``, then
-    #: ``"auto"``.  See :mod:`repro.sim.store`.
-    store: str | None = None
+    #: the value store's name, a class constant and not a field: there is
+    #: one store (:mod:`repro.sim.store`).  It remains only for the
+    #: value-store line of ``perfbench/run.py``'s run header, and can go
+    #: with that line.
+    store: ClassVar[str] = "list"
     #: observability depth (:mod:`repro.obs`): an :class:`~repro.obs.Obs`
     #: to share (how a shard worker's simulator reports into the shard's
     #: registry), a mode string (``"off"``/``"metrics"``/``"trace"``), or
@@ -154,14 +151,13 @@ class SessionOptions:
     #: to) an entry count — with the ``rle`` codec this is how long rewind
     #: windows stay cheap.
     snapshot_bytes: int | None = None
-    #: timeline delta codec — ``"raw"`` (store-native, the default),
-    #: ``"rle"`` (run-length-encoded, ~an order of magnitude smaller on
-    #: register-sparse designs), or None to defer to
-    #: ``$REPRO_TIMELINE_CODEC``.
+    #: timeline delta codec — ``"raw"`` (``{index: value}`` dicts, the
+    #: default, also for None) or ``"rle"`` (run-length-encoded, ~an
+    #: order of magnitude smaller on register-sparse designs).
     snapshot_codec: str | None = None
-    #: insert a full timeline keyframe every K retained cycles (bounds
-    #: rewind latency to K delta replays); 0 keeps only the folded head
-    #: keyframe.
+    #: insert a full timeline keyframe after every K delta entries
+    #: (bounds rewind latency to K delta replays); 0 keeps only the
+    #: folded head keyframe.  Negative is an error.
     keyframe_every: int = 0
 
 
@@ -203,8 +199,8 @@ class Simulator(SimulatorInterface):
             per-stepping-simulator (see ``_PrintfDispatcher``); and the
             design's cone caches are value-independent.  Across forked
             processes each child owns a copy-on-write copy.
-        options: the :class:`SessionOptions` — value store, observability
-            depth, lint gate, fast path and snapshot budget.  ``stats()``
+        options: the :class:`SessionOptions` — observability depth, lint
+            gate, fast path and snapshot budget.  ``stats()``
             reads the always-on counters directly and works at every
             observability depth, including off.
     """
@@ -223,7 +219,10 @@ class Simulator(SimulatorInterface):
             self.design: CompiledDesign = compiled
         else:
             self.design = compile_gated(circuit, top_path, opt.strict, self.obs)
-        self.store: ValueStore = make_store(opt.store, self.design)
+        design = self.design
+        self.store = ValueStore(
+            design.n_signals, design.wide_indices, design.state_indices
+        )
         # The hot paths index the store's raw buffers directly; these
         # references are stable for the simulator's lifetime (the store
         # never rebinds them — generated code holds them across rewinds).
@@ -695,8 +694,7 @@ class Simulator(SimulatorInterface):
     def _checkpoint(self) -> tuple:
         """The settled state ``_refill`` restores: the narrow and wide
         values and a copy of each memory."""
-        store = self.store
-        return store.copy_narrow(), store.copy_wide(), [m[:] for m in self.mems]
+        return self._v.copy(), self.store.copy_wide(), [m[:] for m in self.mems]
 
     def _refill(self, kernel, saved: list, t0: int) -> None:
         """Give the timeline the entries stepping would have recorded for
@@ -718,7 +716,7 @@ class Simulator(SimulatorInterface):
         ticks, settles = self._stat_ticks, self._stat_settle_tick
         self._native_seg = (k, (0,))
         try:
-            self.store.restore_narrow(values)
+            self._v[:] = values
             self.store.restore_wide(wide)
             for mem, copy in zip(self.mems, mems, strict=True):
                 mem[:] = copy
@@ -912,10 +910,9 @@ class Simulator(SimulatorInterface):
     def state_digest(self) -> str:
         """A stable fingerprint of the complete settled simulator state.
 
-        Hashes the raw value-table buffer (``memoryview``/``tobytes`` on
-        the typed backends — no per-signal boxing) plus every memory, so
-        two simulators agree iff they are bit-identical.  Backend
-        independent: every store serializes to the same 64-bit lane bytes.
+        Hashes the value table as 64-bit lanes
+        (:meth:`~repro.sim.store.ValueStore.digest_bytes`) plus every
+        memory, so two simulators agree iff they are bit-identical.
         Shard workers report this with their results; the aggregator uses
         it to prove replicated shards stayed deterministic.
         """

@@ -11,7 +11,6 @@ See ``docs/time_travel.md`` for the architecture and codec trade-offs.
 """
 
 from .codec import (
-    CODEC_ENV,
     CODEC_KINDS,
     DeltaCodec,
     RawCodec,
@@ -33,7 +32,6 @@ from .timeline import (
 )
 
 __all__ = [
-    "CODEC_ENV",
     "CODEC_KINDS",
     "DeltaCodec",
     "FullTraceTimeline",

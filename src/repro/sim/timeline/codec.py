@@ -1,15 +1,14 @@
 """Delta codecs: how a :class:`~repro.sim.timeline.Timeline` stores one
 cycle's worth of state change.
 
-A codec is a thin strategy object between the timeline and the value
-store.  The *store* owns the representation-specific work (each backend —
-list / ``array('Q')`` / numpy — provides its own vectorized encode,
-apply, and byte-accounting paths, see ``repro.sim.store``); the codec
-picks which family of representation a timeline entry uses:
+A delta is the ``{index: value}`` dict of changed narrow state signals
+that :meth:`~repro.sim.store.ValueStore.state_delta` returns.  The codec
+owns everything a timeline does with one: how an entry holds it, how it
+is replayed onto a keyframe's narrow values, its byte estimate, and its
+plain ``(index, value)`` pairs.
 
-* :class:`RawCodec` — store-native deltas exactly as ``state_delta``
-  produced them (``{index: value}`` dicts on the list/array backends,
-  index/value array pairs on numpy).  This is the seed ring's behavior.
+* :class:`RawCodec` — the dict exactly as ``state_delta`` produced it.
+  This is the seed ring's behavior and the default.
 * :class:`RleCodec` — run-length-encoded deltas: consecutive signal
   indices collapse into ``(start, count)`` runs over one flat typed value
   buffer.  Registers of a module are allocated adjacently in the value
@@ -23,86 +22,117 @@ overflow copies, and memory-word deltas are codec-independent (see
 ``timeline.py``).
 
 Selection: ``Timeline(codec=...)`` / ``SessionOptions(snapshot_codec=...)``
-take a name; ``None`` defers to ``$REPRO_TIMELINE_CODEC``, then
-``"raw"``.  Property tests pin both codecs bit-identical to each other
-and to the uncompressed reference path.
+take a name; ``None`` means ``"raw"``.  Property tests pin both codecs
+bit-identical to each other and to the uncompressed reference path.
 """
 
 from __future__ import annotations
 
-import os
+import sys
+from array import array
 
 from ..interface import SimulatorError
-
-#: Environment override for the default codec.
-CODEC_ENV = "REPRO_TIMELINE_CODEC"
 
 CODEC_KINDS = ("raw", "rle")
 
 
 class DeltaCodec:
-    """Strategy for one timeline's delta entries.
+    """Strategy for one timeline's delta entries (see the subclasses)."""
 
-    Every method takes the owning :class:`~repro.sim.store.ValueStore`:
-    deltas are store-native opaque objects, and the store is the only
-    party that knows how to traverse them (vectorized on numpy).
-    """
+    name = ""
 
-    name = "raw"
+    def encode(self, delta: dict[int, int]):
+        """A ``state_delta`` dict -> the entry's payload."""
+        raise NotImplementedError
 
-    def encode(self, store, delta):
-        """Store-native delta -> entry payload (raw: identity)."""
-        return delta
+    def apply(self, buf, encoded) -> None:
+        """Replay an encoded delta onto a keyframe's narrow values (an
+        ``array('Q')``, or any mutable sequence of ints)."""
+        raise NotImplementedError
 
-    def apply(self, store, buf, encoded) -> None:
-        """Replay an encoded delta onto a captured narrow buffer."""
-        store.apply_delta(buf, encoded)
-
-    def nbytes(self, store, encoded) -> int:
+    def nbytes(self, encoded) -> int:
         """Approximate retained bytes of one encoded delta."""
-        return store.delta_nbytes(encoded)
+        raise NotImplementedError
 
-    def pairs(self, store, encoded) -> list[tuple[int, int]]:
-        """Sorted ``(index, value)`` pairs — the backend-independent view
+    def pairs(self, encoded) -> list[tuple[int, int]]:
+        """Sorted ``(index, value)`` pairs — the codec-independent view
         used by the wire serialization and divergence comparison."""
-        return store.delta_pairs(encoded)
+        raise NotImplementedError
 
 
 class RawCodec(DeltaCodec):
-    """Store deltas exactly as the value store produced them."""
+    """Keep each delta as the dict ``state_delta`` produced."""
 
     name = "raw"
 
+    def encode(self, delta):
+        return delta
+
+    def apply(self, buf, encoded) -> None:
+        for i, val in encoded.items():
+            buf[i] = val
+
+    def nbytes(self, encoded) -> int:
+        # The dict table plus two boxed ints per changed signal.
+        return sys.getsizeof(encoded) + 56 * len(encoded)
+
+    def pairs(self, encoded):
+        return sorted(encoded.items())
+
 
 class RleCodec(DeltaCodec):
-    """Run-length-encode deltas over consecutive signal indices."""
+    """Run-length-encode deltas over consecutive signal indices: a
+    ``(runs, values)`` pair, where ``runs`` interleaves ``start, count``
+    and ``values`` is one flat unsigned-64 buffer."""
 
     name = "rle"
 
-    def encode(self, store, delta):
-        return store.encode_rle(delta)
+    def encode(self, delta):
+        runs = array("q")
+        values = array("Q")
+        end = None
+        for i, v in sorted(delta.items()):
+            if i == end:
+                runs[-1] += 1
+            else:
+                runs.append(i)
+                runs.append(1)
+            values.append(v)
+            end = i + 1
+        return (runs, values)
 
-    def apply(self, store, buf, encoded) -> None:
-        store.apply_rle(buf, encoded)
+    def apply(self, buf, encoded) -> None:
+        # One slice assignment per run.
+        runs, values = encoded
+        j = 0
+        for k in range(0, len(runs), 2):
+            start, count = runs[k], runs[k + 1]
+            buf[start : start + count] = values[j : j + count]
+            j += count
 
-    def nbytes(self, store, encoded) -> int:
-        return store.rle_nbytes(encoded)
+    def nbytes(self, encoded) -> int:
+        runs, values = encoded
+        return sys.getsizeof(runs) + sys.getsizeof(values)
 
-    def pairs(self, store, encoded) -> list[tuple[int, int]]:
-        return store.rle_pairs(encoded)
+    def pairs(self, encoded):
+        runs, values = encoded
+        out: list[tuple[int, int]] = []
+        j = 0
+        for k in range(0, len(runs), 2):
+            start, count = runs[k], runs[k + 1]
+            out.extend((start + o, values[j + o]) for o in range(count))
+            j += count
+        return out
 
 
 _CODECS = {"raw": RawCodec, "rle": RleCodec}
 
 
 def resolve_codec_kind(kind: str | None) -> str:
-    """Resolve a requested codec name to a concrete one.
-
-    ``None`` defers to ``$REPRO_TIMELINE_CODEC``, then ``"raw"`` (the
-    seed ring's representation).
-    """
+    """Resolve a requested codec name: ``None`` means ``"raw"`` (the seed
+    ring's representation)."""
     if kind is None:
-        kind = os.environ.get(CODEC_ENV) or "raw"
+        return "raw"
     if kind not in CODEC_KINDS:
         raise SimulatorError(
             f"unknown timeline codec {kind!r}; expected one of {CODEC_KINDS}"

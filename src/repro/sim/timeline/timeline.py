@@ -10,7 +10,7 @@ module owns both:
   deque of entries bound to one :class:`~repro.sim.store.ValueStore` (and
   the simulator's memories), where the head entry is always a full
   *keyframe* and later entries are per-cycle state deltas encoded by a
-  pluggable codec (``raw`` = store-native dicts/array-pairs, ``rle`` =
+  pluggable codec (``raw`` = ``{index: value}`` dicts, ``rle`` =
   run-length-encoded typed buffers — see ``codec.py``).  Optional
   periodic keyframes every K cycles bound rewind latency; retention is
   bounded by entry count (the classic ring) and/or a byte budget.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -62,16 +63,16 @@ class TimelineError(SimulatorError, ValueError):
 class TimelineEntry:
     """One retained cycle.
 
-    A *keyframe* entry stores full copies (``values`` — the store-native
-    narrow buffer — and ``mem_copy``); a *delta* entry stores only the
-    codec-encoded state change since the previous entry (``delta`` /
-    ``delta_mem``).  ``wide`` is a full copy of the >64-bit overflow
-    values on every entry — wide signals are too rare to delta — and None
-    on designs without them.
+    A *keyframe* entry stores full copies (``values`` — the store's
+    narrow list as compact ``array('Q')`` lanes — and ``mem_copy``); a
+    *delta* entry stores only the codec-encoded state change since the
+    previous entry (``delta`` / ``delta_mem``).  ``wide`` is a full copy
+    of the >64-bit overflow values on every entry — wide signals are too
+    rare to delta — and None on designs without them.
     """
 
     time: int
-    values: object | None = None
+    values: array | None = None
     wide: dict | None = None
     mem_copy: list | None = None
     delta: object | None = None
@@ -178,8 +179,9 @@ class Timeline(TimelineView):
       suffix at-or-after the new time first (rewind + re-execution);
     * the head entry is always a keyframe (eviction folds an evicted
       keyframe into its delta successor in O(delta));
-    * with ``keyframe_every=K`` a fresh keyframe is inserted every K
-      entries, bounding rewind reconstruction to K delta replays.
+    * with ``keyframe_every=K`` every keyframe is followed by at most K
+      delta entries, rewinds and re-execution included, so a rewind
+      replays at most K deltas.
 
     Args:
         store: the simulator's value store (restored in place on rewind).
@@ -190,10 +192,10 @@ class Timeline(TimelineView):
         limit: retain at most this many entries (None = unbounded).
         byte_budget: retain at most ~this many bytes (None = unbounded).
             At least one entry is always kept.
-        codec: ``"raw"`` / ``"rle"`` / None (``$REPRO_TIMELINE_CODEC``,
-            then ``"raw"``).
-        keyframe_every: insert a full keyframe every K entries (0 = only
-            the folded head keyframe — the seed ring's behavior).
+        codec: ``"raw"`` / ``"rle"`` / None (``"raw"``).
+        keyframe_every: insert a full keyframe after every K delta
+            entries (0 = only the folded head keyframe — the seed ring's
+            behavior).
     """
 
     def __init__(
@@ -214,6 +216,10 @@ class Timeline(TimelineView):
         if byte_budget is not None and byte_budget <= 0:
             raise SimulatorError(
                 f"timeline byte budget must be > 0, got {byte_budget}"
+            )
+        if keyframe_every < 0:
+            raise SimulatorError(
+                f"timeline keyframe_every must be >= 0, got {keyframe_every}"
             )
         self.store = store
         self.mems = mems
@@ -313,7 +319,7 @@ class Timeline(TimelineView):
             entry = self._make_keyframe(time)
         else:
             delta = store.state_delta(self._base)
-            encoded = self.codec.encode(store, delta)
+            encoded = self.codec.encode(delta)
             delta_mem: dict | None = None
             if self.snap_mems:
                 mems = self.mems
@@ -358,7 +364,10 @@ class Timeline(TimelineView):
     def _make_keyframe(self, time: int) -> TimelineEntry:
         self.stat_keyframes += 1
         store = self.store
-        values = store.copy_narrow()
+        # 8 bytes per signal, where a list copy would keep a pointer and
+        # often a boxed int per signal alive: keyframes are most of what
+        # a byte budget pays for.
+        values = array("Q", store.narrow)
         mem_copy = [mem[:] for mem in self.mems] if self.snap_mems else None
         self._base = store.capture_state()
         self.mem_written.clear()
@@ -385,7 +394,7 @@ class Timeline(TimelineView):
         if nxt.values is not None:
             return  # successor is already a (periodic) keyframe
         vals = old.values
-        self.codec.apply(self.store, vals, nxt.delta)
+        self.codec.apply(vals, nxt.delta)
         nxt.values = vals
         # nxt.wide is already a full copy — the keyframe's simply drops.
         if old.mem_copy is not None:
@@ -426,7 +435,7 @@ class Timeline(TimelineView):
                 segment.append(e)
             if e is entry:
                 break
-        vals = store.clone_narrow(segment[0].values)
+        vals = segment[0].values[:]
         mems_rec = (
             [mem[:] for mem in segment[0].mem_copy]
             if segment[0].mem_copy is not None
@@ -437,8 +446,8 @@ class Timeline(TimelineView):
             if e is entry:
                 # The state at the target's *predecessor*: it becomes the
                 # delta baseline for the entry re-taken at `time`.
-                tail_base = store.capture_state_from(vals)
-            self.codec.apply(store, vals, e.delta)
+                tail_base = [vals[i] for i in store.state_indices]
+            self.codec.apply(vals, e.delta)
             if mems_rec is not None and e.delta_mem:
                 for (mi, a), val in e.delta_mem.items():
                     mems_rec[mi][a] = val
@@ -446,7 +455,7 @@ class Timeline(TimelineView):
         # engine's step loop hold direct references to these objects
         # (including the journal's bound ``add``) while callbacks — which
         # may call set_time for reverse debugging — are running.
-        store.restore_narrow(vals)
+        store.narrow[:] = vals
         store.restore_wide(entry.wide)
         if mems_rec is not None:
             for mem, saved in zip(self.mems, mems_rec, strict=False):
@@ -460,6 +469,9 @@ class Timeline(TimelineView):
             # arrays.
             self._base = tail_base
             self.mem_written.update(entry.delta_mem or ())
+            # The re-taken entry replaces this one: the deltas since the
+            # keyframe are the segment's, less the keyframe and the entry.
+            self._since_key = len(segment) - 2
         else:
             # Rewound onto a keyframe: the predecessor baseline (if any)
             # is not cheaply available, so the next record() re-keyframes
@@ -500,14 +512,16 @@ class Timeline(TimelineView):
         return full / actual
 
     def _entry_nbytes(self, entry: TimelineEntry) -> int:
-        store = self.store
-        n = _ENTRY_OVERHEAD + store.wide_nbytes()
+        n = _ENTRY_OVERHEAD
+        wide = self.store.wide
+        if wide:
+            n += sys.getsizeof(wide) + 88 * len(wide)
         if entry.values is not None:
-            n += store.keyframe_nbytes(entry.values)
+            n += sys.getsizeof(entry.values)  # the array includes its buffer
             if entry.mem_copy is not None:
                 n += sum(sys.getsizeof(m) for m in entry.mem_copy)
         else:
-            n += self.codec.nbytes(store, entry.delta)
+            n += self.codec.nbytes(entry.delta)
             if entry.delta_mem:
                 n += sys.getsizeof(entry.delta_mem) + 88 * len(entry.delta_mem)
         return n
@@ -515,34 +529,32 @@ class Timeline(TimelineView):
     # -- wire serialization ------------------------------------------------
 
     def to_wire(self) -> dict:
-        """A backend-independent JSON-safe rendering of the retained
+        """A codec-independent JSON-safe rendering of the retained
         window: plain ints only, deltas as ``[start, [values...]]`` runs.
 
         Shipped by shard workers so the aggregator can localize replica
         divergence (:func:`first_timeline_divergence`) without re-running
         anything.  Keyframes carry only the *state* signals (registers
         and inputs — what the deltas are defined over), so two shards'
-        wires compare cycle-for-cycle regardless of store backend or
-        codec.
+        wires compare cycle-for-cycle regardless of codec.
         """
-        store = self.store
-        state_idx = list(store.state_indices)
+        state_idx = list(self.store.state_indices)
         entries_w = []
         for e in self.entries:
             rec: dict = {"t": e.time}
             if e.values is not None:
                 vals = e.values
-                rec["k"] = [int(vals[i]) for i in state_idx]
+                rec["k"] = [vals[i] for i in state_idx]
                 if e.mem_copy is not None:
-                    rec["m"] = [[int(wd) for wd in m] for m in e.mem_copy]
+                    rec["m"] = [list(m) for m in e.mem_copy]
             else:
-                rec["d"] = _pairs_to_runs(self.codec.pairs(store, e.delta))
+                rec["d"] = _pairs_to_runs(self.codec.pairs(e.delta))
                 if e.delta_mem:
                     rec["dm"] = sorted(
-                        [mi, a, int(v)] for (mi, a), v in e.delta_mem.items()
+                        [mi, a, v] for (mi, a), v in e.delta_mem.items()
                     )
             if e.wide:
-                rec["w"] = sorted([int(i), int(v)] for i, v in e.wide.items())
+                rec["w"] = sorted([i, v] for i, v in e.wide.items())
             entries_w.append(rec)
         return {
             "v": 1,

@@ -12,7 +12,6 @@ from repro.core.frames import FrameBuilder, build_variable_tree
 from repro.core.matching import MatchError, locate_instance
 from repro.hub import SessionOptions
 from repro.sim import ManyWorldsSimulator, Simulator
-from repro.sim.store import numpy_available
 from repro.symtable import SQLiteSymbolTable, SymbolTableInterface, write_symbol_table
 from repro.trace import ReplayEngine, VcdWriter
 from tests.helpers import Counter, TwoLeaves, fresh_frame, line_of
@@ -272,21 +271,15 @@ def _run(sim, cycles: int) -> None:
         sim.step()
 
 
-def _live(design, cycles, store):
-    sim = Simulator(design.low, options=SessionOptions(store=store))
+def _live(design, cycles, _tmp_path, fast=True):
+    sim = Simulator(design.low, options=SessionOptions(fast=fast))
     counting, built, _runtime = _armed(design, sim)
     _run(sim, cycles)
     return counting, built
 
 
-def _list_store(design, cycles, _tmp_path):
-    return _live(design, cycles, "list")
-
-
-def _numpy_store(design, cycles, _tmp_path):
-    if not numpy_available():
-        pytest.skip("numpy not installed")
-    return _live(design, cycles, "numpy")
+def _reference(design, cycles, tmp_path):
+    return _live(design, cycles, tmp_path, fast=False)
 
 
 def _replay(design, cycles, tmp_path):
@@ -317,8 +310,8 @@ class TestFramePlans:
     @pytest.mark.parametrize("cycles", [1, 3, 8])
     @pytest.mark.parametrize(
         "backend",
-        [_list_store, _numpy_store, _replay, _world0],
-        ids=["list", "numpy", "replay", "manyworlds"],
+        [_live, _reference, _replay, _world0],
+        ids=["live", "reference", "replay", "manyworlds"],
     )
     def test_one_query_per_breakpoint_and_instance(self, backend, cycles, tmp_path):
         design = repro.compile(_Lanes())
@@ -333,7 +326,7 @@ class TestFramePlans:
 
     def test_plan_keeps_split_names_and_unresolvable_paths(self):
         design = repro.compile(_Lanes())
-        _counting, built = _list_store(design, 2, None)
+        _counting, built = _live(design, 2, None)
         lane = next(f for f in built if f.instance_path == "_Lanes.a")
         io = next(v for v in lane.local_vars if v.name == "io")
         assert [c.name for c in io.child("v").children] == ["[0]", "[1]"]

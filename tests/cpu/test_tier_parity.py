@@ -1,6 +1,6 @@
-"""The paper's CPU, cycle by cycle, across every engine tier and value
-store: the reference (list store, ``fast=False``) against the list-store
-default, the typed-array store and the numpy store, the native free-run
+"""The paper's CPU, cycle by cycle, across every engine tier: the
+reference (``fast=False``) against the default fast path (alone and
+recording a 64-entry ``raw`` or ``rle`` timeline) and the native free-run
 tier behind ``run()``, plus a default run with a Runtime that goes idle,
 then armed, then idle again, both stepped and run, and the whole suite
 with breakpoints armed, run natively against stepped, with and without a
@@ -14,21 +14,22 @@ import repro
 from repro.core import CONTINUE, DETACH, STEP, Runtime
 from repro.cpu import RV32Core, assemble, benchmark_by_name, build_suite
 from repro.hub import SessionOptions
-from repro.sim import Simulator, compile_design, native, numpy_available
+from repro.sim import Simulator, compile_design, native
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import line_of
 
-CONFIGS = [
-    ("list", False),  # the oracle
-    ("list", True),  # the default
-    ("array", True),
-    pytest.param(
-        "numpy",
-        True,
-        marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
-    ),
-]
 CHUNK = 64
+
+#: configuration id -> (fast, timeline options)
+CONFIGS = {
+    "oracle": (False, {}),
+    "default": (True, {}),
+    "timeline-raw": (True, {"snapshots": 64}),
+    "timeline-rle": (
+        True,
+        {"snapshots": 64, "snapshot_codec": "rle", "keyframe_every": 16},
+    ),
+}
 
 
 @pytest.fixture(scope="module", params=["vvadd", "median", "spmv"])
@@ -38,12 +39,10 @@ def program(request):
     return bench, design, compile_design(design.low)
 
 
-def _sim(program, store, fast):
+def _sim(program, fast, **timeline):
     _bench, design, compiled = program
     sim = Simulator(
-        design.low,
-        compiled=compiled,
-        options=SessionOptions(store=store, fast=fast),
+        design.low, compiled=compiled, options=SessionOptions(fast=fast, **timeline)
     )
     sim.reset()
     return sim
@@ -65,13 +64,20 @@ def _lockstep(oracle, sim, between=None, advance="step"):
     assert sim.finished and sim.exit_code == oracle.exit_code == 0
 
 
-@pytest.mark.parametrize("store,fast", CONFIGS)
-def test_tier_matches_reference(program, store, fast):
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_tier_matches_reference(program, config):
     bench = program[0]
-    oracle = _sim(program, "list", False)
-    sim = _sim(program, store, fast)
+    fast, timeline = CONFIGS[config]
+    oracle = _sim(program, False)
+    sim = _sim(program, fast, **timeline)
     _lockstep(oracle, sim)
     assert sim.peek("tohost") == bench.expected
+    if timeline:
+        # Rewind to the oldest retained cycle and re-execute to the end.
+        t = sim.timeline.times()[0]
+        sim.set_time(t)
+        sim.step(oracle.get_time() - t)
+        assert sim.state_digest() == oracle.state_digest()
 
 
 @pytest.mark.skipif(
@@ -80,8 +86,8 @@ def test_tier_matches_reference(program, store, fast):
 def test_native_run_matches_reference(program):
     """The default engine advanced by ``run()``: the native kernel."""
     bench = program[0]
-    oracle = _sim(program, "list", False)
-    sim = _sim(program, "list", True)
+    oracle = _sim(program, False)
+    sim = _sim(program, True)
     _lockstep(oracle, sim, advance="run")
     assert sim.peek("tohost") == bench.expected
     assert sim.stats()["native_cycles"] > 0
@@ -99,8 +105,8 @@ def test_runtime_idle_armed_idle_run_matches_reference(program):
 
 def _idle_armed_idle(program, advance):
     bench, design, _compiled = program
-    oracle = _sim(program, "list", False)
-    sim = _sim(program, "list", True)
+    oracle = _sim(program, False)
+    sim = _sim(program, True)
     rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)))
     rt.attach()
     attached_at = sim.get_time()

@@ -19,9 +19,8 @@ from repro.shard import ShardSession
 from repro.sim import ManyWorldsSimulator, SessionOptions, Simulator
 from tests.helpers import Accumulator, Counter
 
-#: the eight session fields, in declaration order, with their defaults
+#: the seven session fields, in declaration order, with their defaults
 FIELDS = {
-    "store": None,
     "obs": None,
     "strict": None,
     "fast": True,
@@ -41,6 +40,13 @@ class TestRecord:
         assert got == FIELDS
         assert list(got) == list(FIELDS)
 
+    def test_store_is_a_constant_not_a_field(self):
+        """There is one value store: ``store`` names it and sets nothing."""
+        assert SessionOptions().store == SessionOptions.store == "list"
+        assert repro.sim.resolve_store_kind(SessionOptions().store) == "list"
+        with pytest.raises(TypeError, match="store"):
+            SessionOptions(store="list")
+
 
 def _build(ctor: str, d, **kw):
     if ctor == "Simulator":
@@ -52,9 +58,10 @@ def _build(ctor: str, d, **kw):
     return DebugHub(d, **kw)
 
 
-#: (constructor, session keyword it no longer takes)
+#: (constructor, session keyword it no longer takes); ``store`` is no
+#: setting at all any more
 _REMOVED = (
-    [("Simulator", name) for name in FIELDS]
+    [("Simulator", name) for name in [*FIELDS, "store"]]
     + [
         ("ManyWorldsSimulator", name)
         for name in FIELDS
@@ -62,7 +69,7 @@ _REMOVED = (
     ]
     + [("ShardSession", "fast"), ("ShardSession", "obs")]
     # DebugHub's own obs= is hub-side telemetry, not a session setting.
-    + [("DebugHub", name) for name in FIELDS if name != "obs"]
+    + [("DebugHub", name) for name in [*FIELDS, "store"] if name != "obs"]
 )
 
 
@@ -71,7 +78,7 @@ class TestOptionsOnly:
     def test_session_keyword_is_a_type_error(self, ctor, name):
         d = repro.compile(Counter())
         with pytest.raises(TypeError, match=name):
-            _build(ctor, d, **{name: FIELDS[name]})
+            _build(ctor, d, **{name: FIELDS.get(name)})
 
     def test_none_means_defaults(self):
         d = repro.compile(Counter())

@@ -2,8 +2,8 @@
 
 The contract under test: N scenario worlds, one scalar ``Simulator`` each
 over a shared compiled design, are **bit-identical**, per world, to N
-sequential reference ``Simulator`` runs of the same per-world stimulus —
-on every scalar store backend — and breakpoint/watchpoint conditions
+sequential reference (``fast=False``) ``Simulator`` runs of the same
+per-world stimulus — and breakpoint/watchpoint conditions
 evaluate once per world, reporting the exact set of worlds that fired
 (``docs/manyworlds.md``).
 """
@@ -25,12 +25,9 @@ from repro.sim import (
     Stimulus,
     make_sweep_stimulus,
     native,
-    numpy_available,
 )
 
 from tests.helpers import Accumulator, line_of, make_runtime
-
-BACKENDS = ["list", "array"] + (["numpy"] if numpy_available() else [])
 
 
 # -- designs ----------------------------------------------------------------
@@ -146,12 +143,11 @@ class WideMem(hgf.Module):
 # -- reference runs ---------------------------------------------------------
 
 
-def _reference_digest(design, seed, cycles, store="auto"):
+def _reference_digest(design, seed, cycles):
     """One world's sequential reference: the shard-farm seed contract
-    (sorted-input draws from ``random.Random(seed)``), scalar engine."""
-    sim = Simulator(
-        design.low, options=SessionOptions(store=store, fast=(store != "list"))
-    )
+    (sorted-input draws from ``random.Random(seed)``), on the scalar
+    engine's reference path."""
+    sim = Simulator(design.low, options=SessionOptions(fast=False))
     rng = random.Random(seed)
     compiled = sim.design
     inputs = sorted(
@@ -170,8 +166,17 @@ def _reference_digest(design, seed, cycles, store="auto"):
     return sim.state_digest()
 
 
-def _manyworlds_digests(design, seeds, cycles):
-    mw = ManyWorldsSimulator(design.low, len(seeds))
+#: SessionOptions the worlds are built with: each world's Simulator
+#: honours them, so parity must hold under every one.
+WORLD_OPTIONS = {
+    "default": None,
+    "reference": SessionOptions(fast=False),
+    "timeline": SessionOptions(snapshots=8, snapshot_codec="rle", keyframe_every=4),
+}
+
+
+def _manyworlds_digests(design, seeds, cycles, options=None):
+    mw = ManyWorldsSimulator(design.low, len(seeds), options=options)
     mw.reset(1)
     mw.run_cycles(cycles, stimulus=make_sweep_stimulus(mw, seeds))
     return [mw.state_digest(k) for k in range(len(seeds))], mw
@@ -180,15 +185,25 @@ def _manyworlds_digests(design, seeds, cycles):
 # -- parity -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("store", BACKENDS)
+def _check_world_options(mw, name):
+    for sim in mw.sims:
+        assert sim._fast is (name != "reference")
+        if name == "timeline":
+            assert len(sim.timeline) == 8
+        else:
+            assert sim.timeline is None
+
+
+@pytest.mark.parametrize("options", list(WORLD_OPTIONS))
 @pytest.mark.parametrize("design_cls", [OpZoo, MemZoo])
-def test_parity_vs_sequential_reference(design_cls, store):
+def test_parity_vs_sequential_reference(design_cls, options):
     design = repro.compile(design_cls())
     seeds = [100 + k for k in range(4)]
-    got, _mw = _manyworlds_digests(design, seeds, 120)
+    got, mw = _manyworlds_digests(design, seeds, 120, WORLD_OPTIONS[options])
+    _check_world_options(mw, options)
     for k, seed in enumerate(seeds):
-        assert got[k] == _reference_digest(design, seed, 120, store), (
-            f"world {k} diverged from the {store} reference"
+        assert got[k] == _reference_digest(design, seed, 120), (
+            f"world {k} diverged from the reference"
         )
 
 
@@ -362,13 +377,14 @@ def test_mask_breakpoint_can_pause_and_resume():
 # -- wide (>64-bit) signals under scenario batching ------------------------
 
 
-@pytest.mark.parametrize("store", BACKENDS)
-def test_wide_product_parity(store):
+@pytest.mark.parametrize("options", list(WORLD_OPTIONS))
+def test_wide_product_parity(options):
     design = repro.compile(WideWorlds())
     seeds = [31 + k for k in range(3)]
-    got, _mw = _manyworlds_digests(design, seeds, 80)
+    got, mw = _manyworlds_digests(design, seeds, 80, WORLD_OPTIONS[options])
+    _check_world_options(mw, options)
     for k, seed in enumerate(seeds):
-        assert got[k] == _reference_digest(design, seed, 80, store)
+        assert got[k] == _reference_digest(design, seed, 80)
 
 
 def test_worlds_diverging_only_in_wide_dict():
@@ -459,13 +475,12 @@ def test_shared_session_options_record():
     """The same frozen SessionOptions record Simulator/hub/shard share
     builds every world: each world's simulator honours it."""
     design = repro.compile(Accumulator())
-    options = SessionOptions(store="array", fast=False, snapshots=4)
+    options = SessionOptions(fast=False, snapshots=4)
     mw = ManyWorldsSimulator(design.low, 2, options=options)
     assert len(mw.sims) == 2
     for k, sim in enumerate(mw.sims):
         assert mw.world_stores[k] is sim.store
         assert sim.design is mw.design
-        assert sim.store.kind == "array"
         assert sim._fast is False
         assert sim.timeline is not None and sim.timeline.limit == 4
     assert mw.store is mw.sims[0].store

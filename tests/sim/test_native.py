@@ -25,7 +25,7 @@ import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
 from repro.cpu import RV32Core, assemble
 from repro.hub import SessionOptions
-from repro.sim import Simulator, compile_design, native, numpy_available
+from repro.sim import Simulator, compile_design, native
 from repro.sim.interface import SimulatorError
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import Accumulator, Counter, line_of
@@ -57,11 +57,11 @@ class Wide(hgf.Module):
         acc <<= (acc + self.d)[199:0]
 
 
-def _pair(design, **opts):
+def _pair(design):
     """(default simulator, fast=False reference), both reset."""
     compiled = compile_design(design.low)
     sims = (
-        Simulator(design.low, compiled=compiled, options=SessionOptions(**opts)),
+        Simulator(design.low, compiled=compiled),
         Simulator(design.low, options=SessionOptions(fast=False)),
     )
     for sim in sims:
@@ -133,24 +133,26 @@ def test_stops_and_printfs_run_in_python():
 
 
 @needs_cc
-@pytest.mark.parametrize(
-    "store",
-    [
-        "array",
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
-        ),
-    ],
-)
-def test_typed_stores_run_native(store):
-    sim, ref = _pair(repro.compile(Accumulator()), store=store)
+@pytest.mark.parametrize("codec", ["raw", "rle"])
+def test_native_run_after_a_rewind(codec):
+    """A rewind writes an ``array('Q')`` keyframe and its deltas back into
+    the store in place; the kernel runs on from that state, and the window
+    it refills matches a stepped run's."""
+    d = repro.compile(Accumulator())
+    options = SessionOptions(snapshots=16, snapshot_codec=codec, keyframe_every=4)
+    sim, ref = (Simulator(d.low, options=options) for _ in range(2))
     for s in (sim, ref):
+        s.reset()
         s.poke("en", 1)
         s.poke("d", 9)
-        s.run(5000)
+        s.step(30)
+        s.set_time(s.timeline.times()[6])  # a delta entry
+        s.poke("d", 3)
+    sim.run(5000)
+    ref.step(5000)
+    assert sim.stats()["native_cycles"] > 0
     _same(sim, ref)
-    assert sim.stats()["native_cycles"] == 5000
+    _same_window(sim, ref)
 
 
 def test_never_native_outside_free_run():

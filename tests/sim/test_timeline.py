@@ -9,12 +9,13 @@ selection, wire serialization, and cross-run divergence localization.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro
 import repro.hgf as hgf
 from repro.sim import SessionOptions, Simulator, SimulatorError, Timeline, TimelineError
-from repro.sim.store import numpy_available
 from repro.sim.timeline import (
     MEM_HISTORY_WORD_CAP,
     FullTraceTimeline,
@@ -24,8 +25,6 @@ from repro.sim.timeline import (
     resolve_codec_kind,
 )
 from tests.helpers import Counter
-
-BACKENDS = ["list", "array"] + (["numpy"] if numpy_available() else [])
 
 
 def _counter(**kw):
@@ -86,6 +85,13 @@ class TestErrors:
             Timeline(sim.store, sim.mems, sim.design.mems)
         with pytest.raises(SimulatorError, match="must be > 0"):
             Timeline(sim.store, sim.mems, sim.design.mems, limit=-1)
+        with pytest.raises(SimulatorError, match="keyframe_every must be >= 0, got -1"):
+            Timeline(sim.store, sim.mems, sim.design.mems, limit=4, keyframe_every=-1)
+        with pytest.raises(SimulatorError, match="got -1"):
+            Simulator(
+                sim.design.circuit,
+                options=SessionOptions(snapshots=16, keyframe_every=-1),
+            )
         with pytest.raises(SimulatorError, match="unknown timeline codec"):
             Simulator(
                 sim.design.circuit,
@@ -97,22 +103,17 @@ class TestErrors:
 
 
 class TestCodecSelection:
-    def test_resolve_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIMELINE_CODEC", raising=False)
+    def test_resolve_default(self):
         assert resolve_codec_kind(None) == "raw"
         assert resolve_codec_kind("rle") == "rle"
-        monkeypatch.setenv("REPRO_TIMELINE_CODEC", "rle")
-        assert resolve_codec_kind(None) == "rle"
-        sim = _counter(snapshots=4)
-        assert sim.timeline.codec.name == "rle"
+        assert _counter(snapshots=4).timeline.codec.name == "raw"
         with pytest.raises(SimulatorError):
             resolve_codec_kind("gzip")
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMELINE_CODEC", "rle")
-        sim = _counter(snapshots=4, snapshot_codec="raw")
-        assert sim.timeline.codec.name == "raw"
-        assert make_codec("rle").name == "rle"
+    def test_explicit_argument(self):
+        sim = _counter(snapshots=4, snapshot_codec="rle")
+        assert sim.timeline.codec.name == "rle"
+        assert make_codec("raw").name == "raw"
 
 
 # -- retention ---------------------------------------------------------------
@@ -127,8 +128,7 @@ class TestRetention:
 
     @pytest.mark.parametrize("codec", ["raw", "rle"])
     def test_byte_budget_bounds_nbytes(self, codec):
-        sim = _counter(snapshot_bytes=8_192, snapshot_codec=codec,
-                       store="array")
+        sim = _counter(snapshot_bytes=8_192, snapshot_codec=codec)
         sim.step(300)
         tl = sim.timeline
         assert tl.nbytes <= 8_192
@@ -142,8 +142,7 @@ class TestRetention:
         budget = 32_768
         windows = {}
         for codec in ("raw", "rle"):
-            sim = _counter(snapshot_bytes=budget, snapshot_codec=codec,
-                           store="array")
+            sim = _counter(snapshot_bytes=budget, snapshot_codec=codec)
             sim.step(2000)
             lo, hi = sim.timeline.window()
             windows[codec] = hi - lo + 1
@@ -152,8 +151,7 @@ class TestRetention:
     def test_nbytes_accounting_tracks_evictions(self):
         # Under a byte budget the per-entry estimates are maintained
         # eagerly and must stay consistent through folds and evictions.
-        sim = _counter(snapshot_bytes=16_384, snapshot_codec="rle",
-                       store="array")
+        sim = _counter(snapshot_bytes=16_384, snapshot_codec="rle")
         sim.step(300)
         tl = sim.timeline
         assert tl.nbytes == sum(e.nbytes for e in tl.entries)
@@ -197,6 +195,37 @@ class TestKeyframes:
         sim.step(3)
         sim.set_time(t + 2)
         assert sim.peek("out") == gold[t + 2]
+
+    def test_rewind_keeps_the_keyframe_cadence(self):
+        """Re-executing after a rewind onto a delta entry continues the
+        rewound-to segment: no segment ever exceeds K deltas, so no
+        rewind replays more than K."""
+        sim = _counter(snapshots=64, snapshot_codec="rle", keyframe_every=4)
+        sim.step(7)  # cycles 0..7 retained, keyframes at 0 and 5
+        sim.set_time(4)
+        sim.step(12)
+        tl = sim.timeline
+        assert tl.times() == list(range(16))
+        assert [e.time for e in tl.entries if e.values is not None] == [0, 5, 10, 15]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    def test_random_rewinds_keep_the_keyframe_cadence(self, k):
+        """Seeded random step/rewind schedules: every completed segment
+        holds exactly K deltas, and the open one at most K."""
+        for trial in range(25):
+            rng = random.Random(f"cadence-{k}-{trial}")
+            sim = _counter(snapshots=10_000, snapshot_codec="rle", keyframe_every=k)
+            for _ in range(30):
+                if rng.random() < 0.7:
+                    sim.step(rng.randint(1, 6))
+                else:
+                    sim.set_time(rng.choice(sim.timeline.times()))
+            sim.step(1)
+            entries = sim.timeline.entries
+            keys = [i for i, e in enumerate(entries) if e.values is not None]
+            segments = [b - a - 1 for a, b in zip(keys, keys[1:], strict=False)]
+            assert all(n == k for n in segments), (trial, segments)
+            assert len(entries) - keys[-1] - 1 <= k, trial
 
     def test_head_is_always_keyframe_after_eviction(self):
         sim = _counter(snapshots=5, snapshot_codec="rle", keyframe_every=3)
@@ -244,10 +273,12 @@ class TestMemGating:
 
 
 class TestWire:
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("keyframe_every", [0, 3])
     @pytest.mark.parametrize("codec", ["raw", "rle"])
-    def test_wire_reconstructs_state_signals(self, kind, codec):
-        sim = _counter(snapshots=8, snapshot_codec=codec, store=kind)
+    def test_wire_reconstructs_state_signals(self, codec, keyframe_every):
+        sim = _counter(
+            snapshots=8, snapshot_codec=codec, keyframe_every=keyframe_every
+        )
         sim.step(20)
         wire = sim.timeline.to_wire()
         for t, state, _wide, _mems in iter_wire_states(wire):
@@ -255,19 +286,19 @@ class TestWire:
             for idx, val in state.items():
                 assert val == sim.values[idx]
 
-    def test_wire_is_json_safe_and_backend_independent(self):
+    def test_wire_is_json_safe_and_codec_independent(self):
         import json
 
         wires = []
-        for kind in BACKENDS:
-            sim = _counter(snapshots=8, snapshot_codec="rle", store=kind)
+        for codec in ("raw", "rle"):
+            sim = _counter(snapshots=8, snapshot_codec=codec)
             sim.step(12)
             wires.append(json.loads(json.dumps(sim.timeline.to_wire())))
-        assert all(w["entries"] == wires[0]["entries"] for w in wires[1:])
+        assert wires[0]["entries"] == wires[1]["entries"]
 
     def test_identical_runs_do_not_diverge(self):
         a = _counter(snapshots=8, snapshot_codec="rle")
-        b = _counter(snapshots=8, snapshot_codec="raw", store="list")
+        b = _counter(snapshots=8, snapshot_codec="raw")
         a.step(15)
         b.step(15)
         assert first_timeline_divergence(

@@ -5,8 +5,8 @@ randomized poke/tick/set_time schedules, a simulator whose history is
 ``rle``-encoded (with periodic keyframes) is bit-identical — signal for
 signal, memory word for memory word, at every observation point — to one
 using the ``raw`` codec and to the uncompressed full-comb reference
-(``fast=False``), on every store backend, including rewinds that land
-exactly on keyframe boundaries.
+(``fast=False``), including rewinds that land exactly on keyframe
+boundaries.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import pytest
 
 import repro
 from repro.sim import SessionOptions, Simulator
-from repro.sim.store import numpy_available
 from tests.helpers import Accumulator, Counter, TwoLeaves
 
 from tests.sim.test_fastpath_property import MemMixer
 
-BACKENDS = ["list", "array"] + (["numpy"] if numpy_available() else [])
 MODULES = [Counter, Accumulator, TwoLeaves, MemMixer]
 
 
@@ -31,15 +29,15 @@ def _state(sim):
     return (sim.values.as_list(), [list(m) for m in sim.mems], sim.get_time())
 
 
-def _lanes(d, kind, snapshots=24):
+def _lanes(d, snapshots=24):
     """One workload, three history representations: rle (periodic
-    keyframes), raw (the seed ring), and the full-comb reference."""
+    keyframes every 5 deltas), raw (the seed ring), and the full-comb
+    reference."""
     return [
         Simulator(
             d.low,
             options=SessionOptions(
                 snapshots=snapshots,
-                store=kind,
                 fast=True,
                 snapshot_codec="rle",
                 keyframe_every=5,
@@ -48,25 +46,37 @@ def _lanes(d, kind, snapshots=24):
         Simulator(
             d.low,
             options=SessionOptions(
-                snapshots=snapshots, store=kind, fast=True, snapshot_codec="raw"
+                snapshots=snapshots, fast=True, snapshot_codec="raw"
             ),
         ),
         Simulator(
             d.low,
             options=SessionOptions(
-                snapshots=snapshots, store=kind, fast=False, snapshot_codec="raw"
+                snapshots=snapshots, fast=False, snapshot_codec="raw"
             ),
         ),
     ]
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
+def _longest_delta_run(timeline) -> int:
+    """The most consecutive delta entries anywhere in ``timeline``."""
+    longest = run = 0
+    for e in timeline.entries:
+        run = 0 if e.values is not None else run + 1
+        longest = max(longest, run)
+    return longest
+
+
+@pytest.mark.parametrize("schedule", [0, 1, 2])
 @pytest.mark.parametrize("mod_cls", MODULES)
-def test_rle_raw_reference_lockstep(kind, mod_cls):
-    """Random pokes/steps/rewinds keep all three lanes bit-identical."""
+def test_rle_raw_reference_lockstep(mod_cls, schedule):
+    """Random pokes/steps/rewinds keep all three lanes bit-identical,
+    and the rle lane never holds more than its K=5 deltas in a row.
+    Three schedules per design, each seeded by a stable string, so a
+    failing one replays."""
     d = repro.compile(mod_cls())
-    sims = _lanes(d, kind)
-    rng = random.Random(hash((kind, mod_cls.__name__)) & 0xFFFF)
+    sims = _lanes(d)
+    rng = random.Random(f"lockstep-{mod_cls.__name__}-{schedule}")
     inputs = sorted(n for n in sims[0].design.top_inputs if n != "clock")
     for sim in sims:
         sim.reset()
@@ -101,15 +111,16 @@ def test_rle_raw_reference_lockstep(kind, mod_cls):
         assert states[0] == states[1] == states[2]
         assert (sims[0].timeline.times() == sims[1].timeline.times()
                 == sims[2].timeline.times())
+        assert _longest_delta_run(sims[0].timeline) <= 5
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_every_retained_cycle_restores_identically(kind):
+@pytest.mark.parametrize("mod_cls", MODULES)
+def test_every_retained_cycle_restores_identically(mod_cls):
     """Walk the full retained window of all three lanes in random order:
     every set_time target must reconstruct the same state everywhere,
     and re-execution after a keyframe-boundary rewind must too."""
-    d = repro.compile(MemMixer())
-    sims = _lanes(d, kind, snapshots=20)
+    d = repro.compile(mod_cls())
+    sims = _lanes(d, snapshots=20)
     rng = random.Random(99)
     inputs = sorted(n for n in sims[0].design.top_inputs if n != "clock")
     for sim in sims:
@@ -143,21 +154,22 @@ def test_every_retained_cycle_restores_identically(kind):
     assert states[0] == states[1] == states[2]
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_byte_budget_lockstep_with_entry_ring(kind):
-    """A byte-budgeted rle timeline must agree with the entry-count raw
-    ring on every cycle both retain."""
+@pytest.mark.parametrize(
+    ("codec", "keyframe_every"), [("rle", 16), ("rle", 0), ("raw", 0)]
+)
+def test_byte_budget_lockstep_with_entry_ring(codec, keyframe_every):
+    """A byte-budgeted timeline must agree with the entry-count raw ring
+    on every cycle both retain."""
     d = repro.compile(Counter())
     budgeted = Simulator(
         d.low,
         options=SessionOptions(
             snapshot_bytes=1 << 16,
-            store=kind,
-            snapshot_codec="rle",
-            keyframe_every=16,
+            snapshot_codec=codec,
+            keyframe_every=keyframe_every,
         ),
     )
-    ring = Simulator(d.low, options=SessionOptions(snapshots=64, store=kind))
+    ring = Simulator(d.low, options=SessionOptions(snapshots=64))
     for sim in (budgeted, ring):
         sim.reset()
         sim.poke("en", 1)

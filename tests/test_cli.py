@@ -141,9 +141,8 @@ class TestShard:
         assert report["retried"] == [] and report["failed"] == []
 
     def test_sweep_alias_with_worlds(self, tmp_path, capsys):
-        """``sweep --worlds N`` packs shards into vectorized world groups
-        (or falls back to sequential members without numpy) — either way
-        the aggregated report is digest-identical to the plain run."""
+        """``sweep --worlds N`` packs shards into world groups, and the
+        aggregated report is digest-identical to the plain run."""
         import json
 
         plain_out = str(tmp_path / "plain.json")
