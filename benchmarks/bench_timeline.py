@@ -17,7 +17,7 @@ window than the raw ring (the acceptance bar, asserted outside smoke
 mode), with rewind results bit-identical across codecs and to the
 reference path.
 
-Also reported (no hard bar — wall-clock): rewind latency to the oldest
+Also reported (no hard bar — wall-clock): rewind latency to the newest
 retained cycle with and without periodic keyframes (``keyframe_every``),
 which bounds reconstruction to K delta replays instead of the whole
 window.
@@ -156,11 +156,12 @@ def test_timeline_rewind_bit_identical_to_reference(capsys):
 
 
 def test_timeline_rewind_latency_report(capsys):
-    """Periodic keyframes bound rewind reconstruction: jumping to the
-    oldest retained cycle replays the whole window without them, at most
-    ``keyframe_every`` deltas with them.  Reported for sizing guidance
-    (docs/time_travel.md); no hard bar — both are sub-millisecond-ish
-    and machine dependent."""
+    """Periodic keyframes bound rewind reconstruction: reaching the
+    newest retained cycle replays every delta of the window behind the
+    head keyframe without them, at most ``keyframe_every`` with them.
+    (The oldest cycle is always the head keyframe, which replays none
+    either way.)  Reported for sizing guidance (docs/time_travel.md); no
+    hard bar — wall-clock and machine dependent."""
     design = repro.compile(_RegisterSparse())
     timings = {}
     for label, kf in (("no keyframes", 0), ("keyframe every 32", 32)):
@@ -177,20 +178,18 @@ def test_timeline_rewind_latency_report(capsys):
         oldest = sim.timeline.times()[0]
         newest = sim.timeline.times()[-1]
 
-        def back_to_head(sim=sim, newest=newest, oldest=oldest):
-            sim.set_time(newest)
-            return (oldest,)
+        def from_head(sim=sim, newest=newest, oldest=oldest):
+            sim.set_time(oldest)
+            return (newest,)
 
-        timings[label] = best_of(sim.set_time, n=3, setup=back_to_head)
-        # Ground truth: the oldest cycle reconstructs the same bits both
-        # ways (r0 counts 1/cycle from init 0, recorded pre-tick).
-        assert sim.get_time() == oldest
+        timings[label] = best_of(sim.set_time, n=3, setup=from_head)
+        assert sim.get_time() == newest
     with capsys.disabled():
         lines = "\n".join(
             f"{label:20s} {t * 1e6:9.0f} us/rewind"
             for label, t in timings.items()
         )
         print(
-            f"\n=== timeline: rewind-to-oldest latency "
+            f"\n=== timeline: rewind-to-newest latency "
             f"({_LAT_WINDOW}-cycle window) ===\n{lines}"
         )

@@ -20,8 +20,10 @@ from .runtime import (
     CommandKind,
     DebuggerError,
     HitGroup,
+    HitPlan,
     HitRecorder,
     Runtime,
+    hit_record,
 )
 from .scheduler import Group, InsertedBreakpoint, Scheduler
 
@@ -36,6 +38,7 @@ __all__ = [
     "FrameBuilder",
     "Group",
     "HitGroup",
+    "HitPlan",
     "HitRecorder",
     "InsertedBreakpoint",
     "MatchError",
@@ -47,6 +50,7 @@ __all__ = [
     "VariableView",
     "build_variable_tree",
     "evaluate_str",
+    "hit_record",
     "locate_instance",
     "parse",
 ]

@@ -218,10 +218,12 @@ class FrameBuilder:
     The first frame of a breakpoint fetches its scope variables, and its
     instance's generator variables, once, into a :class:`FramePlan` (in
     :attr:`plans`, by breakpoint id).  Later hits only read leaf values
-    through ``sim.get_value`` (:meth:`read`), so a hit costs no
-    symbol-table query — which matters when the table sits behind RPC.
-    Plans rely on the table being read-only while a runtime is attached
-    (see :class:`~repro.symtable.query.SymbolTableInterface`).
+    (:meth:`read`), so a hit costs no symbol-table query — which matters
+    when the table sits behind RPC.  On a live ``Simulator`` a read
+    indexes the value table directly; other backends answer
+    ``sim.get_value``.  Plans rely on the table being read-only while a
+    runtime is attached (see
+    :class:`~repro.symtable.query.SymbolTableInterface`).
     """
 
     def __init__(
@@ -235,6 +237,15 @@ class FrameBuilder:
         self.instance_map = instance_map
         self.plans: dict[int, FramePlan] = {}
         self._generator_vars: dict[int, list] = {}
+        # A live Simulator (a value store, and no worlds): reads index its
+        # store's buffers, which it never rebinds.  By breakpoint id, the
+        # narrow-lane index of each plan path (0 where the path is wide or
+        # missing) and the (position, wide index or None) fixups.
+        store = getattr(sim, "store", None)
+        self._store = (
+            store if getattr(sim, "world_stores", None) is None else None
+        )
+        self._lanes: dict[int, tuple[tuple, tuple]] = {}
 
     def rtl_path(self, instance_name: str, local: str) -> str:
         base = self.instance_map.get(instance_name, instance_name)
@@ -281,6 +292,19 @@ class FrameBuilder:
     def read(self, bp: BreakpointRec) -> list:
         """The leaf values of ``bp``'s frame now, in plan order (None for
         a signal the backend does not have)."""
+        if self._store is not None:
+            lanes = self._lanes.get(bp.id)
+            if lanes is None:
+                lanes = self._lanes[bp.id] = self._index(self.plan(bp).paths)
+            narrow_idx, fixups = lanes
+            self.sim.flush()
+            narrow = self._store.narrow
+            values = [narrow[i] for i in narrow_idx]
+            if fixups:
+                wide = self._store.wide
+                for pos, i in fixups:
+                    values[pos] = None if i is None else wide[i]
+            return values
         get_value = self.sim.get_value
         values = []
         for path in self.plan(bp).paths:
@@ -289,6 +313,19 @@ class FrameBuilder:
             except SimulatorError:
                 values.append(None)
         return values
+
+    def _index(self, paths) -> tuple[tuple, tuple]:
+        """:meth:`read`'s value-table lanes for ``paths``."""
+        index = self.sim.design.signal_index
+        wide = self._store.wide
+        narrow_idx, fixups = [], []
+        for pos, path in enumerate(paths):
+            i = index.get(path)
+            if i is None or i in wide:
+                fixups.append((pos, i))
+                i = 0
+            narrow_idx.append(i)
+        return tuple(narrow_idx), tuple(fixups)
 
     def build(self, bp: BreakpointRec, time: int, values=None) -> Frame:
         """The frame of ``bp`` at ``time``, from the ``values`` :meth:`read`

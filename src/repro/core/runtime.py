@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from ..sim.interface import SimulatorError, SimulatorInterface
 from ..symtable.query import BreakpointRec, SymbolTableInterface
 from . import expr_eval
-from .frames import Frame, FrameBuilder
+from .frames import Frame, FrameBuilder, FramePlan
 from .matching import locate_instance
 from .scheduler import Group, InsertedBreakpoint, Scheduler
 from .watch import WatchStore, Watchpoint
@@ -107,9 +107,10 @@ class HitGroup:
     def to_record(self) -> dict:
         """A JSON-serializable rendering of this hit.
 
-        This is the shape shipped over the shard wire protocol and fed to
-        the cross-shard aggregator: plain dicts/lists/ints/strs only, with
-        each frame as its :meth:`Frame.to_dict`.
+        This is the record the cross-shard aggregator reads (the shard
+        wire ships it as values, see :class:`HitRecorder`): plain
+        dicts/lists/ints/strs only, with each frame as its
+        :meth:`Frame.to_dict`.
         """
         rec: dict = {
             "time": self.time,
@@ -129,31 +130,106 @@ class HitGroup:
         return rec
 
 
+@dataclass(frozen=True, slots=True)
+class HitPlan:
+    """How one breakpoint's frames render in hits kept as values.
+
+    ``frame`` is the breakpoint's :class:`~repro.core.frames.FramePlan`,
+    ``column`` the breakpoint's column (a breakpoint hit is located at
+    its first frame's breakpoint: its scheduling group's key), and every
+    frame of this breakpoint carries exactly ``values`` values.
+    """
+
+    frame: FramePlan
+    column: int
+    values: int
+
+    def to_wire(self) -> dict:
+        return {
+            "column": self.column,
+            "values": self.values,
+            "plan": self.frame.to_wire(),
+        }
+
+    @classmethod
+    def from_wire(cls, rec: dict) -> HitPlan:
+        return cls(FramePlan(**rec["plan"]), rec["column"], rec["values"])
+
+
+def hit_record(row, plans: dict) -> dict:
+    """The :meth:`HitGroup.to_record` dict of a hit kept as values.
+
+    ``row`` is ``[time, [[breakpoint id, values], ...]]``, with the fired
+    worlds appended on a many-worlds backend, or, for a hit without
+    frames (a watch hit), its record itself.  ``plans`` maps breakpoint
+    ids to :class:`HitPlan`.
+    """
+    if type(row) is dict:
+        return row
+    time, frames, *worlds = row
+    first = plans[frames[0][0]]
+    rec = {
+        "time": time,
+        "filename": first.frame.filename,
+        "line": first.frame.line,
+        "column": first.column,
+        "frames": [plans[bp].frame.record(values, time) for bp, values in frames],
+    }
+    if worlds:
+        rec["worlds"] = list(worlds[0])
+    return rec
+
+
 class HitRecorder:
-    """A non-interactive hit sink: collect serializable hit records.
+    """A non-interactive hit sink: collect hits as their values.
 
     Usable anywhere a ``Runtime`` ``on_hit`` handler is expected — batch
     jobs, shard workers, CI scripts — where nobody sits at a console.
-    Every hit is converted with :meth:`HitGroup.to_record` and appended to
-    :attr:`records`; ``on_record`` (when given) streams each record as it
-    lands, and ``limit`` detaches the runtime after that many hits so a
-    hot breakpoint cannot stall a long batch run.
+    Each hit is kept in :attr:`hits` as the values its frames read (the
+    row form :func:`hit_record` renders, which is how a shard result
+    ships it), and each breakpoint's :class:`HitPlan` once in
+    :attr:`plans`; :attr:`records` renders the :meth:`HitGroup.to_record`
+    dicts when read.  ``stream`` (when given) is called as
+    ``stream(row, new_plans)`` as each hit lands, with the plans of the
+    breakpoints this is the first hit of; ``limit`` detaches the runtime
+    after that many hits so a hot breakpoint cannot stall a long batch
+    run.
     """
 
-    def __init__(self, on_record=None, limit: int | None = None):
-        self.records: list[dict] = []
-        self.on_record = on_record
+    def __init__(self, stream=None, limit: int | None = None):
+        self.hits: list = []
+        self.plans: dict[int, HitPlan] = {}
+        self.stream = stream
         self.limit = limit
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.hits)
+
+    @property
+    def records(self) -> list[dict]:
+        """Every hit's :meth:`HitGroup.to_record` dict."""
+        plans = self.plans
+        return [hit_record(row, plans) for row in self.hits]
 
     def __call__(self, hit: HitGroup) -> Command:
-        rec = hit.to_record()
-        self.records.append(rec)
-        if self.on_record is not None:
-            self.on_record(rec)
-        if self.limit is not None and len(self.records) >= self.limit:
+        new = []
+        if hit.reads:
+            plans = self.plans
+            for bp, values in hit.reads:
+                if bp.id not in plans:
+                    plan = plans[bp.id] = HitPlan(
+                        hit.builder.plan(bp), bp.column, len(values)
+                    )
+                    new.append(plan)
+            row = [hit.time, [[bp.id, values] for bp, values in hit.reads]]
+            if hit.worlds is not None:
+                row.append(list(hit.worlds))
+        else:
+            row = hit.to_record()
+        self.hits.append(row)
+        if self.stream is not None:
+            self.stream(row, new)
+        if self.limit is not None and len(self.hits) >= self.limit:
             return DETACH
         return CONTINUE
 

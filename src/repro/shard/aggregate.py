@@ -450,7 +450,7 @@ class ShardReport:
 
     def to_json(self) -> dict:
         return {
-            "shards": [r.to_wire() for r in self.results],
+            "shards": [_shard_record(r) for r in self.results],
             "total_cycles": self.total_cycles,
             "total_hits": self.total_hits,
             "wall_time_s": round(self.wall_time_s, 6),
@@ -595,3 +595,12 @@ class ShardReport:
         if not div and not state_div and not tl_div:
             lines.append("no divergence between shards")
         return "\n".join(lines)
+
+
+def _shard_record(result: ShardResult) -> dict:
+    """A result as the report prints it: its wire form, with the hits as
+    their records instead of rows and plans."""
+    rec = result.to_wire()
+    del rec["plans"]
+    rec["hits"] = list(result.hits)
+    return rec

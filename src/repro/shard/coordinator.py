@@ -59,7 +59,7 @@ from .supervise import (
     as_deadline_policy,
     failure_record,
 )
-from .wire import WireError, decode_line
+from .wire import HitStream, WireError, decode_line, done_results
 from .worker import run_shard, run_world_group, worker_main
 
 
@@ -97,6 +97,7 @@ class _Attempt:
     faulted: bool = False      # a fault was armed: its worker exits after
     started_wall: float = 0.0  # wall-clock launch time (trace span anchor)
     corrupt_seen: int = 0      # undecodable wire lines this attempt
+    hits: HitStream | None = None  # renders streamed hits for a listener
 
 
 @dataclass(slots=True, eq=False)
@@ -544,6 +545,7 @@ class ShardSession:
             w.attempt = _Attempt(
                 job=job, started=t, last_beat=t, started_wall=time.time(),
                 faulted=fault is not None,
+                hits=HitStream() if on_event is not None else None,
                 deadline=(
                     t + deadline.deadline_for(job.spec.cycles)
                     if deadline is not None else None
@@ -617,6 +619,14 @@ class ShardSession:
                 ]
                 results[spec.shard_id] = settled if grouped else settled[0]
 
+        def settle_bad_done(w: _Worker, st: _Attempt, why: str) -> None:
+            """A `done` line that is unusable is still its attempt's last
+            line, and its worker waits for the next attempt: settle the
+            attempt as corrupt now, and end the worker."""
+            drop(w)
+            retire(w.proc)
+            settle_failure(st, CORRUPT, f"worker wire corrupted ({why})")
+
         def in_flight() -> list[_Attempt]:
             return [w.attempt for w in live if w.attempt is not None]
 
@@ -689,6 +699,9 @@ class ShardSession:
                     if st is not None:
                         st.corrupt_seen += 1
                         st.last_beat = now()
+                        if payload == "done":
+                            # A `done` of another protocol version.
+                            settle_bad_done(w, st, "undecodable done line")
                 elif kind == "event":
                     if st is None:
                         continue  # stale: a settled attempt's worker
@@ -699,6 +712,18 @@ class ShardSession:
                         # timeout should sit safely above.
                         hb_hist.observe(now() - st.last_beat)
                     st.last_beat = now()
+                    try:
+                        # A hit line's row and a done line's results are
+                        # checked against their plans now, so a bad one is
+                        # as corrupt as a line that does not decode.
+                        if name == "hit" and st.hits is not None:
+                            payload = st.hits.render(payload)
+                        res = done_results(payload) if name == "done" else None
+                    except WireError as exc:
+                        st.corrupt_seen += 1
+                        if name == "done":
+                            settle_bad_done(w, st, str(exc))
+                        continue
                     if on_event is not None:
                         shown = dict(payload)
                         shown["attempt"] = st.job.attempt
@@ -708,21 +733,11 @@ class ShardSession:
                         if not st.faulted:
                             idle.append(w)  # clean: serves the next one
                         attempt_span(st, "ok")
-                        wire = payload["result"]
-                        if "group" in wire:
-                            # One done line settles every member of a
-                            # world group attempt.
-                            res = [
-                                ShardResult.from_wire(member)
-                                for member in wire["group"]
-                            ]
-                            for r in res:
-                                r.attempts = st.job.attempt
-                                r.failures = list(st.job.failures)
-                        else:
-                            res = ShardResult.from_wire(wire)
-                            res.attempts = st.job.attempt
-                            res.failures = list(st.job.failures)
+                        # One done line settles every member of a world
+                        # group attempt.
+                        for r in res if isinstance(res, list) else (res,):
+                            r.attempts = st.job.attempt
+                            r.failures = list(st.job.failures)
                         results[st.job.spec.shard_id] = res
                     elif name == "error":
                         # The worker reported its own exception, and exits.
@@ -817,7 +832,8 @@ def _pump_pipe(conn, worker, events: queue.Queue) -> None:
     """Reader thread: drain one worker's pipe into the shared queue,
     tagged with the worker (the coordinator credits each line to that
     worker's current attempt).  Every line that does not decode becomes
-    a ``corrupt`` entry, and the pipe's end an ``eof`` entry."""
+    a ``corrupt`` entry (with its event kind, when the line told it),
+    and the pipe's end an ``eof`` entry."""
     while True:
         try:
             data = conn.recv_bytes()
@@ -825,8 +841,8 @@ def _pump_pipe(conn, worker, events: queue.Queue) -> None:
             break
         try:
             events.put(("event", worker, decode_line(data)))
-        except WireError:
-            events.put(("corrupt", worker, None))
+        except WireError as exc:
+            events.put(("corrupt", worker, exc.event))
     with contextlib.suppress(OSError):
         conn.close()
     events.put(("eof", worker, None))

@@ -19,9 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.runtime import HitPlan, hit_record
+
 
 class ShardError(Exception):
     """Raised on invalid shard specs or a failed shard session."""
+
+
+class WireError(Exception):
+    """Raised on an undecodable line or a malformed shard event.
+    ``event`` names the line's event kind when it decoded far enough to
+    tell (a line of another protocol version)."""
+
+    def __init__(self, message: str, event: str | None = None):
+        super().__init__(message)
+        self.event = event
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,6 +149,129 @@ class ShardSpec:
         )
 
 
+class HitRecords(list):
+    """A shard's hit records (:meth:`~repro.core.runtime.HitGroup.to_record`
+    dicts), kept as values until something reads them.
+
+    The rows and plans are a :class:`~repro.core.runtime.HitRecorder`'s
+    (``hits`` and ``plans``).  ``len()`` and truth answer from the rows;
+    any other use renders every record once, after which this is a plain
+    list of them, so iteration, indexing, ``==``, ``in``, mutation and
+    ``json.dumps`` see exactly those dicts.  :meth:`to_wire` ships the
+    rows and plans while nothing has rendered them, else the records.
+    """
+
+    __slots__ = ("_rows", "_plans")
+    _rows: list | None  # None once rendered
+    _plans: dict
+
+    def __init__(self, rows=(), plans=None):
+        super().__init__()
+        self._rows = rows if type(rows) is list else list(rows)
+        self._plans = plans if plans is not None else {}
+
+    def __len__(self) -> int:
+        rows = self._rows
+        return len(rows) if rows is not None else list.__len__(self)
+
+    def _render(self) -> HitRecords:
+        rows = self._rows
+        if rows is not None:
+            plans = self._plans
+            records = [hit_record(row, plans) for row in rows]
+            self._rows = None
+            self._plans = {}
+            list.extend(self, records)
+        return self
+
+    def __radd__(self, other):
+        # `plain + self` would read this list's storage, not its records.
+        if not isinstance(other, list):
+            return NotImplemented
+        return list.__add__(other, self._render())
+
+    def __reduce_ex__(self, protocol):
+        if self._rows is None:
+            return (HitRecords, (list(self),))
+        return (HitRecords, (self._rows, self._plans))
+
+    def to_wire(self) -> tuple[list, list]:
+        """``(rows, plan wires)``: a row per hit, and each breakpoint's
+        :meth:`HitPlan.to_wire` once."""
+        if self._rows is None:
+            return list(self), []
+        return self._rows, [plan.to_wire() for plan in self._plans.values()]
+
+    @classmethod
+    def from_wire(cls, rows: list, plans: list) -> HitRecords:
+        """Rows and plan wires off the wire, checked now (see
+        :func:`check_hits`) so that no wire error waits for the first
+        read."""
+        table: dict = {}
+        check_hits(rows, plans, table)
+        return cls(rows, table)
+
+
+def check_hits(rows: list, plans: list, table: dict) -> None:
+    """Add the plan wires ``plans`` to ``table`` (breakpoint id ->
+    :class:`~repro.core.runtime.HitPlan`), then check ``rows`` against
+    it: every plan renders, every frame names a plan and carries as many
+    values as its plan reads.  Raises :class:`WireError`."""
+    try:
+        for rec in plans:
+            plan = HitPlan.from_wire(rec)
+            plan.frame.record([None] * plan.values, 0)
+            table[plan.frame.breakpoint_id] = plan
+        for row in rows:
+            if type(row) is dict:
+                continue  # a frameless hit travels as its record
+            _time, frames, *worlds = row
+            if not frames or len(worlds) > 1 or (
+                worlds and type(worlds[0]) is not list
+            ):
+                raise WireError(f"malformed hit {row!r}")
+            for bp, values in frames:
+                plan = table.get(bp)
+                if plan is None:
+                    raise WireError(f"hit names unknown breakpoint {bp!r}")
+                if len(values) != plan.values:
+                    raise WireError(
+                        f"breakpoint {bp} hit carries {len(values)} values, "
+                        f"its plan reads {plan.values}"
+                    )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise WireError(f"malformed hits: {exc!r}") from exc
+
+
+def _rendering(name: str):
+    """``list.<name>``, after rendering the records (and those of any
+    other :class:`HitRecords` argument, whose storage the C method reads
+    directly)."""
+    method = getattr(list, name)
+
+    def call(self, *args, **kwargs):
+        self._render()
+        for arg in args:
+            if type(arg) is HitRecords:
+                arg._render()
+        return method(self, *args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = method.__doc__
+    return call
+
+
+for _name in (
+    "__iter__", "__reversed__", "__getitem__", "__setitem__", "__delitem__",
+    "__contains__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__",
+    "__ge__", "__add__", "__mul__", "__rmul__", "__iadd__", "__imul__",
+    "__repr__", "append", "clear", "copy", "count", "extend", "index",
+    "insert", "pop", "remove", "reverse", "sort",
+):
+    setattr(HitRecords, _name, _rendering(_name))
+del _name
+
+
 @dataclass(slots=True)
 class ShardResult:
     """What one worker reports back when its shard completes.
@@ -148,12 +283,17 @@ class ShardResult:
     case: ``attempts == 1``, ``failures == []``.  ``error`` is set only
     when the shard failed *terminally* — a retried-then-successful shard
     is ``ok`` with a non-empty failure history.
+
+    ``hits`` yields the shard's :meth:`~repro.core.runtime.HitGroup.to_record`
+    dicts.  A result ``run_shard`` made or the wire carried keeps them as
+    values (:class:`HitRecords`) and builds the records on first read;
+    ``len(result.hits)`` never builds them.
     """
 
     shard_id: int
     seed: int
     cycles: int                         # cycles actually run
-    hits: list = field(default_factory=list)       # HitGroup.to_record dicts
+    hits: list = field(default_factory=list)       # HitRecords, or records
     warnings: list = field(default_factory=list)
     exit_code: int | None = None        # design Stop code, when one fired
     wall_time_s: float = 0.0
@@ -174,11 +314,16 @@ class ShardResult:
         return self.attempts > 1
 
     def to_wire(self) -> dict:
+        hits, plans = (
+            self.hits.to_wire() if isinstance(self.hits, HitRecords)
+            else (self.hits, [])
+        )
         return {
             "shard_id": self.shard_id,
             "seed": self.seed,
             "cycles": self.cycles,
-            "hits": self.hits,
+            "hits": hits,
+            "plans": plans,
             "warnings": self.warnings,
             "exit_code": self.exit_code,
             "wall_time_s": self.wall_time_s,
@@ -192,11 +337,13 @@ class ShardResult:
 
     @classmethod
     def from_wire(cls, d: dict) -> ShardResult:
+        """A result off the wire; a malformed hit raises
+        :class:`WireError` here, not at the first read."""
         return cls(
             shard_id=d["shard_id"],
             seed=d["seed"],
             cycles=d["cycles"],
-            hits=list(d.get("hits", [])),
+            hits=HitRecords.from_wire(d.get("hits", []), d.get("plans", [])),
             warnings=list(d.get("warnings", [])),
             exit_code=d.get("exit_code"),
             wall_time_s=d.get("wall_time_s", 0.0),

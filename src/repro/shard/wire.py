@@ -8,7 +8,7 @@ read one wire can read the other.
 
 Event shapes (all carry ``v`` — the protocol version — and ``shard``)::
 
-    {"event": "hit",       "shard": N, "record": {...}}       one hit record
+    {"event": "hit",       "shard": N, "hit": [...], "plans": [...]}
     {"event": "progress",  "shard": N, "done": C, "total": T, "hits": H}
     {"event": "heartbeat", "shard": N, "done": C}             liveness tick
     {"event": "warning",   "shard": N, "message": "..."}
@@ -17,26 +17,50 @@ Event shapes (all carry ``v`` — the protocol version — and ``shard``)::
                            "transient": bool}                 worker failed
     {"event": "stats",     "shard": N, "obs": {...}}          obs snapshot
 
+This is protocol version 2.  :func:`decode_line` refuses an event of any
+other version with a :class:`WireError`, and the coordinator counts such
+a line as corrupt (a ``done`` settles its attempt as corrupt at once),
+so a mixed-version peer fails loudly instead of being misread.
+
+**Hits travel as values.**  A hit is a *row*: ``[time, [[breakpoint id,
+values], ...]]``, one ``[id, values]`` pair per frame, the values in its
+breakpoint's frame plan order (:meth:`~repro.core.frames.FrameBuilder.read`).
+A hit without frames (a watch hit) travels as its record, with its small
+``watch`` dict.  Each breakpoint's plan crosses once:
+``{"column": C, "values": N, "plan": FramePlan.to_wire()}``
+(:class:`~repro.core.runtime.HitPlan`), in the ``done`` result's
+``plans`` beside its ``hits`` rows, and, on the streamed ``hit`` lines,
+with the attempt's first hit of that breakpoint.  A hit's filename, line
+and column are its first frame's plan's.  The receiving side checks every
+frame against its plan when the line arrives (the plan must exist and the
+value count match, :func:`~repro.shard.spec.check_hits`): a line that
+fails is a :class:`WireError`, like one that does not decode.
+:attr:`ShardResult.hits <repro.shard.spec.ShardResult.hits>` renders the
+:meth:`~repro.core.runtime.HitGroup.to_record` dicts on first read, and
+the coordinator renders each streamed hit (:class:`HitStream`), so an
+``on_event`` listener sees ``{"event": "hit", "shard": N, "record":
+{...}}`` — :func:`hit_event`, the shape an inline shard emits.  Workers
+send ``hit`` lines only when the sweep has a listener.
+
 ``error.transient`` distinguishes infrastructure trouble the worker
 observed itself (its symbol-table RPC client gave up: retry-worthy,
 failure class ``rpc``) from a deterministic spec failure (class
-``error``, never retried).  Absent means false, so the protocol version
-is unchanged.
+``error``, never retried).  Absent means false.
 
-``heartbeat`` is the supervision layer's liveness signal: workers emit
-it from the run-loop progress hook at a finer cadence than ``progress``
-(see ``worker.py``), and the coordinator treats *any* event as proof of
-life — a worker silent past the deadline policy's heartbeat timeout is
-declared hung and terminated.  Older consumers can ignore the event;
-the protocol version is unchanged.
+``heartbeat`` is the supervision layer's liveness signal, and the
+coordinator treats *any* event as proof of life — a worker silent past
+the deadline policy's heartbeat timeout is declared hung and terminated.
+A worker sends one when its setup is done, then from the run-loop
+progress hook at most once per :data:`~repro.shard.worker.HEARTBEAT_S`
+of wall time; an explicit ``ShardSpec.progress_every`` sends one at
+every hook instead (see ``worker.py``).
 
 When the spec asked for timeline streaming (``timeline_cycles > 0``) the
 ``done`` result additionally carries ``result["timeline"]`` — the
 worker's compressed state history (``Timeline.to_wire``: keyframes +
 run-length-encoded delta runs, plain JSON ints) — which the aggregator
 feeds to :func:`repro.sim.timeline.first_timeline_divergence` for
-stateful divergence localization.  Absent/None for older producers, so
-the protocol version is unchanged.
+stateful divergence localization.
 
 A *world group* attempt (``WorldGroupSpec``: M shards packed into one
 worker attempt, run one after another) settles with a single
@@ -47,26 +71,22 @@ wires...]}`` — see :func:`group_done_event`.
 plus trace spans, ``Obs.to_wire``) just before ``done``; the same dump
 also rides ``done.result["obs"]`` so the aggregated ``ShardReport`` works
 for inline runs that never touch the wire.  Workers only emit it when an
-obs mode is armed, and older consumers can ignore the event — the
-protocol version is unchanged.
+obs mode is armed.
 """
 
 from __future__ import annotations
 
 import json
 
+from ..core.runtime import hit_record
 from ..symtable.rpc import _tag, _untag
-from .spec import ShardResult
+from .spec import ShardResult, WireError, check_hits
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _EVENTS = frozenset(
     {"hit", "progress", "heartbeat", "warning", "done", "error", "stats"}
 )
-
-
-class WireError(Exception):
-    """Raised on an undecodable line or a malformed shard event."""
 
 
 def encode_line(obj: dict) -> bytes:
@@ -88,11 +108,18 @@ def decode_message(data: bytes | str):
 
 
 def decode_line(data: bytes | str) -> dict:
-    """One JSON line -> one validated shard event dict."""
+    """One JSON line -> one validated shard event dict, of this
+    protocol version."""
     obj = decode_message(data)
     kind = obj.get("event") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in _EVENTS:
         raise WireError(f"malformed shard event: {obj!r}")
+    if obj.get("v") != PROTOCOL_VERSION:
+        raise WireError(
+            f"shard event of protocol version {obj.get('v')!r}, expected "
+            f"{PROTOCOL_VERSION}: both sides must run the same repro",
+            event=kind,
+        )
     return obj
 
 
@@ -103,7 +130,38 @@ def _event(kind: str, shard_id: int, **fields) -> dict:
 
 
 def hit_event(shard_id: int, record: dict) -> dict:
+    """A hit as a listener sees it: its record."""
     return _event("hit", shard_id, record=record)
+
+
+def hit_row_event(shard_id: int, row, plans) -> dict:
+    """A hit as it crosses the wire: its row, and the
+    :class:`~repro.core.runtime.HitPlan` of each breakpoint this is the
+    attempt's first hit of."""
+    ev = _event("hit", shard_id, hit=row)
+    if plans:
+        ev["plans"] = [plan.to_wire() for plan in plans]
+    return ev
+
+
+class HitStream:
+    """One attempt's streamed ``hit`` lines, rendered for a listener: it
+    keeps the plans the lines carry (per shard, since a world group's
+    members stream through one attempt) and turns each row into its
+    record."""
+
+    def __init__(self):
+        self._plans: dict[object, dict] = {}
+
+    def render(self, event: dict) -> dict:
+        """The listener's form of the decoded ``hit`` line ``event``
+        (:func:`hit_event`).  Raises :class:`WireError` on a row its
+        plans do not cover."""
+        shard = event.get("shard")
+        table = self._plans.setdefault(shard, {})
+        row = event.get("hit")
+        check_hits([row], event.get("plans", []), table)
+        return hit_event(shard, hit_record(row, table))
 
 
 def progress_event(shard_id: int, done: int, total: int, hits: int) -> dict:
@@ -122,14 +180,25 @@ def done_event(result: ShardResult) -> dict:
     return _event("done", result.shard_id, result=result.to_wire())
 
 
+def done_results(event: dict) -> ShardResult | list[ShardResult]:
+    """The :class:`ShardResult` of a decoded ``done`` event, or a world
+    group's list of them, every hit checked against its plan.  Raises
+    :class:`WireError` on a malformed result."""
+    try:
+        wire = event["result"]
+        if "group" in wire:
+            return [ShardResult.from_wire(member) for member in wire["group"]]
+        return ShardResult.from_wire(wire)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise WireError(f"malformed shard result: {exc!r}") from exc
+
+
 def group_done_event(shard_id: int, results: list[ShardResult]) -> dict:
     """A world group's single completion event.
 
     A group occupies one worker attempt, so (like any attempt) it settles
     with exactly one ``done`` line — its ``result`` carries a ``group``
     list of the member ``ShardResult`` wires instead of one flat result.
-    Older consumers treat it as an unknown result shape on a known event;
-    the protocol version is unchanged.
     """
     return _event(
         "done",

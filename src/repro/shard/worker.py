@@ -19,7 +19,7 @@ import contextlib
 import os
 import time
 
-from ..core.runtime import HitRecorder, Runtime
+from ..core.runtime import HitRecorder, Runtime, hit_record
 from ..faults import FaultInjector, corrupt_line
 from ..obs import make_obs
 from ..sim.engine import SessionOptions, Simulator
@@ -27,7 +27,7 @@ from ..sim.stimulus import Stimulus
 from ..sim.stimulus import stimulus_inputs as sim_stimulus_inputs
 from ..symtable.query import SymbolTableInterface
 from ..symtable.rpc import RPCSymbolTable
-from .spec import ShardResult, ShardSpec, WorldGroupSpec
+from .spec import HitRecords, ShardResult, ShardSpec, WorldGroupSpec
 from .wire import (
     done_event,
     encode_line,
@@ -35,10 +35,18 @@ from .wire import (
     group_done_event,
     heartbeat_event,
     hit_event,
+    hit_row_event,
     progress_event,
     stats_event,
     warning_event,
 )
+
+
+#: At the default cadence (``ShardSpec.progress_every == 0``) a worker
+#: sends at most one heartbeat per this many seconds of wall time: every
+#: line wakes the coordinator, and a tight 0.5 s
+#: ``DeadlinePolicy.heartbeat_timeout_s`` still sees ten per window.
+HEARTBEAT_S = 0.05
 
 
 def stimulus_inputs(design, spec: ShardSpec) -> list[tuple[str, int]]:
@@ -62,6 +70,7 @@ def run_shard(
     fast: bool = True,
     on_cycle=None,
     obs=None,
+    wire: bool = False,
 ) -> ShardResult:
     """Run one shard to completion and return its result.
 
@@ -85,6 +94,9 @@ def run_shard(
             merged Chrome trace shows one track per shard.  When armed,
             the final dump rides ``ShardResult.obs`` (and, with ``emit``,
             a ``stats`` wire event just before ``done``).
+        wire: stream each ``hit`` event in its wire form (the hit's row
+            and the plans it is the first hit of, :func:`hit_row_event`)
+            instead of as its record — a forked worker's pipe.
     """
     t0 = time.perf_counter()
     obs = make_obs(
@@ -108,10 +120,14 @@ def run_shard(
                 obs=obs,
             ),
         )
-        on_record = None
-        if emit is not None:
-            on_record = lambda rec: emit(hit_event(spec.shard_id, rec))  # noqa: E731
-        recorder = HitRecorder(on_record=on_record, limit=spec.hit_limit)
+        stream = None
+        if emit is not None and wire:
+            def stream(row, plans) -> None:
+                emit(hit_row_event(spec.shard_id, row, plans))
+        elif emit is not None:
+            def stream(row, _plans) -> None:
+                emit(hit_event(spec.shard_id, hit_record(row, recorder.plans)))
+        recorder = HitRecorder(stream=stream, limit=spec.hit_limit)
         runtime = Runtime(sim, symtable, on_hit=recorder)
         runtime.attach()
         for bp in spec.breakpoints:
@@ -124,13 +140,14 @@ def run_shard(
         if spec.reset_cycles:
             sim.reset(spec.reset_cycles)
 
-    # Heartbeats ride the run-loop progress hook at a finer cadence than
-    # progress events: the hook fires every `beat_every` cycles and always
-    # emits a heartbeat (the supervision layer's liveness signal); the
-    # coarser progress event fires on its own multiple.  `progress_each`
-    # is snapped to a multiple of `beat_every` so no progress tick lands
-    # between hook invocations.  An explicit spec.progress_every pins both
-    # cadences, preserving the historical event stream exactly.
+    # Heartbeats ride the run-loop progress hook, which fires every
+    # `beat_every` cycles: the hook sends one (the supervision layer's
+    # liveness signal) when HEARTBEAT_S of wall time has passed since the
+    # last, and the coarser progress event on its own multiple.
+    # `progress_each` is snapped to a multiple of `beat_every` so no
+    # progress tick lands between hook invocations.  An explicit
+    # spec.progress_every pins both cadences and sends a heartbeat at
+    # every hook, preserving the historical event stream exactly.
     on_progress = None
     beat_every = spec.progress_every or max(1, min(spec.cycles // 16, 2048))
     progress_each = spec.progress_every or beat_every * max(
@@ -138,9 +155,15 @@ def run_shard(
     )
     if emit is not None:
         emit(heartbeat_event(spec.shard_id, 0))  # armed: setup finished
+        beat_gap = 0.0 if spec.progress_every else HEARTBEAT_S
+        next_beat = time.monotonic() + beat_gap
 
         def on_progress(_s, done: int) -> None:
-            emit(heartbeat_event(spec.shard_id, done))
+            nonlocal next_beat
+            now = time.monotonic()
+            if now >= next_beat:
+                emit(heartbeat_event(spec.shard_id, done))
+                next_beat = now + beat_gap
             if done % progress_each == 0:
                 emit(
                     progress_event(
@@ -184,7 +207,7 @@ def run_shard(
         shard_id=spec.shard_id,
         seed=spec.seed,
         cycles=ran,
-        hits=recorder.records,
+        hits=HitRecords(recorder.hits, recorder.plans),
         warnings=list(runtime.warnings),
         exit_code=sim.exit_code,
         wall_time_s=time.perf_counter() - t0,
@@ -208,6 +231,7 @@ def run_world_group(
     compiled=None,
     fast: bool = True,
     obs=None,
+    wire: bool = False,
 ) -> list[ShardResult]:
     """Run a :class:`WorldGroupSpec`'s members one after another in this
     process, each through :func:`run_shard`, so each runs as a scalar
@@ -218,7 +242,7 @@ def run_world_group(
     return [
         run_shard(
             circuit, symtable, m, emit=emit, compiled=compiled,
-            fast=fast, obs=obs,
+            fast=fast, obs=obs, wire=wire,
         )
         for m in group.members
     ]
@@ -377,7 +401,7 @@ def worker_entry(
             with RPCSymbolTable(host, port) as table:
                 results = run_world_group(
                     circuit, _MemoTable(table, memo), group, emit=emit,
-                    compiled=compiled, obs=obs_mode,
+                    compiled=compiled, obs=obs_mode, wire=True,
                 )
             emit(group_done_event(group.shard_id, results))
             return True
@@ -394,7 +418,7 @@ def worker_entry(
                 circuit, _MemoTable(table, memo), spec, emit=emit,
                 compiled=compiled,
                 on_cycle=injector.on_cycle if injector is not None else None,
-                obs=obs,
+                obs=obs, wire=True,
             )
         emit(done_event(result))
         return True

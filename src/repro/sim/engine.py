@@ -110,13 +110,15 @@ class _PrintfDispatcher:
         self._tls.sink(index, *args)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SessionOptions:
     """The one session configuration record shared across the stack.
 
     ``Simulator``, ``ManyWorldsSimulator``, ``ShardSession`` and the debug
     hub take their session settings only as ``options=SessionOptions(...)``;
-    ``options=None`` means ``SessionOptions()``.
+    ``options=None`` means ``SessionOptions()``.  Frozen: any assignment
+    raises ``dataclasses.FrozenInstanceError`` (not slotted, which on
+    CPython 3.11 answers a non-field name with a ``TypeError`` instead).
     """
 
     #: the value store's name, a class constant and not a field: there is

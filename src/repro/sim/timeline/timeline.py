@@ -81,6 +81,9 @@ class TimelineEntry:
     # entry-limited ring skips per-cycle accounting; Timeline.nbytes
     # computes lazily there).
     nbytes: int = 0
+    # Position stamp: the entry's deque index plus the number of entries
+    # evicted before it (Timeline._head_seq is the head's).
+    seq: int = 0
 
 
 class TimelineView:
@@ -181,7 +184,7 @@ class Timeline(TimelineView):
       keyframe into its delta successor in O(delta));
     * with ``keyframe_every=K`` every keyframe is followed by at most K
       delta entries, rewinds and re-execution included, so a rewind
-      replays at most K deltas.
+      replays at most K deltas and reads at most K + 1 entries.
 
     Args:
         store: the simulator's value store (restored in place on rewind).
@@ -237,6 +240,7 @@ class Timeline(TimelineView):
         self.mem_written: set[tuple[int, int]] = set()
         self._base = None          # state baseline for the next delta
         self._since_key = 0        # delta entries since the last keyframe
+        self._head_seq = 0         # the head entry's seq (see TimelineEntry)
         self._nbytes = 0
         # Always-on history stats: plain ints read lazily by repro.obs
         # collectors / Simulator.stats(); never consulted on the hot path.
@@ -334,6 +338,7 @@ class Timeline(TimelineView):
                 delta_mem=delta_mem,
             )
             self._since_key += 1
+        entry.seq = self._head_seq + len(entries)
         entries.append(entry)
         self.by_time[time] = entry
         self.stat_records += 1
@@ -386,6 +391,7 @@ class Timeline(TimelineView):
         O(successor delta), never a rescan of the whole state."""
         self.stat_evictions += 1
         old = self.entries.popleft()
+        self._head_seq += 1
         del self.by_time[old.time]
         self._nbytes -= old.nbytes
         if not self.entries:
@@ -424,17 +430,15 @@ class Timeline(TimelineView):
         if entry is None:
             raise TimelineError(self._out_of_window(time))
         store = self.store
-        # Nearest keyframe at-or-before the target: restart the segment
-        # whenever a keyframe passes by (periodic keyframes make this the
-        # rewind-latency bound).
-        segment: list[TimelineEntry] = []
-        for e in self.entries:
-            if e.values is not None:
-                segment = [e]
-            else:
-                segment.append(e)
-            if e is entry:
-                break
+        # Walk back from the target to the nearest keyframe at-or-before
+        # it: periodic keyframes bound this walk, and so rewind latency.
+        entries = self.entries
+        segment = [entry]
+        i = entry.seq - self._head_seq
+        while segment[-1].values is None:
+            i -= 1
+            segment.append(entries[i])
+        segment.reverse()
         vals = segment[0].values[:]
         mems_rec = (
             [mem[:] for mem in segment[0].mem_copy]

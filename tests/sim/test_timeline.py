@@ -10,6 +10,7 @@ selection, wire serialization, and cross-run divergence localization.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -167,7 +168,55 @@ class TestRetention:
 # -- periodic keyframes ------------------------------------------------------
 
 
+class _CountingDeque(deque):
+    """An entry deque that counts the entries read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for e in super().__iter__():
+            self.reads += 1
+            yield e
+
+    def __reversed__(self):
+        for e in super().__reversed__():
+            self.reads += 1
+            yield e
+
+
 class TestKeyframes:
+    @pytest.mark.parametrize("window", [64, 1024, 16384])
+    def test_rewind_reads_at_most_k_plus_one_entries(self, window):
+        """keyframe_every=K bounds a rewind's work, not only its replayed
+        deltas: whatever the window, reaching any retained cycle reads
+        its entry and at most K entries back to its keyframe."""
+        k = 8
+        sim = _counter(snapshots=window, snapshot_codec="rle", keyframe_every=k)
+        sim.step(window + 5)  # a full window, with evictions behind it
+        tl = sim.timeline
+        assert len(tl) == window
+        times = tl.times()
+        tl.entries = counted = _CountingDeque(tl.entries)
+        applied = []
+        apply = tl.codec.apply
+        tl.codec.apply = lambda vals, delta: (applied.append(1), apply(vals, delta))
+        sim.set_time(times[-1])
+        newest = sim.peek("out")
+        for t in (times[-2], times[len(times) // 2], times[1], times[0]):
+            counted.reads = 0
+            applied.clear()
+            sim.set_time(t)
+            # The target comes from the by-time index; at most K more
+            # entries back to its keyframe come from the deque.
+            assert counted.reads <= k, t
+            assert len(applied) <= k, t
+            # en held at 1: the 8-bit count rose once per cycle since.
+            assert sim.peek("out") == (newest - (times[-1] - t)) % 256
+
     def test_keyframe_cadence(self):
         sim = _counter(snapshots=32, snapshot_codec="rle", keyframe_every=8)
         sim.step(30)
