@@ -244,7 +244,7 @@ class Runtime:
     Args:
         sim: any simulation backend implementing the unified interface.
         symtable: any symbol table implementing the unified interface
-            (native SQLite or RPC client).
+            (native SQLite, RPC client, or an in-memory copy).
         on_hit: synchronous handler called with a :class:`HitGroup`;
             returns the next :class:`Command`.  While the handler runs the
             simulator is paused — exactly like a blocking VPI callback.

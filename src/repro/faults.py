@@ -22,19 +22,18 @@ Fault kinds, and where they bite:
   to its event pipe is garbled, including the final ``done`` line: the
   coordinator sees undecodable events and then EOF without a result
   (failure class ``corrupt``).
-* RPC response faults (``"delay"``/``"drop"``) — injected in the symbol
-  table server (:class:`RPCFaultInjector`): a response is delayed past
-  the client's per-request timeout, or the connection is dropped before
-  answering.  These are *recoverable within one attempt*: the hardened
-  ``RPCSymbolTable`` client times out, reconnects with bounded backoff,
-  and retries the (read-only) request.
 
 Shard faults are schedule-independent: the plan is consulted per
 ``(shard_id, attempt)``, so retried attempts re-roll and a bounded fault
-rate converges to a fault-free attempt.  RPC faults are decided per
-request *index*; request arrival order depends on thread scheduling, so
-RPC injection is rate-deterministic rather than trace-deterministic —
-which is fine, because RPC recovery is transparent to shard results.
+rate converges to a fault-free attempt.
+
+The symbol-table RPC backend (``repro.symtable.rpc``) has its own
+response faults (``"delay"``/``"drop"``, :class:`RPCFaultInjector`, armed
+on its server): a response is delayed past the client's per-request
+timeout, or the connection is dropped before answering.  They are
+decided per request *index*; request arrival order depends on thread
+scheduling, so RPC injection is rate-deterministic rather than
+trace-deterministic.
 
 Everything round-trips through plain JSON dicts (``to_wire`` /
 ``from_wire``) so plans can travel to remote workers over the same
@@ -113,8 +112,6 @@ class FaultPlan:
             within a fixed retry budget (None: every attempt re-rolls).
         hang_s / stubborn / exit_code: forwarded into each
             :class:`ShardFault` drawn.
-        rpc_rate / rpc_kinds / rpc_delay_s: RPC response fault knobs,
-            consumed server-side via :meth:`rpc_injector`.
     """
 
     def __init__(
@@ -128,18 +125,12 @@ class FaultPlan:
         hang_s: float = 600.0,
         stubborn: bool = False,
         exit_code: int = 57,
-        rpc_rate: float = 0.0,
-        rpc_kinds: tuple = RPC_FAULT_KINDS,
-        rpc_delay_s: float = 0.05,
     ):
-        if not 0.0 <= rate <= 1.0 or not 0.0 <= rpc_rate <= 1.0:
-            raise FaultError("fault rates must be within [0, 1]")
+        if not 0.0 <= rate <= 1.0:
+            raise FaultError("fault rate must be within [0, 1]")
         for kind in kinds:
             if kind not in WORKER_FAULT_KINDS:
                 raise FaultError(f"unknown fault kind {kind!r}")
-        for kind in rpc_kinds:
-            if kind not in RPC_FAULT_KINDS:
-                raise FaultError(f"unknown RPC fault kind {kind!r}")
         self.seed = seed
         self.rate = rate
         self.kinds = tuple(kinds)
@@ -149,9 +140,6 @@ class FaultPlan:
         self.hang_s = hang_s
         self.stubborn = stubborn
         self.exit_code = exit_code
-        self.rpc_rate = rpc_rate
-        self.rpc_kinds = tuple(rpc_kinds)
-        self.rpc_delay_s = rpc_delay_s
 
     def fault_for(
         self, shard_id: int, attempt: int, cycles: int
@@ -184,18 +172,6 @@ class FaultPlan:
             stubborn=self.stubborn,
         )
 
-    def rpc_injector(self) -> RPCFaultInjector | None:
-        """The server-side RPC response injector this plan asks for, or
-        None when ``rpc_rate`` is 0."""
-        if self.rpc_rate <= 0.0:
-            return None
-        return RPCFaultInjector(
-            seed=self.seed,
-            rate=self.rpc_rate,
-            kinds=self.rpc_kinds,
-            delay_s=self.rpc_delay_s,
-        )
-
     def to_wire(self) -> dict:
         return {
             "seed": self.seed,
@@ -209,9 +185,6 @@ class FaultPlan:
             "hang_s": self.hang_s,
             "stubborn": self.stubborn,
             "exit_code": self.exit_code,
-            "rpc_rate": self.rpc_rate,
-            "rpc_kinds": list(self.rpc_kinds),
-            "rpc_delay_s": self.rpc_delay_s,
         }
 
     @classmethod
@@ -229,9 +202,6 @@ class FaultPlan:
             hang_s=d.get("hang_s", 600.0),
             stubborn=d.get("stubborn", False),
             exit_code=d.get("exit_code", 57),
-            rpc_rate=d.get("rpc_rate", 0.0),
-            rpc_kinds=tuple(d.get("rpc_kinds", RPC_FAULT_KINDS)),
-            rpc_delay_s=d.get("rpc_delay_s", 0.05),
         )
 
 

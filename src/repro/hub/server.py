@@ -42,16 +42,16 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import socket
 import socketserver
-import tempfile
 import threading
 import time
 
 from ..obs import make_obs
 from ..shard.wire import decode_message, encode_line
 from ..sim.engine import SessionOptions, compile_gated
+from ..symtable.memory import in_memory
+from ..symtable.query import SQLiteSymbolTable
 from ..symtable.writer import write_symbol_table
 from .api import PROTOCOL_VERSION
 from .session import DebugSession
@@ -112,13 +112,10 @@ class DebugHub:
         # Sessions must not re-gate what the hub just vetted (and their
         # simulators reuse `compiled` anyway, which skips the gate).
         self.options = dataclasses.replace(options, strict="off")
-        # One on-disk symbol table; every session opens its own sqlite
-        # connection to it (connections don't cross threads).
-        fd, self._symtable_path = tempfile.mkstemp(
-            prefix=f"hgdb-hub-{self.design_name}-", suffix=".db"
-        )
-        os.close(fd)
-        write_symbol_table(design, self._symtable_path).close()
+        # One symbol table, copied into memory: read-only plain Python,
+        # so every session thread shares this one object.
+        with contextlib.closing(write_symbol_table(design)) as conn:
+            self.symtable = in_memory(SQLiteSymbolTable(conn))
 
         self._sessions: dict[int, DebugSession] = {}
         self._next_sid = 1
@@ -160,7 +157,7 @@ class DebugHub:
             sid,
             self.circuit,
             self.compiled,
-            self._symtable_path,
+            self.symtable,
             options,
             seed=seed,
             name=name,
@@ -354,8 +351,8 @@ class DebugHub:
 
     def close(self) -> None:
         """Stop serving: shut the listener and every connection, close
-        every session (aborting any run in flight), join the hub's
-        threads, and drop the symbol table."""
+        every session (aborting any run in flight), and join the hub's
+        threads."""
         with self._lock:
             if self._closing.is_set():
                 return
@@ -374,8 +371,6 @@ class DebugHub:
         deadline = time.monotonic() + 10
         for thread in [*self._threads, *(t for _c, t in conns)]:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        with contextlib.suppress(OSError):
-            os.unlink(self._symtable_path)
 
     def __enter__(self) -> DebugHub:
         return self

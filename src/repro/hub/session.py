@@ -10,9 +10,9 @@ generated code, cone caches, signal metadata).  This is the same
 copy-on-write trick the shard coordinator plays with forked workers,
 done in-process with threads.
 
-Each session opens its own SQLite connection to the hub's on-disk symbol
-table (connections are not shareable across the session threads the hub
-runs blocking calls on) and exposes the whole
+Every session reads the hub's one in-memory symbol table
+(:class:`~repro.symtable.memory.MemorySymbolTable`: read-only plain
+Python, so the session threads share it) and exposes the whole
 :class:`~repro.hub.api.SessionHandle` surface through :meth:`invoke`, the
 hub server's method-name dispatch.
 """
@@ -23,7 +23,6 @@ import time as _time
 
 from ..core.runtime import Runtime
 from ..sim.engine import SessionOptions, Simulator
-from ..symtable.query import SQLiteSymbolTable
 from .api import LocalSession, SessionError, StopInfo
 
 #: SessionHandle methods reachable over the wire, by name.  An allowlist,
@@ -74,7 +73,7 @@ class DebugSession:
         sid: int,
         circuit,
         compiled,
-        symtable_path: str,
+        symtable,
         options: SessionOptions,
         seed: int | None = None,
         name: str | None = None,
@@ -87,7 +86,7 @@ class DebugSession:
         self.seed = seed
         self._obs = obs
         sim = Simulator(circuit, compiled=compiled, options=options)
-        runtime = Runtime(sim, SQLiteSymbolTable(symtable_path))
+        runtime = Runtime(sim, symtable)
         stimulus = None
         if seed is not None:
             # The shard determinism contract (spec.py): sorted-name random

@@ -1,8 +1,8 @@
 """repro.shard — a multi-process simulation farm with one debugging view.
 
 The first service-shaped layer on top of the hgdb runtime: a coordinator
-elaborates a design once and serves its symbol table over the paper's RPC
-seam (Sec. 3.4); forked worker processes each run an independent
+elaborates a design once and copies its symbol table into memory once;
+forked worker processes inherit both and each run an independent
 seed/config shard with their own ``Simulator`` + ``Runtime``; hits stream
 back as JSON-lines events and aggregate into cross-shard reports
 (first-hit-per-breakpoint, per-shard histograms, divergence detection).

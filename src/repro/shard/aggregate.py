@@ -421,19 +421,6 @@ class ShardReport:
                 f"  heartbeat gap: {hb[0]} sample(s), "
                 f"mean {hb[1] / hb[0] * 1000:.1f}ms"
             )
-        rpc = self._sum_metric(merged, "rpc_requests_total")
-        if rpc is not None:
-            rec = self._sum_metric(merged, "rpc_reconnects_total") or 0
-            rep = self._sum_metric(merged, "rpc_replays_total") or 0
-            lat = self._sum_histogram(merged, "rpc_request_seconds")
-            mean = (
-                f", mean {lat[1] / lat[0] * 1000:.2f}ms"
-                if lat is not None and lat[0] else ""
-            )
-            lines.append(
-                f"  rpc: {rpc:.0f} request(s), {rec:.0f} reconnect(s), "
-                f"{rep:.0f} replay(s){mean}"
-            )
         ticks = self._sum_metric(merged, "sim_ticks_total")
         if ticks is not None:
             hits = self._sum_metric(merged, "sim_cone_cache_hits_total") or 0

@@ -2,26 +2,27 @@
 
 :class:`ShardSession` is the service shape of the ROADMAP's "millions of
 users" north star in miniature: the design is elaborated and compiled
-**once**, its symbol table is served over the existing RPC protocol
-(``symtable/rpc.py``), and N worker processes — forked so they inherit
-the compiled design for free — run :class:`ShardSpec` attempts with their
-own ``Simulator`` + ``Runtime``, streaming hit/progress events back over
-per-worker pipes as JSON lines.  A worker serves attempt after attempt
-for the life of its session: one that ends a sweep cleanly waits idle
-for the next sweep, so a session forks at most ``workers`` processes
-unless an attempt fails or a worker dies.  The coordinator multiplexes
-those pipes onto one event queue, hands each idle worker the next shard,
-and passes the merged results to
-:class:`~repro.shard.aggregate.ShardReport`.
+**once**, its symbol table is copied into memory once
+(:class:`~repro.symtable.memory.MemorySymbolTable`), and N worker
+processes — forked so they inherit the compiled design and the table for
+free — run :class:`ShardSpec` attempts with their own ``Simulator`` +
+``Runtime``, streaming hit/progress events back over per-worker pipes as
+JSON lines.  A worker serves attempt after attempt for the life of its
+session: one that ends a sweep cleanly waits idle for the next sweep, so
+a session forks at most ``workers`` processes unless an attempt fails or
+a worker dies.  The coordinator multiplexes those pipes onto one event
+queue, hands each idle worker the next shard, and passes the merged
+results to :class:`~repro.shard.aggregate.ShardReport`.
 
-``workers=0`` runs every shard inline in this process (no fork, native
-symbol table) — the reference semantics the multi-process path is tested
+``workers=0`` runs every shard inline in this process (no fork, the same
+table) — the reference semantics the multi-process path is tested
 against, and the fallback on platforms without ``fork``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import multiprocessing
 import os
@@ -36,9 +37,9 @@ from ..obs import make_obs
 from ..sim import native
 from ..sim.compiler import compile_design
 from ..sim.engine import SessionOptions
-from ..symtable.rpc import SymbolTableServer
-from ..symtable.writer import write_symbol_table
+from ..symtable.memory import MemorySymbolTable, in_memory
 from ..symtable.query import SQLiteSymbolTable
+from ..symtable.writer import write_symbol_table
 from .aggregate import ShardReport
 from .spec import (
     ShardError,
@@ -53,7 +54,6 @@ from .supervise import (
     CRASH,
     ERROR,
     HANG,
-    RPC,
     DeadlinePolicy,
     RetryPolicy,
     as_deadline_policy,
@@ -61,6 +61,12 @@ from .supervise import (
 )
 from .wire import HitStream, WireError, decode_line, done_results
 from .worker import run_shard, run_world_group, worker_main
+
+#: An attempt that sent a line no one could decode and then nothing for
+#: this many seconds settles as corrupt.  The line may have been its
+#: ``done``, after which its worker waits idle for the next attempt and
+#: its pipe never ends.
+GARBLED_SILENCE_S = 1.0
 
 
 def default_workers(n_shards: int) -> int:
@@ -183,8 +189,9 @@ class ShardSession:
         design: a compiled :class:`repro.Design` (symbol table generated
             automatically) or a bare Low-form ``Circuit`` (then
             ``symtable`` is required).
-        symtable: the symbol table to serve to workers; defaults to
-            ``write_symbol_table(design)`` for a ``Design``.
+        symtable: the symbol table the shards read; defaults to
+            ``write_symbol_table(design)`` for a ``Design``.  The first
+            sweep copies it into memory (:attr:`table`).
         workers: pool size for :meth:`run`.  ``None`` sizes to the machine
             (:func:`default_workers`); ``0`` forces inline execution.
         compiled: reuse an existing ``CompiledDesign`` (e.g. the one a
@@ -227,27 +234,25 @@ class ShardSession:
             compiled if compiled is not None
             else compile_design(self.circuit, None)
         )
-        self._server: SymbolTableServer | None = None
         self._pool = _Pool()
         self._sweep_lock = threading.Lock()
         # A session dropped without close() still ends its workers.
         self._finalizer = weakref.finalize(self, self._pool.shut)
 
+    @functools.cached_property
+    def table(self) -> MemorySymbolTable:
+        """The in-memory copy of :attr:`symtable` that every shard of this
+        session reads, inline, forked or in fallback; forked workers
+        inherit it.  It is made at the first sweep, so building a session
+        stays cheap."""
+        return in_memory(self.symtable)
+
     # -- lifecycle ---------------------------------------------------------
 
-    def _serve(self) -> tuple[str, int]:
-        if self._server is None:
-            self._server = SymbolTableServer(self.symtable)
-            self._server.start()
-        return self._server.address
-
     def close(self) -> None:
-        """End the forked workers and stop the symbol-table server."""
+        """End the forked workers."""
         with self._sweep_lock:
             self._finalizer()
-            if self._server is not None:
-                self._server.stop()
-                self._server = None
 
     def __enter__(self) -> ShardSession:
         return self
@@ -375,7 +380,7 @@ class ShardSession:
             if isinstance(spec, WorldGroupSpec):
                 results.extend(
                     run_world_group(
-                        self.circuit, self.symtable, spec,
+                        self.circuit, self.table, spec,
                         emit=on_event, compiled=self.compiled,
                         fast=self.fast, obs=self.obs.mode,
                     )
@@ -383,7 +388,7 @@ class ShardSession:
             else:
                 results.append(
                     run_shard(
-                        self.circuit, self.symtable, spec,
+                        self.circuit, self.table, spec,
                         emit=on_event, compiled=self.compiled,
                         fast=self.fast, obs=self.obs.mode,
                     )
@@ -394,7 +399,7 @@ class ShardSession:
         """Graceful degradation: run one retry-exhausted shard inline.
 
         The inline path shares nothing with the failed attempts' fork +
-        pipe + RPC machinery, so infrastructure faults cannot reach it;
+        pipe machinery, so infrastructure faults cannot reach it;
         results carry the full attempt/failure history.  Returns one
         :class:`ShardResult` — or a list of them for a world group job.
         """
@@ -410,13 +415,13 @@ class ShardSession:
         try:
             if grouped:
                 results = run_world_group(
-                    self.circuit, self.symtable, spec,
+                    self.circuit, self.table, spec,
                     emit=emit, compiled=self.compiled, fast=self.fast,
                     obs=self.obs.mode,
                 )
             else:
                 results = [run_shard(
-                    self.circuit, self.symtable, spec,
+                    self.circuit, self.table, spec,
                     emit=emit, compiled=self.compiled, fast=self.fast,
                     obs=self.obs.mode,
                 )]
@@ -444,13 +449,7 @@ class ShardSession:
         deadline: DeadlinePolicy | None,
         faults,
     ) -> ShardReport:
-        host, port = self._serve()
-        if self._server is not None:
-            # RPC response faults (delay/drop) are injected server-side;
-            # reset on every run so a later fault-free sweep is clean.
-            self._server.faults = (
-                faults.rpc_injector() if faults is not None else None
-            )
+        table = self.table  # copied before the first fork
         ctx = multiprocessing.get_context("fork")
         pool = self._pool
         events, live, idle = pool.events, pool.live, pool.idle
@@ -496,9 +495,7 @@ class ShardSession:
             r_inbox, w_inbox = ctx.Pipe(duplex=False)  # attempts, to it
             proc = ctx.Process(
                 target=worker_main,
-                args=(
-                    self.circuit, self.compiled, host, port, w_conn, r_inbox,
-                ),
+                args=(self.circuit, self.compiled, table, w_conn, r_inbox),
                 kwargs={"obs_mode": self.obs.mode},
                 daemon=True,
             )
@@ -620,9 +617,10 @@ class ShardSession:
                 results[spec.shard_id] = settled if grouped else settled[0]
 
         def settle_bad_done(w: _Worker, st: _Attempt, why: str) -> None:
-            """A `done` line that is unusable is still its attempt's last
-            line, and its worker waits for the next attempt: settle the
-            attempt as corrupt now, and end the worker."""
+            """A `done` line that is unusable (or may have been) is still
+            its attempt's last line, and its worker waits for the next
+            attempt: settle the attempt as corrupt now, and end the
+            worker."""
             drop(w)
             retire(w.proc)
             settle_failure(st, CORRUPT, f"worker wire corrupted ({why})")
@@ -683,6 +681,12 @@ class ShardSession:
                             f"worker hung ({why}, {t - st.started:.2f}s "
                             f"into the attempt)",
                         )
+                    elif st.corrupt_seen and t - st.last_beat >= GARBLED_SILENCE_S:
+                        settle_bad_done(
+                            w, st,
+                            f"{st.corrupt_seen} undecodable line(s), then "
+                            f"{GARBLED_SILENCE_S}s of silence",
+                        )
                 wait = _next_wait(
                     t, sweep_deadline, in_flight(), waiting, zombies, hb
                 )
@@ -740,13 +744,10 @@ class ShardSession:
                             r.failures = list(st.job.failures)
                         results[st.job.spec.shard_id] = res
                     elif name == "error":
-                        # The worker reported its own exception, and exits.
-                        # A transient one (its RPC transport gave out) is
-                        # infrastructure and retries; anything else is a
-                        # clean, deterministic failure (class "error").
+                        # The worker reported its own exception, and exits:
+                        # a clean, deterministic failure (class "error").
                         w.attempt = None
-                        fclass = RPC if payload.get("transient") else ERROR
-                        settle_failure(st, fclass, payload["message"])
+                        settle_failure(st, ERROR, payload["message"])
                 else:  # pipe EOF: the worker process is over
                     if w not in live:
                         continue  # already retired (hung); a zombie now
@@ -788,8 +789,6 @@ class ShardSession:
         finally:
             _reap([z.proc for z in zombies], 5.0)
             pool.join_pumps()
-            if self._server is not None:
-                self._server.faults = None
 
         flat: list[ShardResult] = []
         for s in specs:
@@ -807,9 +806,10 @@ def _next_wait(
     hb: float | None,
 ) -> float | None:
     """How long the event loop may block: until the nearest deadline —
-    sweep budget, per-attempt deadline, heartbeat silence bound, retry
-    backoff expiry, or zombie kill escalation.  None blocks until the
-    next event (nothing is time-driven)."""
+    sweep budget, per-attempt deadline, heartbeat silence bound, silence
+    after a garbled line, retry backoff expiry, or zombie kill
+    escalation.  None blocks until the next event (nothing is
+    time-driven)."""
     cands = []
     if sweep_deadline is not None:
         cands.append(sweep_deadline - t)
@@ -818,6 +818,8 @@ def _next_wait(
             cands.append(st.deadline - t)
         if hb is not None:
             cands.append(st.last_beat + hb - t)
+        if st.corrupt_seen:
+            cands.append(st.last_beat + GARBLED_SILENCE_S - t)
     for job in waiting:
         cands.append(job.ready_at - t)
     for z in zombies:
@@ -851,10 +853,11 @@ def _pump_pipe(conn, worker, events: queue.Queue) -> None:
 def _start_frozen(proc) -> None:
     """Fork ``proc`` with every object of this process frozen out of the
     child's garbage collector (``gc.freeze``).  Freeing an inherited cycle
-    can take a lock that another of our threads held at the fork (sqlite's
-    allocator mutex, while the symbol-table server answers a query), and
-    the worker would then hang for good.  The objects return to this
-    process's collector at once."""
+    can take a lock that another thread of this process held at the fork:
+    any thread may be inside SQLite, holding its allocator mutex (a debug
+    hub's session, say, or the caller's own table), and the worker would
+    then hang for good.  The objects return to this process's collector
+    at once."""
     gc.freeze()
     try:
         proc.start()

@@ -7,11 +7,8 @@ policies whenever a worker attempt fails.  Failures are classified:
 * ``"hang"``    — the per-shard deadline expired or heartbeats went
   silent, and the coordinator terminated the worker;
 * ``"corrupt"`` — undecodable wire lines were seen and the attempt
-  ended without a usable ``done`` result;
-* ``"rpc"``     — the worker reported a *transient* transport failure
-  (its symbol-table RPC client exhausted its reconnect budget); the
-  worker itself is healthy, so the attempt retries like other
-  infrastructure failures;
+  ended without a usable ``done`` result (its pipe ended, its ``done``
+  failed to decode, or it fell silent after a line that did not);
 * ``"error"``   — the worker itself reported an exception (an ``error``
   event).  This is a *clean, deterministic* failure — a bad spec fails
   identically on every attempt — so it is not retried by default.
@@ -19,8 +16,8 @@ policies whenever a worker attempt fails.  Failures are classified:
 A :class:`RetryPolicy` decides which classes are retried, how many
 attempts a shard gets, and how long to back off between them; when the
 fork-path budget is exhausted, ``inline_fallback`` degrades the shard to
-inline execution in the coordinator process (no fork, no pipe, no RPC —
-the reference path, immune to the infrastructure faults being retried).
+inline execution in the coordinator process (no fork, no pipe — the
+reference path, immune to the infrastructure faults being retried).
 
 A :class:`DeadlinePolicy` derives each attempt's wall-clock deadline
 from its cycle budget (``base_s + per_kcycle_s * cycles/1000``) and
@@ -35,12 +32,11 @@ from dataclasses import dataclass, field
 CRASH = "crash"
 HANG = "hang"
 CORRUPT = "corrupt"
-RPC = "rpc"
 ERROR = "error"
 
-#: Classes caused by infrastructure (process/pipe/transport/scheduling),
-#: not by the spec itself — the sensible default retry set.
-INFRA_FAILURES = frozenset({CRASH, HANG, CORRUPT, RPC})
+#: Classes caused by infrastructure (process/pipe/scheduling), not by the
+#: spec itself — the sensible default retry set.
+INFRA_FAILURES = frozenset({CRASH, HANG, CORRUPT})
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,8 +13,7 @@ Event shapes (all carry ``v`` — the protocol version — and ``shard``)::
     {"event": "heartbeat", "shard": N, "done": C}             liveness tick
     {"event": "warning",   "shard": N, "message": "..."}
     {"event": "done",      "shard": N, "result": {...}}       ShardResult
-    {"event": "error",     "shard": N, "message": "...",
-                           "transient": bool}                 worker failed
+    {"event": "error",     "shard": N, "message": "..."}      worker failed
     {"event": "stats",     "shard": N, "obs": {...}}          obs snapshot
 
 This is protocol version 2.  :func:`decode_line` refuses an event of any
@@ -42,10 +41,8 @@ the coordinator renders each streamed hit (:class:`HitStream`), so an
 {...}}`` — :func:`hit_event`, the shape an inline shard emits.  Workers
 send ``hit`` lines only when the sweep has a listener.
 
-``error.transient`` distinguishes infrastructure trouble the worker
-observed itself (its symbol-table RPC client gave up: retry-worthy,
-failure class ``rpc``) from a deterministic spec failure (class
-``error``, never retried).  Absent means false.
+``error`` reports the worker's own exception: a deterministic spec
+failure (failure class ``error``, never retried).
 
 ``heartbeat`` is the supervision layer's liveness signal, and the
 coordinator treats *any* event as proof of life — a worker silent past
@@ -210,8 +207,8 @@ def group_done_event(shard_id: int, results: list[ShardResult]) -> dict:
     )
 
 
-def error_event(shard_id: int, message: str, transient: bool = False) -> dict:
-    return _event("error", shard_id, message=message, transient=transient)
+def error_event(shard_id: int, message: str) -> dict:
+    return _event("error", shard_id, message=message)
 
 
 def stats_event(shard_id: int, obs_wire: dict) -> dict:

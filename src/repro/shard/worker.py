@@ -4,8 +4,10 @@
 in the coordinator process (``workers=0``, and how the determinism
 property tests pin shard ≡ standalone), or inside a forked worker process
 (:func:`worker_main` serving one :func:`worker_entry` attempt after
-another), where the symbol table arrives over RPC and every hit/progress
-event streams back to the coordinator as a JSON line.
+another), where every hit/progress event streams back to the coordinator
+as a JSON line.  Either way the shard reads its session's in-memory
+symbol table (:class:`~repro.symtable.memory.MemorySymbolTable`), which a
+forked worker inherits.
 
 Stimulus is owned by the spec contract (see ``spec.py``): sorted-name
 random pokes from ``random.Random(seed)``, overrides held constant,
@@ -25,8 +27,6 @@ from ..obs import make_obs
 from ..sim.engine import SessionOptions, Simulator
 from ..sim.stimulus import Stimulus
 from ..sim.stimulus import stimulus_inputs as sim_stimulus_inputs
-from ..symtable.query import SymbolTableInterface
-from ..symtable.rpc import RPCSymbolTable
 from .spec import HitRecords, ShardResult, ShardSpec, WorldGroupSpec
 from .wire import (
     done_event,
@@ -76,8 +76,8 @@ def run_shard(
 
     Args:
         circuit: the coordinator's elaborated Low-form circuit.
-        symtable: any ``SymbolTableInterface`` (native inline, RPC in a
-            forked worker).
+        symtable: any ``SymbolTableInterface`` (a session's shards all
+            read its in-memory copy).
         spec: what to run (seed, overrides, length, break/watchpoints).
         emit: optional ``emit(event_dict)`` sink for streaming hit,
             progress, and heartbeat events while the shard runs.
@@ -248,66 +248,8 @@ def run_world_group(
     ]
 
 
-class _MemoTable(SymbolTableInterface):
-    """A worker's view of the RPC symbol table: each distinct query
-    reaches ``table`` at most once per worker.
-
-    ``memo`` (method and arguments -> answer) outlives one attempt; it is
-    safe because a table is read-only while a ``Runtime`` is attached
-    (:class:`SymbolTableInterface`).  List answers are copied on the way
-    out so no caller can edit the memo, and a query that raises stores
-    nothing.
-    """
-
-    def __init__(self, table: SymbolTableInterface, memo: dict):
-        self._table = table
-        self._memo = memo
-
-    def _ask(self, method: str, *args):
-        key = (method, args)
-        try:
-            answer = self._memo[key]
-        except KeyError:
-            answer = self._memo[key] = getattr(self._table, method)(*args)
-        return list(answer) if type(answer) is list else answer
-
-    def breakpoints_at(self, filename, line, column=None):
-        return self._ask("breakpoints_at", filename, line, column)
-
-    def scope_variables(self, breakpoint_id):
-        return self._ask("scope_variables", breakpoint_id)
-
-    def resolve_scoped_var(self, breakpoint_id, name):
-        return self._ask("resolve_scoped_var", breakpoint_id, name)
-
-    def resolve_instance_var(self, instance_id, name):
-        return self._ask("resolve_instance_var", instance_id, name)
-
-    def instances(self):
-        return self._ask("instances")
-
-    def generator_variables(self, instance_id):
-        return self._ask("generator_variables", instance_id)
-
-    def all_breakpoints(self):
-        return self._ask("all_breakpoints")
-
-    def breakpoint(self, breakpoint_id):
-        return self._ask("breakpoint", breakpoint_id)
-
-    def filenames(self):
-        return self._ask("filenames")
-
-    def breakpoint_lines(self, filename):
-        return self._ask("breakpoint_lines", filename)
-
-    def attribute(self, name):
-        return self._ask("attribute", name)
-
-
 def worker_main(
-    circuit, compiled, host: str, port: int, conn, inbox,
-    obs_mode: str | None = None,
+    circuit, compiled, symtable, conn, inbox, obs_mode: str | None = None,
 ) -> None:
     """Forked worker process main: serve its session's attempts back to
     back, across sweeps.
@@ -318,11 +260,11 @@ def worker_main(
     EOF, or the coordinator's death ends the loop.  The worker stays for
     another attempt only after a clean ``done`` of an attempt with no
     fault armed; otherwise it exits, so the coordinator sees pipe EOF
-    exactly as a one-attempt worker would produce it.  One symbol-table
-    memo (:class:`_MemoTable`) serves every attempt of this worker.
+    exactly as a one-attempt worker would produce it.  Every attempt
+    reads ``symtable``, the session's in-memory table this process
+    inherited at the fork.
     """
     parent = os.getppid()
-    memo: dict = {}
     try:
         while True:
             # Siblings forked later hold copies of this pipe's write end,
@@ -338,8 +280,8 @@ def worker_main(
                 return
             spec_wire, fault, listening = job
             clean = worker_entry(
-                circuit, compiled, spec_wire, host, port, conn, fault=fault,
-                obs_mode=obs_mode, listening=listening, memo=memo,
+                circuit, compiled, spec_wire, symtable, conn, fault=fault,
+                obs_mode=obs_mode, listening=listening,
             )
             if not clean or fault is not None:
                 return
@@ -349,9 +291,8 @@ def worker_main(
 
 
 def worker_entry(
-    circuit, compiled, spec_wire: dict, host: str, port: int, conn,
+    circuit, compiled, spec_wire: dict, symtable, conn,
     fault=None, obs_mode: str | None = None, listening: bool = True,
-    memo: dict | None = None,
 ) -> bool:
     """One forked attempt: run one shard and stream JSON-line events
     through ``conn`` (a write-only ``multiprocessing`` connection),
@@ -373,15 +314,11 @@ def worker_entry(
 
     ``obs_mode`` arms observability for this attempt (the coordinator
     passes its own resolved mode so ``--obs``/``$REPRO_OBS`` on the
-    coordinator reaches every worker).  The ``Obs`` is built *here*,
+    coordinator reaches every worker).  The shard's ``Obs`` is built
     after the fork, so its pid and span buffer are genuinely this
-    worker's — and shared by the RPC client and the shard run.
-
-    ``memo`` is the worker's symbol-table memo (see :class:`_MemoTable`);
-    None gives this attempt a fresh one.
+    worker's.
     """
     injector = FaultInjector(fault) if fault is not None else None
-    memo = {} if memo is None else memo
 
     def emit(event: dict) -> None:
         if not listening and event["event"] == "hit":
@@ -398,41 +335,25 @@ def worker_entry(
             # per-cycle hook has no lockstep seam, so injected faults stay
             # a plain-shard (chaos-test) feature.
             group = WorldGroupSpec.from_wire(spec_wire)
-            with RPCSymbolTable(host, port) as table:
-                results = run_world_group(
-                    circuit, _MemoTable(table, memo), group, emit=emit,
-                    compiled=compiled, obs=obs_mode, wire=True,
-                )
+            results = run_world_group(
+                circuit, symtable, group, emit=emit,
+                compiled=compiled, obs=obs_mode, wire=True,
+            )
             emit(group_done_event(group.shard_id, results))
             return True
         spec = ShardSpec.from_wire(spec_wire)
-        obs = make_obs(
-            obs_mode,
-            proc=f"shard {spec.shard_id}",
-            labels={"shard": str(spec.shard_id)},
+        result = run_shard(
+            circuit, symtable, spec, emit=emit, compiled=compiled,
+            on_cycle=injector.on_cycle if injector is not None else None,
+            obs=obs_mode, wire=True,
         )
-        # The RPC client carries this shard's obs, so its rpc_* series
-        # count only the queries the memo could not answer.
-        with RPCSymbolTable(host, port, obs=obs) as table:
-            result = run_shard(
-                circuit, _MemoTable(table, memo), spec, emit=emit,
-                compiled=compiled,
-                on_cycle=injector.on_cycle if injector is not None else None,
-                obs=obs, wire=True,
-            )
         emit(done_event(result))
         return True
     except Exception as exc:  # noqa: BLE001 - process boundary
         with contextlib.suppress(OSError):
             # The spec itself may be what failed to decode: fall back to
             # the raw wire dict for the shard id so the coordinator still
-            # gets the real error instead of a bare pipe EOF.  A
-            # ConnectionError means the RPC transport gave out, not that
-            # the spec is bad: flag it transient so the supervisor
-            # retries (failure class "rpc") instead of settling terminal.
+            # gets the real error instead of a bare pipe EOF.
             shard_id = spec_wire.get("shard_id", -1)
-            emit(error_event(
-                shard_id, f"{type(exc).__name__}: {exc}",
-                transient=isinstance(exc, ConnectionError),
-            ))
+            emit(error_event(shard_id, f"{type(exc).__name__}: {exc}"))
         return False

@@ -1,10 +1,12 @@
 """repro.symtable — the hgdb symbol table.
 
 SQLite schema per paper Fig. 3; generation from compiled designs (Algorithm
-1); native and RPC-backed query interfaces (Fig. 1).
+1); native and RPC-backed query interfaces (Fig. 1), and an in-memory copy
+of either that threads share and forked processes inherit.
 """
 
 from .json_format import JsonFormatError, dump_json, load_json, load_json_file
+from .memory import MemorySymbolTable, in_memory
 from .query import (
     BreakpointRec,
     InstanceRec,
@@ -23,12 +25,14 @@ __all__ = [
     "load_json",
     "load_json_file",
     "InstanceRec",
+    "MemorySymbolTable",
     "RPCSymbolTable",
     "SQLiteSymbolTable",
     "SymbolTableInterface",
     "SymbolTableServer",
     "VarRec",
     "create_schema",
+    "in_memory",
     "open_symbol_db",
     "write_symbol_table",
 ]

@@ -4,7 +4,8 @@ The paper defines four primitives every HGF-provided symbol table must
 answer; :class:`SymbolTableInterface` states them, and
 :class:`SQLiteSymbolTable` is the native (ABI) implementation over the
 Fig. 3 schema.  ``repro.symtable.rpc`` provides the RPC-backed variant for
-frameworks that host their own symbol tables.
+frameworks that host their own symbol tables, and ``repro.symtable.memory``
+an in-memory copy of any table.
 
 * get breakpoints from source location   -> :meth:`breakpoints_at`
 * get scope information for a breakpoint -> :meth:`scope_variables`

@@ -90,13 +90,13 @@ def _decode(obj):
 class SymbolTableServer:
     """Serve a symbol table over TCP JSON-lines.
 
-    ``faults`` (settable any time, e.g. by a chaos-testing shard
-    coordinator) is an optional :class:`repro.faults.RPCFaultInjector`:
-    when armed, a response may be *delayed* (past a client's per-request
-    timeout) or *dropped* (connection closed unanswered).  Every query
-    is read-only, so a client that times out, reconnects, and re-sends
-    the same request gets the same answer — which is exactly what the
-    hardened :class:`RPCSymbolTable` does.
+    ``faults`` (settable any time, e.g. by a chaos test) is an optional
+    :class:`repro.faults.RPCFaultInjector`: when armed, a response may be
+    *delayed* (past a client's per-request timeout) or *dropped*
+    (connection closed unanswered).  Every query is read-only, so a
+    client that times out, reconnects, and re-sends the same request gets
+    the same answer — which is exactly what the hardened
+    :class:`RPCSymbolTable` does.
     """
 
     def __init__(self, table: SymbolTableInterface, host: str = "127.0.0.1",

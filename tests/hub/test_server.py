@@ -1,10 +1,12 @@
 """Debug hub server: wire round-trips, re-attach, eviction, the lint
-gate, the shard endpoint, and hub-side observability."""
+gate, the shared symbol table, the shard endpoint, and hub-side
+observability."""
 
 import contextlib
 import json
 import os
 import socket
+import tempfile
 import threading
 import time
 
@@ -16,6 +18,7 @@ from repro.hub import DebugHub, HubClient, LocalSession, SessionError, SessionOp
 from repro.hub.server import PROTOCOL_VERSION, HubError
 from repro.lint import LintError
 from repro.sim import Simulator, native
+from repro.symtable import MemorySymbolTable
 from tests.helpers import Accumulator, Counter, line_of, make_runtime
 from tests.lint.broken_designs import Loopy, Sloppy
 
@@ -531,6 +534,24 @@ class TestLintGate:
         with DebugHub(design, options=SessionOptions(strict="error")) as hub:
             assert hub.options.strict == "off"
             hub.attach()
+
+
+class TestSymbolTable:
+    def test_sessions_share_one_in_memory_table(self):
+        design = repro.compile(Accumulator())
+        with DebugHub(design) as hub:
+            first, second = hub.attach(), hub.attach()
+            table = first.session.runtime.symtable
+            assert isinstance(table, MemorySymbolTable)
+            assert second.session.runtime.symtable is table
+            assert table is hub.symtable
+
+    def test_a_hub_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with DebugHub(repro.compile(Counter())) as hub:
+            hub.attach()
+            assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestShardEndpoint:

@@ -1,5 +1,5 @@
 """Chaos acceptance: under a seeded fault plan injecting kills, hangs,
-corrupt wire, and flaky RPC at up to a 30% rate, a supervised sweep must
+and corrupt wire at up to a 30% rate, a supervised sweep must
 (a) complete within its wall-clock budget and (b) aggregate results
 bit-identical — state digests, hits, first hits, streamed timelines — to
 a fault-free inline run of the same specs.
@@ -65,8 +65,6 @@ def test_chaos_sweep_is_bit_identical_to_fault_free(
         rate=0.3,
         kinds=("kill", "hang", "corrupt"),
         hang_s=60.0,
-        rpc_rate=0.2,
-        rpc_delay_s=0.05,
     )
     with ShardSession(d, workers=3) as session:
         report = session.run(

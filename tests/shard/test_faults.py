@@ -71,13 +71,13 @@ class TestFaultPlan:
         with pytest.raises(FaultError, match="within"):
             FaultPlan(rate=1.5)
         with pytest.raises(FaultError, match="within"):
-            FaultPlan(rpc_rate=-0.1)
+            FaultPlan(rate=-0.1)
 
     def test_invalid_kinds_rejected(self):
         with pytest.raises(FaultError, match="unknown fault kind"):
             FaultPlan(kinds=("kill", "meteor"))
-        with pytest.raises(FaultError, match="unknown RPC fault kind"):
-            FaultPlan(rpc_kinds=("delay", "meteor"))
+        with pytest.raises(FaultError, match="unknown fault kind"):
+            FaultPlan(kinds=("drop",))  # an RPC response fault
 
     def test_only_shards_restricts(self):
         plan = FaultPlan(seed=0, rate=1.0, only_shards=(2, 5))
@@ -115,7 +115,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=42, rate=0.4, kinds=("kill", "corrupt"), only_shards=(0, 3),
             at_cycle=5, max_faulty_attempts=2, hang_s=1.0, stubborn=True,
-            exit_code=7, rpc_rate=0.25, rpc_kinds=("drop",), rpc_delay_s=0.2,
+            exit_code=7,
         )
         back = FaultPlan.from_wire(plan.to_wire())
         assert back.to_wire() == plan.to_wire()
@@ -123,11 +123,12 @@ class TestFaultPlan:
             plan.fault_for(s, n, 60) for s in range(8) for n in (1, 2)
         ]
 
-    def test_rpc_injector_only_when_rate_positive(self):
-        assert FaultPlan(rpc_rate=0.0).rpc_injector() is None
-        inj = FaultPlan(seed=3, rpc_rate=0.5, rpc_delay_s=0.1).rpc_injector()
-        assert isinstance(inj, RPCFaultInjector)
-        assert inj.seed == 3 and inj.delay_s == 0.1
+    @pytest.mark.parametrize("knob", ["rpc_rate", "rpc_kinds", "rpc_delay_s"])
+    def test_plans_have_no_rpc_knobs(self, knob):
+        """Shard workers query no RPC server, so a plan has none to arm."""
+        with pytest.raises(TypeError, match=knob):
+            FaultPlan(**{knob: 0.1})
+        assert knob not in FaultPlan().to_wire()
 
 
 class TestCorruptLine:

@@ -22,8 +22,7 @@ from repro.shard import (
 )
 from repro.shard.wire import HitStream
 from repro.shard.worker import HEARTBEAT_S, worker_entry
-from repro.symtable import SQLiteSymbolTable, write_symbol_table
-from repro.symtable.rpc import SymbolTableServer
+from repro.symtable import SQLiteSymbolTable, in_memory, write_symbol_table
 from tests.helpers import Accumulator, line_of
 
 
@@ -61,17 +60,13 @@ class _Pipe:
 
 def _lines(d, st, spec: ShardSpec, listening: bool) -> tuple[list, float]:
     """Run ``worker_entry`` in this process — the main of a forked
-    attempt, symbol table over RPC — and return the lines it sent and
-    its wall time."""
+    attempt, reading the in-memory copy of ``st`` a worker inherits — and
+    return the lines it sent and its wall time."""
     pipe = _Pipe()
-    with SymbolTableServer(st) as server:
-        host, port = server.address
-        t0 = time.monotonic()
-        worker_entry(
-            d.low, None, spec.to_wire(), host, port, pipe, listening=listening
-        )
-        wall = time.monotonic() - t0
-    return pipe.lines, wall
+    table = in_memory(st)
+    t0 = time.monotonic()
+    worker_entry(d.low, None, spec.to_wire(), table, pipe, listening=listening)
+    return pipe.lines, time.monotonic() - t0
 
 
 def _attempt(d, st, spec: ShardSpec, listening: bool) -> list[dict]:

@@ -113,15 +113,20 @@ class TestForkedSweep:
             "coordinator", "shard 0", "shard 1", "shard 2", "shard 3",
         }
 
-    def test_supervision_and_rpc_metrics_collected(self, acc):
+    def test_supervision_metrics_collected_and_no_rpc(self, acc):
+        """Forked workers read the symbol table they inherited: no shard
+        reports a symbol-table RPC series."""
         d, bp = acc
         report = _sweep(d, bp, obs="metrics", workers=2)
         (attempts,) = _series(report, "shard_attempts_total")
         assert attempts["value"] == 2
         hb = _series(report, "shard_heartbeat_gap_seconds")
         assert hb and hb[0]["count"] > 0
-        rpc = _series(report, "rpc_requests_total")
-        assert {m["labels"]["shard"] for m in rpc} == {"0", "1"}
+        names = {m["name"] for m in report.merged_metrics()["metrics"]}
+        assert not {n for n in names if n.startswith("rpc_")}
+        shards = {m["labels"]["shard"] for m in _series(report, "sim_ticks_total")}
+        assert shards == {"0", "1"}
+        assert "rpc:" not in report.summary()
 
     def test_prometheus_export_covers_both_sides(self, acc):
         d, bp = acc

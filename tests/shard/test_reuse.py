@@ -1,12 +1,13 @@
 """Reused workers: a session forks at most ``workers`` processes, each
-serving attempt after attempt, sweep after sweep, and answering repeated
-symbol-table queries from its own memo.  Every result still equals the
-inline run, and no worker outlives its session."""
+serving attempt after attempt, sweep after sweep, and reading the
+session's in-memory symbol table, which it inherited at the fork.  Every
+result still equals the inline run, and no worker outlives its session."""
 
 import inspect
 import multiprocessing
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -188,7 +189,7 @@ class TestPool:
 
 
 class _CountingTable(SymbolTableInterface):
-    """A table that counts every query reaching it (server threads)."""
+    """A table that counts every query reaching it."""
 
     def __init__(self, table):
         self._table = table
@@ -235,13 +236,35 @@ class _CountingTable(SymbolTableInterface):
 
 
 class TestMemo:
-    def test_each_query_reaches_the_server_once_per_worker(self, fpu):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_each_query_reaches_the_source_once_per_session(self, fpu, workers):
+        """The session copies its table once, at its first sweep; every
+        shard of every sweep, inline or forked, reads the copy."""
         design, bp = fpu
         table = _CountingTable(SQLiteSymbolTable(write_symbol_table(design)))
-        forked = _hunt(design, bp, workers=2, symtable=table)
-        inline = _hunt(design, bp, workers=0)
+        with ShardSession(design, symtable=table, workers=workers) as session:
+            assert not table.calls  # building a session copies nothing
+            first = session.sweep(8, CYCLES, breakpoints=[bp], retry=FAST)
+            second = session.sweep(
+                8, CYCLES, seed_base=8, breakpoints=[bp], retry=FAST
+            )
         assert table.calls
-        assert max(table.calls.values()) <= 2, table.calls
-        assert [r.hits for r in forked.results] == [
-            r.hits for r in inline.results
-        ]
+        assert max(table.calls.values()) <= 1, table.calls
+        assert _outcome(first) == _outcome(_hunt(design, bp, 0))
+        assert _outcome(second) == _outcome(_hunt(design, bp, 0, seed_base=8))
+
+
+class TestNoSocket:
+    def test_forked_sweep_opens_no_connection(self, fpu, monkeypatch):
+        """Workers forked after ``socket.create_connection`` is poisoned
+        inherit the poison: the sweep still runs every shard once."""
+
+        def poisoned(*args, **kwargs):
+            raise ConnectionRefusedError("no socket in a shard sweep")
+
+        design, bp = fpu
+        monkeypatch.setattr(socket, "create_connection", poisoned)
+        forked = _hunt(design, bp, workers=2, timeout=60.0)
+        assert forked.ok
+        assert all(r.attempts == 1 and not r.failures for r in forked.results)
+        assert _outcome(forked) == _outcome(_hunt(design, bp, workers=0))

@@ -1,7 +1,8 @@
 """Supervision layer tests: retry/deadline policies as pure units, then
 the coordinator's failure paths end-to-end — crash, hang (including the
-terminate→kill escalation), corrupt wire, retry exhaustion with and
-without inline fallback, and the whole-sweep wall-clock budget."""
+terminate→kill escalation), corrupt wire (a garbled ``done`` included),
+retry exhaustion with and without inline fallback, and the whole-sweep
+wall-clock budget."""
 
 import gc
 import multiprocessing
@@ -11,7 +12,8 @@ import time
 import pytest
 
 import repro
-from repro.faults import FaultPlan
+import repro.shard.worker as shard_worker
+from repro.faults import FaultPlan, corrupt_line
 from repro.shard import (
     BreakpointSpec,
     DeadlinePolicy,
@@ -22,15 +24,15 @@ from repro.shard import (
     as_deadline_policy,
     failure_record,
 )
-from repro.shard.coordinator import _start_frozen
+from repro.shard.coordinator import GARBLED_SILENCE_S, _start_frozen
 from repro.shard.supervise import (
     CORRUPT,
     CRASH,
     ERROR,
     HANG,
     INFRA_FAILURES,
-    RPC,
 )
+from repro.shard.wire import encode_line
 from tests.helpers import Accumulator, line_of
 
 FAST = RetryPolicy(max_attempts=3, backoff_s=0.01, max_backoff_s=0.05)
@@ -65,7 +67,7 @@ def _sweep(d, bp, **kwargs):
 class TestRetryPolicy:
     def test_defaults_retry_infra_only(self):
         p = RetryPolicy()
-        for fclass in (CRASH, HANG, CORRUPT, RPC):
+        for fclass in (CRASH, HANG, CORRUPT):
             assert p.should_retry(fclass, 1)
             assert p.wants_fallback(fclass)
         assert not p.should_retry(ERROR, 1)
@@ -133,7 +135,7 @@ class TestDeadlinePolicy:
         }
 
     def test_infra_failure_set(self):
-        assert INFRA_FAILURES == {"crash", "hang", "corrupt", "rpc"}
+        assert INFRA_FAILURES == {"crash", "hang", "corrupt"}
 
 
 class TestCrashRecovery:
@@ -198,6 +200,39 @@ class TestCorruptWireRecovery:
         assert [f["class"] for f in hurt.failures] == ["corrupt"]
         assert "undecodable" in hurt.failures[0]["message"]
         assert hurt.state_digest == reference.results[0].state_digest
+
+    def test_done_garbled_past_its_kind_settles_without_a_deadline(
+        self, acc, reference, monkeypatch
+    ):
+        """A clean worker whose ``done`` line arrives garbled beyond its
+        event kind waits idle for its next attempt, so its pipe never
+        ends.  With no DeadlinePolicy, the silence after the garbled line
+        settles the attempt as corrupt; it is retried, then run inline."""
+        d, bp = acc
+
+        def garble_shard0_done(event: dict) -> bytes:
+            data = encode_line(event)
+            if event["event"] == "done" and event["shard"] == 0:
+                return corrupt_line(data)
+            return data
+
+        # Patched before the first fork: every worker inherits it.
+        monkeypatch.setattr(shard_worker, "encode_line", garble_shard0_done)
+        t0 = time.monotonic()
+        report = _sweep(
+            d, bp, timeout=60.0,
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
+        )
+        assert time.monotonic() - t0 < 2 * GARBLED_SILENCE_S + 10
+        assert report.ok
+        hurt, healthy = report.results
+        assert hurt.attempts == 3  # two forked attempts, then inline
+        assert [f["class"] for f in hurt.failures] == ["corrupt", "corrupt"]
+        assert all("undecodable" in f["message"] for f in hurt.failures)
+        assert healthy.attempts == 1 and not healthy.failures
+        for got, want in zip(report.results, reference.results, strict=True):
+            assert got.state_digest == want.state_digest
+            assert got.hits == want.hits
 
 
 class TestHangRecovery:
@@ -296,21 +331,6 @@ class TestExhaustionAndDegradation:
             {"shard": 0, "attempts": 2, "error": report.results[0].error}
         ]
         assert payload["total_attempts"] == 3
-
-    def test_rpc_outage_degrades_to_inline(self, acc, reference):
-        """When every RPC response is dropped, every forked attempt dies
-        of transport failure (class "rpc", retried) — and the inline
-        fallback, which queries the symbol table natively, recovers the
-        whole sweep."""
-        d, bp = acc
-        plan = FaultPlan(seed=0, rpc_rate=1.0, rpc_kinds=("drop",))
-        report = _sweep(d, bp, faults=plan)
-        assert report.ok
-        for got, want in zip(report.results, reference.results, strict=False):
-            assert got.attempts == FAST.max_attempts + 1
-            assert {f["class"] for f in got.failures} == {"rpc"}
-            assert got.state_digest == want.state_digest
-            assert got.hits == want.hits
 
     def test_spec_errors_are_not_retried(self, acc):
         """A worker-reported error is deterministic: retrying or falling

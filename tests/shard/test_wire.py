@@ -264,9 +264,9 @@ PINNED = [
         b'"group": [' + _RESULT_WIRE + b']}}\n',
     ),
     (
-        error_event(2, "ConnectionError: gone", transient=True),
+        error_event(2, "DebuggerError: no breakpoint at x.py:1"),
         b'{"event": "error", "v": 2, "shard": 2, '
-        b'"message": "ConnectionError: gone", "transient": true}\n',
+        b'"message": "DebuggerError: no breakpoint at x.py:1"}\n',
     ),
     (
         stats_event(2, {"metrics": {"metrics": []}, "spans": [], "pid": 1}),
