@@ -1,21 +1,21 @@
-"""Many-worlds free runs and world groups on the scalar kernel.
+"""Many-worlds batches and world groups on the scalar kernel.
 
 ``repro.sim.manyworlds`` runs N stimulus scenarios ("worlds") as one
-debuggable backend with one scalar ``Simulator`` per world: with nothing
-attached, ``ManyWorldsSimulator.run_cycles`` hands each world its
+batch with one scalar ``Simulator`` per world:
+``ManyWorldsSimulator.run_cycles`` hands each world its
 :func:`make_sweep_stimulus` tape, which the design's native kernel pokes
 and steps in C.  A shard world group runs the same tapes one
 ``Simulator`` after another.
 
 This benchmark runs the *same* N-seed sweep three ways on the 24-stage
 pipeline, N = 32 worlds: sequential scalar tape runs sharing one hot
-``CompiledDesign``, one free ``ManyWorldsSimulator.run_cycles``, and
+``CompiledDesign``, one ``ManyWorldsSimulator.run_cycles``, and
 sequential runs that poke each cycle from Python on the list store (the
 fastest configuration without a kernel).
 
 Acceptance bars:
 
-* the tape runs and the free many-worlds run each reach >= 5x the
+* the tape runs and the many-worlds batch each reach >= 5x the
   aggregate cycles/s of the Python poke loop at N=32 — asserted in smoke
   too (smoke only shrinks the cycle count; the world count stays at 32);
 * per-world ``state_digest`` identical across the three, and to the
@@ -90,8 +90,8 @@ def _sequential_digests(design, compiled, seeds, cycles, tape=True):
 
 
 def test_manyworlds_throughput(capsys):
-    """The bars: scalar tape runs and a free many-worlds run each >= 5x
-    the Python poke loop, at N=32."""
+    """The bars: scalar tape runs and a many-worlds batch each >= 5x the
+    Python poke loop, at N=32."""
     design = repro.compile(_ManyWorldsPipe())
     compiled = compile_design(design.low, None)
     if native.kernel_for(compiled) is None:

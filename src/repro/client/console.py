@@ -598,45 +598,6 @@ def _cmd_shard(dbg: ConsoleDebugger, args) -> None:
         dbg._out(line)
 
 
-@register_command(
-    "worlds",
-    help="many-worlds status: hit mask of the current stop plus per-world "
-         "run state (docs/manyworlds.md)",
-)
-def _cmd_worlds(dbg: ConsoleDebugger, args) -> None:
-    sim = dbg.runtime.sim if dbg.runtime is not None else None
-    n = getattr(sim, "worlds", None)
-    hit = dbg.current_hit
-    fired = None
-    if hit is not None:
-        fired = getattr(hit, "worlds", None)
-        watch = getattr(hit, "watch", None)
-        if fired is None and watch:
-            fired = watch.get("worlds")
-    if n is None and fired is None:
-        dbg._out("scalar backend: one world (docs/manyworlds.md)")
-        return
-    if n is None:
-        n = max(fired) + 1
-    if fired is not None:
-        hits = set(fired)
-        mask = "".join("X" if k in hits else "." for k in range(n))
-        worlds = ", ".join(str(k) for k in sorted(hits))
-        dbg._out(f"hit mask  {mask}  ({len(hits)}/{n}: world(s) {worlds})")
-    elif hit is not None:
-        dbg._out("current stop carries no world mask")
-    codes = getattr(sim, "exit_codes", None)
-    if codes is not None:
-        ticks = sim.finish_ticks
-        active = set(sim.active_worlds)
-        alive = "".join("." if k in active else "X" for k in range(n))
-        dbg._out(f"finished  {alive}  ({n - len(active)}/{n})")
-        for k in sorted(set(range(n)) - active):
-            dbg._out(
-                f"  world {k}: exit {codes[k]} @ cycle {ticks[k]}"
-            )
-
-
 @register_command("stats",
                   help="simulator execution counters; full metric catalog "
                        "when observability is armed (docs/observability.md)")

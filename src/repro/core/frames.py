@@ -237,14 +237,11 @@ class FrameBuilder:
         self.instance_map = instance_map
         self.plans: dict[int, FramePlan] = {}
         self._generator_vars: dict[int, list] = {}
-        # A live Simulator (a value store, and no worlds): reads index its
-        # store's buffers, which it never rebinds.  By breakpoint id, the
+        # A live Simulator (a value store): reads index its store's
+        # buffers, which it never rebinds.  By breakpoint id, the
         # narrow-lane index of each plan path (0 where the path is wide or
         # missing) and the (position, wide index or None) fixups.
-        store = getattr(sim, "store", None)
-        self._store = (
-            store if getattr(sim, "world_stores", None) is None else None
-        )
+        self._store = getattr(sim, "store", None)
         self._lanes: dict[int, tuple[tuple, tuple]] = {}
 
     def rtl_path(self, instance_name: str, local: str) -> str:

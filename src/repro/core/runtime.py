@@ -75,10 +75,6 @@ class HitGroup:
 
     Watchpoint hits reuse the same shape with ``watch`` set to
     ``{"id", "label", "path", "old", "new"}`` and no frames.
-
-    Against a many-worlds backend ``worlds`` carries the exact set of
-    scenario-world indices whose conditions held (watch hits put the set
-    in ``watch["worlds"]`` instead); it is None on scalar backends.
     """
 
     time: int
@@ -88,7 +84,6 @@ class HitGroup:
     reads: list[tuple[BreakpointRec, list]] = field(default_factory=list)
     builder: FrameBuilder | None = field(default=None, repr=False)
     watch: dict | None = None
-    worlds: tuple[int, ...] | None = None
     _frames: list[Frame] | None = field(default=None, repr=False)
 
     @property
@@ -125,8 +120,6 @@ class HitGroup:
             ]
         if self.watch is not None:
             rec["watch"] = dict(self.watch)
-        if self.worlds is not None:
-            rec["worlds"] = list(self.worlds)
         return rec
 
 
@@ -159,25 +152,21 @@ class HitPlan:
 def hit_record(row, plans: dict) -> dict:
     """The :meth:`HitGroup.to_record` dict of a hit kept as values.
 
-    ``row`` is ``[time, [[breakpoint id, values], ...]]``, with the fired
-    worlds appended on a many-worlds backend, or, for a hit without
-    frames (a watch hit), its record itself.  ``plans`` maps breakpoint
-    ids to :class:`HitPlan`.
+    ``row`` is ``[time, [[breakpoint id, values], ...]]``, or, for a hit
+    without frames (a watch hit), its record itself.  ``plans`` maps
+    breakpoint ids to :class:`HitPlan`.
     """
     if type(row) is dict:
         return row
-    time, frames, *worlds = row
+    time, frames = row
     first = plans[frames[0][0]]
-    rec = {
+    return {
         "time": time,
         "filename": first.frame.filename,
         "line": first.frame.line,
         "column": first.column,
         "frames": [plans[bp].frame.record(values, time) for bp, values in frames],
     }
-    if worlds:
-        rec["worlds"] = list(worlds[0])
-    return rec
 
 
 class HitRecorder:
@@ -222,8 +211,6 @@ class HitRecorder:
                     )
                     new.append(plan)
             row = [hit.time, [[bp.id, values] for bp, values in hit.reads]]
-            if hit.worlds is not None:
-                row.append(list(hit.worlds))
         else:
             row = hit.to_record()
         self.hits.append(row)
@@ -303,12 +290,8 @@ class Runtime:
         self._sim_wide = store.wide if store is not None else None
         design = getattr(sim, "design", None)
         self._signal_index = getattr(design, "signal_index", None)
-        # Many-worlds backend: each compiled group runs once per running
-        # world, against that world's value table; hits report the exact
-        # set of worlds that fired (docs/manyworlds.md).
-        self._world_stores = getattr(sim, "world_stores", None)
         # Breakpoint wakes bind names to a live simulator's narrow lanes.
-        self._wakes_ok = self._world_stores is None and self._sim_wide is not None
+        self._wakes_ok = self._sim_wide is not None
         # stats_callbacks: posedges of earlier attached spans, and the
         # backend's posedge count when the current span began.
         self._posedges_before = 0
@@ -723,31 +706,8 @@ class Runtime:
         return parts[0] if len(parts) == 1 else ("&&", *parts)
 
     def _eval_group(self, group: Group) -> list:
-        """All breakpoints of a group that hit this cycle.
-
-        Scalar backends: a list of breakpoints.  Many-worlds backends: a
-        list of ``(breakpoint, world_indices)`` pairs — the exact worlds
-        where the breakpoint hit, among the still-active worlds.
-        """
+        """All breakpoints of a group that hit this cycle."""
         bps = group.breakpoints
-        if self._world_stores is not None:
-            if not self._compile_conditions:
-                self._warn_once(
-                    "many-worlds conditions require compiled conditions; "
-                    "breakpoint groups are skipped"
-                )
-                return []
-            fn = group.compiled
-            if fn is None:
-                fn = self._compile_group(group)
-                group.compiled = fn
-            if fn is False:
-                self._warn_once(
-                    f"breakpoint group at {group.key[0]}:{group.key[1]} "
-                    "failed to compile for per-world evaluation; skipped"
-                )
-                return []
-            return self._eval_worlds(fn, bps)
         if not self._compile_conditions:
             return [bp for bp in bps if self._bp_hits(bp)]
         fn = group.compiled
@@ -765,27 +725,6 @@ class Runtime:
                 bp.ignore_count -= 1
                 continue
             hits.append(bp)
-        return hits
-
-    def _eval_worlds(self, fn, bps) -> list:
-        """Run a group's compiled evaluator once per running world, against
-        that world's value table: ``(breakpoint, world_indices)`` for every
-        breakpoint that hit in some world."""
-        self._bp_evals += len(bps)
-        stores = self._world_stores
-        fired: dict[int, list[int]] = {}
-        for k in self.sim.active_worlds:
-            store = stores[k]
-            for j in fn(store.narrow, store.wide):
-                fired.setdefault(j, []).append(k)
-        hits = []
-        for j in sorted(fired):
-            bp, ws = bps[j], tuple(fired[j])
-            bp.hit_count += len(ws)
-            if bp.ignore_count > 0:
-                bp.ignore_count -= 1
-                continue
-            hits.append((bp, ws))
         return hits
 
     def _bp_hits(self, bp: InsertedBreakpoint) -> bool:
@@ -849,13 +788,6 @@ class Runtime:
                 "old": old,
                 "new": new,
             }
-            if wp.fired_worlds is not None:
-                # Many-worlds: old/new are the first fired world's pair;
-                # the full fired set rides along.
-                watch["worlds"] = list(wp.fired_worlds)
-                note = getattr(self.sim, "note_mask_hit", None)
-                if note is not None:
-                    note(len(wp.fired_worlds))
             if wp.error is not None and not wp.error_reported:
                 wp.error_reported = True
                 self._warn_once(wp.error)
@@ -920,15 +852,6 @@ class Runtime:
                 continue
 
             group = groups[hit_idx]
-            worlds = None
-            if self._world_stores is not None:
-                # hits are (breakpoint, fired-world-indices) pairs; frames
-                # render world 0's view, the set names the fired worlds.
-                worlds = tuple(sorted({k for _, ws in hits for k in ws}))
-                note = getattr(self.sim, "note_mask_hit", None)
-                if note is not None:
-                    note(len(worlds))
-                hits = [bp for bp, _ in hits]
             frames = self.frames
             hit = HitGroup(
                 time=self.sim.get_time(),
@@ -937,7 +860,6 @@ class Runtime:
                 column=group.key[2],
                 reads=[(bp.rec, frames.read(bp.rec)) for bp in hits],
                 builder=frames,
-                worlds=worlds,
             )
             cmd = self.on_hit(hit)
             if self._flush is not None:

@@ -48,9 +48,6 @@ class Watchpoint:
     condition_fn: object | None = None   # compiled (old, new) -> int
     error: str | None = None       # first condition failure, surfaced once
     error_reported: bool = False
-    # Many-worlds backends: the world indices whose change fired on the
-    # most recent report (None on scalar backends).
-    fired_worlds: tuple[int, ...] | None = None
 
 
 def _compile_condition(ast):
@@ -91,9 +88,6 @@ class WatchStore:
         self._wide = store.wide if store is not None else None
         design = getattr(sim, "design", None)
         self._signal_index = getattr(design, "signal_index", None)
-        # Many-worlds backend: reads return per-world tuples and changes
-        # report the exact set of worlds that fired.
-        self._world_stores = getattr(sim, "world_stores", None)
 
     def add(self, path: str, label: str, condition: str | None = None) -> Watchpoint:
         wp = Watchpoint(self._next_id, path, label)
@@ -125,9 +119,6 @@ class WatchStore:
         return iter(self._watch.values())
 
     def _read(self, sim, wp: Watchpoint):
-        if wp.index is not None and self._world_stores is not None:
-            idx = wp.index
-            return tuple(store[idx] for store in self._world_stores)
         if wp.index is not None and self._values is not None:
             if self._wide and wp.index in self._wide:
                 return self._wide[wp.index]
@@ -149,13 +140,6 @@ class WatchStore:
             if last is None:
                 wp.last = value
                 continue
-            if isinstance(value, tuple):
-                # Many-worlds: per-world compare, restricted to worlds
-                # still running.
-                hit = self._changed_worlds(sim, wp, last, value)
-                if hit is not None:
-                    out.append(hit)
-                continue
             if value != last:
                 wp.last = value
                 if wp.condition_fn is not None and wp.error is None:
@@ -170,33 +154,6 @@ class WatchStore:
                 wp.hit_count += 1
                 out.append((wp, last, value))
         return out
-
-    def _changed_worlds(self, sim, wp: Watchpoint, last, value):
-        """Many-worlds change detection: returns ``(wp, old, new)`` for
-        the first fired world (mask in ``wp.fired_worlds``) or None."""
-        wp.last = value
-        alive = getattr(sim, "active_worlds", None)
-        candidates = alive if alive is not None else range(len(value))
-        fired = [k for k in candidates if value[k] != last[k]]
-        if fired and wp.condition_fn is not None and wp.error is None:
-            passing = []
-            for k in fired:
-                try:
-                    if wp.condition_fn(last[k], value[k]):
-                        passing.append(k)
-                except (expr_eval.ExprError, ValueError, OverflowError) as exc:
-                    wp.error = (
-                        f"watchpoint condition {wp.condition_src!r} "
-                        f"failed: {exc}"
-                    )
-                    break
-            if wp.error is None:
-                fired = passing
-        if not fired:
-            return None
-        wp.fired_worlds = tuple(fired)
-        wp.hit_count += len(fired)
-        return (wp, last[fired[0]], value[fired[0]])
 
     def rewound(self, sim) -> None:
         """Re-prime every ``last`` value after a time jump.

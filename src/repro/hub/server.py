@@ -18,7 +18,9 @@ compiler (``benchmarks/bench_hub.py``).
 Transport: newline-delimited JSON over TCP, framed with the same
 ``__type__``-tagged codec as the shard event wire and the symbol table
 RPC (:mod:`repro.shard.wire`) — one request object per line, one
-response per line, matched by ``id``::
+response per line, matched by ``id``.  A line over
+:data:`MAX_REQUEST_LINE` bytes is answered with one error, with a null
+``id``, and ends its connection::
 
     -> {"id": 1, "method": "attach", "params": {"seed": 7}}
     <- {"id": 1, "result": {"sid": 1, "kind": "live", ...}}
@@ -55,6 +57,12 @@ from ..symtable.query import SQLiteSymbolTable
 from ..symtable.writer import write_symbol_table
 from .api import PROTOCOL_VERSION
 from .session import DebugSession
+
+#: The longest request line the hub reads, newline included.  Real
+#: requests are under 1 KiB.  A longer line is answered with one
+#: ``HubError`` and ends its connection, so a peer that never sends a
+#: newline cannot grow the hub's memory.
+MAX_REQUEST_LINE = 1 << 20
 
 
 class HubError(Exception):
@@ -279,6 +287,8 @@ class DebugHub:
         # null id, never with the previous request's.
         req_id = None
         try:
+            if len(line) > MAX_REQUEST_LINE:
+                raise HubError(f"request line over {MAX_REQUEST_LINE} bytes")
             req = decode_message(line)
             if not isinstance(req, dict):
                 raise HubError("request must be a JSON object")
@@ -298,8 +308,10 @@ class DebugHub:
         bound: list = [None]  # the connection's attached session
         try:
             with conn.makefile("rb") as lines:
-                for line in lines:
+                while line := lines.readline(MAX_REQUEST_LINE + 1):
                     conn.sendall(self._reply(bound, line))
+                    if len(line) > MAX_REQUEST_LINE:
+                        break  # the rest of the line is never read
         except OSError:
             pass  # the peer went away, or close() shut the socket
         finally:
@@ -334,6 +346,9 @@ class DebugHub:
 
         class Listener(socketserver.TCPServer):
             allow_reuse_address = True
+            # socketserver's default backlog of 5 stalls a burst of
+            # connects for a TCP retry (~1 s) each.
+            request_queue_size = 128
 
             def process_request(self, conn, _address) -> None:
                 hub._open(conn)

@@ -215,7 +215,8 @@ class HitRecords(list):
 def check_hits(rows: list, plans: list, table: dict) -> None:
     """Add the plan wires ``plans`` to ``table`` (breakpoint id ->
     :class:`~repro.core.runtime.HitPlan`), then check ``rows`` against
-    it: every plan renders, every frame names a plan and carries as many
+    it: every plan renders, every row is exactly ``[time, frames]`` with
+    at least one frame, and every frame names a plan and carries as many
     values as its plan reads.  Raises :class:`WireError`."""
     try:
         for rec in plans:
@@ -225,10 +226,8 @@ def check_hits(rows: list, plans: list, table: dict) -> None:
         for row in rows:
             if type(row) is dict:
                 continue  # a frameless hit travels as its record
-            _time, frames, *worlds = row
-            if not frames or len(worlds) > 1 or (
-                worlds and type(worlds[0]) is not list
-            ):
+            _time, frames = row
+            if not frames:
                 raise WireError(f"malformed hit {row!r}")
             for bp, values in frames:
                 plan = table.get(bp)

@@ -114,9 +114,10 @@ class _PrintfDispatcher:
 class SessionOptions:
     """The one session configuration record shared across the stack.
 
-    ``Simulator``, ``ManyWorldsSimulator``, ``ShardSession`` and the debug
-    hub take their session settings only as ``options=SessionOptions(...)``;
-    ``options=None`` means ``SessionOptions()``.  Frozen: any assignment
+    ``Simulator``, ``ShardSession`` and the debug hub take their session
+    settings only as ``options=SessionOptions(...)``, and a
+    ``ManyWorldsSimulator`` batch builds every world's ``Simulator`` with
+    it; ``options=None`` means ``SessionOptions()``.  Frozen: any assignment
     raises ``dataclasses.FrozenInstanceError`` (not slotted, which on
     CPython 3.11 answers a non-field name with a ``TypeError`` instead).
     """

@@ -77,7 +77,9 @@ class HierNode:
 
 
 class SimulatorInterface(ABC):
-    """What the hgdb runtime requires of any simulation backend."""
+    """What the hgdb runtime requires of any simulation backend: the live
+    ``Simulator`` and the trace ``ReplayEngine``.  A runtime debugs one
+    simulation; a ``ManyWorldsSimulator`` batch is no backend."""
 
     # -- values ----------------------------------------------------------
 

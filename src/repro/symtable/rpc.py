@@ -39,6 +39,12 @@ _METHODS = frozenset(
 )
 
 
+#: The longest request line the server reads, newline included.  Real
+#: requests are under 1 KiB.  A longer line is answered with one error,
+#: with a null id, and ends its connection, so a peer that never sends a
+#: newline cannot grow the server's memory.
+MAX_REQUEST_LINE = 1 << 20
+
 _RECORD_TYPES = (BreakpointRec, InstanceRec, VarRec)
 _RECORDS = {cls.__name__: cls for cls in _RECORD_TYPES}
 
@@ -107,13 +113,17 @@ class SymbolTableServer:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
-                for line in self.rfile:
+                while line := self.rfile.readline(MAX_REQUEST_LINE + 1):
                     # A non-JSON line must not kill the handler: parse
                     # failures leave no `req` in scope, so the request id
                     # defaults to null and the client gets a proper error
                     # response instead of a dropped connection.
                     req_id = None
                     try:
+                        if len(line) > MAX_REQUEST_LINE:
+                            raise ValueError(
+                                f"request line over {MAX_REQUEST_LINE} bytes"
+                            )
                         req = json.loads(line)
                         if not isinstance(req, dict):
                             raise ValueError("request must be a JSON object")
@@ -142,10 +152,15 @@ class SymbolTableServer:
                             time.sleep(delay_s)
                     self.wfile.write(json.dumps(resp).encode() + b"\n")
                     self.wfile.flush()
+                    if len(line) > MAX_REQUEST_LINE:
+                        return  # the rest of the line is never read
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
+            # socketserver's default backlog of 5 stalls a burst of
+            # connects for a TCP retry (~1 s) each.
+            request_queue_size = 128
 
         self._server = Server((host, port), Handler)
         self.address = self._server.server_address

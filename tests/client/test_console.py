@@ -188,64 +188,6 @@ class TestShardCommand:
         assert any("live Simulator" in l for l in dbg.transcript)
 
 
-class TestWorldsCommand:
-    def test_worlds_on_scalar_backend(self):
-        dbg, _ = _session(["worlds", "q"])
-        assert any("scalar backend: one world" in l for l in dbg.transcript)
-
-    def test_worlds_hit_mask_at_stop(self):
-        """At a mask-breakpoint stop, `worlds` renders the exact fired
-        world subset as an X/. mask over the scenario axis."""
-        from repro.sim.manyworlds import ManyWorldsSimulator
-
-        d = repro.compile(Accumulator())
-        mw = ManyWorldsSimulator(d.low, worlds=4)
-        rt = make_runtime(d, mw)
-        dbg = ConsoleDebugger(rt, script=["worlds", "q"])
-        rt.attach()
-        _f, line = line_of(d, "acc")
-        dbg.execute(f"b helpers.py:{line} if acc > 20")
-        mw.poke("en", 1)
-        mw.reset()
-        # Only world 3 crosses 20 on the first accumulation step.
-        mw.poke_worlds("d", [1, 9, 0, 30])
-        mw.step(5)
-        joined = "\n".join(dbg.transcript)
-        assert "hit mask  ...X  (1/4: world(s) 3)" in joined
-
-    def test_worlds_lists_finished_worlds(self):
-        """Outside a stop, `worlds` reports which worlds already hit
-        their Stop and with what exit code."""
-        import repro.hgf as hgf
-        from repro.sim.manyworlds import ManyWorldsSimulator
-
-        class Stopper(hgf.Module):
-            def __init__(self):
-                super().__init__()
-                x = self.input("x", 8)
-                self.o = self.output("o", 16)
-                acc = self.reg("acc", 16, init=0)
-                acc <<= (acc + x.pad(16))[15:0]
-                self.stop(acc[7:0] == self.lit(0xA5, 8), 3)
-                self.o <<= acc
-
-        d = repro.compile(Stopper())
-        mw = ManyWorldsSimulator(d.low, worlds=3)
-        rt = make_runtime(d, mw)
-        dbg = ConsoleDebugger(rt)
-        mw.reset()
-        # Worlds 0 and 2 reach acc == 0xA5 inside the budget; world 1
-        # (x = 0) never does.
-        mw.poke_worlds("x", [0xA5, 0, 55])
-        mw.run(max_cycles=20)
-        dbg.execute("worlds")
-        joined = "\n".join(dbg.transcript)
-        assert "finished  X.X  (2/3)" in joined
-        assert "world 0: exit 3 @ cycle" in joined
-        assert "world 2: exit 3 @ cycle" in joined
-        assert "world 1:" not in joined
-
-
 class TestTimelineCommand:
     def _debugger(self, snapshots=16):
         d = repro.compile(Accumulator())

@@ -11,7 +11,7 @@ from repro.core import CONTINUE, Runtime
 from repro.core.frames import FrameBuilder, build_variable_tree
 from repro.core.matching import MatchError, locate_instance
 from repro.hub import SessionOptions
-from repro.sim import ManyWorldsSimulator, Simulator
+from repro.sim import Simulator
 from repro.symtable import SQLiteSymbolTable, SymbolTableInterface, write_symbol_table
 from repro.trace import ReplayEngine, VcdWriter
 from tests.helpers import Counter, TwoLeaves, fresh_frame, line_of
@@ -293,16 +293,6 @@ def _replay(design, cycles, tmp_path):
     return counting, built
 
 
-def _world0(design, cycles, _tmp_path):
-    sim = ManyWorldsSimulator(design.low, 3, options=SessionOptions())
-    counting, built, _runtime = _armed(design, sim)
-    sim.reset()
-    for x in _stimulus(cycles):
-        sim.poke_worlds("x", [x, x ^ 1, x ^ 2])
-        sim.step()
-    return counting, built
-
-
 class TestFramePlans:
     """A breakpoint's frames query the symbol table once, then only read
     values — and every frame equals one built from fresh queries."""
@@ -310,8 +300,8 @@ class TestFramePlans:
     @pytest.mark.parametrize("cycles", [1, 3, 8])
     @pytest.mark.parametrize(
         "backend",
-        [_live, _reference, _replay, _world0],
-        ids=["live", "reference", "replay", "manyworlds"],
+        [_live, _reference, _replay],
+        ids=["live", "reference", "replay"],
     )
     def test_one_query_per_breakpoint_and_instance(self, backend, cycles, tmp_path):
         design = repro.compile(_Lanes())

@@ -17,12 +17,7 @@ from repro.core import (
     STEP,
     DebuggerError,
 )
-from repro.sim import (
-    ManyWorldsSimulator,
-    SessionOptions,
-    Simulator,
-    native,
-)
+from repro.sim import SessionOptions, Simulator, native
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
 
@@ -434,10 +429,10 @@ class TestIdleHook:
         # attached from the first posedge: one per posedge until detach
         assert seen[-1] == sim.stats()["ticks"] - 10
 
-    @pytest.mark.parametrize("backend", ["scalar", "worlds"])
+    @pytest.mark.parametrize("backend", ["scalar", "reference"])
     def test_pause_from_another_thread_reaches_an_idle_runtime(self, backend):
         d = repro.compile(Accumulator())
-        sim = Simulator(d.low) if backend == "scalar" else ManyWorldsSimulator(d.low, 2)
+        sim = Simulator(d.low, options=SessionOptions(fast=backend == "scalar"))
 
         class Paused(Exception):
             pass
@@ -453,24 +448,21 @@ class TestIdleHook:
         sim.reset()
         sim.poke("en", 1)
 
-        # The trailing world's time: many-worlds reports its leading
-        # world's, which reaches a run chunk's end while others still run it.
-        worlds = getattr(sim, "sims", (sim,))
-        asked = []  # that time just before, then just after, the request
+        asked = []  # the time just before, then just after, the request
 
         def pause_once_running():
             deadline = time.monotonic() + 10
             while sim.get_time() < 100 and time.monotonic() < deadline:
                 time.sleep(0.001)
-            asked.append(min(s.get_time() for s in worlds))
+            asked.append(sim.get_time())
             rt.request_pause()
-            asked.append(min(s.get_time() for s in worlds))
+            asked.append(sim.get_time())
 
         # The budget only ends a run whose pause never lands: a native
         # kernel free-runs this design hundreds of times faster than
-        # Python (both backends: many-worlds hands each world to its own
-        # kernel run), so it gets the larger one.
-        fast = native.kernel_for(sim.design) is not None
+        # Python, so it gets the larger one.  The reference path
+        # (fast=False) always runs in Python.
+        fast = backend == "scalar" and native.kernel_for(sim.design) is not None
         budget = 10**9 if fast else 10**6
         pauser = threading.Thread(target=pause_once_running, daemon=True)
         pauser.start()

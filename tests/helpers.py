@@ -7,6 +7,9 @@ hardcoding line numbers we look them up from debug info by sink name via
 
 from __future__ import annotations
 
+import socket
+import time
+
 import repro
 import repro.hgf as hgf
 
@@ -149,3 +152,14 @@ def fresh_frame(table, sim, instance_map, bp, time):
         tree(table.scope_variables(bp.id)),
         tree(table.generator_variables(bp.instance_id)),
     )
+
+
+def slowest_connect(address, connects: int = 60) -> float:
+    """Seconds the slowest of ``connects`` back-to-back connect-and-close
+    cycles to ``address`` took."""
+    worst = 0.0
+    for _ in range(connects):
+        t0 = time.perf_counter()
+        socket.create_connection(address, timeout=10).close()
+        worst = max(worst, time.perf_counter() - t0)
+    return worst

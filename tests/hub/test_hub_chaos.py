@@ -1,8 +1,8 @@
-"""Hostile peers on the hub wire: malformed and truncated lines, a peer
-that never reads its replies, and a disconnect during ``cont``.  Through
-all of it other connections keep getting answers, the session survives
-and re-attaches by sid, and closing the hub leaves no thread or session
-behind."""
+"""Hostile peers on the hub wire: malformed, truncated and over-long
+lines, a peer that never reads its replies, and a disconnect during
+``cont``.  Through all of it other connections keep getting answers, the
+session survives and re-attaches by sid, and closing the hub leaves no
+thread or session behind."""
 
 import json
 import select
@@ -12,6 +12,7 @@ import time
 
 import repro
 from repro.hub import DebugHub, HubClient
+from repro.hub.server import MAX_REQUEST_LINE
 from tests.helpers import Counter, line_of
 
 HELLO = b'{"id": 1, "method": "hello", "params": {}}\n'
@@ -42,6 +43,21 @@ def _flood_until_stalled(sock, seconds: float = 20.0) -> bool:
             if not select.select([], [sock], [], 0.5)[1]:
                 return True
     return False
+
+
+def _closed_while_sending(sock, total: int = 16 << 20) -> bool:
+    """Send one line with no newline, up to ``total`` bytes: True once
+    the hub has closed the connection, False if it keeps it open."""
+    chunk = b"x" * (64 << 10)
+    try:
+        for _ in range(total // len(chunk)):
+            sock.sendall(chunk)
+        sock.recv(1 << 16)  # the error reply, the end of the stream, or a reset
+    except TimeoutError:
+        return False  # the hub neither reads nor answers
+    except ConnectionError:
+        pass  # a reset: the hub closed with the rest of the line unread
+    return True
 
 
 def _until(predicate, seconds: float = 10.0) -> None:
@@ -107,6 +123,18 @@ def test_hostile_peers_leave_the_hub_serving():
             assert f.readline() == b""
         connect().sendall(b'{"id": 9, "method": "s.ru')
         raw.pop().close()
+        assert good.hello()["sessions"] == 1
+
+        # An over-long line: the hub reads no more of it than the cap,
+        # answers one error with a null id and closes the connection,
+        # whether the peer stops past the cap or keeps sending.
+        long = connect()
+        long.sendall(b"x" * (MAX_REQUEST_LINE + 1))
+        with long.makefile("rb") as f:
+            reply = json.loads(f.readline())
+            assert (reply["id"], reply["kind"]) == (None, "HubError")
+            assert f.readline() == b""
+        assert _closed_while_sending(connect())
         assert good.hello()["sessions"] == 1
 
         # A peer that sends requests but never reads its replies stalls

@@ -15,11 +15,17 @@ import pytest
 import repro
 from repro.cpu import RV32Core, assemble, benchmark_by_name
 from repro.hub import DebugHub, HubClient, LocalSession, SessionError, SessionOptions
-from repro.hub.server import PROTOCOL_VERSION, HubError
+from repro.hub.server import MAX_REQUEST_LINE, PROTOCOL_VERSION, HubError
 from repro.lint import LintError
 from repro.sim import Simulator, native
 from repro.symtable import MemorySymbolTable
-from tests.helpers import Accumulator, Counter, line_of, make_runtime
+from tests.helpers import (
+    Accumulator,
+    Counter,
+    line_of,
+    make_runtime,
+    slowest_connect,
+)
 from tests.lint.broken_designs import Loopy, Sloppy
 
 needs_cc = pytest.mark.skipif(
@@ -257,6 +263,26 @@ class TestWire:
         assert first["id"] == 7 and "result" in first
         assert err["id"] is None and "error" in err
         assert ok["id"] == 8 and "result" in ok
+
+    def test_line_at_the_cap_is_served(self):
+        """A request line of exactly MAX_REQUEST_LINE bytes, newline
+        included, is an ordinary request: answered, and the connection
+        keeps serving."""
+        _design, hub, host, port = _serve()
+        req = b'{"id": 5, "method": "hello", "params": {}}'
+        longest = req + b" " * (MAX_REQUEST_LINE - len(req) - 1) + b"\n"
+        hello = b'{"id": 6, "method": "hello", "params": {}}\n'
+        with hub:
+            first, second = self._raw(host, port, [longest, hello])
+        assert first["id"] == 5 and first["result"]["protocol"] == 2
+        assert second["id"] == 6 and "result" in second
+
+    def test_connect_burst_waits_on_no_backlog(self):
+        """60 back-to-back connect-and-close cycles: none waits for a TCP
+        retry, which a backlog of socketserver's default 5 costs ~1 s."""
+        _design, hub, host, port = _serve()
+        with hub:
+            assert slowest_connect((host, port)) < 0.5
 
     def test_needs_compiled_design(self):
         with pytest.raises(HubError, match="repro.compile"):

@@ -420,15 +420,19 @@ class TestMalformedRows:
             {"hits": [[12, [[1, []]]]]},            # too few values
             {"plans": []},                          # no plan at all
             {"hits": [[12, []]]},                   # a row without frames
+            {"hits": [[12, [[1, [5]]], [0]]]},       # a world list
+            {"hits": [[12, [[1, [5]]], []]]},        # an empty world list
             {"hits": [[12, [[1, [5]]], [0], [1]]]},  # two world lists
             {"hits": [12]},                         # not a row
+            {"hits": [[12]]},                       # a row of a time only
             {"hits": [[12, [[[1], [5]]]]]},         # unhashable id
             {"plans": [{"column": 0, "values": 1}]},             # no plan
             {"plans": [{"column": 0, "values": 2, "plan": {}}]},  # bad plan
         ],
         ids=[
             "unknown-id", "extra-value", "missing-value", "no-plans",
-            "no-frames", "worlds", "scalar", "unhashable", "plan-missing",
+            "no-frames", "world-list", "empty-world-list", "worlds",
+            "scalar", "time-only", "unhashable", "plan-missing",
             "plan-fields",
         ],
     )

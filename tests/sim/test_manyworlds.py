@@ -1,33 +1,38 @@
-"""Many-worlds simulation (``repro.sim.manyworlds``).
+"""Many-worlds batch runs (``repro.sim.manyworlds``).
 
 The contract under test: N scenario worlds, one scalar ``Simulator`` each
 over a shared compiled design, are **bit-identical**, per world, to N
 sequential reference (``fast=False``) ``Simulator`` runs of the same
-per-world stimulus — and breakpoint/watchpoint conditions
-evaluate once per world, reporting the exact set of worlds that fired
-(``docs/manyworlds.md``).
+per-world stimulus.
 """
 
 from __future__ import annotations
 
+import ast
+import os
 import random
 
 import pytest
 
 import repro
+import repro.client
+import repro.core
 import repro.hgf as hgf
-from repro.core.runtime import CONTINUE, HitRecorder
 from repro.hub import SessionOptions
+from repro.obs import NULL_OBS
+from repro.shard import ShardSpec, run_shard
 from repro.sim import (
     ManyWorldsSimulator,
     Simulator,
     SimulatorError,
+    SimulatorInterface,
     Stimulus,
     make_sweep_stimulus,
     native,
 )
+from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
-from tests.helpers import Accumulator, line_of, make_runtime
+from tests.helpers import Accumulator
 
 
 # -- designs ----------------------------------------------------------------
@@ -213,6 +218,46 @@ def test_distinct_seeds_distinct_worlds():
     assert len(set(digests)) == 3
 
 
+def test_sweep_stimulus_is_the_shard_tape():
+    """World k's tape, held overrides included, is the one a shard with
+    ``seed=seeds[k]`` runs: each world's digest is that shard's."""
+    design = repro.compile(Accumulator())
+    seeds = [3, 4, 5]
+    overrides = {"en": 1}
+    mw = ManyWorldsSimulator(design.low, len(seeds))
+    for sim in mw.sims:
+        sim.poke("en", 1)
+    mw.reset(1)
+    mw.run_cycles(40, stimulus=make_sweep_stimulus(mw, seeds, overrides))
+    st = SQLiteSymbolTable(write_symbol_table(design))
+    for k, seed in enumerate(seeds):
+        spec = ShardSpec(shard_id=k, seed=seed, cycles=40, overrides=overrides)
+        shard = run_shard(design.low, st, spec)
+        assert mw.state_digest(k) == shard.state_digest, f"world {k}"
+    assert mw.sims[0].peek("en") == 1, "the override must stay held"
+
+
+def test_run_cycles_without_stimulus_holds_each_worlds_inputs():
+    """``stimulus=None`` runs every world on the inputs poked into it, as
+    a scalar ``run_cycles`` without stimulus does."""
+    design = repro.compile(Accumulator())
+    ds = [1, 4, 9]
+    mw = ManyWorldsSimulator(design.low, len(ds))
+    mw.reset(1)
+    for sim, d in zip(mw.sims, ds, strict=True):
+        sim.poke("en", 1)
+        sim.poke("d", d)
+    assert mw.run_cycles(30) == 30
+    for k, d in enumerate(ds):
+        ref = Simulator(design.low)
+        ref.reset(1)
+        ref.poke("en", 1)
+        ref.poke("d", d)
+        ref.run_cycles(30)
+        assert mw.state_digest(k) == ref.state_digest(), f"world {k}"
+    assert len({mw.state_digest(k) for k in range(len(ds))}) == len(ds)
+
+
 # -- per-world stop semantics ----------------------------------------------
 
 
@@ -223,7 +268,8 @@ def test_stop_finishes_only_fired_worlds():
     rates = [1, 5, 2, 11]
     mw = ManyWorldsSimulator(design.low, len(rates))
     mw.reset(1)
-    mw.poke_worlds("x", rates)
+    for sim, rate in zip(mw.sims, rates, strict=True):
+        sim.poke("x", rate)
     mw.step(400)
 
     expected = []
@@ -244,11 +290,13 @@ def test_stop_finishes_only_fired_worlds():
     assert finished != set(range(len(rates))), (
         "scenario must leave at least one world running"
     )
-    assert set(mw.active_worlds) == set(range(len(rates))) - finished
+    assert {k for k, sim in enumerate(mw.sims) if sim.finished} == finished
 
-    # Finished worlds froze: more cycles must not move their archived state.
+    # Finished worlds froze: more cycles, or a reset, must not move their
+    # archived state.
     before = [mw.state_digest(k) for k in finished]
     mw.step(25)
+    mw.reset(1)
     assert [mw.state_digest(k) for k in finished] == before
 
 
@@ -256,122 +304,49 @@ def test_run_until_all_worlds_finish():
     design = repro.compile(Stopper())
     mw = ManyWorldsSimulator(design.low, 2)
     mw.reset(1)
-    mw.poke_worlds("x", [0xA5, 55])  # world 0 hits on the first edge
+    # World 0 hits on the first edge.
+    for sim, x in zip(mw.sims, [0xA5, 55], strict=True):
+        sim.poke("x", x)
     codes = mw.run(max_cycles=2000)
     assert codes == [3, 3]
     assert mw.finished
-    assert mw.finish_ticks[0] is not None
-    assert mw.finish_ticks[0] < mw.finish_ticks[1]
+    assert mw.sims[0].get_time() < mw.sims[1].get_time()
 
 
-# -- poke/peek and error surfaces ------------------------------------------
-
-
-def test_poke_peek_worlds():
-    design = repro.compile(Accumulator())
-    mw = ManyWorldsSimulator(design.low, 3)
+def test_run_budget_leaves_unstopped_worlds_running():
+    """``run(max_cycles)`` ends each world at its own Stop or at the
+    budget: a world still running reports None, and a later run finishes
+    it without moving the world that already stopped."""
+    design = repro.compile(Stopper())
+    mw = ManyWorldsSimulator(design.low, 2)
     mw.reset(1)
-    mw.poke("en", 1)
-    mw.poke_worlds("d", [1, 10, 200])
-    mw.step(3)
-    assert mw.peek_worlds("total") == [3, 30, 600]
-    assert mw.peek("total", world=2) == 600
-    mw.poke_world("d", 1, 7)
-    mw.step(1)
-    assert mw.peek_worlds("total") == [4, 37, 800]
+    for sim, x in zip(mw.sims, [0xA5, 0], strict=True):
+        sim.poke("x", x)  # x = 0 never reaches the marker
+    assert mw.run(max_cycles=50) == [3, None]
+    assert not mw.finished
+    stopped = mw.state_digest(0)
+    mw.sims[1].poke("x", 0xA5)
+    assert mw.run(max_cycles=50) == [3, 3]
+    assert mw.finished
+    assert mw.state_digest(0) == stopped
+
+
+# -- error surfaces ---------------------------------------------------------
 
 
 def test_world_index_and_seed_errors():
     design = repro.compile(Accumulator())
     mw = ManyWorldsSimulator(design.low, 2)
     with pytest.raises(SimulatorError):
-        mw.peek("total", world=2)
+        mw.state_digest(2)
     with pytest.raises(SimulatorError):
-        mw.poke_world("d", -1, 5)
-    with pytest.raises(SimulatorError):
-        mw.poke_worlds("d", [1, 2, 3])  # wrong arity
+        mw.state_digest(-1)
     with pytest.raises(SimulatorError):
         make_sweep_stimulus(mw, [1, 2, 3])  # wrong seed count
     with pytest.raises(SimulatorError):
+        mw.run_cycles(5, stimulus=[None] * 3)  # one stimulus per world
+    with pytest.raises(SimulatorError):
         ManyWorldsSimulator(design.low, 0)
-
-
-# -- mask breakpoints and watchpoints --------------------------------------
-
-
-def test_mask_breakpoint_reports_exact_world_subset():
-    design = repro.compile(Accumulator())
-    rates = [1, 5, 0, 9]  # world 2 never accumulates
-    mw = ManyWorldsSimulator(design.low, len(rates))
-    rec = HitRecorder()
-    rt = make_runtime(design, mw, on_hit=rec)
-    rt.attach()
-    fn, line = line_of(design, "acc")
-    rt.add_breakpoint(fn, line, condition="acc > 20")
-
-    mw.reset(1)
-    mw.poke("en", 1)
-    mw.poke_worlds("d", rates)
-    mw.step(6)
-
-    assert rec.records, "the condition holds in some worlds by cycle 6"
-    for r in rec.records:
-        worlds = r["worlds"]
-        # The exact set: conditions evaluate the pre-edge state, so at
-        # recorded time t world k has accumulated rates[k] * (t - 1).
-        expected = [
-            k for k, rate in enumerate(rates) if rate * (r["time"] - 1) > 20
-        ]
-        assert worlds == expected
-        # Strict subset: world 2 (rate 0) can never fire.
-        assert 2 not in worlds
-        assert worlds != list(range(len(rates)))
-    assert mw.stats()["mask_hits"] > 0
-
-
-def test_mask_watchpoint_carries_world_set():
-    design = repro.compile(Accumulator())
-    mw = ManyWorldsSimulator(design.low, 3)
-    rec = HitRecorder()
-    rt = make_runtime(design, mw, on_hit=rec)
-    rt.attach()
-    rt.add_watchpoint("acc", condition="new > 40")
-
-    mw.reset(1)
-    mw.poke("en", 1)
-    mw.poke_worlds("d", [1, 25, 3])
-    mw.step(4)
-
-    assert rec.records
-    first = rec.records[0]["watch"]
-    assert first["worlds"] == [1], "only the fast world crossed 40 first"
-
-
-def test_mask_breakpoint_can_pause_and_resume():
-    """A hit handler sees per-world state and CONTINUE keeps all worlds
-    advancing in lockstep (pausing is global: worlds share the clock)."""
-    design = repro.compile(Accumulator())
-    mw = ManyWorldsSimulator(design.low, 2)
-    seen = []
-
-    def on_hit(hit):
-        seen.append((hit.time, hit.worlds, mw.peek_worlds("total")))
-        return CONTINUE
-
-    rt = make_runtime(design, mw, on_hit=on_hit)
-    rt.attach()
-    fn, line = line_of(design, "acc")
-    rt.add_breakpoint(fn, line, condition="acc > 10")
-    mw.reset(1)
-    t0 = mw.get_time()
-    mw.poke("en", 1)
-    mw.poke_worlds("d", [3, 50])
-    mw.step(5)
-    assert seen
-    _time0, worlds0, totals0 = seen[0]
-    assert worlds0 == (1,)
-    assert totals0[1] > 10
-    assert mw.get_time() == t0 + 5  # CONTINUE never stalled the clock
 
 
 # -- wide (>64-bit) signals under scenario batching ------------------------
@@ -394,9 +369,11 @@ def test_worlds_diverging_only_in_wide_dict():
     design = repro.compile(WideWorlds())
     mw = ManyWorldsSimulator(design.low, 3)
     mw.reset(1)
-    mw.poke_worlds("x", [10, 20, 30])
+    for sim, x in zip(mw.sims, [10, 20, 30], strict=True):
+        sim.poke("x", x)
     mw.step(1)
-    mw.poke("x", 12345)  # identical across worlds from now on
+    for sim in mw.sims:
+        sim.poke("x", 12345)  # identical across worlds from now on
     mw.step(10)
 
     compiled = mw.design
@@ -404,7 +381,7 @@ def test_worlds_diverging_only_in_wide_dict():
     for i, info in enumerate(compiled.signals):
         if i in compiled.wide_indices:
             continue
-        values = mw.peek_worlds(info.path)
+        values = [sim.peek(info.path) for sim in mw.sims]
         assert values == values[:1] * 3, (
             f"narrow signal {info.path} diverged; divergence must be wide-only"
         )
@@ -412,60 +389,9 @@ def test_worlds_diverging_only_in_wide_dict():
     assert len(set(digests)) == 3, "wide divergence must reach the digest"
 
     # And the wide values themselves are per-world visible.
-    r_vals = mw.peek_worlds("r")
+    r_vals = [sim.peek("r") for sim in mw.sims]
     assert len(set(r_vals)) == 3
     assert all(v < (1 << 96) for v in r_vals)
-
-
-# -- time travel ------------------------------------------------------------
-
-
-def test_set_time_rewinds_every_world():
-    """Rewind semantics match the scalar engine per world: registers and
-    memories restore to the target cycle, and comb re-settles from the
-    live input values (inputs are not state — the scalar engine does the
-    same, so the parity contract covers rewinds too)."""
-    design = repro.compile(OpZoo())
-    seeds = [3, 4]
-    mw = ManyWorldsSimulator(
-        design.low, 2, options=SessionOptions(snapshots=64)
-    )
-    stim = make_sweep_stimulus(mw, seeds)
-    mw.reset(1)
-    mw.run_cycles(20, stimulus=stim)
-    end = [mw.state_digest(k) for k in range(2)]
-    t_end = mw.get_time()
-
-    mw.set_time(t_end - 10)
-    rewound = [mw.state_digest(k) for k in range(2)]
-    assert rewound != end
-    # Fast-forward within the retained window (the current cycle itself
-    # is not retained — same as the scalar engine).
-    mw.set_time(t_end - 1)
-    forward = [mw.state_digest(k) for k in range(2)]
-
-    # Per-world scalar reference: the same seeded run, the same jumps.
-    for k, seed in enumerate(seeds):
-        sim = Simulator(design.low, options=SessionOptions(snapshots=64))
-        rng = random.Random(seed)
-        compiled = sim.design
-        inputs = sorted(
-            n for n in compiled.top_inputs if n not in ("clock", "reset")
-        )
-        widths = {
-            n: compiled.signals[compiled.top_inputs[n]].width for n in inputs
-        }
-
-        def stim_one(s, _c, rng=rng):
-            for n in inputs:
-                s.poke(n, rng.getrandbits(widths[n]))
-
-        sim.reset(1)
-        sim.run_cycles(20, stimulus=stim_one)
-        sim.set_time(t_end - 10)
-        assert sim.state_digest() == rewound[k], f"world {k} rewind diverged"
-        sim.set_time(t_end - 1)
-        assert sim.state_digest() == forward[k], f"world {k} replay diverged"
 
 
 # -- options plumbing -------------------------------------------------------
@@ -478,23 +404,53 @@ def test_shared_session_options_record():
     options = SessionOptions(fast=False, snapshots=4)
     mw = ManyWorldsSimulator(design.low, 2, options=options)
     assert len(mw.sims) == 2
-    for k, sim in enumerate(mw.sims):
-        assert mw.world_stores[k] is sim.store
+    for sim in mw.sims:
         assert sim.design is mw.design
         assert sim._fast is False
         assert sim.timeline is not None and sim.timeline.limit == 4
-    assert mw.store is mw.sims[0].store
     mw.reset(1)
-    mw.poke("en", 1)
-    mw.poke_worlds("d", [2, 3])
+    for sim, d in zip(mw.sims, [2, 3], strict=True):
+        sim.poke("en", 1)
+        sim.poke("d", d)
     mw.step(2)
-    assert mw.peek_worlds("total") == [4, 6]
+    assert [sim.peek("total") for sim in mw.sims] == [4, 6]
     assert all(sim.stats()["settle_full"] > 0 for sim in mw.sims)
 
 
-def test_snapshots_with_a_wide_memory_rewind_every_world():
-    """Each world keeps its own timeline, so a >64-bit memory takes
-    snapshots as in a scalar run, and set_time restores every world."""
+def test_worlds_share_a_given_compile():
+    """``compiled=`` skips the compile: every world runs the design it
+    was handed (perfbench's fpu workload passes its session's)."""
+    design = repro.compile(Accumulator())
+    compiled = Simulator(design.low).design
+    mw = ManyWorldsSimulator(None, 3, compiled=compiled)
+    assert mw.design is compiled
+    assert all(sim.design is compiled for sim in mw.sims)
+
+
+def test_worlds_are_built_with_obs_off():
+    """``obs`` configures the compile only: one registry would hold every
+    world's series under the same names, so each world reports none."""
+    design = repro.compile(Accumulator())
+    mw = ManyWorldsSimulator(
+        design.low, 2, options=SessionOptions(obs="metrics")
+    )
+    assert all(sim.obs is NULL_OBS for sim in mw.sims)
+
+
+def test_stats_counts_every_statement_as_scalar():
+    """``stats()`` keeps the two statement counts perfbench reports: no
+    statement is vectorised, and the count does not grow with worlds."""
+    design = repro.compile(OpZoo())
+    one, four = (ManyWorldsSimulator(design.low, n).stats() for n in (1, 4))
+    assert one == four
+    assert set(one) == {"vector_statements", "scalar_statements"}
+    assert one["vector_statements"] == 0
+    assert one["scalar_statements"] > 0
+
+
+def test_wide_memory_parity():
+    """A >64-bit memory under per-world timelines: every world equals a
+    scalar run of its seed."""
     design = repro.compile(WideMem())
     seeds = [11, 12, 13]
     mw = ManyWorldsSimulator(
@@ -502,33 +458,12 @@ def test_snapshots_with_a_wide_memory_rewind_every_world():
     )
     mw.reset(1)
     mw.run_cycles(12, stimulus=make_sweep_stimulus(mw, seeds))
-    target = mw.get_time() - 5
-    mw.set_time(target)
     for k, seed in enumerate(seeds):
         sim = Simulator(design.low, options=SessionOptions(snapshots=8))
         sim.reset(1)
         sim.run_cycles(12, stimulus=Stimulus(sim.design, seed))
-        sim.set_time(target)
         assert mw.state_digest(k) == sim.state_digest(), f"world {k}"
-        assert mw.peek_worlds("o")[k] == sim.peek("o")
-
-
-def test_byte_budget_timeline_is_refused():
-    """A byte budget would evict each world's history at its own pace, so
-    world 0's timeline could name cycles another world no longer holds:
-    many-worlds time travel takes a snapshot count only."""
-    design = repro.compile(Accumulator())
-    for options in (
-        SessionOptions(snapshot_bytes=1 << 16),
-        SessionOptions(snapshots=8, snapshot_bytes=1 << 16),
-    ):
-        with pytest.raises(SimulatorError, match="snapshots=N"):
-            ManyWorldsSimulator(design.low, 2, options=options)
-    # 0 means no budget, as for a scalar Simulator.
-    mw = ManyWorldsSimulator(
-        design.low, 2, options=SessionOptions(snapshots=8, snapshot_bytes=0)
-    )
-    assert mw.can_set_time
+        assert mw.sims[k].peek("o") == sim.peek("o")
 
 
 def test_free_tape_run_goes_native_in_every_world():
@@ -549,3 +484,65 @@ def test_free_tape_run_goes_native_in_every_world():
         ref.run_cycles(300, stimulus=lambda s, c, tape=tape: tape(s, c))
         assert ref.stats()["native_cycles"] == 0
         assert mw.state_digest(k) == ref.state_digest(), f"world {k}"
+
+
+# -- the debugger's boundary -------------------------------------------------
+
+#: what the deleted many-worlds debug backend exposed to the debugger
+_WORLD_NAMES = {
+    "ManyWorldsSimulator",
+    "worlds",
+    "world_stores",
+    "active_worlds",
+    "fired_worlds",
+    "note_mask_hit",
+}
+
+
+def _names(node) -> list[str]:
+    """The names ``node`` imports or reads, string constants included
+    (``getattr(sim, "worlds")``)."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "", *(a.name for a in node.names)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def test_batch_runner_is_no_debug_backend():
+    """The batch runner is not a ``SimulatorInterface`` and keeps none of
+    the deleted debug surface."""
+    assert not issubclass(ManyWorldsSimulator, SimulatorInterface)
+    mw = ManyWorldsSimulator(repro.compile(Accumulator()).low, 2)
+    gone = [
+        "register_clock_callback", "set_time", "timeline", "get_value",
+        "set_value", "hierarchy", "poke_worlds", "peek_worlds", "peek_mem",
+        "world_stores", "active_worlds", "finish_ticks",
+        "printf_output_world", "note_mask_hit",
+    ]
+    assert [name for name in gone if hasattr(mw, name)] == []
+
+
+def test_debugger_packages_know_no_worlds():
+    """A runtime debugs one simulation: no module of ``repro.core`` or
+    ``repro.client`` imports the many-worlds batch runner or reads a
+    world attribute."""
+    found = []
+    for package in (repro.core, repro.client):
+        root = os.path.dirname(package.__file__)
+        for name in sorted(os.listdir(root)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                for n in _names(node):
+                    if n in _WORLD_NAMES or "manyworlds" in n.split("."):
+                        found.append(f"{package.__name__}.{name}:{node.lineno} {n}")
+    assert not found, found

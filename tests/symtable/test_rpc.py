@@ -16,7 +16,8 @@ from repro.symtable import (
     SymbolTableServer,
     write_symbol_table,
 )
-from tests.helpers import TwoLeaves, line_of
+from repro.symtable.rpc import MAX_REQUEST_LINE
+from tests.helpers import TwoLeaves, line_of, slowest_connect
 
 
 @pytest.fixture()
@@ -166,6 +167,48 @@ class TestProtocolEdgeCases:
             resp = json.loads(f.readline())
             assert resp == {"id": 7, "result": st.attribute("top")}
             sock.close()
+
+    def test_over_long_line_answered_then_closed(self, served):
+        """A line past the cap is answered with one error with a null id,
+        and the server reads no further: it closes the connection."""
+        _d, st, _cli = served
+        with (
+            SymbolTableServer(st) as server,
+            socket.create_connection(server.address, timeout=5) as sock,
+        ):
+            sock.sendall(b"x" * (MAX_REQUEST_LINE + 1))
+            with sock.makefile("rb") as f:
+                resp = json.loads(f.readline())
+                assert resp["id"] is None
+                assert "request line over" in resp["error"]
+                assert f.readline() == b""
+
+    def test_line_at_the_cap_is_served(self, served):
+        """A request line of exactly MAX_REQUEST_LINE bytes, newline
+        included, is an ordinary request: answered, and the connection
+        keeps serving."""
+        _d, st, _cli = served
+        req = {"id": 5, "method": "attribute", "params": ["top"]}
+        line = json.dumps(req).encode()
+        longest = line + b" " * (MAX_REQUEST_LINE - len(line) - 1) + b"\n"
+        with (
+            SymbolTableServer(st) as server,
+            socket.create_connection(server.address, timeout=5) as sock,
+            sock.makefile("rwb") as f,
+        ):
+            f.write(longest)
+            f.write(json.dumps(dict(req, id=6)).encode() + b"\n")
+            f.flush()
+            for req_id in (5, 6):
+                resp = json.loads(f.readline())
+                assert resp == {"id": req_id, "result": st.attribute("top")}
+
+    def test_connect_burst_waits_on_no_backlog(self, served):
+        """60 back-to-back connect-and-close cycles: none waits for a TCP
+        retry, which a backlog of socketserver's default 5 costs ~1 s."""
+        _d, st, _cli = served
+        with SymbolTableServer(st) as server:
+            assert slowest_connect(server.address) < 0.5
 
     def test_non_object_request_gets_error_response(self, served):
         _d, st, _cli = served
