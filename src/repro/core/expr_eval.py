@@ -14,6 +14,7 @@ be decimal, hex (``0x``), or binary (``0b``).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -164,8 +165,11 @@ class _Parser:
         raise ExprError(f"unexpected token {tok!r} in {self.source!r}")
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(text: str):
-    """Parse an expression into its AST."""
+    """Parse an expression into its AST.  ASTs are immutable, so a text
+    parsed again (the same condition in every shard of a sweep) shares
+    the first one's."""
     return _Parser(tokenize(text), text).parse()
 
 

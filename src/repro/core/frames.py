@@ -217,11 +217,12 @@ class FrameBuilder:
 
     The first frame of a breakpoint fetches its scope variables, and its
     instance's generator variables, once, into a :class:`FramePlan` (in
-    :attr:`plans`, by breakpoint id).  Later hits only read leaf values
-    (:meth:`read`), so a hit costs no symbol-table query — which matters
-    when the table sits behind RPC.  On a live ``Simulator`` a read
-    indexes the value table directly; other backends answer
-    ``sim.get_value``.  Plans rely on the table being read-only while a
+    :attr:`plans`, by breakpoint id); a runtime whose hits the native
+    kernel records asks for the plan's :meth:`lanes` when the breakpoint
+    is armed instead.  Later hits only read leaf values (:meth:`read`), so
+    a hit costs no symbol-table query — which matters when the table sits
+    behind RPC.  On a live ``Simulator`` a read indexes the value table
+    directly; other backends answer ``sim.get_value``.  Plans rely on the table being read-only while a
     runtime is attached (see
     :class:`~repro.symtable.query.SymbolTableInterface`).
     """
@@ -286,14 +287,27 @@ class FrameBuilder:
         )
         return plan
 
+    def lanes(self, bp: BreakpointRec) -> tuple | None:
+        """The value-table lanes :meth:`read` reads for ``bp`` on a live
+        ``Simulator``, in plan order (making the plan if need be); None on
+        any other backend, or when a value is wider than 64 bits or names
+        a signal the simulator does not have."""
+        if self._store is None:
+            return None
+        narrow_idx, fixups = self._lanes_of(bp)
+        return None if fixups else narrow_idx
+
+    def _lanes_of(self, bp: BreakpointRec) -> tuple[tuple, tuple]:
+        lanes = self._lanes.get(bp.id)
+        if lanes is None:
+            lanes = self._lanes[bp.id] = self._index(self.plan(bp).paths)
+        return lanes
+
     def read(self, bp: BreakpointRec) -> list:
         """The leaf values of ``bp``'s frame now, in plan order (None for
         a signal the backend does not have)."""
         if self._store is not None:
-            lanes = self._lanes.get(bp.id)
-            if lanes is None:
-                lanes = self._lanes[bp.id] = self._index(self.plan(bp).paths)
-            narrow_idx, fixups = lanes
+            narrow_idx, fixups = self._lanes_of(bp)
             self.sim.flush()
             narrow = self._store.narrow
             values = [narrow[i] for i in narrow_idx]

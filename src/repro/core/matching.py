@@ -12,6 +12,8 @@ verify candidates by checking that known signal names actually exist.
 
 from __future__ import annotations
 
+import weakref
+
 from ..sim.interface import HierNode
 from ..symtable.query import SymbolTableInterface
 
@@ -112,3 +114,26 @@ def locate_instance(
             )
             mapping[inst.name] = f"{node.path}.{tail}"
     return mapping
+
+
+def instance_map(symtable: SymbolTableInterface, hierarchy: HierNode) -> dict[str, str]:
+    """:func:`locate_instance`, matched once per hierarchy for a table that
+    keeps its answers (a :class:`~repro.symtable.memory.MemorySymbolTable`'s
+    ``located``) and every time for any other.  Each call returns a copy,
+    so no caller can change the next one's map."""
+    located = getattr(symtable, "located", None)
+    if located is None:
+        return locate_instance(symtable, hierarchy)
+    key = id(hierarchy)
+    found = located.get(key)
+    # The weak reference proves the entry is this hierarchy's, not a
+    # collected one's whose id it reuses; the entry goes with it.
+    if found is None or found[0]() is not hierarchy:
+
+        def forget(ref, key=key) -> None:
+            if located.get(key, (None,))[0] is ref:
+                del located[key]
+
+        found = (weakref.ref(hierarchy, forget), locate_instance(symtable, hierarchy))
+        located[key] = found
+    return dict(found[1])

@@ -25,21 +25,24 @@ from another thread arms it; the simulator picks the callback up at the
 next posedge.  While only breakpoints arm it, the callback carries a
 *wake*: the OR of every inserted breakpoint's enable∧condition, so a
 native ``run()`` leaves C only on cycles where one can hit (see
-:meth:`Runtime._wake`).
+:meth:`Runtime._wake`).  When the hits only go to a :class:`HitRecorder`
+it carries a *record program* instead, and the native kernel records
+each hit without leaving C (:meth:`Runtime._record_program`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 import weakref
 from dataclasses import dataclass, field
 
-from ..sim.interface import SimulatorError, SimulatorInterface
+from ..sim.interface import RecordProgram, SimulatorError, SimulatorInterface
 from ..symtable.query import BreakpointRec, SymbolTableInterface
 from . import expr_eval
 from .frames import Frame, FrameBuilder, FramePlan
-from .matching import locate_instance
+from .matching import instance_map
 from .scheduler import Group, InsertedBreakpoint, Scheduler
 from .watch import WatchStore, Watchpoint
 
@@ -213,6 +216,23 @@ class HitRecorder:
             row = [hit.time, [[bp.id, values] for bp, values in hit.reads]]
         else:
             row = hit.to_record()
+        return self._append(row, new)
+
+    def extend(self, rows, plan) -> None:
+        """Keep hits already in row form (``[time, [[breakpoint id, values],
+        ...]]``) as a call keeps them, ``plan(bp_id, values)`` making the
+        :class:`HitPlan` of a breakpoint's first hit.  The native kernel's
+        hits arrive this way, never past ``limit``."""
+        plans = self.plans
+        for row in rows:
+            new = []
+            for bp_id, values in row[1]:
+                if bp_id not in plans:
+                    plans[bp_id] = plan(bp_id, values)
+                    new.append(plans[bp_id])
+            self._append(row, new)
+
+    def _append(self, row, new: list) -> Command:
         self.hits.append(row)
         if self.stream is not None:
             self.stream(row, new)
@@ -223,6 +243,15 @@ class HitRecorder:
 
 class DebuggerError(Exception):
     """Raised on invalid debugger operations."""
+
+
+@functools.lru_cache(maxsize=1024)
+def _group_code(source: str):
+    """A scheduling group's compiled condition source.  The source binds
+    only value-table indices and names its namespace provides, so every
+    runtime with the same group (each shard of a sweep, each hub session)
+    compiles it once per process."""
+    return compile(source, "<repro-group-cond>", "exec")
 
 
 class Runtime:
@@ -252,8 +281,8 @@ class Runtime:
         self.symtable = symtable
         # `is None`, not truthiness: a stateful handler object (e.g. an
         # empty HitRecorder, whose __len__ is 0) must not be dropped.
-        self.on_hit = on_hit if on_hit is not None else (lambda hit: CONTINUE)
-        self.instance_map = locate_instance(symtable, sim.hierarchy())
+        self._on_hit = on_hit if on_hit is not None else (lambda hit: CONTINUE)
+        self.instance_map = instance_map(symtable, sim.hierarchy())
         self.frames = FrameBuilder(symtable, sim, self.instance_map)
         self.scheduler = Scheduler(symtable)
         self.watchpoints = WatchStore(sim)
@@ -302,6 +331,8 @@ class Runtime:
         self._bp_evals = 0
         self._wake_terms = 0
         self._native_at_wake = 0
+        # The last record program built, and what it was built from.
+        self._record_cache: tuple | None = None
         # The clock callback reaches this runtime through a weak reference,
         # so an armed attached runtime and its backend form no reference
         # cycle either.
@@ -313,6 +344,18 @@ class Runtime:
                 rt._on_clock(sim)
 
         self._clock_fn = on_clock
+
+    @property
+    def on_hit(self):
+        """The hit handler.  Replacing it re-derives what the clock
+        callback carries: only a :class:`HitRecorder` lets the kernel
+        record hits."""
+        return self._on_hit
+
+    @on_hit.setter
+    def on_hit(self, handler) -> None:
+        self._on_hit = handler if handler is not None else (lambda hit: CONTINUE)
+        self._update_armed()
 
     # -- attachment -------------------------------------------------------
 
@@ -463,6 +506,16 @@ class Runtime:
     def clear_breakpoints(self) -> None:
         self.scheduler.clear()
         self._update_armed()
+
+    def ignore(self, bp_id: int, count: int) -> bool:
+        """Skip breakpoint ``bp_id``'s next ``count`` hits (gdb's
+        ``ignore``); False when it is not inserted."""
+        bp = self.scheduler.inserted.get(bp_id)
+        if bp is None:
+            return False
+        bp.ignore_count = count
+        self._update_armed()
+        return True
 
     def list_breakpoints(self) -> list[InsertedBreakpoint]:
         return sorted(self.scheduler.inserted.values(), key=lambda b: b.rec.id)
@@ -662,7 +715,7 @@ class Runtime:
             for j, src in enumerate(conds):
                 lines.append(f"    if {src}: out.append({j})")
             lines.append("    return out")
-            exec(compile("\n".join(lines), "<repro-group-cond>", "exec"), env)
+            exec(_group_code("\n".join(lines)), env)
             # Popped, so the closure and its globals (which hold the
             # backend) form no reference cycle.
             return env.pop("_grp")
@@ -671,10 +724,11 @@ class Runtime:
 
     def _wake(self):
         """The wake the clock callback carries: the OR over inserted
-        breakpoints of enable∧condition.  None (every posedge stays
-        Python) while a watchpoint, step mode or a pause is armed, without
-        compiled scalar conditions on a live simulator's value table, or
-        when a breakpoint has no exact wake term."""
+        breakpoints of enable∧condition, or in its place the
+        :meth:`_record_program` when there is one.  None (every posedge
+        stays Python) while a watchpoint, step mode or a pause is armed,
+        without compiled scalar conditions on a live simulator's value
+        table, or when a breakpoint has no exact wake term."""
         ready = self._wakes_ok and self._compile_conditions
         if not ready or self._step_mode or self._pause_requested:
             return None
@@ -687,7 +741,70 @@ class Runtime:
             if bp.wake is False:
                 return None
             wake = bp.wake if wake is None else ("||", wake, bp.wake)
-        return wake
+        return self._record_program() or wake
+
+    def _record_program(self) -> RecordProgram | None:
+        """What the kernel records in place of the Python scan, when hits
+        only go to a :class:`HitRecorder`, no inserted breakpoint has an
+        ignore count, and every value of each breakpoint's frame plan sits
+        in a narrow lane: per scheduling group (:meth:`Scheduler.groups`
+        order), each breakpoint's wake term and the lanes
+        :meth:`FrameBuilder.read` reads.  A recorder's ``limit`` becomes
+        the program's budget, so the hit that detaches always runs in
+        Python.  The program last built is reused while nothing changed,
+        so the callback is not re-registered.  Callers have every
+        breakpoint's wake term cached."""
+        recorder = self._on_hit
+        if type(recorder) is not HitRecorder:
+            return None
+        groups = []
+        for group in self.scheduler.groups():
+            members = []
+            for bp in group.breakpoints:
+                lanes = self.frames.lanes(bp.rec)
+                if bp.ignore_count or lanes is None:
+                    return None
+                members.append((bp.id, bp.wake, lanes))
+            groups.append(tuple(members))
+        groups = tuple(groups)
+        # The breakpoints themselves, by identity: one removed and inserted
+        # again is a new object whose hits the old program must not count.
+        # The cached program holds them, so their ids stay theirs.
+        bps = {bp.id: bp for bp in self.scheduler.inserted.values()}
+        key = (groups, recorder, tuple(map(id, bps.values())))
+        cached = self._record_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        self_ref = weakref.ref(self)
+
+        def adopt(rows) -> None:
+            rt = self_ref()
+            if rt is not None:
+                rt._adopt(recorder, bps, rows)
+
+        def budget() -> int | None:
+            limit = recorder.limit
+            return None if limit is None else limit - len(recorder)
+
+        program = RecordProgram(groups, adopt, budget)
+        self._record_cache = (key, program)
+        return program
+
+    def _adopt(self, recorder: HitRecorder, bps: dict, rows) -> None:
+        """Keep the rows the kernel recorded (by breakpoint id, ``bps``)
+        exactly as the Python scan keeps hits: one per group that held,
+        each breakpoint's ``hit_count`` bumped.  The program's budget
+        leaves the hit that reaches a recorder's ``limit`` to Python."""
+        for _time, hits in rows:
+            for bp_id, _values in hits:
+                bps[bp_id].hit_count += 1
+        frames = self.frames
+
+        def plan(bp_id: int, values: list) -> HitPlan:
+            rec = bps[bp_id].rec
+            return HitPlan(frames.plan(rec), rec.column, len(values))
+
+        recorder.extend(rows, plan)
 
     def _bp_wake(self, bp: InsertedBreakpoint):
         """One breakpoint's enable∧condition as a wake term, or False when

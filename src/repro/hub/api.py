@@ -496,11 +496,7 @@ class LocalSession(SessionHandle):
         self.runtime.clear_breakpoints()
 
     def ignore(self, bp_id: int, count: int) -> bool:
-        bp = self.runtime.scheduler.inserted.get(bp_id)
-        if bp is None:
-            return False
-        bp.ignore_count = count
-        return True
+        return self.runtime.ignore(bp_id, count)
 
     def breakpoints(self) -> list[dict]:
         return [

@@ -1,4 +1,5 @@
-"""Shard workers: one ``Simulator`` + ``Runtime`` per shard.
+"""Shard workers: one ``Simulator`` per shard, and a ``Runtime`` when the
+shard breaks or watches on something.
 
 :func:`run_shard` is the whole life of a shard and runs anywhere — inline
 in the coordinator process (``workers=0``, and how the determinism
@@ -70,7 +71,7 @@ def run_shard(
     fast: bool = True,
     on_cycle=None,
     obs=None,
-    wire: bool = False,
+    hits: str | None = "record",
 ) -> ShardResult:
     """Run one shard to completion and return its result.
 
@@ -94,9 +95,12 @@ def run_shard(
             merged Chrome trace shows one track per shard.  When armed,
             the final dump rides ``ShardResult.obs`` (and, with ``emit``,
             a ``stats`` wire event just before ``done``).
-        wire: stream each ``hit`` event in its wire form (the hit's row
-            and the plans it is the first hit of, :func:`hit_row_event`)
-            instead of as its record — a forked worker's pipe.
+        hits: how ``emit`` streams each hit: ``"record"`` as its record
+            (:func:`hit_event`); ``"row"`` in its wire form, the hit's row
+            and the plans it is the first hit of (:func:`hit_row_event`),
+            as a forked worker's pipe carries it; None not at all (a
+            forked attempt whose sweep has no listener: the result holds
+            every hit).
     """
     t0 = time.perf_counter()
     obs = make_obs(
@@ -120,20 +124,24 @@ def run_shard(
                 obs=obs,
             ),
         )
-        stream = None
-        if emit is not None and wire:
-            def stream(row, plans) -> None:
-                emit(hit_row_event(spec.shard_id, row, plans))
-        elif emit is not None:
-            def stream(row, _plans) -> None:
-                emit(hit_event(spec.shard_id, hit_record(row, recorder.plans)))
-        recorder = HitRecorder(stream=stream, limit=spec.hit_limit)
-        runtime = Runtime(sim, symtable, on_hit=recorder)
-        runtime.attach()
-        for bp in spec.breakpoints:
-            runtime.add_breakpoint(bp.filename, bp.line, bp.column, bp.condition)
-        for wp in spec.watchpoints:
-            runtime.add_watchpoint(wp.name, wp.instance, wp.condition)
+        # A shard with nothing to break on needs no debugger: no Runtime,
+        # no recorder, and a result with no hit and no warning.
+        recorder = runtime = None
+        if spec.breakpoints or spec.watchpoints:
+            stream = None
+            if emit is not None and hits == "row":
+                def stream(row, plans) -> None:
+                    emit(hit_row_event(spec.shard_id, row, plans))
+            elif emit is not None and hits == "record":
+                def stream(row, _plans) -> None:
+                    emit(hit_event(spec.shard_id, hit_record(row, recorder.plans)))
+            recorder = HitRecorder(stream=stream, limit=spec.hit_limit)
+            runtime = Runtime(sim, symtable, on_hit=recorder)
+            runtime.attach()
+            for bp in spec.breakpoints:
+                runtime.add_breakpoint(bp.filename, bp.line, bp.column, bp.condition)
+            for wp in spec.watchpoints:
+                runtime.add_watchpoint(wp.name, wp.instance, wp.condition)
 
         for name in spec.overrides:
             sim.poke(name, spec.overrides[name])
@@ -167,7 +175,10 @@ def run_shard(
             if done % progress_each == 0:
                 emit(
                     progress_event(
-                        spec.shard_id, done, spec.cycles, len(recorder)
+                        spec.shard_id,
+                        done,
+                        spec.cycles,
+                        0 if recorder is None else len(recorder),
                     )
                 )
 
@@ -186,8 +197,9 @@ def run_shard(
             on_progress=on_progress,
             progress_every=beat_every,
         )
+    warnings = [] if runtime is None else list(runtime.warnings)
     if emit is not None:
-        for message in runtime.warnings:
+        for message in warnings:
             emit(warning_event(spec.shard_id, message))
     obs_wire = None
     if obs.metrics is not None:
@@ -198,7 +210,7 @@ def run_shard(
             "shard_cycles_per_second", "Shard throughput over its wall time"
         ).set(ran / wall if wall > 0 else 0.0)
         m.counter("shard_hits_total", "Breakpoint/watchpoint hits").set_total(
-            len(recorder)
+            0 if recorder is None else len(recorder)
         )
         obs_wire = obs.to_wire()
         if emit is not None:
@@ -207,8 +219,11 @@ def run_shard(
         shard_id=spec.shard_id,
         seed=spec.seed,
         cycles=ran,
-        hits=HitRecords(recorder.hits, recorder.plans),
-        warnings=list(runtime.warnings),
+        hits=(
+            HitRecords() if recorder is None
+            else HitRecords(recorder.hits, recorder.plans)
+        ),
+        warnings=warnings,
         exit_code=sim.exit_code,
         wall_time_s=time.perf_counter() - t0,
         # Raw value-table fingerprint (store buffer + memories): equal
@@ -231,18 +246,18 @@ def run_world_group(
     compiled=None,
     fast: bool = True,
     obs=None,
-    wire: bool = False,
+    hits: str | None = "record",
 ) -> list[ShardResult]:
     """Run a :class:`WorldGroupSpec`'s members one after another in this
     process, each through :func:`run_shard`, so each runs as a scalar
     stimulus tape on the native kernel where it can.  Every member gets
     its own :class:`ShardResult`, equal to running it as a standalone
     shard, and its own per-shard observability built from the mode
-    ``obs``."""
+    ``obs``; ``hits`` is :func:`run_shard`'s."""
     return [
         run_shard(
             circuit, symtable, m, emit=emit, compiled=compiled,
-            fast=fast, obs=obs, wire=wire,
+            fast=fast, obs=obs, hits=hits,
         )
         for m in group.members
     ]
@@ -302,9 +317,9 @@ def worker_entry(
 
     ``listening`` says whether the attempt's sweep has an ``on_event``
     listener.
-    Without one the attempt sends no ``hit`` lines: the ``done`` result
-    carries every hit, so streaming them too would only cost encoding,
-    pipe and decoding work for records nobody reads.
+    Without one the attempt streams no hit at all: the ``done`` result
+    carries every hit, so streaming them too would only cost building,
+    encoding, pipe and decoding work for records nobody reads.
 
     ``fault`` (a :class:`repro.faults.ShardFault`, or None) arms this
     attempt's injected fault: kill/hang fire from the per-cycle hook,
@@ -320,9 +335,9 @@ def worker_entry(
     """
     injector = FaultInjector(fault) if fault is not None else None
 
+    hits = "row" if listening else None
+
     def emit(event: dict) -> None:
-        if not listening and event["event"] == "hit":
-            return
         data = encode_line(event)
         if injector is not None and injector.corrupting:
             data = corrupt_line(data)
@@ -337,7 +352,7 @@ def worker_entry(
             group = WorldGroupSpec.from_wire(spec_wire)
             results = run_world_group(
                 circuit, symtable, group, emit=emit,
-                compiled=compiled, obs=obs_mode, wire=True,
+                compiled=compiled, obs=obs_mode, hits=hits,
             )
             emit(group_done_event(group.shard_id, results))
             return True
@@ -345,7 +360,7 @@ def worker_entry(
         result = run_shard(
             circuit, symtable, spec, emit=emit, compiled=compiled,
             on_cycle=injector.on_cycle if injector is not None else None,
-            obs=obs_mode, wire=True,
+            obs=obs_mode, hits=hits,
         )
         emit(done_event(result))
         return True

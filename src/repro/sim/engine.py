@@ -53,7 +53,11 @@ the kernel re-runs up to the window, and Python steps the last N cycles,
 so the timeline retains exactly what stepping would have recorded
 (``docs/time_travel.md``).  ``run_cycles()`` takes the kernel too when
 its stimulus is a *tape* (the shard stimulus): the kernel pokes each
-cycle's row itself (``docs/performance.md`` §8).
+cycle's row itself (``docs/performance.md`` §8).  A callback registered
+with a :class:`~repro.sim.interface.RecordProgram` (a runtime whose hits
+only go to a recorder) is not a reason to leave C: the kernel records its
+hits, and each ``Kernel.run`` hands them to the program before Python
+runs another cycle (``docs/performance.md`` §12).
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from . import native
 from .compiler import CompiledDesign, compile_design
 from .interface import (
     HierNode,
+    RecordProgram,
     SimulationFinished,
     SimulatorError,
     SimulatorInterface,
@@ -240,11 +245,14 @@ class Simulator(SimulatorInterface):
         self._cb_ids = itertools.count(1)
         self._cb_lock = threading.Lock()
         # Native free-run: the callbacks' combined wake program (None when
-        # a callback has no wake), the break flag the kernel polls every
-        # cycle (set by add_clock_callback) and, while a kernel segment
-        # runs or is re-executed for the timeline, (time, [cycles done])
-        # for a live get_time().
+        # a callback has no wake), the record program the kernel runs in
+        # place of one callback ((RecordProgram, native.Recording) or
+        # None), the break flag the kernel polls every cycle (set by
+        # add_clock_callback) and, while a kernel segment runs or is
+        # re-executed for the timeline, (time, [cycles done]) for a live
+        # get_time().
         self._wake = native.wake_program((), self.design)
+        self._record: tuple | None = None
         self._native_brk = array("q", [0])
         self._native_seg: tuple | None = None
         # Settle bookkeeping (fast path): pokes accumulate indices into
@@ -262,6 +270,7 @@ class Simulator(SimulatorInterface):
         self._stat_settle_tick = 0
         self._stat_native_cycles = 0
         self._stat_native_wakes = 0
+        self._stat_native_hits = 0
         # Time travel: all history state (entry ring, delta baselines, the
         # memory-write journal the generated journaling tick feeds) lives
         # on the Timeline, bound to this simulator's store and memories.
@@ -562,7 +571,7 @@ class Simulator(SimulatorInterface):
         # registered in between either shows up here or sets the flag
         # again, so the kernel stops at once.
         self._native_brk[0] = 0
-        wake = self._wake
+        wake, record = self._wake, self._record
         if wake is None:
             return 0
         self._settle()
@@ -576,13 +585,18 @@ class Simulator(SimulatorInterface):
         try:
             while True:
                 at = prog[0]
-                if timeline is not None:
+                # A record buffer may split a slice into pieces: still one
+                # checkpoint per slice.
+                if timeline is not None and (
+                    not saved or t0 + at - saved[-1][0] >= native.SLICE
+                ):
                     saved.append((t0 + at, self._checkpoint()))
                     # One checkpoint N cycles old serves any later k.
                     while len(saved) > 1 and saved[1][0] <= t0 + at - timeline.limit:
                         del saved[0]
-                n = min(budget - at, piece)
-                kernel.run(self._v, self._w, self.mems, n, self._native_brk, prog, wake)
+                n = self._kernel_run(
+                    kernel, min(budget - at, piece), prog, wake, None, record, t0
+                )
                 if prog[0] - at < n or prog[0] == budget:
                     break
         except BaseException:
@@ -650,7 +664,7 @@ class Simulator(SimulatorInterface):
         stopped before the next one with its row applied; ``(0, False)``
         when a callback has no wake."""
         self._native_brk[0] = 0  # before reading the wake: see _run_native
-        wake = self._wake
+        wake, record = self._wake, self._record
         if wake is None:
             return 0, False
         self._settle()
@@ -662,12 +676,10 @@ class Simulator(SimulatorInterface):
             while prog[0] < n:
                 at = prog[0]
                 rows, first, count = stimulus.rows(n - at)
-                k = min(n - at, count)
                 tape = native.tape_header(columns, rows, first)
                 try:
-                    kernel.run(
-                        self._v, self._w, self.mems, k, self._native_brk, prog,
-                        wake, tape,
+                    k = self._kernel_run(
+                        kernel, min(n - at, count), prog, wake, tape, record, t0
                     )
                 finally:
                     stimulus.consume(tape[2] - first)
@@ -678,6 +690,28 @@ class Simulator(SimulatorInterface):
             done = self._end_segment(t0, prog)
             self._stat_settle_seeds += applied
         return done, applied > done
+
+    def _kernel_run(self, kernel, n: int, prog, wake, tape, record, t0: int) -> int:
+        """One ``kernel.run`` of up to ``n`` cycles of the segment that
+        began at ``t0``; returns the cycles it was asked for (fewer than
+        ``n`` when a record buffer holds fewer).  Under a record program
+        the rows it recorded go to the program's ``adopt`` as soon as the
+        kernel returns, before Python runs any cycle."""
+        if record is None:
+            kernel.run(self._v, self._w, self.mems, n, self._native_brk, prog, wake, tape)
+            return n
+        program, buf = record
+        n = buf.prepare(n, program.budget())
+        try:
+            kernel.run(
+                self._v, self._w, self.mems, n, self._native_brk, prog, wake, tape, buf
+            )
+        finally:
+            rows = buf.take(t0)
+            if rows:
+                self._stat_native_hits += len(rows)
+                program.adopt(rows)
+        return n
 
     def _end_segment(self, t0: int, prog: array) -> int:
         """Close the native segment that began at ``t0``: advance time and
@@ -831,6 +865,7 @@ class Simulator(SimulatorInterface):
             "printfs": len(self._printf_out),
             "native_cycles": self._stat_native_cycles,
             "native_wakes": self._stat_native_wakes,
+            "native_hits": self._stat_native_hits,
         }
         timeline = self.timeline
         if timeline is not None:
@@ -877,6 +912,10 @@ class Simulator(SimulatorInterface):
             "sim_native_wakes_total",
             "Native kernel returns because a clock callback's wake held",
         ).set_total(s["native_wakes"])
+        reg.counter(
+            "sim_native_hits_total",
+            "Hits a clock callback's record program recorded in the native kernel",
+        ).set_total(s["native_hits"])
         reg.counter(
             "sim_cone_cache_hits_total", "Mask-cone cache hits"
         ).set_total(s["cone_hits"])
@@ -966,15 +1005,31 @@ class Simulator(SimulatorInterface):
     def remove_clock_callback(self, cb_id: int) -> None:
         with self._cb_lock:
             callbacks = dict(self._callbacks)
-            callbacks.pop(cb_id, None)
+            _fn, wake = callbacks.pop(cb_id, (None, None))
             self._publish_callbacks(callbacks)
+        if isinstance(wake, RecordProgram):
+            # A running segment must stop recording for it at once.
+            self._native_brk[0] = 1
 
     def _publish_callbacks(self, callbacks: dict) -> None:
         """Publish ``callbacks`` with what ``step()`` and ``run()`` read:
-        the functions, and their combined wake as one new program (under
-        ``_cb_lock``).  A malformed wake raises before anything changes."""
-        wakes = [wake for _fn, wake in callbacks.values()]
+        the functions, their combined wake as one new program and the one
+        record program the kernel runs (under ``_cb_lock``).  The first
+        :class:`RecordProgram` the kernel can run is that one; any other
+        joins the wake as its :attr:`~RecordProgram.wake`.  A malformed
+        wake or program raises before anything changes."""
+        wakes, record = [], None
+        for _fn, wake in callbacks.values():
+            if isinstance(wake, RecordProgram):
+                if record is None:
+                    buf = native.record_program(wake, self.design)
+                    if buf is not None:
+                        record = (wake, buf)
+                        continue
+                wake = wake.wake
+            wakes.append(wake)
         self._wake = native.wake_program(wakes, self.design)
+        self._record = record
         self._callbacks = callbacks
         self._cb_list = tuple(fn for fn, _wake in callbacks.values())
 

@@ -19,6 +19,7 @@ Primitives (paper's list):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 #: The binary operators of a wake predicate (see
@@ -28,6 +29,40 @@ WAKE_BINARY_OPS = ("==", "!=", "<", "<=", ">", ">=", "&", "|", "^", "&&", "||")
 
 class SimulatorError(Exception):
     """Raised on bad interface usage (unknown signal, unsupported op)."""
+
+
+@dataclass(frozen=True, eq=False)
+class RecordProgram:
+    """What a clock callback collects on a posedge, in a form a native
+    tier can run itself (see :meth:`SimulatorInterface.add_clock_callback`).
+
+    ``groups`` is a tuple of groups, each a tuple of members ``(key,
+    wake, lanes)``: ``wake`` is a predicate in the wake format that holds
+    exactly when the member is collected, ``lanes`` the narrow value-table
+    lanes it collects, and ``key`` anything that names the member.  On a
+    posedge every member is tested, groups in order and members in order
+    within a group.  ``adopt(rows)`` takes one list ``[time, [[key,
+    values], ...]]`` per group with a member that held, in time order,
+    then group order; ``values`` is the list of its lanes' values at that
+    posedge.
+    ``budget()`` says how many rows may still be collected without
+    ``fn``: a posedge whose rows would use them up is left to ``fn``.
+    None means no bound.
+    """
+
+    groups: tuple
+    adopt: Callable[[list], None]
+    budget: Callable[[], int | None] = lambda: None
+
+    @property
+    def wake(self):
+        """The OR of every member's wake: when ``fn`` must run if the
+        program does not."""
+        wake = None
+        for group in self.groups:
+            for _key, term, _lanes in group:
+                wake = term if wake is None else ("||", wake, term)
+        return wake
 
 
 class SimulationFinished(Exception):
@@ -50,9 +85,11 @@ class SignalInfo:
     signed: bool = False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class HierNode:
-    """A node in the design instance tree."""
+    """A node in the design instance tree (weakly referable, so a
+    symbol table can keep what it matched against one; see
+    :func:`repro.core.matching.instance_map`)."""
 
     name: str                 # instance name
     path: str                 # full hierarchical path
@@ -115,15 +152,23 @@ class SimulatorInterface(ABC):
         ``wake`` optionally says when ``fn`` can act: a predicate over the
         settled values that holds on every posedge where ``fn`` would do
         more than return.  A backend with a native tier (the live
-        simulator's ``run()``) may skip ``fn`` on posedges where no
-        registered wake holds; a callback without a wake keeps every
-        posedge in Python.  Backends without a native tier ignore it.
-        A wake is a tuple tree: ``("sig", i)`` reads narrow value-table
-        lane ``i`` (a signal of at most 64 bits), ``("num", v)`` is a
-        constant, ``("!", x)`` is logical not, and ``(op, a, b)`` applies
-        ``op`` in :data:`WAKE_BINARY_OPS` (``== != < <= > >= & | ^ &&
-        ||``, as in C: compares and logic give 0 or 1).  Every value is
-        unsigned and below 2**64."""
+        simulator's ``run()`` and tape ``run_cycles``) may skip ``fn`` on
+        posedges where no registered wake holds; a callback without a
+        wake keeps every posedge in Python.  Backends without a native
+        tier ignore it.  A wake is a tuple tree: ``("sig", i)`` reads
+        narrow value-table lane ``i`` (a signal of at most 64 bits),
+        ``("num", v)`` is a constant, ``("!", x)`` is logical not, and
+        ``(op, a, b)`` applies ``op`` in :data:`WAKE_BINARY_OPS` (``== !=
+        < <= > >= & | ^ && ||``, as in C: compares and logic give 0 or 1).
+        Every value is unsigned and below 2**64.
+
+        ``wake`` may instead be a :class:`RecordProgram`, for a callback
+        that on a posedge only *collects* values.  A native tier then
+        runs the program in place of ``fn`` on the posedges it runs,
+        hands the rows to ``program.adopt`` as soon as it returns, before
+        ``fn`` runs again, and keeps running; ``fn`` still runs on every
+        posedge the native tier leaves to Python.  A backend that does not
+        run the program treats it as its :attr:`RecordProgram.wake`."""
 
     @abstractmethod
     def remove_clock_callback(self, cb_id: int) -> None:

@@ -11,7 +11,12 @@ fanout cone.  Per cycle it then checks the break
 flag, the callbacks' combined wake predicate (a postfix program the
 prelude interprets, see :func:`wake_program`) and every stop/printf
 condition, returning *before* the tick of a cycle where one holds (Python
-runs that cycle), then runs the tick and the tick cone exactly as the
+runs that cycle).  A callback that only collects hits registers a *record
+program* instead of a wake (:func:`record_program`): on every cycle the
+kernel is about to tick, after those checks, it tests each member's term
+and appends the hit's values to a buffer bounded per call, and keeps
+running; the engine hands the rows back as soon as the call returns.
+Then it runs the tick and the tick cone exactly as the
 Python fast path does.  Values sit in 64-bit lanes, 65-128-bit ones in
 ``unsigned __int128``, computed modulo 2**64 or 2**128 in unsigned types;
 anything wider than 128 bits makes a design ineligible.  A memory of at
@@ -21,7 +26,7 @@ The source holds only indices and integer constants, so designs
 differing only in memory init share one library, built once
 with ``$CC`` (else ``cc``) into a per-user cache and loaded with ctypes.
 Any failure warns once per design (:class:`NativeWarning`) and leaves the
-design in Python.  See ``docs/performance.md`` §7.
+design in Python.  See ``docs/performance.md`` §7 and §12.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ FLAGS = ("-O1", "-pipe", "-fPIC", "-shared", "-fwrapv")
 #: timeline the engine checkpoints this often too, which bounds how much
 #: of a segment it re-executes.
 SLICE = 1 << 16
+#: Words a record program's hit buffer holds (512 KiB): a kernel call
+#: runs at most as many cycles as fit if every member held on every one.
+RECORD_WORDS = 1 << 16
 _M64 = (1 << 64) - 1
 _COMPARE = dict(lt="<", leq="<=", gt=">", geq=">=", eq="==", neq="!=")
 _RING = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
@@ -116,6 +124,38 @@ static int woke(const u64 *s, const u64 *p)
 {_WAKE_CASES}        }}
     }}
     return st[0] != 0;
+}}
+
+/* The record interpreter: r is [program, buffer, words written, rows
+   left] (see Recording).  For each group, then each member, whose term
+   holds it appends [cycle, member, the member's lanes]; a group with a
+   member that held is one row.  When the cycle's rows would use up the
+   rows left it keeps nothing and returns 1: Python runs that cycle. */
+static int recorded(const u64 *s, u64 *r, u64 cycle)
+{{
+    const u64 *p = (const u64 *)(uintptr_t)r[0];
+    u64 *out = (u64 *)(uintptr_t)r[1];
+    u64 at = r[2], rows = 0, k = 0;
+    for (u64 g = *p++; g > 0; g--) {{
+        int held = 0;
+        for (u64 m = *p++; m > 0; m--, k++) {{
+            const u64 *term = p;
+            p += 1 + p[0];
+            u64 n = *p++;
+            if (woke(s, term)) {{
+                out[at++] = cycle;
+                out[at++] = k;
+                for (u64 j = 0; j < n; j++) out[at++] = s[p[j]];
+                held = 1;
+            }}
+            p += n;
+        }}
+        rows += held;
+    }}
+    if (rows && rows >= r[3]) return 1;
+    r[2] = at;
+    r[3] -= rows;
+    return 0;
 }}
 """
 
@@ -289,9 +329,11 @@ def c_source(design) -> str:
     def cg(path: str) -> _CGen:
         return _CGen(path, design, wide_slot)
 
-    # compile_design's tick, in its order, then the tick cone.
+    # compile_design's tick, in its order, then the tick cone.  The record
+    # program runs once no stop or printf holds: the cycle is the kernel's.
     conds = [cg(path).raw(s.cond) for path, s in design.effects]
     body = [f"if ({' || '.join(conds)}) break;"] if conds else []
+    body.append("if (rec && recorded(s, rec, base + i)) { prog[1] = 1; break; }")
     for i, spec in enumerate(design.registers):
         if spec.next_expr is not None:
             ty = _ctype(spec.next_expr.typ.bit_width())
@@ -351,7 +393,7 @@ def c_source(design) -> str:
         f"/* signals {n_sig}, wide {sorted(wide_slot)}, memories {layout} */",
         "int64_t repro_run(u64 *restrict s, u64 *const *mp, int64_t n,",
         "                  const int64_t *brk, int64_t *prog, const u64 *wake,",
-        "                  u64 *tape)",
+        "                  u64 *tape, u64 *rec)",
         "{",
         f"    u64 *restrict w = s + {n_sig};",
         "    (void)w;",
@@ -400,7 +442,7 @@ class Kernel:
 
     def run(
         self, v, w, mems, n: int, brk: array, prog: array, wake: array,
-        tape: array | None = None,
+        tape: array | None = None, record: Recording | None = None,
     ) -> None:
         """Run up to ``n`` cycles on the values ``v``/``w`` and memories
         ``mems``, stopping before a cycle where the :func:`wake_program`
@@ -415,11 +457,19 @@ class Kernel:
         goes into the input lanes and their cone settles before the
         cycle's break, wake and stop/printf checks, so a run that stops
         before a cycle leaves that cycle's row applied.  The kernel
-        advances the header's row index past every row it applied."""
+        advances the header's row index past every row it applied.
+
+        ``record`` (see :func:`record_program`, made ready for ``n``
+        cycles by :meth:`Recording.prepare`) runs after those checks, on
+        every cycle the kernel is about to tick, and appends its hits; a
+        cycle whose rows would use up the rows left stops the run as a
+        wake does."""
         # The kernel indexes these buffers by the design's layout, and
         # dereferences a narrow memory's buffer directly.
         if len(v) != self.n_signals or len(mems) != len(self.depths):
             raise SimulatorError("native kernel: buffers do not match the design")
+        if record is not None and len(record.out) < n * record.words:
+            raise SimulatorError("native kernel: the record buffer is too small")
         if tape is not None and (
             tape[2] + n > tape[3]
             or any(not 0 <= c < self.n_signals or c in self.wide for c in tape[4:])
@@ -450,10 +500,11 @@ class Kernel:
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
         code = wake.buffer_info()[0]
         header = None if tape is None else tape.buffer_info()[0]
+        rec = None if record is None else record.header.buffer_info()[0]
         try:
             while n > 0:
                 k = min(n, SLICE)
-                ran = self.fn(s, mp, k, flag, done, code, header)
+                ran = self.fn(s, mp, k, flag, done, code, header, rec)
                 n -= ran
                 if ran < k:
                     break
@@ -519,6 +570,87 @@ def _emit(node, code: list[int], design) -> int:
     raise SimulatorError(f"malformed wake predicate {node!r}")
 
 
+# -- record programs -----------------------------------------------------------
+
+
+def record_program(program, design) -> Recording | None:
+    """The kernel's form of ``program`` (a
+    :class:`~repro.sim.interface.RecordProgram`): the group count, then
+    per group its member count, then per member its term as a
+    :func:`wake_program` and its lanes, counted.  None when a term is
+    deeper than :data:`WAKE_STACK`; a member without a wake or with a lane
+    that is not narrow raises :class:`SimulatorError`."""
+    code, members = [len(program.groups)], []
+    for g, group in enumerate(program.groups):
+        code.append(len(group))
+        for key, wake, lanes in group:
+            if wake is None:
+                raise SimulatorError("a record program member needs a wake")
+            term = wake_program((wake,), design)
+            if term is None:
+                return None
+            for x in lanes:
+                if not (0 <= x < len(design.signals)) or x in design.wide_indices:
+                    raise SimulatorError(f"record lane {x!r} is not a narrow lane")
+            code += (*term, len(lanes), *lanes)
+            members.append((g, key, len(lanes)))
+    return Recording(array("Q", code), members)
+
+
+class Recording:
+    """A record program in kernel form, and the buffer its hits go to.
+
+    ``members[k]`` is the ``k``-th member's (group, key, value count), and
+    ``words`` the most one cycle can append.  A kernel call appends
+    ``[cycle, k, values...]`` per member that held, where ``cycle`` counts
+    from the segment's start (the kernel's ``prog[0]``)."""
+
+    __slots__ = ("code", "members", "words", "out", "header")
+
+    def __init__(self, code: array, members: list):
+        self.code = code  # the header holds its address
+        self.members = members
+        self.words = sum(2 + n for _g, _key, n in members)
+        self.out = array("Q")
+        # [program, buffer, words written, rows left]
+        self.header = array("Q", [code.buffer_info()[0], 0, 0, 0])
+
+    def prepare(self, cycles: int, rows: int | None) -> int:
+        """Make room for a kernel call of up to ``cycles`` cycles that may
+        record ``rows`` rows (None: any number); returns how many cycles
+        the call may run, at most what :data:`RECORD_WORDS` holds."""
+        cycles = max(1, min(cycles, RECORD_WORDS // max(self.words, 1)))
+        need = cycles * self.words
+        if len(self.out) < need:
+            self.out = array("Q", [0]) * need
+        header = self.header
+        header[1] = self.out.buffer_info()[0]
+        header[2] = 0
+        header[3] = _M64 if rows is None else max(rows, 0)
+        return cycles
+
+    def take(self, t0: int) -> list:
+        """The rows the last call recorded, as ``[time, [[key, values],
+        ...]]`` per group and cycle, for a segment that began at ``t0``."""
+        used = self.header[2]
+        if not used:
+            return []
+        words, members = self.out[:used].tolist(), self.members
+        self.header[2] = 0
+        rows: list = []
+        cycle = group = -1
+        p = 0
+        while p < used:
+            g, key, n = members[words[p + 1]]
+            if words[p] != cycle or g != group:
+                cycle, group = words[p], g
+                frames: list = []
+                rows.append([t0 + cycle, frames])
+            frames.append([key, words[p + 2 : p + 2 + n]])
+            p += 2 + n
+        return rows
+
+
 # -- build, cache and load ---------------------------------------------------
 
 _LOCK = threading.Lock()
@@ -578,7 +710,7 @@ def cache_dir() -> str:
 def _load(path: str):
     fn = ctypes.CDLL(path).repro_run
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.restype, fn.argtypes = i64, (ptr, ptr, i64, ptr, ptr, ptr, ptr)
+    fn.restype, fn.argtypes = i64, (ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr)
     return fn
 
 

@@ -61,6 +61,11 @@ class MemorySymbolTable(SymbolTableInterface):
         for inst_id, gvars in self._generators.items():
             for var in gvars:
                 self._generator_by_name.setdefault((inst_id, var.name), var)
+        #: Instance maps matched against this table, by the id of the
+        #: hierarchy each is for: (a weak reference to it, the map).  Kept
+        #: by :func:`repro.core.matching.instance_map`: a read-only table
+        #: matches one hierarchy the same way every time.
+        self.located: dict[int, tuple] = {}
 
     def breakpoints_at(self, filename, line, column=None) -> list[BreakpointRec]:
         found = self._at.get((filename, line), [])

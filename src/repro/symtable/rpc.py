@@ -164,7 +164,11 @@ class SymbolTableServer:
 
         self._server = Server((host, port), Handler)
         self.address = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # socketserver polls for shutdown every 0.5 s by default, so each
+        # stop() would wait up to that long; poll as the debug hub does.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.05,), daemon=True
+        )
 
     def start(self) -> tuple[str, int]:
         self._thread.start()

@@ -1,7 +1,9 @@
 """Frame reconstruction (bundles!) and hierarchy matching (Sec. 3.4)."""
 
 import collections
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -9,10 +11,16 @@ import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
 from repro.core.frames import FrameBuilder, build_variable_tree
+from repro.core import matching
 from repro.core.matching import MatchError, locate_instance
 from repro.hub import SessionOptions
 from repro.sim import Simulator
-from repro.symtable import SQLiteSymbolTable, SymbolTableInterface, write_symbol_table
+from repro.symtable import (
+    SQLiteSymbolTable,
+    SymbolTableInterface,
+    in_memory,
+    write_symbol_table,
+)
 from repro.trace import ReplayEngine, VcdWriter
 from tests.helpers import Counter, TwoLeaves, fresh_frame, line_of
 
@@ -87,6 +95,67 @@ class TestMatching:
         st = self._symtable(d1)
         with pytest.raises(MatchError):
             locate_instance(st, sim.hierarchy())
+
+
+class TestInstanceMapKeptWithTheTable:
+    """An in-memory table keeps ``locate_instance``'s answer per hierarchy
+    it was matched against; other tables match on every ``Runtime()``."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(table, hierarchy):
+            calls.append((id(table), id(hierarchy)))
+            return locate_instance(table, hierarchy)
+
+        monkeypatch.setattr(matching, "locate_instance", counting)
+        return calls
+
+    def test_one_locate_per_table_and_hierarchy(self, counted):
+        design = repro.compile(TwoLeaves())
+        table = in_memory(SQLiteSymbolTable(write_symbol_table(design)))
+        sims = [Simulator(design.low), Simulator(design.low, top_path="TB.core")]
+        runtimes = [Runtime(sim, table) for _ in range(3) for sim in sims]
+        assert len(counted) == 2
+        assert sorted(counted) == sorted({(id(table), id(s.hierarchy())) for s in sims})
+        for rt in runtimes:
+            assert rt.instance_map == locate_instance(table, rt.sim.hierarchy())
+        assert runtimes[1].instance_map["TwoLeaves.a"] == "TB.core.a"
+        # Each runtime holds its own copy: editing one leaves the next alone.
+        runtimes[0].instance_map["TwoLeaves.a"] = "elsewhere"
+        assert Runtime(sims[0], table).instance_map["TwoLeaves.a"] == "TwoLeaves.a"
+
+    def test_other_tables_locate_every_time(self, counted):
+        design = repro.compile(TwoLeaves())
+        table = SQLiteSymbolTable(write_symbol_table(design))
+        sim = Simulator(design.low)
+        for _ in range(3):
+            Runtime(sim, table)
+        assert len(counted) == 3
+
+    def test_a_reused_id_never_answers_for_another_hierarchy(self, counted):
+        design = repro.compile(TwoLeaves())
+        table = in_memory(SQLiteSymbolTable(write_symbol_table(design)))
+        sim = Simulator(design.low, top_path="TB.core")
+        hierarchy = sim.hierarchy()
+        # An entry under this hierarchy's id whose weak reference names
+        # another (live) hierarchy: what a collected one's id reuse leaves.
+        stranger = Simulator(design.low).hierarchy()
+        table.located[id(hierarchy)] = (weakref.ref(stranger), {"TwoLeaves": "stale"})
+        assert Runtime(sim, table).instance_map["TwoLeaves"] == "TB.core"
+        assert len(counted) == 1
+
+    def test_a_collected_hierarchy_leaves_no_entry(self):
+        design = repro.compile(TwoLeaves())
+        table = in_memory(SQLiteSymbolTable(write_symbol_table(design)))
+        sim = Simulator(design.low)
+        Runtime(sim, table)
+        key = id(sim.hierarchy())
+        assert key in table.located
+        del sim
+        gc.collect()
+        assert key not in table.located
 
 
 class TestFrameBuilder:

@@ -13,7 +13,15 @@ import pytest
 
 import repro
 from repro.core import HitRecorder, Runtime
-from repro.shard import BreakpointSpec, ShardSpec, WatchSpec, run_shard
+from repro.shard import (
+    BreakpointSpec,
+    ShardSession,
+    ShardSpec,
+    WatchSpec,
+    WorldGroupSpec,
+    run_shard,
+    run_world_group,
+)
 from repro.sim import Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import Accumulator, TwoLeaves, line_of
@@ -159,3 +167,69 @@ class TestShardEqualsStandalone:
         assert all(e["shard"] == 4 for e in events)
         streamed = [e["record"] for e in events if e["event"] == "hit"]
         assert streamed == result.hits
+
+
+def _standalone_digest(d, spec: ShardSpec) -> str:
+    """A plain shard's final state, from the contract alone: no Runtime."""
+    sim = Simulator(d.low)
+    for name, value in spec.overrides.items():
+        sim.poke(name, value)
+    sim.reset(spec.reset_cycles)
+    rng = random.Random(spec.seed)
+    clock = sim.design.signals[sim.design.clock_index].name
+    reset = sim.design.signals[sim.design.reset_index].name
+    for _ in range(spec.cycles):
+        for name in sorted(sim.design.top_inputs):
+            if name not in spec.overrides and name not in (clock, reset):
+                width = sim.design.signals[sim.design.top_inputs[name]].width
+                sim.poke(name, rng.getrandbits(width))
+        sim.step(1)
+    return sim.state_digest()
+
+
+class TestPlainShardsBuildNoRuntime:
+    """A shard with no breakpoint and no watchpoint runs without a
+    ``Runtime``: with the worker's ``Runtime`` made to raise, plain shards
+    (inline, in a world group, and forked) still equal the standalone
+    reference, with no hit and no warning."""
+
+    @pytest.fixture()
+    def no_runtime(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain shard built a Runtime")
+
+        monkeypatch.setattr("repro.shard.worker.Runtime", refuse)
+
+    def test_plain_spec(self, acc_design, no_runtime):
+        d, st = acc_design
+        spec = ShardSpec(shard_id=3, seed=11, cycles=120, overrides={"en": 1})
+        result = run_shard(d.low, st, spec, obs="metrics")
+        assert result.ok and result.cycles == 120
+        assert result.hits == [] and len(result.hits) == 0
+        assert result.warnings == []
+        assert result.state_digest == _standalone_digest(d, spec)
+        metrics = {m["name"]: m.get("value") for m in result.obs["metrics"]["metrics"]}
+        assert metrics["shard_hits_total"] == 0
+
+    def test_world_group(self, acc_design, no_runtime):
+        d, st = acc_design
+        specs = [ShardSpec(shard_id=k, seed=40 + k, cycles=90) for k in range(3)]
+        results = run_world_group(d.low, st, WorldGroupSpec(tuple(specs)))
+        assert [r.state_digest for r in results] == [
+            _standalone_digest(d, s) for s in specs
+        ]
+        assert all(r.ok and not r.hits and not r.warnings for r in results)
+
+    def test_forked_plain_sweep(self, acc_design, no_runtime):
+        d, _st = acc_design
+        with ShardSession(d, workers=2) as session:
+            forked = session.sweep(4, 150, seed_base=21, timeout=60)
+        with ShardSession(d, workers=0) as session:
+            inline = session.sweep(4, 150, seed_base=21)
+        assert forked.ok and inline.ok
+        for f, i in zip(forked.results, inline.results, strict=True):
+            assert f.attempts == 1 and not f.failures
+            assert f.state_digest == i.state_digest == _standalone_digest(
+                d, ShardSpec(shard_id=f.shard_id, seed=f.seed, cycles=150)
+            )
+            assert f.hits == i.hits == [] and f.warnings == i.warnings == []

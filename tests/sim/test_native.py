@@ -720,15 +720,23 @@ class Beat(hgf.Module):
         self.o <<= seen
 
 
-def _beat_hunt(design, fast: bool, cycles: int = 100, beat: int = 16):
-    """A shard-style run of ``Beat`` under a breakpoint on ``seen``:
-    (hits, progress reports, digest, native cycles)."""
+def _beat_hunt(
+    design, fast: bool, cycles: int = 100, beat: int = 16, recorder: bool = False
+):
+    """A shard-style run of ``Beat`` under a breakpoint on ``seen``, its
+    hits kept by a plain handler (the wake path) or a ``HitRecorder`` (the
+    kernel records them): (hit records, progress reports, digest, native
+    cycles, native hits)."""
     from repro.core import HitRecorder
     from repro.shard import ShardSpec, make_stimulus
 
     sim = Simulator(design.low, options=SessionOptions(fast=fast))
-    recorder = HitRecorder()
-    rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), recorder)
+    records = []
+    sink = (
+        HitRecorder() if recorder
+        else lambda hit: records.append(hit.to_record()) or CONTINUE
+    )
+    rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), sink)
     rt.attach()
     rt.add_breakpoint(*line_of(design, "seen"))
     sim.reset()
@@ -738,7 +746,10 @@ def _beat_hunt(design, fast: bool, cycles: int = 100, beat: int = 16):
         cycles, stimulus, on_progress=lambda s, k: beats.append(k), progress_every=beat
     )
     assert ran == cycles
-    return recorder.records, beats, sim.state_digest(), sim.native_cycles
+    if recorder:
+        records = sink.records
+    stats = sim.stats()
+    return records, beats, sim.state_digest(), stats["native_cycles"], stats["native_hits"]
 
 
 @needs_cc
@@ -755,6 +766,22 @@ def test_a_tape_run_woken_on_the_first_row_of_each_segment():
     assert [r["time"] for r in tape[0]] == [0, *woken]
     assert tape[3] == 100 - len(woken)
     assert pokes[3] == 0
+    assert tape[4] == pokes[4] == 0
+
+
+@needs_cc
+def test_a_recording_tape_run_records_the_first_row_of_each_segment():
+    """With a ``HitRecorder`` the kernel records those hits itself: each
+    is the first cycle of a kernel call, and every cycle after reset runs
+    in C."""
+    design = repro.compile(Beat())
+    tape = _beat_hunt(design, fast=True, recorder=True)
+    pokes = _beat_hunt(design, fast=False, recorder=True)
+    assert tape[:3] == pokes[:3] == _beat_hunt(design, fast=True)[:3]
+    woken = list(range(1, 101, 16))
+    assert [r["time"] for r in tape[0]] == [0, *woken]
+    assert tape[3:] == (100, len(woken))  # reset's hit ran in Python
+    assert pokes[3:] == (0, 0)
 
 
 class _WideLane(hgf.Module):

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import repro
 import repro.hgf as hgf
 import repro.ir.expr as E
-from repro.core import CONTINUE, Runtime
+from repro.core import CONTINUE, HitRecorder, Runtime
 from repro.hgf.value import Value
 from repro.hub import SessionOptions
 from repro.ir.types import SIntType, UIntType
@@ -273,6 +273,77 @@ def test_native_run_under_a_timeline_matches_stepping(data):
         assert fast.state_digest() == ref.state_digest(), (t, now)
 
 
+@pytest.mark.filterwarnings("ignore::repro.sim.native.NativeWarning")
+def test_recorded_runs_match_stepping():
+    """A ``HitRecorder`` runtime (one or two breakpoints, with or without a
+    ``limit``) under ``run(k)``, with and without ``snapshots=N`` and with
+    kernel slices and record buffers split small, keeps what the same
+    runtime keeps under ``step(k)``: the same rows, plans and records, hit
+    counts, evaluations and callbacks, state and timeline.  With a
+    compiler, the kernel records some of those hits itself."""
+    native_hits: list[int] = []
+    _recorded_runs_match_stepping(native_hits)
+    if native._compiler()[1] is not None:
+        assert sum(native_hits) > 0
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def _recorded_runs_match_stepping(native_hits, data):
+    design = repro.compile(Generated(data.draw, 64))
+    table = write_symbol_table(design)
+    recs = SQLiteSymbolTable(table).all_breakpoints()
+    if not recs:
+        return
+    compiled = compile_design(design.low)
+    names = sorted(n for n in compiled.top_inputs if n.startswith("i"))
+    names += [f"r{i}" for i in range(3) if f"{compiled.hierarchy.path}.r{i}" in
+              compiled.signal_index]
+    bps = _input_breakpoints(data.draw, recs, names)
+    limit = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+    opts = SessionOptions(snapshots=data.draw(st.sampled_from([0, 0, 4, 33])))
+    twins = []
+    for _ in range(2):  # run, step
+        sim = Simulator(design.low, options=opts)
+        recorder = HitRecorder(limit=limit)
+        rt = Runtime(sim, SQLiteSymbolTable(table), recorder)
+        rt.attach()
+        sim.reset()
+        for bp in bps:
+            rt.add_breakpoint(*bp)
+        twins.append((sim, rt, recorder))
+    (run, run_rt, run_kept), (step, step_rt, step_kept) = twins
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            # Small kernel slices, split again by a small record buffer.
+            mp.setattr(native, "SLICE", data.draw(st.integers(1, 40)))
+            mp.setattr(native, "RECORD_WORDS", data.draw(st.integers(1, 200)))
+        for _ in range(data.draw(st.integers(1, 5))):
+            for name in names:
+                if name.startswith("i") and data.draw(st.booleans()):
+                    value = data.draw(st.integers(0, (1 << 64) - 1))
+                    run.poke(name, value)
+                    step.poke(name, value)
+            k = data.draw(st.integers(1, 200))
+            run.run(k)
+            step.step(k)
+            _check(run, step)
+            assert _kept(run_kept) == _kept(step_kept)
+            assert _runtime_stats(run_rt) == _runtime_stats(step_rt)
+            if opts.snapshots:
+                assert run.timeline.times() == step.timeline.times()
+            if step.finished:
+                break
+    assert step.stats()["native_hits"] == 0
+    native_hits.append(run.stats()["native_hits"])
+
+
 # -- stimulus tapes ---------------------------------------------------------------
 
 
@@ -280,11 +351,16 @@ class _Halt(Exception):
     """Raised by a hit handler to stop a run early."""
 
 
-def _tape_twin(design, table, spec, bp, halt_at, fast=True, tape=True):
-    """A reset simulator with a runtime breaking at ``bp`` (its handler
-    raises :class:`_Halt` on hit ``halt_at``) and the spec's stimulus:
-    the tape itself, or (``tape=False``) a plain callable poking the same
-    rows from Python."""
+def _tape_twin(
+    design, table, spec, bps, halt_at, fast=True, tape=True, limit=False
+):
+    """A reset simulator with a runtime breaking at each of ``bps`` and the
+    spec's stimulus: the tape itself, or (``tape=False``) a plain callable
+    poking the same rows from Python.  Hits go to a handler that raises
+    :class:`_Halt` on hit ``halt_at``, or, when ``limit`` is not False, to
+    a :class:`HitRecorder` with that ``limit``, the sink whose hits the
+    kernel records itself.  The last item is the hit times or the
+    recorder."""
     sim = Simulator(design.low, options=SessionOptions(fast=fast))
     hits = []
 
@@ -294,12 +370,14 @@ def _tape_twin(design, table, spec, bp, halt_at, fast=True, tape=True):
             raise _Halt
         return CONTINUE
 
+    if limit is not False:
+        on_hit = hits = HitRecorder(limit=limit)
     rt = Runtime(sim, SQLiteSymbolTable(table), on_hit)
     rt.attach()
     for name, value in spec.overrides.items():
         sim.poke(name, value)
     sim.reset()
-    if bp is not None:
+    for bp in bps:
         rt.add_breakpoint(*bp)
     stimulus = make_stimulus(sim, spec)
     if not tape:
@@ -319,7 +397,52 @@ def _runtime_stats(rt):
     )
 
 
+def _kept(hits):
+    """What a hit sink kept: the hit times, or a recorder's rows, plans
+    and rendered records."""
+    if not isinstance(hits, HitRecorder):
+        return hits
+    plans = {bp: plan.to_wire() for bp, plan in hits.plans.items()}
+    return hits.hits, plans, hits.records
+
+
+def _input_breakpoints(draw, recs, inputs) -> list:
+    """One breakpoint, or two at different source locations (two
+    scheduling groups) where the design has them, each with a condition
+    on an input: a wake the kernel can test."""
+    first = draw(st.sampled_from(recs))
+    chosen = [first]
+    others = [r for r in recs if (r.filename, r.line, r.column) != (
+        first.filename, first.line, first.column)]
+    if others and draw(st.booleans()):
+        chosen.append(draw(st.sampled_from(others)))
+    bps = []
+    for rec in chosen:
+        name = draw(st.sampled_from(inputs))
+        low = draw(st.integers(0, 1))
+        bps.append((rec.filename, rec.line, rec.column, f"({name} & 3) == {low}"))
+    return bps
+
+
 @pytest.mark.filterwarnings("ignore::repro.sim.native.NativeWarning")
+def test_tapes_match_python_pokes():
+    """Drawn tapes through ``run_cycles``, in drawn segments, heartbeat
+    cadences and kernel slices, with overrides dropping columns and a
+    breakpoint whose handler may stop a run early (the next run resumes
+    from the queued rows), or one or two breakpoints whose hits go to a
+    ``HitRecorder`` (with or without a ``limit``), which the kernel
+    records itself: the kernel run, the same rows poked from Python on
+    the fast engine, and the reference agree on the state, the time, the
+    exit code, the printf output and the progress reports, on the hits
+    kept (a recorder's rows, plans and records), and their runtimes on
+    hit counts, evaluations and callbacks.  With a compiler, the kernel
+    records some of the recorders' hits itself."""
+    native_hits: list[int] = []
+    _tapes_match_python_pokes(native_hits)
+    if native._compiler()[1] is not None:
+        assert sum(native_hits) > 0
+
+
 @settings(
     max_examples=40,
     deadline=None,
@@ -328,14 +451,7 @@ def _runtime_stats(rt):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(data=st.data())
-def test_tapes_match_python_pokes(data):
-    """Drawn tapes through ``run_cycles``, in drawn segments, heartbeat
-    cadences and kernel slices, with overrides dropping columns and a
-    breakpoint whose handler may stop a run early (the next run resumes
-    from the queued rows): the kernel run, the same rows poked from Python
-    on the fast engine, and the reference agree on the state, the time,
-    the exit code, the printf output and the progress reports, and their
-    runtimes on hit counts, evaluations and callbacks."""
+def _tapes_match_python_pokes(native_hits, data):
     gen = Generated(data.draw, data.draw(st.sampled_from([64, 64, 64, 100])))
     design = repro.compile(gen)
     compiled = compile_design(design.low)
@@ -348,19 +464,20 @@ def test_tapes_match_python_pokes(data):
     seed = data.draw(st.integers(0, 1 << 30))
     spec = ShardSpec(0, seed=seed, cycles=0, overrides=overrides)
     table = write_symbol_table(design)
-    bp = None
+    bps: list = []
     recs = SQLiteSymbolTable(table).all_breakpoints()
     if recs and data.draw(st.integers(0, 3)):
-        # A condition on an input: a wake the kernel can test.
-        rec = data.draw(st.sampled_from(recs))
-        name = data.draw(st.sampled_from(inputs))
-        low = data.draw(st.integers(0, 1))
-        bp = (rec.filename, rec.line, rec.column, f"({name} & 3) == {low}")
+        bps = _input_breakpoints(data.draw, recs, inputs)
+    limit = False  # a handler, not a recorder
+    if bps and data.draw(st.booleans()):
+        limit = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+    else:
+        del bps[1:]
     halt_at = data.draw(st.integers(1, 6)) if data.draw(st.booleans()) else 0
     tape, pokes, ref = (
-        _tape_twin(design, table, spec, bp, halt_at),
-        _tape_twin(design, table, spec, bp, halt_at, tape=False),
-        _tape_twin(design, table, spec, bp, halt_at, fast=False),
+        _tape_twin(design, table, spec, bps, halt_at, limit=limit),
+        _tape_twin(design, table, spec, bps, halt_at, tape=False, limit=limit),
+        _tape_twin(design, table, spec, bps, halt_at, fast=False, limit=limit),
     )
     with pytest.MonkeyPatch.context() as mp:
         if data.draw(st.booleans()):
@@ -382,11 +499,15 @@ def test_tapes_match_python_pokes(data):
             assert outcomes[0] == outcomes[1] == outcomes[2]
             for sim, rt, _stimulus, hits in (tape, pokes):
                 _check(sim, ref[0])
-                assert hits == ref[3]
+                assert _kept(hits) == _kept(ref[3])
                 assert _runtime_stats(rt) == _runtime_stats(ref[1])
             if ref[0].finished:
                 break
     assert pokes[0].native_cycles == ref[0].native_cycles == 0
+    assert pokes[0].stats()["native_hits"] == ref[0].stats()["native_hits"] == 0
+    native_hits.append(tape[0].stats()["native_hits"])
+    if limit is False:
+        assert native_hits[-1] == 0  # a handler's hits stay Python's
     widths = [compiled.signals[compiled.top_inputs[n]].width for n in inputs]
     if any(w > 64 for n, w in zip(inputs, widths) if n not in overrides):
         assert tape[0].native_cycles == 0  # a wide column keeps Python

@@ -6,6 +6,7 @@ import json
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 
@@ -299,3 +300,20 @@ class TestProtocolEdgeCases:
         finally:
             srv.shutdown()
             srv.server_close()
+
+
+class TestServerStop:
+    def test_stop_returns_promptly(self):
+        """``stop()`` waits for the serve loop's next poll, which comes
+        every 0.05 s: five start/stop cycles each stop well under 0.2 s
+        (socketserver's default 0.5 s poll made each take up to 0.5 s)."""
+        d = repro.compile(TwoLeaves())
+        st = SQLiteSymbolTable(write_symbol_table(d))
+        for _ in range(5):
+            server = SymbolTableServer(st)
+            server.start()
+            with RPCSymbolTable(*server.address) as client:
+                assert client.top_name() == st.top_name()
+            t0 = time.monotonic()
+            server.stop()
+            assert time.monotonic() - t0 < 0.2
