@@ -299,7 +299,8 @@ def _cmd_stats(args) -> int:
         f"(seed {spec.seed})"
     )
     # Which tier Simulator.run() free-runs this design on (the shard
-    # above is poke-driven, so it always steps in Python).
+    # above runs its stimulus tape on the same kernel, unless --timeline
+    # keeps it in Python).
     print(f"native free-run tier: {native.status(compile_design(design.low))}")
     print(format_metrics(snapshot))
     if args.json:

@@ -512,8 +512,7 @@ def _cmd_timeline(dbg: ConsoleDebugger, args) -> None:
     if info is None:
         dbg._out(
             "no timeline: this backend keeps no history (construct the "
-            "simulator with options=SessionOptions(snapshots=N or "
-            "snapshot_bytes=N))"
+            "simulator with options=SessionOptions(snapshots=N))"
         )
         return
     sub = args[0] if args else "info"

@@ -29,10 +29,6 @@ class AsmResult:
     labels: dict[str, int]
     source_lines: list[tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def size_bytes(self) -> int:
-        return 4 * len(self.words)
-
 
 _LINE_COMMENT = re.compile(r"(#|//).*$")
 

@@ -451,8 +451,7 @@ class LocalSession(SessionHandle):
         if timeline is None:
             raise SessionError(
                 "no timeline: this backend keeps no history (construct the "
-                "simulator with options=SessionOptions(snapshots=N or "
-                "snapshot_bytes=N))"
+                "simulator with options=SessionOptions(snapshots=N))"
             )
         path = self.runtime._resolve_watch_path(name, None)
         # Bound the walk up front: each sample is one set_time hop, and a

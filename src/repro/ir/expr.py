@@ -13,12 +13,10 @@ dynamic shifts ``dshl``/``dshr`` keep the width of their first operand
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .types import (
     BundleType,
-    ClockType,
-    ResetType,
     SIntType,
     Type,
     UIntType,
@@ -366,11 +364,6 @@ def sub_index(expr: Expr, index: int) -> SubIndex:
     if not 0 <= index < expr.typ.size:
         raise IndexError(f"index {index} out of range for {expr.typ}")
     return SubIndex(expr, index, expr.typ.elem)
-
-
-def is_clockish(typ: Type) -> bool:
-    """Clock and reset types may connect to UInt<1> and vice versa."""
-    return isinstance(typ, (ClockType, ResetType))
 
 
 def map_expr(e: Expr, fn) -> Expr:

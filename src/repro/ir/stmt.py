@@ -10,7 +10,7 @@ emitter prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .expr import Expr, Ref, SubField, SubIndex
 from .source import UNKNOWN, SourceInfo
@@ -174,9 +174,6 @@ class ModuleIR:
                 return p
         raise KeyError(f"module {self.name} has no port {name!r}")
 
-    def has_port(self, name: str) -> bool:
-        return any(p.name == name for p in self.ports)
-
 
 @dataclass(frozen=True, slots=True)
 class DontTouch:
@@ -251,10 +248,3 @@ def walk_stmts(block: Block):
         if isinstance(s, Conditionally):
             yield from walk_stmts(s.conseq)
             yield from walk_stmts(s.alt)
-
-
-def map_blocks(stmt: Stmt, fn) -> Stmt:
-    """Rebuild a Conditionally with ``fn`` applied to its sub-blocks."""
-    if isinstance(stmt, Conditionally):
-        return replace(stmt, conseq=fn(stmt.conseq), alt=fn(stmt.alt))
-    return stmt

@@ -284,8 +284,8 @@ class ShardSession:
         """Run the canonical seed sweep (see :func:`make_sweep`).
 
         ``timeline_cycles > 0`` makes every shard retain (and ship) its
-        last N cycles of rle-compressed state history, enabling the
-        report's localized :meth:`~ShardReport.timeline_divergences`.
+        last N cycles of state history, enabling the report's localized
+        :meth:`~ShardReport.timeline_divergences`.
         ``retry``/``deadline``/``faults`` are forwarded to :meth:`run`.
 
         ``worlds_per_shard > 1`` packs that many consecutive shards into

@@ -109,20 +109,14 @@ def run_shard(
         labels={"shard": str(spec.shard_id)},
     )
     # With timeline streaming the shard retains its last N cycles of
-    # state history (rle-compressed — each cycle's delta collapses into
-    # index runs) and ships the serialized window home with the result,
+    # state history and ships the serialized window home with the result,
     # so the aggregator can localize replica divergence to the first
     # divergent cycle and signal, not just report a digest mismatch.
     with obs.span("shard.setup", shard=spec.shard_id):
         sim = Simulator(
             circuit,
             compiled=compiled,
-            options=SessionOptions(
-                fast=fast,
-                snapshots=spec.timeline_cycles,
-                snapshot_codec="rle" if spec.timeline_cycles else None,
-                obs=obs,
-            ),
+            options=SessionOptions(fast=fast, snapshots=spec.timeline_cycles, obs=obs),
         )
         # A shard with nothing to break on needs no debugger: no Runtime,
         # no recorder, and a result with no hit and no warning.
@@ -151,13 +145,15 @@ def run_shard(
     # Heartbeats ride the run-loop progress hook, which fires every
     # `beat_every` cycles: the hook sends one (the supervision layer's
     # liveness signal) when HEARTBEAT_S of wall time has passed since the
-    # last, and the coarser progress event on its own multiple.
-    # `progress_each` is snapped to a multiple of `beat_every` so no
-    # progress tick lands between hook invocations.  An explicit
-    # spec.progress_every pins both cadences and sends a heartbeat at
-    # every hook, preserving the historical event stream exactly.
+    # last, and the progress event on its own multiple.  Every hook ends
+    # a kernel call, so a short shard takes four; longer ones look at the
+    # clock at least every 2048 cycles.  `progress_each` is snapped to a
+    # multiple of `beat_every` so no progress tick lands between hook
+    # invocations.  An explicit spec.progress_every pins both cadences
+    # and sends a heartbeat at every hook, preserving the historical event
+    # stream exactly.
     on_progress = None
-    beat_every = spec.progress_every or max(1, min(spec.cycles // 16, 2048))
+    beat_every = spec.progress_every or max(1, min(spec.cycles // 4, 2048))
     progress_each = spec.progress_every or beat_every * max(
         1, (spec.cycles // 4) // beat_every
     )

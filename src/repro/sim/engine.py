@@ -21,14 +21,12 @@ Two execution paths share the compiled design:
   Property tests pin the two paths to bit-identical results.
 
 Time travel (``set_time``, reverse debugging, windowed history) is owned
-by the :mod:`repro.sim.timeline` subsystem: when snapshots are enabled
-the simulator binds a :class:`~repro.sim.timeline.Timeline` to its value
-store — compressed keyframe+delta history with a pluggable codec
-(``raw``/``rle``), optional periodic keyframes, and entry- or
-byte-bounded retention.  Recording scans only the state signals
-(registers and inputs — O(state) + O(mem writes), never the full value
-table or whole memories) and eviction folds the head keyframe forward in
-O(delta).  See ``docs/time_travel.md``.
+by the :mod:`repro.sim.timeline` subsystem: with ``snapshots=N`` the
+simulator binds a :class:`~repro.sim.timeline.Timeline` to its value
+store — keyframe+delta history of the last N cycles.  Recording scans
+only the state signals (registers and inputs — O(state) + O(mem writes),
+never the full value table or whole memories) and eviction folds the
+head keyframe forward in O(delta).  See ``docs/time_travel.md``.
 
 Signal values live in a :class:`~repro.sim.store.ValueStore`: a plain
 ``list[int]`` plus an overflow dict for signals wider than 64 bits.
@@ -39,11 +37,11 @@ the next posedge on; an idle debugger registers nothing and costs
 nothing per cycle.
 
 ``run()`` goes one step further when nothing observes single cycles —
-``fast=True``, no trace sink, no byte-budget timeline, and no callback
-without a wake: it hands the whole remaining budget to the design's
-native C kernel (:mod:`repro.sim.native`), which returns before any cycle
-where a callback's wake predicate holds, and falls back to the Python
-edge loop for the cycles the kernel leaves to it.  Registering a callback
+``fast=True``, no trace sink, and no callback without a wake: it hands
+the whole remaining budget to the design's native C kernel
+(:mod:`repro.sim.native`), which returns before any cycle where a
+callback's wake predicate holds, and falls back to the Python edge loop
+for the cycles the kernel leaves to it.  Registering a callback
 publishes the new combined wake and then sets the simulator's break
 flag, which the kernel polls every cycle, so a callback registered
 mid-run still fires from the next posedge.  Under a ``snapshots=N``
@@ -152,21 +150,9 @@ class SessionOptions:
     #: ``comb`` function on every stimulus change — the reference
     #: semantics the fast path is tested against.
     fast: bool = True
-    #: how many per-cycle state snapshots to retain; 0 (with no
-    #: ``snapshot_bytes``) disables ``set_time``.
+    #: how many of the last cycles ``set_time`` (and so reverse stepping
+    #: and reverse continue) can rewind to; 0 keeps no history.
     snapshots: int = 0
-    #: retain history up to ~this many bytes instead of (or in addition
-    #: to) an entry count — with the ``rle`` codec this is how long rewind
-    #: windows stay cheap.
-    snapshot_bytes: int | None = None
-    #: timeline delta codec — ``"raw"`` (``{index: value}`` dicts, the
-    #: default, also for None) or ``"rle"`` (run-length-encoded, ~an
-    #: order of magnitude smaller on register-sparse designs).
-    snapshot_codec: str | None = None
-    #: insert a full timeline keyframe after every K delta entries
-    #: (bounds rewind latency to K delta replays); 0 keeps only the
-    #: folded head keyframe.  Negative is an error.
-    keyframe_every: int = 0
 
 
 def compile_gated(
@@ -208,7 +194,7 @@ class Simulator(SimulatorInterface):
             design's cone caches are value-independent.  Across forked
             processes each child owns a copy-on-write copy.
         options: the :class:`SessionOptions` — observability depth, lint
-            gate, fast path and snapshot budget.  ``stats()``
+            gate, fast path and snapshot count.  ``stats()``
             reads the always-on counters directly and works at every
             observability depth, including off.
     """
@@ -278,15 +264,9 @@ class Simulator(SimulatorInterface):
         # to register/input history with a one-time warning; a design with
         # no memories skips the journaling machinery entirely.
         self.timeline: Timeline | None = None
-        if opt.snapshots or opt.snapshot_bytes:
+        if opt.snapshots:
             self.timeline = Timeline(
-                self.store,
-                self.mems,
-                self.design.mems,
-                limit=opt.snapshots or None,
-                byte_budget=opt.snapshot_bytes or None,
-                codec=opt.snapshot_codec,
-                keyframe_every=opt.keyframe_every,
+                self.store, self.mems, self.design.mems, limit=opt.snapshots
             )
         self._trace = trace
         self._printf_out: list[str] = []
@@ -527,23 +507,17 @@ class Simulator(SimulatorInterface):
         exit code, or None on timeout.
 
         With ``fast=True`` and nothing observing single cycles (no trace
-        sink, no byte-budget timeline, no clock callback without a wake)
-        the design's native kernel runs the remaining budget.  It returns
-        before any cycle whose stop or printf condition or callback wake
-        holds, or when a callback is registered; Python then runs the rest
-        of that 1024-cycle chunk, so stops, printfs and callbacks behave
-        exactly as in :meth:`step`.  A ``snapshots=N`` timeline ends up
-        with the same entries as under :meth:`step` (see :meth:`_refill`);
-        each cycle counts once in ``ticks``, ``native_cycles`` and the
-        settle counts."""
+        sink, no clock callback without a wake) the design's native kernel
+        runs the remaining budget.  It returns before any cycle whose stop
+        or printf condition or callback wake holds, or when a callback is
+        registered; Python then runs the rest of that 1024-cycle chunk, so
+        stops, printfs and callbacks behave exactly as in :meth:`step`.  A
+        ``snapshots=N`` timeline ends up with the same entries as under
+        :meth:`step` (see :meth:`_refill`); each cycle counts once in
+        ``ticks``, ``native_cycles`` and the settle counts."""
         budget = max_cycles
         ran = 0
-        timeline = self.timeline
-        native_ok = (
-            self._fast
-            and self._trace is None
-            and (timeline is None or timeline.byte_budget is None)
-        )
+        native_ok = self._fast and self._trace is None
         while budget > 0 and self._finished is None:
             if native_ok:
                 done = self._run_native(budget)
@@ -797,7 +771,7 @@ class Simulator(SimulatorInterface):
         """Restore simulator state to a previously recorded cycle.
 
         The bound :class:`~repro.sim.timeline.Timeline` reconstructs the
-        target (nearest keyframe + codec delta replays) and restores the
+        target (nearest keyframe + delta replays) and restores the
         value store, memories, and journal in place; the engine then
         resets its settle bookkeeping and re-derives every combinational
         signal.  Retained entries survive the jump, so repeating
@@ -806,8 +780,7 @@ class Simulator(SimulatorInterface):
         if self.timeline is None:
             raise TimelineError(
                 "time travel disabled: no retained history — construct "
-                "the simulator with options=SessionOptions(snapshots=N) "
-                "or SessionOptions(snapshot_bytes=N)"
+                "the simulator with options=SessionOptions(snapshots=N)"
             )
         self.timeline.restore(time)
         self._time = time
@@ -833,7 +806,7 @@ class Simulator(SimulatorInterface):
         self._settle()
         if self._time not in self.timeline:
             # evict=False: a read-only query must not push the oldest
-            # retained cycle out of a full ring/budget.
+            # retained cycle out of a full ring.
             self.timeline.record(self._time, evict=False)
         return self._finished
 

@@ -1,13 +1,12 @@
 """The native free-run tier: one C kernel per design shape.
 
-When nothing observes single cycles (``fast=True``, no trace sink or
-byte-budget timeline, and no clock callback without a wake),
-``Simulator.run()`` hands its budget to a C function emitted from the
-design's IR; under an entry-limited timeline the engine re-executes each
-segment's last cycles into the window.  ``Simulator.run_cycles`` hands
-it a stimulus *tape* instead of poking from Python: per cycle the kernel
-first stores the tape's next row into the input lanes and settles their
-fanout cone.  Per cycle it then checks the break
+When nothing observes single cycles (``fast=True``, no trace sink, and
+no clock callback without a wake), ``Simulator.run()`` hands its budget
+to a C function emitted from the design's IR; under a ``snapshots=N``
+timeline the engine re-executes each segment's last cycles into the
+window.  ``Simulator.run_cycles`` hands it a stimulus *tape* instead of
+poking from Python: per cycle the kernel first stores the tape's next row
+into the input lanes and settles their fanout cone.  Per cycle it then checks the break
 flag, the callbacks' combined wake predicate (a postfix program the
 prelude interprets, see :func:`wake_program`) and every stop/printf
 condition, returning *before* the tick of a cycle where one holds (Python

@@ -57,8 +57,8 @@ class ValueStore:
     For the timeline, ``copy_wide``/``restore_wide`` snapshot the wide
     values (full copies: wide signals are too rare to delta), and
     ``capture_state``/``state_delta`` drive the per-cycle delta scan over
-    the design's narrow state signals.  What a timeline does with a delta
-    is up to its codec (``repro.sim.timeline.codec``).
+    the design's narrow state signals; a timeline keeps each delta dict as
+    it is.
     """
 
     def __init__(self, n_signals, wide_indices, state_indices):

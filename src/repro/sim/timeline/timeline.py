@@ -6,14 +6,11 @@ streaming history to the aggregator — answers the same two questions:
 *which cycles can I go back to* and *what was the state there*.  This
 module owns both:
 
-* :class:`Timeline` — compressed state history for a live simulation: a
-  deque of entries bound to one :class:`~repro.sim.store.ValueStore` (and
-  the simulator's memories), where the head entry is always a full
-  *keyframe* and later entries are per-cycle state deltas encoded by a
-  pluggable codec (``raw`` = ``{index: value}`` dicts, ``rle`` =
-  run-length-encoded typed buffers — see ``codec.py``).  Optional
-  periodic keyframes every K cycles bound rewind latency; retention is
-  bounded by entry count (the classic ring) and/or a byte budget.
+* :class:`Timeline` — the last N cycles of a live simulation: a deque of
+  entries bound to one :class:`~repro.sim.store.ValueStore` (and the
+  simulator's memories), where the head entry is always a full
+  *keyframe* and later entries are per-cycle ``{index: value}`` state
+  deltas.
 * :class:`FullTraceTimeline` — the replay engine's view: a trace retains
   every cycle by construction, so the "timeline" is just the full cycle
   range with zero storage of its own.
@@ -41,7 +38,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..interface import SimulatorError
-from .codec import DeltaCodec, make_codec
 
 #: Designs whose memories total more than this many words do not get
 #: memory history (registers and inputs still do): copying megaword
@@ -49,8 +45,8 @@ from .codec import DeltaCodec, make_codec
 #: timeline warns once instead of silently degrading.
 MEM_HISTORY_WORD_CAP = 1 << 16
 
-#: Fixed per-entry overhead charged to the byte budget (entry object +
-#: deque slot); keeps zero-delta cycles from looking free.
+#: Fixed per-entry overhead in the byte estimate (entry object + deque
+#: slot); keeps zero-delta cycles from looking free.
 _ENTRY_OVERHEAD = 64
 
 
@@ -65,22 +61,20 @@ class TimelineEntry:
 
     A *keyframe* entry stores full copies (``values`` — the store's
     narrow list as compact ``array('Q')`` lanes — and ``mem_copy``); a
-    *delta* entry stores only the codec-encoded state change since the
-    previous entry (``delta`` / ``delta_mem``).  ``wide`` is a full copy
-    of the >64-bit overflow values on every entry — wide signals are too
-    rare to delta — and None on designs without them.
+    *delta* entry stores only the state change since the previous entry
+    (``delta``, the ``{index: value}`` dict of
+    :meth:`~repro.sim.store.ValueStore.state_delta`, and ``delta_mem``).
+    ``wide`` is a full copy of the >64-bit overflow values on every entry
+    — wide signals are too rare to delta — and None on designs without
+    them.
     """
 
     time: int
     values: array | None = None
     wide: dict | None = None
     mem_copy: list | None = None
-    delta: object | None = None
+    delta: dict | None = None
     delta_mem: dict | None = None
-    # Byte estimate, maintained eagerly only under a byte budget (the
-    # entry-limited ring skips per-cycle accounting; Timeline.nbytes
-    # computes lazily there).
-    nbytes: int = 0
     # Position stamp: the entry's deque index plus the number of entries
     # evicted before it (Timeline._head_seq is the head's).
     seq: int = 0
@@ -168,7 +162,8 @@ class FullTraceTimeline(TimelineView):
 
 
 class Timeline(TimelineView):
-    """Compressed keyframe+delta state history for one live simulation.
+    """Keyframe+delta state history of one live simulation's last
+    ``limit`` cycles.
 
     The timeline owns everything the engine's snapshot ring used to
     scatter across ``Simulator`` internals: the entry deque, the by-time
@@ -181,10 +176,8 @@ class Timeline(TimelineView):
     * entry times are strictly increasing; :meth:`record` drops any stale
       suffix at-or-after the new time first (rewind + re-execution);
     * the head entry is always a keyframe (eviction folds an evicted
-      keyframe into its delta successor in O(delta));
-    * with ``keyframe_every=K`` every keyframe is followed by at most K
-      delta entries, rewinds and re-execution included, so a rewind
-      replays at most K deltas and reads at most K + 1 entries.
+      keyframe into its delta successor in O(delta)), so a rewind replays
+      at most ``limit - 1`` deltas.
 
     Args:
         store: the simulator's value store (restored in place on rewind).
@@ -192,46 +185,15 @@ class Timeline(TimelineView):
             slice, so an ``array('Q')`` and a list of ints both work).
         mem_specs: the compiled design's :class:`MemSpec` list — decides
             memory-history gating against :data:`MEM_HISTORY_WORD_CAP`.
-        limit: retain at most this many entries (None = unbounded).
-        byte_budget: retain at most ~this many bytes (None = unbounded).
-            At least one entry is always kept.
-        codec: ``"raw"`` / ``"rle"`` / None (``"raw"``).
-        keyframe_every: insert a full keyframe after every K delta
-            entries (0 = only the folded head keyframe — the seed ring's
-            behavior).
+        limit: retain the last this many cycles (> 0).
     """
 
-    def __init__(
-        self,
-        store,
-        mems: list,
-        mem_specs=(),
-        *,
-        limit: int | None = None,
-        byte_budget: int | None = None,
-        codec: str | DeltaCodec | None = None,
-        keyframe_every: int = 0,
-    ):
-        if limit is None and byte_budget is None:
-            raise SimulatorError("timeline needs a limit or a byte budget")
-        if limit is not None and limit <= 0:
+    def __init__(self, store, mems: list, mem_specs=(), *, limit: int):
+        if limit <= 0:
             raise SimulatorError(f"timeline entry limit must be > 0, got {limit}")
-        if byte_budget is not None and byte_budget <= 0:
-            raise SimulatorError(
-                f"timeline byte budget must be > 0, got {byte_budget}"
-            )
-        if keyframe_every < 0:
-            raise SimulatorError(
-                f"timeline keyframe_every must be >= 0, got {keyframe_every}"
-            )
         self.store = store
         self.mems = mems
-        self.codec: DeltaCodec = (
-            codec if isinstance(codec, DeltaCodec) else make_codec(codec)
-        )
         self.limit = limit
-        self.byte_budget = byte_budget
-        self.keyframe_every = keyframe_every
         self.entries: deque[TimelineEntry] = deque()
         self.by_time: dict[int, TimelineEntry] = {}
         #: Memory-write journal fed by the generated journaling tick.
@@ -239,9 +201,7 @@ class Timeline(TimelineView):
         #: engine's step loop across rewinds).
         self.mem_written: set[tuple[int, int]] = set()
         self._base = None          # state baseline for the next delta
-        self._since_key = 0        # delta entries since the last keyframe
         self._head_seq = 0         # the head entry's seq (see TimelineEntry)
-        self._nbytes = 0
         # Always-on history stats: plain ints read lazily by repro.obs
         # collectors / Simulator.stats(); never consulted on the hot path.
         self.stat_keyframes = 0
@@ -277,21 +237,15 @@ class Timeline(TimelineView):
 
     @property
     def nbytes(self) -> int:
-        if self.byte_budget is not None:
-            return self._nbytes  # maintained eagerly for eviction
         return sum(self._entry_nbytes(e) for e in self.entries)
 
     def describe(self) -> str:
         w = self.window()
-        budget = (
-            f", budget {_fmt_bytes(self.byte_budget)}" if self.byte_budget else ""
-        )
-        kf = f", keyframe every {self.keyframe_every}" if self.keyframe_every else ""
         if w is None:
-            return f"timeline: empty (codec {self.codec.name}{budget}{kf})"
+            return f"timeline: empty (limit {self.limit})"
         return (
             f"timeline: cycles {w[0]}..{w[1]} ({len(self)} retained, "
-            f"{_fmt_bytes(self.nbytes)}, codec {self.codec.name}{budget}{kf})"
+            f"{_fmt_bytes(self.nbytes)}, limit {self.limit})"
         )
 
     # -- recording ---------------------------------------------------------
@@ -304,26 +258,18 @@ class Timeline(TimelineView):
         forward stepping the tail sits at ``time - 1`` and the stale
         check is a single comparison.
 
-        ``evict=False`` lets the new entry transiently exceed the
-        retention bounds — used by read-only history walks, which must
-        not push the oldest retained cycle out of the window just to
-        make the current cycle restorable.  The next regular ``record``
-        trims back to bounds.
+        ``evict=False`` lets the new entry transiently exceed the limit —
+        used by read-only history walks, which must not push the oldest
+        retained cycle out of the window just to make the current cycle
+        restorable.  The next regular ``record`` trims back to the limit.
         """
         entries = self.entries
-        budget = self.byte_budget
         while entries and entries[-1].time >= time:
-            dead = entries.pop()
-            del self.by_time[dead.time]
-            self._nbytes -= dead.nbytes
+            del self.by_time[entries.pop().time]
         store = self.store
-        if self._base is None or not entries or (
-            self.keyframe_every and self._since_key >= self.keyframe_every
-        ):
+        if self._base is None or not entries:
             entry = self._make_keyframe(time)
         else:
-            delta = store.state_delta(self._base)
-            encoded = self.codec.encode(delta)
             delta_mem: dict | None = None
             if self.snap_mems:
                 mems = self.mems
@@ -334,25 +280,15 @@ class Timeline(TimelineView):
             entry = TimelineEntry(
                 time,
                 wide=store.copy_wide(),
-                delta=encoded,
+                delta=store.state_delta(self._base),
                 delta_mem=delta_mem,
             )
-            self._since_key += 1
         entry.seq = self._head_seq + len(entries)
         entries.append(entry)
         self.by_time[time] = entry
         self.stat_records += 1
-        if budget is not None:
-            # Byte accounting stays off the per-cycle path unless a
-            # budget actually needs it.
-            entry.nbytes = self._entry_nbytes(entry)
-            self._nbytes += entry.nbytes
-            if evict:
-                while len(entries) > 1 and self._nbytes > budget:
-                    self._evict_oldest()
-        limit = self.limit
-        if evict and limit is not None:
-            while len(entries) > limit and len(entries) > 1:
+        if evict:
+            while len(entries) > self.limit:
                 self._evict_oldest()
 
     def restart(self) -> None:
@@ -364,19 +300,16 @@ class Timeline(TimelineView):
         self.by_time.clear()
         self.mem_written.clear()
         self._base = None
-        self._nbytes = 0
 
     def _make_keyframe(self, time: int) -> TimelineEntry:
         self.stat_keyframes += 1
         store = self.store
         # 8 bytes per signal, where a list copy would keep a pointer and
-        # often a boxed int per signal alive: keyframes are most of what
-        # a byte budget pays for.
+        # often a boxed int per signal alive.
         values = array("Q", store.narrow)
         mem_copy = [mem[:] for mem in self.mems] if self.snap_mems else None
         self._base = store.capture_state()
         self.mem_written.clear()
-        self._since_key = 0
         return TimelineEntry(
             time,
             values=values,
@@ -393,14 +326,12 @@ class Timeline(TimelineView):
         old = self.entries.popleft()
         self._head_seq += 1
         del self.by_time[old.time]
-        self._nbytes -= old.nbytes
-        if not self.entries:
-            return
         nxt = self.entries[0]
         if nxt.values is not None:
-            return  # successor is already a (periodic) keyframe
+            return  # successor is already a keyframe
         vals = old.values
-        self.codec.apply(vals, nxt.delta)
+        for i, val in nxt.delta.items():
+            vals[i] = val
         nxt.values = vals
         # nxt.wide is already a full copy — the keyframe's simply drops.
         if old.mem_copy is not None:
@@ -410,28 +341,24 @@ class Timeline(TimelineView):
             nxt.mem_copy = mems
         nxt.delta = None
         nxt.delta_mem = None
-        if self.byte_budget is not None:
-            self._nbytes -= nxt.nbytes
-            nxt.nbytes = self._entry_nbytes(nxt)
-            self._nbytes += nxt.nbytes
 
     # -- restoring ---------------------------------------------------------
 
     def restore(self, time: int) -> TimelineEntry:
         """Rewind the bound store (and memories) to ``time``, in place.
 
-        Reconstruction replays codec deltas forward from the nearest
-        keyframe at-or-before the target.  Retained entries are left
-        untouched, so repeating ``restore`` or jumping forward to another
-        retained time keeps working; stale entries are invalidated lazily
-        by the next :meth:`record` once re-execution overwrites them.
+        Reconstruction replays deltas forward from the nearest keyframe
+        at-or-before the target.  Retained entries are left untouched, so
+        repeating ``restore`` or jumping forward to another retained time
+        keeps working; stale entries are invalidated lazily by the next
+        :meth:`record` once re-execution overwrites them.
         """
         entry = self.by_time.get(time)
         if entry is None:
             raise TimelineError(self._out_of_window(time))
         store = self.store
         # Walk back from the target to the nearest keyframe at-or-before
-        # it: periodic keyframes bound this walk, and so rewind latency.
+        # it: at most the window, so the limit bounds rewind latency.
         entries = self.entries
         segment = [entry]
         i = entry.seq - self._head_seq
@@ -451,7 +378,8 @@ class Timeline(TimelineView):
                 # The state at the target's *predecessor*: it becomes the
                 # delta baseline for the entry re-taken at `time`.
                 tail_base = [vals[i] for i in store.state_indices]
-            self.codec.apply(vals, e.delta)
+            for i, val in e.delta.items():
+                vals[i] = val
             if mems_rec is not None and e.delta_mem:
                 for (mi, a), val in e.delta_mem.items():
                     mems_rec[mi][a] = val
@@ -473,9 +401,6 @@ class Timeline(TimelineView):
             # arrays.
             self._base = tail_base
             self.mem_written.update(entry.delta_mem or ())
-            # The re-taken entry replaces this one: the deltas since the
-            # keyframe are the segment's, less the keyframe and the entry.
-            self._since_key = len(segment) - 2
         else:
             # Rewound onto a keyframe: the predecessor baseline (if any)
             # is not cheaply available, so the next record() re-keyframes
@@ -492,8 +417,8 @@ class Timeline(TimelineView):
             )
         return (
             f"cannot rewind to cycle {time}: retained window is "
-            f"{w[0]}..{w[1]} ({len(self)} cycles); raise snapshots= / "
-            f"snapshot_bytes= to keep more history"
+            f"{w[0]}..{w[1]} ({len(self)} cycles); raise snapshots= "
+            f"to keep more history"
         )
 
     # -- byte accounting ---------------------------------------------------
@@ -525,7 +450,8 @@ class Timeline(TimelineView):
             if entry.mem_copy is not None:
                 n += sum(sys.getsizeof(m) for m in entry.mem_copy)
         else:
-            n += self.codec.nbytes(entry.delta)
+            # The dict table plus two boxed ints per changed signal.
+            n += sys.getsizeof(entry.delta) + 56 * len(entry.delta)
             if entry.delta_mem:
                 n += sys.getsizeof(entry.delta_mem) + 88 * len(entry.delta_mem)
         return n
@@ -533,14 +459,14 @@ class Timeline(TimelineView):
     # -- wire serialization ------------------------------------------------
 
     def to_wire(self) -> dict:
-        """A codec-independent JSON-safe rendering of the retained
-        window: plain ints only, deltas as ``[start, [values...]]`` runs.
+        """A JSON-safe rendering of the retained window: plain ints only,
+        deltas as ``[start, [values...]]`` runs.
 
         Shipped by shard workers so the aggregator can localize replica
         divergence (:func:`first_timeline_divergence`) without re-running
         anything.  Keyframes carry only the *state* signals (registers
         and inputs — what the deltas are defined over), so two shards'
-        wires compare cycle-for-cycle regardless of codec.
+        wires compare cycle-for-cycle.
         """
         state_idx = list(self.store.state_indices)
         entries_w = []
@@ -552,7 +478,7 @@ class Timeline(TimelineView):
                 if e.mem_copy is not None:
                     rec["m"] = [list(m) for m in e.mem_copy]
             else:
-                rec["d"] = _pairs_to_runs(self.codec.pairs(e.delta))
+                rec["d"] = _pairs_to_runs(sorted(e.delta.items()))
                 if e.delta_mem:
                     rec["dm"] = sorted(
                         [mi, a, v] for (mi, a), v in e.delta_mem.items()
@@ -562,7 +488,6 @@ class Timeline(TimelineView):
             entries_w.append(rec)
         return {
             "v": 1,
-            "codec": self.codec.name,
             "state": state_idx,
             "entries": entries_w,
         }

@@ -1,7 +1,7 @@
 """The paper's CPU, cycle by cycle, across every engine tier: the
 reference (``fast=False``) against the default fast path (alone and
-recording a 64-entry ``raw`` or ``rle`` timeline) and the native free-run
-tier behind ``run()``, plus a default run with a Runtime that goes idle,
+recording a timeline of 2 entries, of 64, or longer than the whole run)
+and the native free-run tier behind ``run()``, plus a default run with a Runtime that goes idle,
 then armed, then idle again, both stepped and run, and the whole suite
 with breakpoints armed, run natively against stepped, with and without a
 64-entry timeline."""
@@ -20,15 +20,15 @@ from tests.helpers import line_of
 
 CHUNK = 64
 
-#: configuration id -> (fast, timeline options)
+#: configuration id -> (fast, timeline options).  ``timeline-2`` folds its
+#: head forward on every cycle; ``timeline-whole-run`` outlasts the longest
+#: program (1,011 cycles), never evicts and rewinds back to the reset.
 CONFIGS = {
     "oracle": (False, {}),
     "default": (True, {}),
-    "timeline-raw": (True, {"snapshots": 64}),
-    "timeline-rle": (
-        True,
-        {"snapshots": 64, "snapshot_codec": "rle", "keyframe_every": 16},
-    ),
+    "timeline": (True, {"snapshots": 64}),
+    "timeline-2": (True, {"snapshots": 2}),
+    "timeline-whole-run": (True, {"snapshots": 4096}),
 }
 
 
@@ -73,10 +73,18 @@ def test_tier_matches_reference(program, config):
     _lockstep(oracle, sim)
     assert sim.peek("tohost") == bench.expected
     if timeline:
+        end = oracle.get_time()
+        assert len(sim.timeline) == min(timeline["snapshots"], end)
+        assert sim.stats()["timeline_evictions"] == end - len(sim.timeline)
         # Rewind to the oldest retained cycle and re-execute to the end.
+        # Cycle 0 is the reset cycle, and a rewind restores the inputs as
+        # they were then: re-executing from it resets again, as the
+        # original run did.
         t = sim.timeline.times()[0]
         sim.set_time(t)
-        sim.step(oracle.get_time() - t)
+        if t == 0:
+            sim.reset()
+        sim.step(end - sim.get_time())
         assert sim.state_digest() == oracle.state_digest()
 
 

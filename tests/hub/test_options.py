@@ -19,16 +19,17 @@ from repro.shard import ShardSession
 from repro.sim import ManyWorldsSimulator, SessionOptions, Simulator
 from tests.helpers import Accumulator, Counter
 
-#: the seven session fields, in declaration order, with their defaults
+#: the four session fields, in declaration order, with their defaults
 FIELDS = {
     "obs": None,
     "strict": None,
     "fast": True,
     "snapshots": 0,
-    "snapshot_bytes": None,
-    "snapshot_codec": None,
-    "keyframe_every": 0,
 }
+
+#: timeline knobs that are gone: ``snapshots=N`` is the one way to keep
+#: history
+RETIRED = ("snapshot_bytes", "snapshot_codec", "keyframe_every")
 
 
 class TestRecord:
@@ -47,6 +48,11 @@ class TestRecord:
         with pytest.raises(TypeError, match="store"):
             SessionOptions(store="list")
 
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_retired_timeline_knob_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match=name):
+            SessionOptions(snapshots=8, **{name: 1})
+
 
 def _build(ctor: str, d, **kw):
     if ctor == "Simulator":
@@ -61,15 +67,15 @@ def _build(ctor: str, d, **kw):
 #: (constructor, session keyword it no longer takes); ``store`` is no
 #: setting at all any more
 _REMOVED = (
-    [("Simulator", name) for name in [*FIELDS, "store"]]
+    [("Simulator", name) for name in [*FIELDS, *RETIRED, "store"]]
     + [
         ("ManyWorldsSimulator", name)
-        for name in FIELDS
+        for name in [*FIELDS, *RETIRED]
         if name not in ("store", "fast")
     ]
     + [("ShardSession", "fast"), ("ShardSession", "obs")]
     # DebugHub's own obs= is hub-side telemetry, not a session setting.
-    + [("DebugHub", name) for name in [*FIELDS, "store"] if name != "obs"]
+    + [("DebugHub", name) for name in [*FIELDS, *RETIRED, "store"] if name != "obs"]
 )
 
 

@@ -348,7 +348,7 @@ class TestNativeRuns:
     def test_run_to_completion_matches_a_stepped_simulator(self):
         bench = benchmark_by_name("vvadd")
         design = repro.compile(RV32Core(assemble(bench.source).words, 8192))
-        options = SessionOptions(snapshots=64, keyframe_every=8)
+        options = SessionOptions(snapshots=64)
         ref = Simulator(design.low, options=options)
         ref.reset(1)
         while not ref.finished:

@@ -22,8 +22,13 @@ from repro.shard import (
 )
 from repro.shard.wire import HitStream
 from repro.shard.worker import HEARTBEAT_S, worker_entry
+from repro.sim import native
 from repro.symtable import SQLiteSymbolTable, in_memory, write_symbol_table
 from tests.helpers import Accumulator, line_of
+
+needs_cc = pytest.mark.skipif(
+    native._compiler()[1] is None, reason="needs a working C compiler ($CC or cc)"
+)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +164,28 @@ class TestHuntAttempt:
         assert kinds.count("progress") == 4
         assert 1 <= kinds.count("heartbeat") <= 1 + wall / HEARTBEAT_S
         assert kinds[-1] == "done"
+
+    @needs_cc
+    def test_plain_shard_runs_its_tape_in_four_kernel_calls(self, hunt, monkeypatch):
+        """Every progress hook ends a kernel call, so the default cadence
+        runs a plain 1000-cycle shard with an ``emit`` sink (as every
+        forked attempt has) in at most four calls, and still sends four
+        progress events."""
+        d, st, _spec = hunt
+        calls = []
+        run = native.Kernel.run
+
+        def counted(kernel, *args, **kwargs):
+            calls.append(args[3])  # the cycles asked for
+            return run(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(native.Kernel, "run", counted)
+        events: list = []
+        spec = ShardSpec(shard_id=0, seed=5, cycles=1000)
+        result = run_shard(d.low, st, spec, emit=events.append)
+        assert result.cycles == sum(calls) == 1000
+        assert len(calls) <= 4, calls
+        assert [e["event"] for e in events].count("progress") == 4
 
     def test_explicit_cadence_beats_at_every_hook(self, hunt):
         d, st, spec = hunt

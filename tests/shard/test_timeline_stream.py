@@ -33,7 +33,7 @@ class TestStreaming:
             report = _sweep(session)
         assert all(r.timeline is not None for r in report.results)
         for r in report.results:
-            assert r.timeline["codec"] == "rle"
+            assert set(r.timeline) == {"v", "state", "entries"}
             assert len(r.timeline["entries"]) <= 12
         # Healthy replicas: digests agree AND no localized divergence.
         assert not report.state_divergences()
@@ -108,10 +108,8 @@ class TestLocalization:
         assert report.timeline_divergences() == []
 
     def test_unnamed_report_falls_back_to_indices(self):
-        wire_a = {"v": 1, "codec": "rle", "state": [2],
-                  "entries": [{"t": 0, "k": [1]}]}
-        wire_b = {"v": 1, "codec": "rle", "state": [2],
-                  "entries": [{"t": 0, "k": [3]}]}
+        wire_a = {"v": 1, "state": [2], "entries": [{"t": 0, "k": [1]}]}
+        wire_b = {"v": 1, "state": [2], "entries": [{"t": 0, "k": [3]}]}
         report = ShardReport([
             ShardResult(0, seed=1, cycles=1, timeline=wire_a,
                         state_digest="a"),

@@ -176,7 +176,7 @@ def _reference_digest(design, seed, cycles):
 WORLD_OPTIONS = {
     "default": None,
     "reference": SessionOptions(fast=False),
-    "timeline": SessionOptions(snapshots=8, snapshot_codec="rle", keyframe_every=4),
+    "timeline": SessionOptions(snapshots=8),
 }
 
 

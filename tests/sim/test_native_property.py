@@ -233,15 +233,10 @@ def test_native_free_run_matches_reference(data):
 def test_native_run_under_a_timeline_matches_stepping(data):
     gen = Generated(data.draw, 128)
     design = repro.compile(gen)
-    opts = {"snapshots": data.draw(st.integers(1, 80))}
-    if data.draw(st.booleans()):
-        opts["keyframe_every"] = data.draw(st.integers(1, 8))
-    if data.draw(st.booleans()):
-        opts["snapshot_codec"] = "rle"
-    fast = Simulator(design.low, options=SessionOptions(**opts))
-    ref = Simulator(design.low, options=SessionOptions(**opts))
-    budgeted = Simulator(design.low, options=SessionOptions(snapshot_bytes=4096))
-    sims = (fast, ref, budgeted)
+    snapshots = data.draw(st.integers(1, 80))
+    fast = Simulator(design.low, options=SessionOptions(snapshots=snapshots))
+    ref = Simulator(design.low, options=SessionOptions(snapshots=snapshots))
+    sims = (fast, ref)
     for sim in sims:
         sim.reset()
     inputs = [n for n in fast.design.top_inputs if n.startswith("i")]
@@ -254,17 +249,15 @@ def test_native_run_under_a_timeline_matches_stepping(data):
                     sim.poke(name, value)
         k = data.draw(st.integers(1, 200))
         longest = max(longest, k)
-        assert fast.run(k) == budgeted.run(k)
+        fast.run(k)
         ref.step(k)
         _check(fast, ref)
-        _check(budgeted, ref)
         assert fast.timeline.times() == ref.timeline.times()
         assert fast.stats()["ticks"] == ref.stats()["ticks"]
         if fast.finished:
             break
-    assert budgeted.stats()["native_cycles"] == 0
     on = native.status(fast.design) == "on"
-    if on and not gen.effects and longest > opts["snapshots"]:
+    if on and not gen.effects and longest > snapshots:
         assert fast.stats()["native_cycles"] > 0
     now = fast.get_time()
     for t in ref.timeline.times():

@@ -10,7 +10,7 @@ stress that representation:
 * the fast and reference paths staying bit-identical through rewinds;
 * watchpoints and compiled breakpoint conditions reading wide signals;
 * the state digest;
-* the delta codecs' encoding and replay on adversarial change patterns.
+* the per-cycle state delta on adversarial change patterns.
 
 Two engines write the store: generated code (the default) and the
 reference interpreter (``fast=False``); the representation tests run on
@@ -32,7 +32,6 @@ import repro
 import repro.hgf as hgf
 from repro.sim import SessionOptions, Simulator, SimulatorError, ValueStore
 from repro.sim.store import resolve_store_kind
-from repro.sim.timeline import RawCodec, RleCodec
 from tests.helpers import Accumulator, Counter, make_runtime
 
 ENGINES = pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
@@ -224,16 +223,13 @@ def test_negative_poke_wide_signal(fast):
 # -- snapshots ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", ["raw", "rle"])
 @pytest.mark.parametrize("mod_cls", [Counter, WideMixer])
-def test_rewind_across_keyframe_boundary(mod_cls, codec):
+def test_rewind_across_keyframe_boundary(mod_cls):
     """With a small ring, old keyframes are folded forward on eviction;
     rewinding to the oldest retained time must reconstruct exactly, then
     re-execution must reproduce the original run."""
     d = repro.compile(mod_cls())
-    sim = Simulator(
-        d.low, options=SessionOptions(snapshots=4, snapshot_codec=codec)
-    )
+    sim = Simulator(d.low, options=SessionOptions(snapshots=4))
     ref = Simulator(d.low, options=SessionOptions(snapshots=0))
     rng = random.Random(3)
     inputs = sorted(n for n in sim.design.top_inputs if n != "clock")
@@ -273,16 +269,12 @@ def test_rewind_across_keyframe_boundary(mod_cls, codec):
         assert sim.values.as_list() == want
 
 
-@pytest.mark.parametrize("codec", ["raw", "rle"])
-def test_rewind_restores_into_the_live_store(codec):
+def test_rewind_restores_into_the_live_store():
     """Keyframes are ``array('Q')`` copies; a rewind writes one, plus its
     deltas, back into the very ``narrow`` list and ``wide`` dict that
     generated code holds, so the store keeps its identity and type."""
     d = repro.compile(WideMixer())
-    sim = Simulator(
-        d.low,
-        options=SessionOptions(snapshots=16, snapshot_codec=codec, keyframe_every=4),
-    )
+    sim = Simulator(d.low, options=SessionOptions(snapshots=16))
     narrow, wide = sim.store.narrow, sim.store.wide
     sim.reset()
     sim.poke("en", 1)
@@ -293,9 +285,9 @@ def test_rewind_restores_into_the_live_store(codec):
         sim.flush()
         gold[sim.get_time()] = sim.values.as_list()
         sim.step(1)
-    keys = {e.time for e in sim.timeline.entries if e.values is not None}
-    assert len(keys) >= 2
-    for t in sorted(gold, reverse=True):  # keyframe and delta targets
+    kinds = [e.values is not None for e in sim.timeline.entries]
+    assert kinds[0] and not any(kinds[1:])
+    for t in sorted(gold, reverse=True):  # delta targets, then the keyframe
         sim.set_time(t)
         assert sim.store.narrow is narrow and type(narrow) is list
         assert sim.store.wide is wide
@@ -370,73 +362,60 @@ def test_store_digest_bytes_uses_raw_buffer():
     assert len(blob) >= 8 * len(store)
 
 
-# -- delta codecs: encoding and replay on adversarial patterns -------------
+# -- the state delta on adversarial patterns -------------------------------
 #
-# ``RleCodec.encode`` walks a ``state_delta`` dict and collapses
-# consecutive indices into runs; ``RawCodec`` keeps the dict.  These
-# micro-tests pin both on the adversarial change patterns — every signal
-# (one maximal run), alternating (no two indices adjacent — the worst case
-# for run detection), and a single change — against the changed pairs
-# themselves and a replay onto scribbled copies of the values.
+# A timeline keeps each cycle's ``state_delta`` dict as it is.  These
+# micro-tests pin it on adversarial change patterns — every signal,
+# alternating (no two indices adjacent), a single change, none — against
+# the changed lanes themselves, and a replay onto scribbled copies of the
+# values (a list, and the ``array('Q')`` keyframe buffer that eviction and
+# rewinds replay onto).
 
-#: (label, changed lanes, rle run count)
 PATTERNS = [
-    ("all-same", {i: 7 for i in range(64)}, 1),
-    ("alternating", {i: i + 1 for i in range(0, 64, 2)}, 32),
-    ("single-change", {17: 0xDEAD}, 1),
-    ("two-runs", {**{i: 1 for i in range(4)},
-                  **{i: 2 for i in range(40, 44)}}, 2),
-    ("empty", {}, 0),
+    ("all-same", {i: 7 for i in range(64)}),
+    ("alternating", {i: i + 1 for i in range(0, 64, 2)}),
+    ("single-change", {17: 0xDEAD}),
+    ("two-runs", {**{i: 1 for i in range(4)}, **{i: 2 for i in range(40, 44)}}),
+    ("empty", {}),
 ]
 
 
-def _roundtrip(codec, n: int, changed: dict[int, int]):
-    """Encode the delta that writing ``changed`` into a fresh store makes,
-    check it against ``changed`` and against a replay onto a scribbled
-    list and ``array('Q')`` (the keyframe buffer that eviction and rewinds
-    replay onto), and return the encoded delta."""
-    store = ValueStore(n, (), tuple(range(n)))
+@pytest.mark.parametrize(("label", "changed"), PATTERNS)
+def test_state_delta_adversarial_patterns(label, changed):
+    store = ValueStore(64, (), tuple(range(64)))
     base = store.capture_state()
     for i, v in changed.items():
         store[i] = v
-    encoded = codec.encode(store.state_delta(base))
-    assert codec.pairs(encoded) == sorted(changed.items())
+    delta = store.state_delta(base)
+    assert list(delta.items()) == sorted(changed.items()), label
+    assert base == store.narrow  # the baseline moved to the new state
     for saved in (store.narrow.copy(), array("Q", store.narrow)):
         for i in changed:
             saved[i] = 0xBAD  # scribble over the changed lanes
-        codec.apply(saved, encoded)
+        for i, v in delta.items():
+            saved[i] = v
         assert list(saved) == store.narrow
-    return encoded
 
 
-def _rle_runs(n: int, changed: dict[int, int]) -> int:
-    runs, _values = _roundtrip(RleCodec(), n, changed)
-    return len(runs) // 2
-
-
-@pytest.mark.parametrize(("label", "changed", "runs"), PATTERNS)
-def test_encode_rle_adversarial_patterns(label, changed, runs):
-    assert _rle_runs(64, changed) == runs, label
-
-
-@pytest.mark.parametrize(("label", "changed"), [p[:2] for p in PATTERNS])
-def test_raw_codec_adversarial_patterns(label, changed):
-    codec = RawCodec()
-    encoded = _roundtrip(codec, 64, changed)
-    assert encoded == changed, label
-    assert codec.nbytes(encoded) >= 56 * len(changed)
-
-
-def test_encode_rle_random_patterns():
+def test_state_delta_random_patterns():
+    """Random change sets over 256 lanes, each against the baseline the
+    previous delta left: a delta names exactly the lanes whose value
+    changed, so a lane rewritten with its old value is not in it."""
     rng = random.Random(2024)
     n = 256
+    store = ValueStore(n, (), tuple(range(n)))
+    base = store.capture_state()
     for _trial in range(25):
-        changed = {
-            i: rng.getrandbits(64)
-            for i in rng.sample(range(n), rng.randint(0, n))
+        before = list(store.narrow)
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            store[i] = rng.choice((before[i], rng.getrandbits(64)))
+        delta = store.state_delta(base)
+        assert delta == {
+            i: v
+            for i, (v, old) in enumerate(zip(store.narrow, before, strict=True))
+            if v != old
         }
-        starts = sum(1 for i in changed if i - 1 not in changed)
-        assert _rle_runs(n, changed) == starts
+        assert base == store.narrow
 
 
 def test_default_path_loads_no_numpy():

@@ -42,12 +42,7 @@ def backend(request, tmp_path):
     """
     d = repro.compile(Counter())
     if request.param == "live":
-        sim = Simulator(
-            d.low,
-            options=SessionOptions(
-                snapshots=64, snapshot_codec="rle", keyframe_every=4
-            ),
-        )
+        sim = Simulator(d.low, options=SessionOptions(snapshots=64))
         _run_stimulus(sim)
         return sim
     path = str(tmp_path / "run.vcd")

@@ -2,9 +2,9 @@
 
 Covers the surfaces the integration/property suites don't pin directly:
 error shapes (``TimelineError`` is both a ``SimulatorError`` and a
-``ValueError`` and always names the retained window), byte-budget
-retention, periodic keyframes, the memory-history cap warning, codec
-selection, wire serialization, and cross-run divergence localization.
+``ValueError`` and always names the retained window), entry-limited
+retention, rewind cost, the memory-history cap warning, wire
+serialization, and cross-run divergence localization.
 """
 
 from __future__ import annotations
@@ -16,14 +16,19 @@ import pytest
 
 import repro
 import repro.hgf as hgf
-from repro.sim import SessionOptions, Simulator, SimulatorError, Timeline, TimelineError
+from repro.sim import (
+    SessionOptions,
+    Simulator,
+    SimulatorError,
+    Timeline,
+    TimelineError,
+    ValueStore,
+)
 from repro.sim.timeline import (
     MEM_HISTORY_WORD_CAP,
     FullTraceTimeline,
     first_timeline_divergence,
     iter_wire_states,
-    make_codec,
-    resolve_codec_kind,
 )
 from tests.helpers import Counter
 
@@ -82,39 +87,15 @@ class TestErrors:
 
     def test_bad_construction(self):
         sim = _counter()
-        with pytest.raises(SimulatorError, match="limit or a byte budget"):
+        with pytest.raises(TypeError, match="limit"):
             Timeline(sim.store, sim.mems, sim.design.mems)
-        with pytest.raises(SimulatorError, match="must be > 0"):
+        with pytest.raises(SimulatorError, match="must be > 0, got -1"):
             Timeline(sim.store, sim.mems, sim.design.mems, limit=-1)
-        with pytest.raises(SimulatorError, match="keyframe_every must be >= 0, got -1"):
-            Timeline(sim.store, sim.mems, sim.design.mems, limit=4, keyframe_every=-1)
-        with pytest.raises(SimulatorError, match="got -1"):
-            Simulator(
-                sim.design.circuit,
-                options=SessionOptions(snapshots=16, keyframe_every=-1),
-            )
-        with pytest.raises(SimulatorError, match="unknown timeline codec"):
-            Simulator(
-                sim.design.circuit,
-                options=SessionOptions(snapshots=4, snapshot_codec="zip"),
-            )
-
-
-# -- codec selection ---------------------------------------------------------
-
-
-class TestCodecSelection:
-    def test_resolve_default(self):
-        assert resolve_codec_kind(None) == "raw"
-        assert resolve_codec_kind("rle") == "rle"
-        assert _counter(snapshots=4).timeline.codec.name == "raw"
-        with pytest.raises(SimulatorError):
-            resolve_codec_kind("gzip")
-
-    def test_explicit_argument(self):
-        sim = _counter(snapshots=4, snapshot_codec="rle")
-        assert sim.timeline.codec.name == "rle"
-        assert make_codec("raw").name == "raw"
+        with pytest.raises(SimulatorError, match="must be > 0, got -1"):
+            Simulator(sim.design.circuit, options=SessionOptions(snapshots=-1))
+        for name in ("byte_budget", "codec", "keyframe_every"):
+            with pytest.raises(TypeError, match=name):
+                Timeline(sim.store, sim.mems, limit=4, **{name: 1})
 
 
 # -- retention ---------------------------------------------------------------
@@ -127,45 +108,46 @@ class TestRetention:
         assert len(sim.timeline) == 4
         assert sim.timeline.window() == (17, 20)
 
-    @pytest.mark.parametrize("codec", ["raw", "rle"])
-    def test_byte_budget_bounds_nbytes(self, codec):
-        sim = _counter(snapshot_bytes=8_192, snapshot_codec=codec)
-        sim.step(300)
+    def test_nbytes_sizes_the_window_when_read(self):
+        """``nbytes`` is computed when read, over the retained entries."""
+        sim = _counter(snapshots=8)
+        sim.step(2)
+        short = sim.timeline.nbytes
+        sim.step(20)
         tl = sim.timeline
-        assert tl.nbytes <= 8_192
-        assert len(tl) >= 2
-        # The window is usable: rewind to its oldest cycle.
-        lo, hi = tl.window()
-        sim.set_time(lo)
-        assert sim.get_time() == lo
+        assert 0 < short < tl.nbytes == sum(tl._entry_nbytes(e) for e in tl.entries)
 
-    def test_rle_window_longer_than_raw_at_equal_budget(self):
-        budget = 32_768
-        windows = {}
-        for codec in ("raw", "rle"):
-            sim = _counter(snapshot_bytes=budget, snapshot_codec=codec)
-            sim.step(2000)
-            lo, hi = sim.timeline.window()
-            windows[codec] = hi - lo + 1
-        assert windows["rle"] > windows["raw"]
-
-    def test_nbytes_accounting_tracks_evictions(self):
-        # Under a byte budget the per-entry estimates are maintained
-        # eagerly and must stay consistent through folds and evictions.
-        sim = _counter(snapshot_bytes=16_384, snapshot_codec="rle")
-        sim.step(300)
+    def test_stats_report_the_window(self):
+        """``stats()`` reads the window's size and cost off the timeline:
+        one keyframe, one record per stepped cycle, one fold-forward
+        eviction per record past the limit."""
+        sim = _counter(snapshots=8)
+        sim.step(20)
         tl = sim.timeline
-        assert tl.nbytes == sum(e.nbytes for e in tl.entries)
-        assert tl.nbytes == sum(tl._entry_nbytes(e) for e in tl.entries)
-        # Entry-limited timelines skip eager accounting but still answer
-        # nbytes (lazily) for the console.
-        lazy = _counter(snapshots=8)
-        lazy.step(20)
-        assert lazy.timeline.nbytes > 0
-        assert all(e.nbytes == 0 for e in lazy.timeline.entries)
+        s = sim.stats()
+        assert s["timeline_entries"] == len(tl) == 8
+        assert s["timeline_keyframes"] == 1
+        assert s["timeline_records"] == sim.get_time() == 21
+        assert s["timeline_evictions"] == 21 - 8
+        assert s["snapshot_bytes"] == tl.nbytes
+        assert s["timeline_compression_ratio"] == tl.compression_ratio()
+
+    def test_metrics_export_the_window(self):
+        """With metrics on, the same numbers leave as ``sim_timeline_*``
+        and ``sim_snapshot_bytes`` series."""
+        sim = _counter(snapshots=8, obs="metrics")
+        sim.step(20)
+        got = {m["name"]: m["value"] for m in sim.obs.metrics.snapshot()["metrics"]}
+        s = sim.stats()
+        assert got["sim_timeline_entries"] == 8
+        assert got["sim_timeline_records_total"] == s["timeline_records"]
+        assert got["sim_timeline_keyframes_total"] == 1
+        assert got["sim_timeline_evictions_total"] == s["timeline_evictions"]
+        assert got["sim_snapshot_bytes"] == sim.timeline.nbytes
+        assert got["sim_timeline_compression_ratio"] == s["timeline_compression_ratio"]
 
 
-# -- periodic keyframes ------------------------------------------------------
+# -- the head keyframe ------------------------------------------------------
 
 
 class _CountingDeque(deque):
@@ -190,94 +172,107 @@ class _CountingDeque(deque):
 
 class TestKeyframes:
     @pytest.mark.parametrize("window", [64, 1024, 16384])
-    def test_rewind_reads_at_most_k_plus_one_entries(self, window):
-        """keyframe_every=K bounds a rewind's work, not only its replayed
-        deltas: whatever the window, reaching any retained cycle reads
-        its entry and at most K entries back to its keyframe."""
-        k = 8
-        sim = _counter(snapshots=window, snapshot_codec="rle", keyframe_every=k)
+    def test_rewind_reads_back_to_the_head_keyframe_only(self, window):
+        """With one keyframe at the head of a full window, reaching the
+        cycle at position p reads its entry from the by-time index and
+        the p entries before it from the deque: a rewind replays at most
+        N - 1 deltas, whatever N."""
+        sim = _counter(snapshots=window)
         sim.step(window + 5)  # a full window, with evictions behind it
         tl = sim.timeline
         assert len(tl) == window
         times = tl.times()
         tl.entries = counted = _CountingDeque(tl.entries)
-        applied = []
-        apply = tl.codec.apply
-        tl.codec.apply = lambda vals, delta: (applied.append(1), apply(vals, delta))
         sim.set_time(times[-1])
         newest = sim.peek("out")
-        for t in (times[-2], times[len(times) // 2], times[1], times[0]):
+        for pos in (window - 2, window // 2, 1, 0):
+            t = times[pos]
             counted.reads = 0
-            applied.clear()
             sim.set_time(t)
-            # The target comes from the by-time index; at most K more
-            # entries back to its keyframe come from the deque.
-            assert counted.reads <= k, t
-            assert len(applied) <= k, t
+            assert counted.reads == pos, t
             # en held at 1: the 8-bit count rose once per cycle since.
             assert sim.peek("out") == (newest - (times[-1] - t)) % 256
 
-    def test_keyframe_cadence(self):
-        sim = _counter(snapshots=32, snapshot_codec="rle", keyframe_every=8)
-        sim.step(30)
-        kinds = [e.values is not None for e in sim.timeline.entries]
-        assert kinds[0] is True
-        assert sum(kinds) >= 3  # head + periodic keyframes
-        # Between two keyframes there are exactly keyframe_every deltas.
-        key_pos = [i for i, k in enumerate(kinds) if k]
-        assert all(b - a == 9 for a, b in zip(key_pos, key_pos[1:], strict=False))
-
-    def test_rewind_onto_periodic_keyframe_and_resume(self):
-        sim = _counter(snapshots=64, snapshot_codec="rle", keyframe_every=4)
+    def test_rewind_onto_the_head_keyframe_and_resume(self):
+        """Re-executing from a rewind onto the head keyframe re-takes it
+        (the predecessor baseline is gone) and records deltas after it;
+        rewinds into the new run stay exact."""
+        sim = _counter(snapshots=8)
         gold = {}
-        for _ in range(20):
+        for _ in range(12):
+            sim.flush()
+            gold[sim.get_time()] = sim.peek("out")
+            sim.step(1)
+        head = sim.timeline.times()[0]
+        sim.set_time(head)
+        assert sim.peek("out") == gold[head]
+        sim.step(3)
+        tl = sim.timeline
+        assert tl.times() == [head, head + 1, head + 2]
+        assert [e.values is not None for e in tl.entries] == [True, False, False]
+        sim.set_time(head + 2)
+        assert sim.peek("out") == gold[head + 2]
+
+    def test_rewind_onto_a_delta_and_resume(self):
+        """Re-executing from a rewind onto a delta entry keeps the
+        predecessor's state as the baseline: the stale suffix goes, the
+        re-taken cycles are deltas, and no keyframe is taken."""
+        sim = _counter(snapshots=16)
+        gold = {}
+        for _ in range(10):
             sim.flush()
             gold[sim.get_time()] = sim.peek("out")
             sim.step(1)
         tl = sim.timeline
-        key_times = [e.time for e in tl.entries if e.values is not None]
-        assert len(key_times) >= 3
-        # Land exactly on a mid-ring keyframe, then resume and re-rewind.
-        t = key_times[1]
+        t = tl.times()[4]
         sim.set_time(t)
         assert sim.peek("out") == gold[t]
         sim.step(3)
-        sim.set_time(t + 2)
-        assert sim.peek("out") == gold[t + 2]
+        assert tl.times() == list(range(t + 3))
+        assert tl.stat_keyframes == 1
+        assert [e.values is not None for e in tl.entries] == [True] + [False] * (t + 2)
+        for back in range(t + 2, 0, -1):
+            sim.set_time(back)
+            assert sim.peek("out") == gold[back]
 
-    def test_rewind_keeps_the_keyframe_cadence(self):
-        """Re-executing after a rewind onto a delta entry continues the
-        rewound-to segment: no segment ever exceeds K deltas, so no
-        rewind replays more than K."""
-        sim = _counter(snapshots=64, snapshot_codec="rle", keyframe_every=4)
-        sim.step(7)  # cycles 0..7 retained, keyframes at 0 and 5
-        sim.set_time(4)
-        sim.step(12)
-        tl = sim.timeline
-        assert tl.times() == list(range(16))
-        assert [e.time for e in tl.entries if e.values is not None] == [0, 5, 10, 15]
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
-    def test_random_rewinds_keep_the_keyframe_cadence(self, k):
-        """Seeded random step/rewind schedules: every completed segment
-        holds exactly K deltas, and the open one at most K."""
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8])
+    def test_random_rewinds_keep_one_keyframe_at_the_head(self, limit):
+        """Seeded random poke/step/rewind schedules: the window stays a
+        run of at most ``limit`` consecutive cycles whose head is its only
+        keyframe, each entry's seq stamp names its deque position, and
+        every retained cycle restores the state it was stepped through
+        with last."""
         for trial in range(25):
-            rng = random.Random(f"cadence-{k}-{trial}")
-            sim = _counter(snapshots=10_000, snapshot_codec="rle", keyframe_every=k)
+            rng = random.Random(f"window-{limit}-{trial}")
+            sim = _counter(snapshots=limit)
+            gold = {}
             for _ in range(30):
                 if rng.random() < 0.7:
-                    sim.step(rng.randint(1, 6))
+                    sim.poke("en", rng.randint(0, 1))
+                    for _ in range(rng.randint(1, 6)):
+                        sim.flush()
+                        gold[sim.get_time()] = sim.values.as_list()
+                        sim.step(1)
                 else:
                     sim.set_time(rng.choice(sim.timeline.times()))
-            sim.step(1)
-            entries = sim.timeline.entries
-            keys = [i for i, e in enumerate(entries) if e.values is not None]
-            segments = [b - a - 1 for a, b in zip(keys, keys[1:], strict=False)]
-            assert all(n == k for n in segments), (trial, segments)
-            assert len(entries) - keys[-1] - 1 <= k, trial
+                tl = sim.timeline
+                times = tl.times()
+                assert 0 < len(times) <= limit, trial
+                assert times == list(range(times[0], times[0] + len(times))), trial
+                assert set(tl.by_time) == set(times), trial
+                assert [e.values is not None for e in tl.entries] == (
+                    [True] + [False] * (len(times) - 1)
+                ), trial
+                assert [e.seq - tl._head_seq for e in tl.entries] == list(
+                    range(len(times))
+                ), trial
+            for t in reversed(sim.timeline.times()):
+                if t in gold:  # cycle 0 is the reset, not stepped here
+                    sim.set_time(t)
+                    assert sim.values.as_list() == gold[t], (trial, t)
 
     def test_head_is_always_keyframe_after_eviction(self):
-        sim = _counter(snapshots=5, snapshot_codec="rle", keyframe_every=3)
+        sim = _counter(snapshots=5)
         sim.step(40)
         assert sim.timeline.entries[0].values is not None
 
@@ -319,35 +314,95 @@ class TestMemGating:
 
 
 # -- wire serialization + divergence localization ----------------------------
+#
+# The wire ships a delta as runs of consecutive signal indices.  The
+# adversarial change patterns — every signal (one maximal run),
+# alternating (no two indices adjacent: the worst case for run
+# detection), a single change, none — pin the run count and the decode.
+
+#: (label, changed lanes, runs on the wire)
+DELTA_PATTERNS = [
+    ("all-same", {i: 7 for i in range(64)}, 1),
+    ("alternating", {i: i + 1 for i in range(0, 64, 2)}, 32),
+    ("single-change", {17: 0xDEAD}, 1),
+    ("two-runs", {**{i: 1 for i in range(4)}, **{i: 2 for i in range(40, 44)}}, 2),
+    ("empty", {}, 0),
+]
+
+
+def _delta_wire(n: int, changed: dict[int, int]) -> int:
+    """Record a keyframe over ``n`` state lanes, write ``changed``, record
+    its delta; check that the wire decodes back to the live lanes at both
+    cycles, and return the number of runs the delta shipped as."""
+    store = ValueStore(n, (), tuple(range(n)))
+    tl = Timeline(store, [], limit=4)
+    tl.record(0)
+    before = list(store.narrow)
+    for i, v in changed.items():
+        store[i] = v
+    tl.record(1)
+    wire = tl.to_wire()
+    states = {t: state for t, state, _w, _m in iter_wire_states(wire)}
+    assert states == {0: dict(enumerate(before)), 1: dict(enumerate(store.narrow))}
+    return len(wire["entries"][1]["d"])
 
 
 class TestWire:
-    @pytest.mark.parametrize("keyframe_every", [0, 3])
-    @pytest.mark.parametrize("codec", ["raw", "rle"])
-    def test_wire_reconstructs_state_signals(self, codec, keyframe_every):
-        sim = _counter(
-            snapshots=8, snapshot_codec=codec, keyframe_every=keyframe_every
-        )
-        sim.step(20)
+    @pytest.mark.parametrize(
+        ("snapshots", "steps"),
+        [(8, 3), (8, 20), (1, 5)],
+        ids=["filling", "evicted", "one-entry"],
+    )
+    def test_wire_reconstructs_state_signals(self, snapshots, steps):
+        sim = _counter(snapshots=snapshots)
+        sim.step(steps)
         wire = sim.timeline.to_wire()
+        seen = []
         for t, state, _wide, _mems in iter_wire_states(wire):
+            seen.append(t)
             sim.set_time(t)  # the recorded entry is ground truth
             for idx, val in state.items():
                 assert val == sim.values[idx]
+        assert seen == sim.timeline.times()
 
-    def test_wire_is_json_safe_and_codec_independent(self):
+    def test_wire_is_the_same_on_fast_and_reference(self):
+        """The reference interpreter records the same history as generated
+        code, entry for entry, so their wires are equal."""
+        fast, ref = _counter(snapshots=8), _counter(snapshots=8, fast=False)
+        for sim in (fast, ref):
+            sim.step(5)
+            sim.poke("en", 0)
+            sim.step(3)
+            sim.poke("en", 1)
+            sim.step(6)
+        assert fast.timeline.to_wire() == ref.timeline.to_wire()
+
+    def test_wire_is_json_safe(self):
         import json
 
-        wires = []
-        for codec in ("raw", "rle"):
-            sim = _counter(snapshots=8, snapshot_codec=codec)
-            sim.step(12)
-            wires.append(json.loads(json.dumps(sim.timeline.to_wire())))
-        assert wires[0]["entries"] == wires[1]["entries"]
+        sim = _counter(snapshots=8)
+        sim.step(12)
+        wire = sim.timeline.to_wire()
+        assert json.loads(json.dumps(wire)) == wire
+        assert sorted(wire) == ["entries", "state", "v"]
+
+    @pytest.mark.parametrize(("label", "changed", "runs"), DELTA_PATTERNS)
+    def test_wire_delta_runs_adversarial_patterns(self, label, changed, runs):
+        assert _delta_wire(64, changed) == runs, label
+
+    def test_wire_delta_runs_random_patterns(self):
+        rng = random.Random(2024)
+        for _trial in range(25):
+            changed = {
+                i: rng.getrandbits(64)
+                for i in rng.sample(range(256), rng.randint(0, 256))
+            }
+            starts = sum(1 for i in changed if i - 1 not in changed)
+            assert _delta_wire(256, changed) == starts
 
     def test_identical_runs_do_not_diverge(self):
-        a = _counter(snapshots=8, snapshot_codec="rle")
-        b = _counter(snapshots=8, snapshot_codec="raw")
+        a = _counter(snapshots=8)
+        b = _counter(snapshots=8)
         a.step(15)
         b.step(15)
         assert first_timeline_divergence(
@@ -472,16 +527,6 @@ class TestHistory:
         assert sim.timeline.window()[0] == window_before[0]
         sim.set_time(window_before[0])  # oldest cycle still reachable
         assert sim.get_time() == window_before[0]
-
-    def test_snapshot_bytes_zero_means_no_budget(self):
-        """Regression: snapshots=N with snapshot_bytes=0 is the plain
-        entry-limited ring, not a construction error."""
-        d = repro.compile(Counter())
-        sim = Simulator(d.low, options=SessionOptions(snapshots=8, snapshot_bytes=0))
-        assert sim.timeline is not None
-        assert sim.timeline.byte_budget is None
-        sim = Simulator(d.low, options=SessionOptions(snapshot_bytes=0))
-        assert sim.timeline is None
 
     def test_history_after_rewind_preserves_forward_window(self):
         """Regression: a read-only history query right after a rewind

@@ -201,7 +201,7 @@ class TestTimelineFlags:
             report = json.load(f)
         assert report["timeline_divergences"] == []
         for shard in report["shards"]:
-            assert shard["timeline"]["codec"] == "rle"
+            assert shard["timeline"]["state"]
             assert len(shard["timeline"]["entries"]) <= 8
 
 

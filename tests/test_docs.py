@@ -1,8 +1,10 @@
-"""The documentation's code examples import what the package exports:
-every ``import repro…`` and ``from repro… import …`` inside a ``python``
-code block of the README and ``docs/*.md`` must resolve."""
+"""The documentation's code examples use what the package has: every
+``import repro…`` and ``from repro… import …`` inside a ``python`` code
+block of the README and ``docs/*.md`` must resolve, and every keyword of
+a ``SessionOptions(...)`` call there must be a ``SessionOptions`` field."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
@@ -37,6 +39,22 @@ def _doc_imports():
     return out
 
 
+def _doc_session_keywords():
+    """(doc, keyword) for each keyword of a ``SessionOptions(...)`` call."""
+    out = []
+    for doc in DOCS:
+        rel = doc.relative_to(ROOT).as_posix()
+        for block in _BLOCK.finditer(doc.read_text(encoding="utf-8")):
+            for node in ast.walk(ast.parse(block.group(1))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "SessionOptions":
+                    out += [(rel, kw.arg) for kw in node.keywords]
+    return out
+
+
 IMPORTS = _doc_imports()
 
 
@@ -54,3 +72,12 @@ def test_doc_import_resolves(doc, module, name):
     if name is not None and not hasattr(mod, name):
         # ``from pkg import submodule`` is an import too.
         importlib.import_module(f"{module}.{name}")
+
+
+def test_doc_session_options_keywords_are_fields():
+    from repro.sim import SessionOptions
+
+    fields = {f.name for f in dataclasses.fields(SessionOptions)}
+    keywords = _doc_session_keywords()
+    assert keywords  # the docs configure a session somewhere
+    assert [(doc, kw) for doc, kw in keywords if kw not in fields] == []
