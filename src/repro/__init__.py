@@ -8,7 +8,7 @@ Packages:
     repro.ir        FIRRTL-like IR, passes, Verilog emission.
     repro.sim       zero-delay RTL simulator with a VPI-like interface.
     repro.trace     VCD writer/parser and trace replay engine.
-    repro.symtable  SQLite symbol table (schema, writer, queries, RPC).
+    repro.symtable  symbol table, in memory; SQLite and JSON files; RPC.
     repro.core      the hgdb runtime: breakpoints, scheduler, frames, RPC.
     repro.client    gdb-like console debugger and DAP-style IDE adapter.
     repro.cpu       RV32I CPU substrate + assembler + benchmark programs.

@@ -278,14 +278,13 @@ def _cmd_stats(args) -> int:
     from .shard import ShardSpec
     from .shard.worker import run_shard
     from .sim import compile_design, native
-    from .symtable import SQLiteSymbolTable
-    from .symtable.writer import write_symbol_table
+    from .symtable import symbol_table
 
     factory = load_design_factory(args.factory)
     if factory is None:
         return 2
     design = repro.compile(factory(), debug=args.debug)
-    symtable = SQLiteSymbolTable(write_symbol_table(design))
+    symtable = symbol_table(design)
     mode = "trace" if args.trace_out else "metrics"
     obs = make_obs(mode, proc="stats", labels={"shard": "0"})
     spec = ShardSpec(

@@ -1011,9 +1011,9 @@ class Runtime:
         t = sim.get_time()
         if t <= 0:
             return False
-        # Ask the backend's timeline for the previous *retained* cycle:
-        # on a byte-bounded or evicted window the newest reachable cycle
-        # may not be t-1, and jumping straight to it beats failing.
+        # Ask the backend's timeline for the previous *retained* cycle: a
+        # window that has evicted t-1 has none, and a trace that ends
+        # before t-1 offers its last cycle, which beats failing.
         target = t - 1
         timeline = sim.timeline
         if timeline is not None:

@@ -52,9 +52,7 @@ import time
 from ..obs import make_obs
 from ..shard.wire import decode_message, encode_line
 from ..sim.engine import SessionOptions, compile_gated
-from ..symtable.memory import in_memory
-from ..symtable.query import SQLiteSymbolTable
-from ..symtable.writer import write_symbol_table
+from ..symtable.writer import symbol_table
 from .api import PROTOCOL_VERSION
 from .session import DebugSession
 
@@ -74,7 +72,7 @@ class DebugHub:
 
     Args:
         design: a compiled :class:`repro.Design` (``repro.compile(...)``) —
-            the hub needs its debug info to write the symbol table.
+            the hub needs its debug info to build the symbol table.
         options: default :class:`SessionOptions` for every session this
             hub creates.  ``options.strict`` also configures the hub's
             compile-time lint gate, which — unlike a standalone
@@ -120,10 +118,9 @@ class DebugHub:
         # Sessions must not re-gate what the hub just vetted (and their
         # simulators reuse `compiled` anyway, which skips the gate).
         self.options = dataclasses.replace(options, strict="off")
-        # One symbol table, copied into memory: read-only plain Python,
-        # so every session thread shares this one object.
-        with contextlib.closing(write_symbol_table(design)) as conn:
-            self.symtable = in_memory(SQLiteSymbolTable(conn))
+        # One symbol table, built in memory: read-only plain Python, so
+        # every session thread shares this one object.
+        self.symtable = symbol_table(design)
 
         self._sessions: dict[int, DebugSession] = {}
         self._next_sid = 1

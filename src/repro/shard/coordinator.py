@@ -2,7 +2,7 @@
 
 :class:`ShardSession` is the service shape of the ROADMAP's "millions of
 users" north star in miniature: the design is elaborated and compiled
-**once**, its symbol table is copied into memory once
+**once**, its symbol table is built in memory once
 (:class:`~repro.symtable.memory.MemorySymbolTable`), and N worker
 processes — forked so they inherit the compiled design and the table for
 free — run :class:`ShardSpec` attempts with their own ``Simulator`` +
@@ -38,8 +38,7 @@ from ..sim import native
 from ..sim.compiler import compile_design
 from ..sim.engine import SessionOptions
 from ..symtable.memory import MemorySymbolTable, in_memory
-from ..symtable.query import SQLiteSymbolTable
-from ..symtable.writer import write_symbol_table
+from ..symtable.writer import symbol_table
 from .aggregate import ShardReport
 from .spec import (
     ShardError,
@@ -190,8 +189,9 @@ class ShardSession:
             automatically) or a bare Low-form ``Circuit`` (then
             ``symtable`` is required).
         symtable: the symbol table the shards read; defaults to
-            ``write_symbol_table(design)`` for a ``Design``.  The first
-            sweep copies it into memory (:attr:`table`).
+            ``symbol_table(design)``, built in memory, for a ``Design``.
+            The first sweep copies any other table into memory
+            (:attr:`table`).
         workers: pool size for :meth:`run`.  ``None`` sizes to the machine
             (:func:`default_workers`); ``0`` forces inline execution.
         compiled: reuse an existing ``CompiledDesign`` (e.g. the one a
@@ -225,7 +225,7 @@ class ShardSession:
                 raise ShardError(
                     "a bare circuit needs an explicit symbol table"
                 )
-            symtable = SQLiteSymbolTable(write_symbol_table(design))
+            symtable = symbol_table(design)
         self.symtable = symtable
         self.workers = workers
         self.fast = opt.fast
@@ -241,10 +241,10 @@ class ShardSession:
 
     @functools.cached_property
     def table(self) -> MemorySymbolTable:
-        """The in-memory copy of :attr:`symtable` that every shard of this
-        session reads, inline, forked or in fallback; forked workers
-        inherit it.  It is made at the first sweep, so building a session
-        stays cheap."""
+        """:attr:`symtable` in memory, which every shard of this session
+        reads, inline, forked or in fallback; forked workers inherit it.
+        A design's own table already is; any other table is copied at the
+        first sweep, so building a session stays cheap."""
         return in_memory(self.symtable)
 
     # -- lifecycle ---------------------------------------------------------

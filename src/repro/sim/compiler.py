@@ -146,7 +146,6 @@ class CompiledDesign:
     _seed_masks: dict = field(default_factory=dict)
     _mask_cones: dict = field(default_factory=dict)
     _tick_mask: int = -1         # -1 = not yet computed
-    _pos_fns: list | None = None
     # Always-on cone-cache stats: plain ints bumped on the hot path (one
     # increment per settle — cheaper than any enabled-guard) and read
     # lazily by repro.obs collectors / Simulator.stats().
@@ -252,9 +251,9 @@ class CompiledDesign:
 
     # -- merged cones (the lazy dirty-set fast path) ------------------------
 
-    #: Distinct merged-cone functions cached before falling back to
-    #: sequential per-seed cones (bounds exec-compile cost on designs whose
-    #: per-cycle poke patterns never repeat).
+    #: Distinct merged-cone functions cached before falling back to the
+    #: full comb (bounds exec-compile cost on designs whose per-cycle poke
+    #: patterns never repeat).
     MASK_CONE_CAP = 512
 
     def seed_mask(self, seed: int) -> int:
@@ -289,50 +288,20 @@ class CompiledDesign:
         fn = self._mask_cones.get(mask)
         if fn is not None:
             self.stat_cone_hits += 1
-            fn(v, w, m)
-            return
-        if len(self._mask_cones) < self.MASK_CONE_CAP:
+        elif len(self._mask_cones) < self.MASK_CONE_CAP:
             self.stat_cone_misses += 1
-            fn = self.compile_cone(self._mask_positions(mask))
-            self._mask_cones[mask] = fn
-            fn(v, w, m)
-            return
-        # Cache saturated (pathological poke variety that never
-        # repeats): execute the merged cone through per-statement thunks —
-        # one-time setup, no recurring exec-compiles, cost still linear in
-        # the cone size rather than the full schedule.
-        self.stat_cone_fallbacks += 1
-        fns = self._pos_fns
-        if fns is None:
-            fns = self._build_pos_fns()
-        p = 0
-        while mask:
-            if mask & 1:
-                fns[p](v, w, m)
-            mask >>= 1
-            p += 1
-
-    def _build_pos_fns(self) -> list:
-        src = []
-        ordered = zip(self.order_targets, self.order_code, strict=False)
-        for i, (t, code) in enumerate(ordered):
-            src.append(f"def _p{i}(v, w, m):\n    {self.lane_target(t)} = {code}")
-        ns = dict(self.namespace)
-        exec(compile("\n".join(src), "<repro-sim-pos>", "exec"), ns)
-        fns = [ns[f"_p{i}"] for i in range(len(self.order_targets))]
-        self._pos_fns = fns
-        return fns
+            fn = self._mask_cones[mask] = self.compile_cone(self._mask_positions(mask))
+        else:
+            # Cache saturated (pathological poke variety that never
+            # repeats): the full comb, a superset of the cone in topological
+            # order, settles the same values with no further exec-compile.
+            self.stat_cone_fallbacks += 1
+            fn = self.comb
+        fn(v, w, m)
 
     @staticmethod
     def _mask_positions(mask: int) -> tuple[int, ...]:
-        out = []
-        p = 0
-        while mask:
-            if mask & 1:
-                out.append(p)
-            mask >>= 1
-            p += 1
-        return tuple(out)
+        return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def _sg(x: int, w: int) -> int:

@@ -897,7 +897,7 @@ class Simulator(SimulatorInterface):
         ).set_total(s["cone_misses"])
         reg.counter(
             "sim_cone_fallback_total",
-            "Per-statement fallbacks after MASK_CONE_CAP saturation",
+            "Full-comb fallbacks after MASK_CONE_CAP saturation",
         ).set_total(s["cone_fallbacks"])
         if "timeline_entries" in s:
             reg.gauge(

@@ -1,8 +1,8 @@
 """repro.symtable — the hgdb symbol table.
 
-SQLite schema per paper Fig. 3; generation from compiled designs (Algorithm
-1); native and RPC-backed query interfaces (Fig. 1), and an in-memory copy
-of either that threads share and forked processes inherit.
+Algorithm 1 builds a design's table in memory, where threads share it and
+forked processes inherit it; SQLite (the Fig. 3 schema) and JSON are its
+file formats.  Query interfaces (Fig. 1): in memory, native SQLite, RPC.
 """
 
 from .json_format import JsonFormatError, dump_json, load_json, load_json_file
@@ -16,7 +16,7 @@ from .query import (
 )
 from .rpc import RPCSymbolTable, SymbolTableServer
 from .schema import create_schema, open_symbol_db
-from .writer import write_symbol_table
+from .writer import symbol_table, write_symbol_table
 
 __all__ = [
     "BreakpointRec",
@@ -34,5 +34,6 @@ __all__ = [
     "create_schema",
     "in_memory",
     "open_symbol_db",
+    "symbol_table",
     "write_symbol_table",
 ]

@@ -1,16 +1,17 @@
-"""A symbol table held in plain Python objects.
+"""The symbol table, held in plain Python objects.
 
-:func:`in_memory` copies any :class:`SymbolTableInterface` once, through
-the interface, into a :class:`MemorySymbolTable`: every breakpoint with
-its scope, every instance with its generator variables, and the ``top``
-and ``debug_mode`` attributes.  The copy holds no connection and takes no
-lock, so one copy serves every session thread of the debug hub, and the
-shard farm's workers inherit it through ``fork()``.  An SQLite connection
-can do neither: it must not be carried across a fork (SQLite, "How To
-Corrupt An SQLite Database File", Sec. 2.6).
+Algorithm 1 (:func:`~repro.symtable.symbol_table`), the JSON loader and
+:func:`in_memory` (a copy of any other table, through the interface) all
+build a :class:`MemorySymbolTable` from a table's :class:`Rows`.  It holds
+no connection and takes no lock, so one table serves every session thread
+of the debug hub, and the shard farm's workers inherit it through
+``fork()``.  An SQLite connection can do neither: it must not be carried
+across a fork (SQLite, "How To Corrupt An SQLite Database File", Sec. 2.6).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .query import BreakpointRec, InstanceRec, SymbolTableInterface, VarRec
 
@@ -18,49 +19,66 @@ from .query import BreakpointRec, InstanceRec, SymbolTableInterface, VarRec
 ATTRIBUTES = ("top", "debug_mode")
 
 
+class Rows(NamedTuple):
+    """A table's records: the Fig. 3 rows, each variable paired with the
+    id of the instance or breakpoint that binds it.  Instances come in id
+    order, and each owner's variables in binding order."""
+
+    attributes: dict[str, str]
+    instances: list[InstanceRec]
+    breakpoints: list[BreakpointRec]
+    generator_variables: list[tuple[int, VarRec]]
+    scope_variables: list[tuple[int, VarRec]]
+
+
 def in_memory(table: SymbolTableInterface) -> MemorySymbolTable:
     """``table`` as a :class:`MemorySymbolTable`: a copy of it, or
     ``table`` itself when it already is one."""
     if isinstance(table, MemorySymbolTable):
         return table
-    return MemorySymbolTable(table)
+    instances, breakpoints = table.instances(), table.all_breakpoints()
+    return MemorySymbolTable(
+        Rows(
+            {a: v for a in ATTRIBUTES if (v := table.attribute(a)) is not None},
+            instances,
+            breakpoints,
+            [(i.id, v) for i in instances for v in table.generator_variables(i.id)],
+            [(b.id, v) for b in breakpoints for v in table.scope_variables(b.id)],
+        )
+    )
 
 
 class MemorySymbolTable(SymbolTableInterface):
-    """A read-only copy of ``table`` that answers every query as
-    ``table`` does, from dicts built once.  Each list it returns is a
+    """A read-only table that answers every query as the SQLite file of
+    its rows does, from dicts built once.  Each list it returns is a
     fresh copy, so no caller can edit the table."""
 
-    def __init__(self, table: SymbolTableInterface):
-        self._breakpoints = table.all_breakpoints()  # scheduling order
-        self._by_id = {bp.id: bp for bp in self._breakpoints}
-        self._scopes = {
-            bp.id: table.scope_variables(bp.id) for bp in self._breakpoints
-        }
-        self._instances = table.instances()
-        self._generators = {
-            inst.id: table.generator_variables(inst.id)
-            for inst in self._instances
-        }
-        self._attributes = {name: table.attribute(name) for name in ATTRIBUTES}
+    def __init__(self, rows: Rows):
+        #: The records this table answers from.
+        self.rows = rows
+        self._breakpoints = sorted(  # scheduling order
+            rows.breakpoints, key=lambda b: (*b.order_key(), b.id)
+        )
+        self._by_id = {bp.id: bp for bp in rows.breakpoints}
+        # Grouped in scheduling order: by column, instance name, id.
         self._at: dict[tuple[str, int], list[BreakpointRec]] = {}
-        for bp in sorted(
-            self._breakpoints, key=lambda b: (b.column, b.instance_name, b.id)
-        ):
+        for bp in self._breakpoints:
             self._at.setdefault((bp.filename, bp.line), []).append(bp)
         self._lines: dict[str, list[int]] = {}
-        for filename, line in sorted(self._at):
+        for filename, line in self._at:
             self._lines.setdefault(filename, []).append(line)
-        # A name's first binding wins, as the first row of a query does.
+        self._scopes: dict[int, list[VarRec]] = {}
         self._scoped: dict[tuple[int, str], str] = {}
-        for bp_id, scope in self._scopes.items():
-            for var in scope:
-                if var.is_rtl:
-                    self._scoped.setdefault((bp_id, var.name), var.value)
+        # A name's first binding wins, as the first row of a query does.
+        for bp_id, var in rows.scope_variables:
+            self._scopes.setdefault(bp_id, []).append(var)
+            if var.is_rtl:
+                self._scoped.setdefault((bp_id, var.name), var.value)
+        self._generators: dict[int, list[VarRec]] = {}
         self._generator_by_name: dict[tuple[int, str], VarRec] = {}
-        for inst_id, gvars in self._generators.items():
-            for var in gvars:
-                self._generator_by_name.setdefault((inst_id, var.name), var)
+        for inst_id, var in rows.generator_variables:
+            self._generators.setdefault(inst_id, []).append(var)
+            self._generator_by_name.setdefault((inst_id, var.name), var)
         #: Instance maps matched against this table, by the id of the
         #: hierarchy each is for: (a weak reference to it, the map).  Kept
         #: by :func:`repro.core.matching.instance_map`: a read-only table
@@ -83,7 +101,7 @@ class MemorySymbolTable(SymbolTableInterface):
         return self._generator_by_name.get((instance_id, name))
 
     def instances(self) -> list[InstanceRec]:
-        return list(self._instances)
+        return list(self.rows.instances)
 
     def generator_variables(self, instance_id) -> list[VarRec]:
         return list(self._generators.get(instance_id, ()))
@@ -101,4 +119,4 @@ class MemorySymbolTable(SymbolTableInterface):
         return list(self._lines.get(filename, ()))
 
     def attribute(self, name) -> str | None:
-        return self._attributes.get(name)
+        return self.rows.attributes.get(name)

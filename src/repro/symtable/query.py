@@ -5,7 +5,7 @@ answer; :class:`SymbolTableInterface` states them, and
 :class:`SQLiteSymbolTable` is the native (ABI) implementation over the
 Fig. 3 schema.  ``repro.symtable.rpc`` provides the RPC-backed variant for
 frameworks that host their own symbol tables, and ``repro.symtable.memory``
-an in-memory copy of any table.
+the in-memory table Algorithm 1 builds (and any table can be copied into).
 
 * get breakpoints from source location   -> :meth:`breakpoints_at`
 * get scope information for a breakpoint -> :meth:`scope_variables`

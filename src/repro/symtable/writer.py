@@ -1,138 +1,136 @@
-"""Symbol table generation — the output side of paper Algorithm 1.
+"""Symbol table generation — paper Algorithm 1.
 
-``write_symbol_table`` turns a compiled :class:`repro.Design` (whose
-``DebugInfo`` already survived the optimize-then-collect pipeline) into the
-SQLite schema of Fig. 3.  A module instantiated N times yields N breakpoint
-rows per source statement — the concurrent hardware "threads" of Fig. 4B.
+:func:`symbol_table` builds the table of a compiled :class:`repro.Design`
+(whose ``DebugInfo`` already survived the optimize-then-collect pipeline)
+in memory; :func:`write_symbol_table` writes it as the SQLite file of
+Fig. 3.  A module instantiated N times yields N breakpoints per source
+statement — the concurrent hardware "threads" of Fig. 4B.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from operator import attrgetter
 
-from ..ir.debug import DebugEntry, DebugInfo
 from ..ir.stmt import Circuit, DefInstance, GeneratorVar, walk_stmts
+from .memory import MemorySymbolTable, Rows
+from .query import BreakpointRec, InstanceRec, VarRec
 from .schema import open_symbol_db
 
-
-def _enumerate_instances(circuit: Circuit) -> list[tuple[str, str]]:
-    """All (hierarchical path, module name) pairs, rooted at the main
-    module's name — the *partial view* the symbol table has (Sec. 3.4)."""
-    out: list[tuple[str, str]] = []
-
-    def visit(path: str, module: str) -> None:
-        out.append((path, module))
-        for s in walk_stmts(circuit.modules[module].body):
-            if isinstance(s, DefInstance):
-                visit(f"{path}.{s.name}", s.module)
-
-    visit(circuit.main, circuit.main)
-    return out
+#: A debug entry's breakpoint fields, after its id and instance.
+_ENTRY_FIELDS = attrgetter(
+    "info.filename", "info.line", "info.column", "node", "sink", "enable", "enable_src"
+)
 
 
-def write_symbol_table(
-    design,
-    path: str = ":memory:",
-) -> sqlite3.Connection:
-    """Build the symbol table database for a compiled design.
+def _instances(circuit: Circuit, path: str, module: str):
+    """(hierarchical path, module name) of ``module`` at ``path`` and of
+    every instance under it, depth first: rooted at the main module's name,
+    the *partial view* the symbol table has (Sec. 3.4)."""
+    yield path, module
+    for s in walk_stmts(circuit.modules[module].body):
+        if isinstance(s, DefInstance):
+            yield from _instances(circuit, f"{path}.{s.name}", s.module)
 
-    Args:
-        design: a :class:`repro.Design` (needs ``.low``, ``.debug_info``,
-            and the High-form annotations for generator variables).
-        path: SQLite target (file path or ``":memory:"``).
-    """
+
+def _rows(design) -> Rows:
+    """Algorithm 1: the records of a compiled design's table, with
+    instances and breakpoints numbered from 1 in traversal order."""
     circuit: Circuit = design.low
-    debug: DebugInfo = design.debug_info
-    conn = open_symbol_db(path)
-    cur = conn.cursor()
+    top = circuit.main
+    instances = [
+        InstanceRec(iid, path, module)
+        for iid, (path, module) in enumerate(_instances(circuit, top, top), 1)
+    ]
+    module_instances: dict[str, list[InstanceRec]] = {}
+    for inst in instances:
+        module_instances.setdefault(inst.module, []).append(inst)
 
-    cur.execute(
-        "INSERT INTO attribute(name, value) VALUES ('top', ?)", (circuit.main,)
-    )
-    cur.execute(
-        "INSERT INTO attribute(name, value) VALUES ('debug_mode', ?)",
-        (str(int(design.result.debug_mode)),),
-    )
+    # Generator variables: one per (annotation, instance of module).
+    generator_variables = [
+        (inst.id, VarRec(ann.name, ann.value, ann.is_rtl))
+        for ann in design.high.annotations
+        if isinstance(ann, GeneratorVar)
+        for inst in module_instances.get(ann.module, ())
+    ]
 
-    instances = _enumerate_instances(circuit)
-    instance_ids: dict[str, int] = {}
-    module_instances: dict[str, list[int]] = {}
-    for inst_path, module in instances:
-        cur.execute(
-            "INSERT INTO instance(name, module) VALUES (?, ?)",
-            (inst_path, module),
-        )
-        iid = cur.lastrowid
-        instance_ids[inst_path] = iid
-        module_instances.setdefault(module, []).append(iid)
-
-    def add_variable(value: str, is_rtl: bool) -> int:
-        cur.execute(
-            "INSERT INTO variable(value, is_rtl) VALUES (?, ?)",
-            (value, int(is_rtl)),
-        )
-        return cur.lastrowid
-
-    # Generator variables: one row per (annotation, instance of module).
-    for ann in design.high.annotations:
-        if not isinstance(ann, GeneratorVar):
-            continue
-        for iid in module_instances.get(ann.module, ()):
-            vid = add_variable(ann.value, ann.is_rtl)
-            cur.execute(
-                "INSERT INTO generator_variable(instance_id, variable_id, name)"
-                " VALUES (?, ?, ?)",
-                (iid, vid, ann.name),
-            )
-
-    # Breakpoints + scope variables.
-    for module_name, mod_debug in debug.modules.items():
-        iids = module_instances.get(module_name, ())
-        if not iids:
-            continue  # module optimized out of the hierarchy
+    # Breakpoints + scope variables (a module optimized out of the
+    # hierarchy has no instance, so no breakpoint).  A scope holds every
+    # module-level source variable, with the entry's SSA ``var_map``
+    # taking precedence (the context-dependent mapping of paper Listing 2).
+    breakpoints: list[BreakpointRec] = []
+    scope_variables: list[tuple[int, VarRec]] = []
+    for module_name, mod_debug in design.debug_info.modules.items():
+        module_vars = [
+            VarRec(name, rtl, True)
+            for name, rtl in mod_debug.variables.items()
+            if not name.startswith("_")
+        ]
         for entry in mod_debug.entries:
-            for iid in iids:
-                cur.execute(
-                    "INSERT INTO breakpoint(instance_id, filename, line_num,"
-                    " column_num, node, sink, enable, enable_src)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        iid,
-                        entry.info.filename,
-                        entry.info.line,
-                        entry.info.column,
-                        entry.node,
-                        entry.sink,
-                        entry.enable,
-                        entry.enable_src,
-                    ),
-                )
-                bp_id = cur.lastrowid
-                _write_scope_vars(cur, add_variable, bp_id, entry, mod_debug)
+            scope = [VarRec(name, rtl, True) for name, rtl in entry.var_map.items()]
+            scope += [var for var in module_vars if var.name not in entry.var_map]
+            fields = _ENTRY_FIELDS(entry)
+            for inst in module_instances.get(module_name, ()):
+                bp_id = len(breakpoints) + 1
+                breakpoints.append(BreakpointRec(bp_id, inst.id, inst.name, *fields))
+                scope_variables += [(bp_id, var) for var in scope]
 
-    conn.commit()
+    attributes = {"top": top, "debug_mode": str(int(design.result.debug_mode))}
+    return Rows(
+        attributes, instances, breakpoints, generator_variables, scope_variables
+    )
+
+
+def symbol_table(design) -> MemorySymbolTable:
+    """A compiled design's symbol table (it reads ``.low``,
+    ``.debug_info`` and the High-form generator-variable annotations)."""
+    return MemorySymbolTable(_rows(design))
+
+
+def write_symbol_table(design, path: str = ":memory:") -> sqlite3.Connection:
+    """Write a compiled design's symbol table to ``path`` (a file or
+    ``":memory:"``) in the Fig. 3 schema."""
+    return write_sqlite(_rows(design), path)
+
+
+#: A breakpoint's values, in the ``breakpoint`` table's column order.
+_BREAKPOINT_ROW = attrgetter(
+    *"id instance_id filename line column node sink enable enable_src".split()
+)
+
+
+def write_sqlite(rows: Rows, path: str = ":memory:") -> sqlite3.Connection:
+    """Write a table's records into the Fig. 3 schema, ids kept.  The
+    ``variable`` rows are numbered from 1: generator variables first,
+    then scope variables."""
+    generators, scopes = rows.generator_variables, rows.scope_variables
+    conn = open_symbol_db(path)
+    with conn:
+        conn.executemany("INSERT INTO attribute VALUES (?, ?)", rows.attributes.items())
+        conn.executemany(
+            "INSERT INTO instance VALUES (?, ?, ?)",
+            [(i.id, i.name, i.module) for i in rows.instances],
+        )
+        conn.executemany(
+            "INSERT INTO variable VALUES (?, ?, ?)",
+            [
+                (vid, var.value, int(var.is_rtl))  # an int binds faster than a bool
+                for vid, (_, var) in enumerate(generators + scopes, 1)
+            ],
+        )
+        conn.executemany(
+            "INSERT INTO generator_variable VALUES (?, ?, ?)",
+            [(iid, vid, var.name) for vid, (iid, var) in enumerate(generators, 1)],
+        )
+        conn.executemany(
+            "INSERT INTO breakpoint VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            map(_BREAKPOINT_ROW, rows.breakpoints),
+        )
+        conn.executemany(
+            "INSERT INTO scope_variable VALUES (?, ?, ?)",
+            [
+                (bp_id, vid, var.name)
+                for vid, (bp_id, var) in enumerate(scopes, len(generators) + 1)
+            ],
+        )
     return conn
-
-
-def _write_scope_vars(cur, add_variable, bp_id: int, entry: DebugEntry, mod_debug) -> None:
-    """The variables visible at a breakpoint: every module-level source
-    variable, with the entry's SSA ``var_map`` taking precedence (the
-    context-dependent mapping of paper Listing 2)."""
-    seen: set[str] = set()
-    for name, rtl in entry.var_map.items():
-        vid = add_variable(rtl, True)
-        cur.execute(
-            "INSERT INTO scope_variable(breakpoint_id, variable_id, name)"
-            " VALUES (?, ?, ?)",
-            (bp_id, vid, name),
-        )
-        seen.add(name)
-    for name, rtl in mod_debug.variables.items():
-        if name in seen or name.startswith("_"):
-            continue
-        vid = add_variable(rtl, True)
-        cur.execute(
-            "INSERT INTO scope_variable(breakpoint_id, variable_id, name)"
-            " VALUES (?, ?, ?)",
-            (bp_id, vid, name),
-        )

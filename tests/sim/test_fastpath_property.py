@@ -275,8 +275,8 @@ def test_activity_tracked_tick_matches_full_tick(seed):
 
 @pytest.mark.parametrize("mod_cls", [Counter, MemMixer, AluLike])
 def test_mask_cone_cache_saturation_fallback(monkeypatch, mod_cls):
-    """With the merged-cone cache disabled, every settle takes the
-    per-statement-thunk fallback — still bit-identical to the reference."""
+    """With the merged-cone cache disabled, every settle falls back to the
+    full comb — still bit-identical to the reference."""
     from repro.sim.compiler import CompiledDesign
 
     monkeypatch.setattr(CompiledDesign, "MASK_CONE_CAP", 0)

@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.core import CONTINUE, Runtime
 from repro.sim import Simulator
-from repro.symtable import SQLiteSymbolTable, write_symbol_table
+from repro.symtable import MemorySymbolTable, SQLiteSymbolTable, write_symbol_table
 from repro.symtable.json_format import (
     JsonFormatError,
     dump_json,
@@ -83,6 +83,48 @@ class TestValidation:
         with pytest.raises(JsonFormatError, match="unknown instance"):
             load_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda d: d["instances"][0].pop("name"), r"instances\[0\]\.name"),
+            (lambda d: d["breakpoints"][0].pop("line"), r"breakpoints\[0\]\.line"),
+            (
+                lambda d: d["breakpoints"][0].update(line="abc"),
+                r"breakpoints\[0\]\.line",
+            ),
+            (
+                lambda d: d["breakpoints"][0]["scope"][0].pop("value"),
+                r"breakpoints\[0\]\.scope\[0\]\.value",
+            ),
+            (lambda d: d.update(instances=5), "instances"),
+        ],
+        ids=[
+            "instance-without-name",
+            "breakpoint-without-line",
+            "line-not-a-number",
+            "scope-variable-without-value",
+            "instances-not-a-list",
+        ],
+    )
+    def test_malformed_field_rejected(self, change, field):
+        """Each malformed field raises JsonFormatError naming the field."""
+        doc = {
+            "top": "X",
+            "instances": [{"name": "X", "module": "X"}],
+            "breakpoints": [
+                {
+                    "filename": "f",
+                    "line": 1,
+                    "instance": "X",
+                    "scope": [{"name": "a", "value": "a"}],
+                }
+            ],
+        }
+        load_json(json.dumps(doc))  # well formed as written
+        change(doc)
+        with pytest.raises(JsonFormatError, match=field):
+            load_json(json.dumps(doc))
+
 
 class TestHandWrittenTable:
     def test_external_framework_workflow(self):
@@ -119,6 +161,7 @@ class TestHandWrittenTable:
             ],
         }
         st = load_json(json.dumps(doc))
+        assert isinstance(st, MemorySymbolTable)
 
         sim = Simulator(design.low)
         hits = []

@@ -1,29 +1,38 @@
-"""The in-memory symbol table answers every interface method exactly as
-the SQLite table it was copied from, on the paper's designs (FpuCmp, the
-RV32 core's release and debug builds), on the test helpers, and on a
-hand-written table with the shapes no generator here writes."""
+"""The in-memory symbol table answers every interface method, ids
+included, exactly as the SQLite file of the same table: built by
+Algorithm 1 or copied from the design's SQLite file, on the paper's designs
+(FpuCmp, the RV32 core's release and debug builds, the ten RV32 suite
+programs), on the test helpers, and on a hand-written table with the shapes
+no generator here writes, copied and loaded back from its JSON dump.  The
+hub, the shard farm and ``hgdb-py stats`` build it without SQLite."""
+
+import functools
+import sqlite3
 
 import pytest
 
 import repro
-from repro.cpu import RV32Core, assemble, benchmark_by_name
+from repro.cli import main
+from repro.cpu import RV32Core, assemble, benchmark_by_name, build_suite
 from repro.fpu import FpuCmp
+from repro.hub import DebugHub, HubClient
+from repro.shard import BreakpointSpec, ShardSession
 from repro.symtable import (
     MemorySymbolTable,
     SQLiteSymbolTable,
+    dump_json,
     in_memory,
+    load_json,
     open_symbol_db,
+    symbol_table,
     write_symbol_table,
 )
-from tests.helpers import Accumulator, AluLike, Counter, SumLoop, TwoLeaves
+from repro.symtable.writer import write_sqlite
+from tests.helpers import Accumulator, AluLike, Counter, SumLoop, TwoLeaves, line_of
 
 
-def _written(top, debug=False):
-    return lambda: write_symbol_table(repro.compile(top(), debug=debug))
-
-
-def _rv32():
-    return RV32Core(assemble(benchmark_by_name("qsort").source).words, 8192)
+def _rv32(name="qsort"):
+    return RV32Core(assemble(benchmark_by_name(name).source).words, 8192)
 
 
 def _handmade():
@@ -52,23 +61,49 @@ def _handmade():
     return conn
 
 
-TABLES = {
-    "FpuCmp": _written(lambda: FpuCmp(buggy=True)),
-    "RV32-release": _written(_rv32),
-    "RV32-debug": _written(_rv32, debug=True),
-    "Counter": _written(Counter),
-    "Accumulator": _written(Accumulator),
-    "AluLike": _written(AluLike),
-    "TwoLeaves": _written(TwoLeaves),
-    "SumLoop": _written(SumLoop),
-    "handmade": _handmade,
+DESIGNS = {
+    "FpuCmp": lambda: FpuCmp(buggy=True),
+    "RV32-release": _rv32,
+    "Counter": Counter,
+    "Accumulator": Accumulator,
+    "AluLike": AluLike,
+    "TwoLeaves": TwoLeaves,
+    "SumLoop": SumLoop,
+    **{f"RV32-{b.name}": functools.partial(_rv32, b.name) for b in build_suite()},
 }
 
 
-@pytest.fixture(scope="module", params=sorted(TABLES))
+def _tables(name, kind):
+    """(the SQLite reference, the in-memory table under test)."""
+    if name == "handmade":
+        sql = SQLiteSymbolTable(_handmade())
+        if kind == "copy":
+            return sql, in_memory(sql)
+        loaded = load_json(dump_json(sql))  # ids renumbered in dump order
+        return SQLiteSymbolTable(write_sqlite(loaded.rows)), loaded
+    if name == "RV32-debug":
+        design = repro.compile(_rv32(), debug=True)
+    else:
+        design = repro.compile(DESIGNS[name]())
+    sql = SQLiteSymbolTable(write_symbol_table(design))
+    return sql, in_memory(sql) if kind == "copy" else symbol_table(design)
+
+
+CASES = [
+    *[(name, kind) for name in [*DESIGNS, "RV32-debug"] for kind in ("copy", "built")],
+    ("handmade", "copy"),
+    ("handmade", "json"),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=CASES,
+    ids=[name if kind == "copy" else f"{name}-{kind}" for name, kind in CASES],
+)
 def tables(request):
-    sql = SQLiteSymbolTable(TABLES[request.param]())
-    yield sql, in_memory(sql)
+    sql, mem = _tables(*request.param)
+    yield sql, mem
     sql.conn.close()
 
 
@@ -161,3 +196,43 @@ def test_a_copy_of_a_copy_is_the_copy(tables):
     _sql, mem = tables
     assert isinstance(mem, MemorySymbolTable)
     assert in_memory(mem) is mem
+
+
+@pytest.fixture()
+def no_sqlite(monkeypatch):
+    """Any SQLite connection fails, here and in every process forked
+    from here."""
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("an SQLite connection was opened")
+
+    monkeypatch.setattr(sqlite3, "connect", poisoned)
+
+
+class TestNoSQLite:
+    def test_hub_session_runs_to_its_first_stop(self, no_sqlite):
+        design = repro.compile(Counter())
+        _f, line = line_of(design, "count")
+        hub = DebugHub(design)
+        host, port = hub.serve_background()
+        with hub, HubClient(host, port) as client:
+            session = client.attach()
+            session.poke("en", 1)
+            session.reset(1)
+            assert session.add_breakpoint("helpers.py", line)
+            assert session.run(10).reason == "breakpoint"
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_shard_sweep(self, no_sqlite, workers):
+        design = repro.compile(Accumulator())
+        _f, line = line_of(design, "acc")
+        bp = BreakpointSpec("helpers.py", line, condition="acc >= 100")
+        with ShardSession(design, workers=workers) as session:
+            report = session.sweep(4, 200, overrides={"en": 1}, breakpoints=[bp])
+        assert report.ok
+        assert all(r.attempts == 1 and not r.failures for r in report.results)
+        assert all(r.hits for r in report.results)
+
+    def test_stats(self, no_sqlite, capsys):
+        assert main(["stats", "tests.helpers:Accumulator", "--cycles", "100"]) == 0
+        assert "100 cycles in" in capsys.readouterr().out
