@@ -328,10 +328,14 @@ def _peel_type(typ: Type, part: str) -> Type:
     raise LowerTypesError(f"cannot select {part!r} from {typ}")
 
 
-def _module_deps(m: ModuleIR) -> set[str]:
-    return {
-        s.module for s in walk_stmts(m.body) if isinstance(s, DefInstance)
-    }
+def _module_deps(m: ModuleIR) -> list[str]:
+    """The modules ``m`` instantiates, in statement order: a set's order
+    would follow string hashing, and with it every breakpoint id."""
+    return list(
+        dict.fromkeys(
+            s.module for s in walk_stmts(m.body) if isinstance(s, DefInstance)
+        )
+    )
 
 
 def lower_types(circuit: Circuit, debug: DebugInfo) -> Circuit:

@@ -100,7 +100,8 @@ def run_shard(
             and the plans it is the first hit of (:func:`hit_row_event`),
             as a forked worker's pipe carries it; None not at all (a
             forked attempt whose sweep has no listener: the result holds
-            every hit).
+            every hit), and at the default cadence no progress event
+            either, since nothing reads them.
     """
     t0 = time.perf_counter()
     obs = make_obs(
@@ -149,11 +150,17 @@ def run_shard(
     # a kernel call, so a short shard takes four; longer ones look at the
     # clock at least every 2048 cycles.  `progress_each` is snapped to a
     # multiple of `beat_every` so no progress tick lands between hook
-    # invocations.  An explicit spec.progress_every pins both cadences
-    # and sends a heartbeat at every hook, preserving the historical event
-    # stream exactly.
+    # invocations.  A quiet attempt (no listener, `hits` None) sends no
+    # progress event, so its hook only looks at the clock, every
+    # min(cycles, 2048) cycles: a short shard takes one kernel call.  An
+    # explicit spec.progress_every pins both cadences and sends a
+    # heartbeat at every hook, preserving the historical event stream
+    # exactly.
     on_progress = None
-    beat_every = spec.progress_every or max(1, min(spec.cycles // 4, 2048))
+    quiet = hits is None and not spec.progress_every
+    beat_every = spec.progress_every or max(
+        1, min(spec.cycles // (1 if quiet else 4), 2048)
+    )
     progress_each = spec.progress_every or beat_every * max(
         1, (spec.cycles // 4) // beat_every
     )
@@ -168,7 +175,7 @@ def run_shard(
             if now >= next_beat:
                 emit(heartbeat_event(spec.shard_id, done))
                 next_beat = now + beat_gap
-            if done % progress_each == 0:
+            if not quiet and done % progress_each == 0:
                 emit(
                     progress_event(
                         spec.shard_id,
@@ -315,7 +322,9 @@ def worker_entry(
     listener.
     Without one the attempt streams no hit at all: the ``done`` result
     carries every hit, so streaming them too would only cost building,
-    encoding, pipe and decoding work for records nobody reads.
+    encoding, pipe and decoding work for records nobody reads.  At the
+    default cadence it sends no progress event either, only heartbeats
+    (see :func:`run_shard`).
 
     ``fault`` (a :class:`repro.faults.ShardFault`, or None) arms this
     attempt's injected fault: kill/hang fire from the per-cycle hook,

@@ -50,8 +50,8 @@ the kernel returns, the last checkpoint before the window is restored,
 the kernel re-runs up to the window, and Python steps the last N cycles,
 so the timeline retains exactly what stepping would have recorded
 (``docs/time_travel.md``).  ``run_cycles()`` takes the kernel too when
-its stimulus is a *tape* (the shard stimulus): the kernel pokes each
-cycle's row itself (``docs/performance.md`` §8).  A callback registered
+its stimulus is a *tape* (the shard stimulus): the kernel draws and pokes
+each cycle's row itself (``docs/performance.md`` §8).  A callback registered
 with a :class:`~repro.sim.interface.RecordProgram` (a runtime whose hits
 only go to a recorder) is not a reason to leave C: the kernel records its
 hits, and each ``Kernel.run`` hands them to the program before Python
@@ -590,13 +590,14 @@ class Simulator(SimulatorInterface):
         on_progress=None,
         progress_every: int = 0,
     ) -> int:
-        """:meth:`SimulatorInterface.run_cycles`, with the stimulus poked by
-        the native kernel when it is a tape (``columns``, ``rows`` and
-        ``consume``, as :class:`~repro.sim.stimulus.Stimulus` has).  The
-        kernel runs ``progress_every``-cycle segments, so ``on_progress``
-        keeps its cadence.  When it stops before a cycle (a wake, a stop or
-        printf condition, a callback registered), that cycle's row is
-        already applied and Python runs the cycle without poking it again.
+        """:meth:`SimulatorInterface.run_cycles`, with the stimulus drawn
+        and poked by the native kernel when it is a tape (``columns``,
+        ``widths`` and ``state``, as :class:`~repro.sim.stimulus.Stimulus`
+        has).  The kernel runs ``progress_every``-cycle segments, so
+        ``on_progress`` keeps its cadence.  When it stops before a cycle (a
+        wake, a stop or printf condition, a callback registered), that
+        cycle's row is already applied and Python runs the cycle without
+        poking it again.
         ``fast=False``, a trace sink, a timeline, a column wider than 64
         bits, a callback without a wake and a design without a kernel keep
         the Python loop.  Each tape cycle counts one seed settle (its row's
@@ -616,7 +617,7 @@ class Simulator(SimulatorInterface):
         done = 0
         while done < cycles and self._finished is None:
             end = min(cycles, done - done % beat + beat) if beat else cycles
-            ran, applied = self._run_tape(kernel, stimulus, columns, end - done)
+            ran, applied = self._run_tape(kernel, stimulus, end - done)
             done += ran
             if applied:
                 self.step(1)  # the cycle the kernel stopped before
@@ -632,38 +633,30 @@ class Simulator(SimulatorInterface):
                 on_progress(self, done)
         return done
 
-    def _run_tape(self, kernel, stimulus, columns, n: int) -> tuple[int, bool]:
-        """Run up to ``n`` cycles on ``kernel``, each poked from the tape
-        ``stimulus``.  Returns the cycles run, and whether the kernel
-        stopped before the next one with its row applied; ``(0, False)``
-        when a callback has no wake."""
+    def _run_tape(self, kernel, stimulus, n: int) -> tuple[int, bool]:
+        """Run up to ``n`` cycles on ``kernel``, each drawn and poked from
+        the tape ``stimulus``.  Returns the cycles run, and whether the
+        kernel stopped before the next one with its row applied; ``(0,
+        False)`` when a callback has no wake."""
         self._native_brk[0] = 0  # before reading the wake: see _run_native
         wake, record = self._wake, self._record
         if wake is None:
             return 0, False
         self._settle()
+        tape = native.Tape(stimulus.columns, stimulus.widths, stimulus.state())
         t0 = self._time
         prog = array("q", [0, 0])
         self._native_seg = (t0, prog)
-        applied = 0
         try:
             while prog[0] < n:
                 at = prog[0]
-                rows, first, count = stimulus.rows(n - at)
-                tape = native.tape_header(columns, rows, first)
-                try:
-                    k = self._kernel_run(
-                        kernel, min(n - at, count), prog, wake, tape, record, t0
-                    )
-                finally:
-                    stimulus.consume(tape[2] - first)
-                    applied += tape[2] - first
+                k = self._kernel_run(kernel, n - at, prog, wake, tape, record, t0)
                 if prog[0] - at < k:
                     break
         finally:
             done = self._end_segment(t0, prog)
-            self._stat_settle_seeds += applied
-        return done, applied > done
+            self._stat_settle_seeds += tape.header[2]
+        return done, tape.header[2] > done
 
     def _kernel_run(self, kernel, n: int, prog, wake, tape, record, t0: int) -> int:
         """One ``kernel.run`` of up to ``n`` cycles of the segment that

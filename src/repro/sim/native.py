@@ -5,8 +5,9 @@ no clock callback without a wake), ``Simulator.run()`` hands its budget
 to a C function emitted from the design's IR; under a ``snapshots=N``
 timeline the engine re-executes each segment's last cycles into the
 window.  ``Simulator.run_cycles`` hands it a stimulus *tape* instead of
-poking from Python: per cycle the kernel first stores the tape's next row
-into the input lanes and settles their fanout cone.  Per cycle it then checks the break
+poking from Python: per cycle the kernel first draws the next row from the
+tape's MT19937 state, as ``Random.getrandbits`` would, into the input
+lanes and settles their fanout cone.  Per cycle it then checks the break
 flag, the callbacks' combined wake predicate (a postfix program the
 prelude interprets, see :func:`wake_program`) and every stop/printf
 condition, returning *before* the tick of a cycle where one holds (Python
@@ -99,6 +100,32 @@ DIVS(64, u64, i64)
 DIVS(128, u128, i128)
 SHIFTS(64, u64, i64)
 SHIFTS(128, u128, i128)
+/* CPython's MT19937 (Modules/_randommodule.c): mt is Random.getstate()'s
+   624 state words, then the index of the next one to temper. */
+static uint32_t mt_next(uint32_t *mt)
+{
+    uint32_t y;
+    if (mt[624] >= 624) {
+        for (int k = 0; k < 624; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % 624] & 0x7fffffffU);
+            mt[k] = mt[(k + 397) % 624] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+        }
+        mt[624] = 0;
+    }
+    y = mt[mt[624]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+/* Random.getrandbits(width) for a width of 1 to 64: 32-bit outputs, least
+   significant first, the last shifted down to the bits it still needs. */
+static inline u64 draw(uint32_t *mt, u64 width)
+{
+    u64 lo = mt_next(mt);
+    if (width <= 32) return lo >> (32 - width);
+    return lo | (u64)(mt_next(mt) >> (64 - width)) << 32;
+}
 """
 _WAKE_CASES = "".join(
     f"        case {_WAKE_CODE[op]}: st[k - 1] = st[k - 1] {op} b; break;\n"
@@ -374,7 +401,7 @@ def c_source(design) -> str:
         g, width = cg(path), expr.typ.bit_width()
         body.append(g.store(design.order_targets[p], g.raw(expr), width))
 
-    # A tape row lands in the input lanes; then the merged fanout cone of
+    # A drawn row lands in the input lanes; then the merged fanout cone of
     # every non-clock top input settles, as a Python poke's would.
     seeds = 0
     for idx in design.top_inputs.values():
@@ -402,14 +429,12 @@ def c_source(design) -> str:
             for mi, (width, _depth) in enumerate(layout)
             if width > 64
         ),
-        "    const u64 nc = tape ? tape[0] : 0, *col = tape ? tape + 4 : 0;",
-        "    const u64 *row = tape ? (const u64 *)(uintptr_t)(tape[1]",
-        "        + 8 * nc * tape[2]) : 0;",
+        "    const u64 nc = tape ? tape[0] : 0, *col = tape ? tape + 3 : 0;",
+        "    uint32_t *mt = tape ? (uint32_t *)(uintptr_t)tape[1] : 0;",
         "    int64_t base = *prog, i;",
         "    for (i = 0; i < n; i++) {",
         "        if (tape) {",
-        "            for (u64 c = 0; c < nc; c++) s[col[c]] = row[c];",
-        "            row += nc;",
+        "            for (u64 c = 0; c < nc; c++) s[col[c]] = draw(mt, col[nc + c]);",
         *(f"            {x}" for x in poke),
         "        }",
         "        if (__atomic_load_n(brk, __ATOMIC_RELAXED)) break;",
@@ -441,7 +466,7 @@ class Kernel:
 
     def run(
         self, v, w, mems, n: int, brk: array, prog: array, wake: array,
-        tape: array | None = None, record: Recording | None = None,
+        tape: Tape | None = None, record: Recording | None = None,
     ) -> None:
         """Run up to ``n`` cycles on the values ``v``/``w`` and memories
         ``mems``, stopping before a cycle where the :func:`wake_program`
@@ -452,11 +477,11 @@ class Kernel:
         ``prog[0]`` counts the cycles run, also when the run is
         interrupted; ``prog[1]`` is set to 1 when the wake stopped it.
 
-        ``tape`` (see :func:`tape_header`) pokes every cycle: its next row
-        goes into the input lanes and their cone settles before the
+        ``tape`` (a :class:`Tape`) pokes every cycle: the kernel draws its
+        next row into the input lanes and their cone settles before the
         cycle's break, wake and stop/printf checks, so a run that stops
         before a cycle leaves that cycle's row applied.  The kernel
-        advances the header's row index past every row it applied.
+        counts every row it applied in the tape's header.
 
         ``record`` (see :func:`record_program`, made ready for ``n``
         cycles by :meth:`Recording.prepare`) runs after those checks, on
@@ -469,14 +494,22 @@ class Kernel:
             raise SimulatorError("native kernel: buffers do not match the design")
         if record is not None and len(record.out) < n * record.words:
             raise SimulatorError("native kernel: the record buffer is too small")
-        if tape is not None and (
-            tape[2] + n > tape[3]
-            or any(not 0 <= c < self.n_signals or c in self.wide for c in tape[4:])
-        ):
-            raise SimulatorError(
-                "native kernel: a tape needs a row per cycle and a narrow lane "
-                "per column"
-            )
+        if tape is not None:
+            head, mt = tape.header, tape.state
+            columns, widths = head[3 : 3 + head[0]], head[3 + head[0] :]
+            if (
+                len(widths) != len(columns)
+                or len(mt) != 625
+                or mt.typecode != "I"
+                or mt[624] > 624
+                or any(not 0 <= c < self.n_signals or c in self.wide for c in columns)
+                or any(not 1 <= x <= 64 for x in widths)
+            ):
+                raise SimulatorError(
+                    "native kernel: a tape needs a narrow lane and a width of 1 to "
+                    "64 bits per column, and an MT19937 state of 624 words and an "
+                    "index of at most 624"
+                )
         bufs, marks = [], []
         for wide, depth, mem in zip(self.mems, self.depths, mems, strict=True):
             narrow = isinstance(mem, array) and mem.typecode == "Q"
@@ -498,7 +531,7 @@ class Kernel:
         s, mp = state.buffer_info()[0], ptrs.buffer_info()[0]
         flag, done = brk.buffer_info()[0], prog.buffer_info()[0]
         code = wake.buffer_info()[0]
-        header = None if tape is None else tape.buffer_info()[0]
+        header = None if tape is None else tape.header.buffer_info()[0]
         rec = None if record is None else record.header.buffer_info()[0]
         try:
             while n > 0:
@@ -522,14 +555,22 @@ class Kernel:
                         mem[lo:hi] = [buf[j] | buf[j + 1] << 64 for j in pairs]
 
 
-def tape_header(columns, rows: array, first: int) -> array:
-    """The kernel's view of a stimulus tape: the column count, the address
-    of ``rows`` (one row per cycle, one word per column, row-major), the
-    index of the next row to apply, the number of rows, then each
-    column's signal index.  Keep ``rows`` alive while the kernel runs."""
-    # With no columns every row is empty: any number of them fits.
-    count = len(rows) // len(columns) if columns else _M64
-    return array("Q", [len(columns), rows.buffer_info()[0], first, count, *columns])
+class Tape:
+    """A stimulus tape in kernel form.  Each cycle the kernel draws
+    ``getrandbits(width)`` per column, in column order, from ``state``
+    (``Random.getstate()``'s 624 MT19937 words and index, an
+    ``array('I')`` it advances in place) into the column's lane.
+
+    ``header`` is ``[column count, the state's address, rows applied,
+    each column's signal index, each column's width]``."""
+
+    __slots__ = ("state", "header")
+
+    def __init__(self, columns, widths, state: array):
+        self.state = state  # the header holds its address
+        self.header = array(
+            "Q", [len(columns), state.buffer_info()[0], 0, *columns, *widths]
+        )
 
 
 # -- wake programs ------------------------------------------------------------

@@ -155,13 +155,13 @@ class TestHuntAttempt:
         assert len(v1_line) >= 5 * len(done)
 
     def test_default_cadence_heartbeats_by_the_clock(self, hunt):
-        """At the default cadence an attempt sends exactly four progress
-        lines, the setup heartbeat, and at most one more heartbeat per
-        HEARTBEAT_S of its wall time."""
+        """At the default cadence an attempt nobody listens to sends no
+        progress line, the setup heartbeat, and at most one more heartbeat
+        per HEARTBEAT_S of its wall time."""
         d, st, spec = hunt
         lines, wall = _lines(d, st, spec, listening=False)
         kinds = [decode_line(x)["event"] for x in lines]
-        assert kinds.count("progress") == 4
+        assert kinds.count("progress") == 0
         assert 1 <= kinds.count("heartbeat") <= 1 + wall / HEARTBEAT_S
         assert kinds[-1] == "done"
 
@@ -186,6 +186,32 @@ class TestHuntAttempt:
         assert result.cycles == sum(calls) == 1000
         assert len(calls) <= 4, calls
         assert [e["event"] for e in events].count("progress") == 4
+
+    @needs_cc
+    @pytest.mark.parametrize("listening", [False, True], ids=["quiet", "listened"])
+    def test_plain_attempt_calls_and_lines(self, hunt, monkeypatch, listening):
+        """A plain 1000-cycle attempt nobody listens to runs its tape in one
+        kernel call and sends two lines, the setup heartbeat and ``done``;
+        one with a listener keeps the four-hook stream.  (The heartbeat
+        clock is held back so no timed heartbeat joins them.)"""
+        d, st, _spec = hunt
+        calls = []
+        run = native.Kernel.run
+
+        def counted(kernel, *args, **kwargs):
+            calls.append(args[3])  # the cycles asked for
+            return run(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(native.Kernel, "run", counted)
+        monkeypatch.setattr("repro.shard.worker.HEARTBEAT_S", 3600.0)
+        spec = ShardSpec(shard_id=0, seed=5, cycles=1000)
+        kinds = [e["event"] for e in _attempt(d, st, spec, listening=listening)]
+        if listening:
+            assert calls == [250] * 4
+            assert kinds == ["heartbeat", *["progress"] * 4, "done"]
+        else:
+            assert calls == [1000]
+            assert kinds == ["heartbeat", "done"]
 
     def test_explicit_cadence_beats_at_every_hook(self, hunt):
         d, st, spec = hunt

@@ -10,6 +10,7 @@ debugger from another thread must stop a native run at once.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -25,7 +26,7 @@ import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
 from repro.cpu import RV32Core, assemble
 from repro.hub import SessionOptions
-from repro.sim import Simulator, compile_design, native
+from repro.sim import Simulator, Stimulus, compile_design, native
 from repro.sim.interface import SimulatorError
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import Accumulator, Counter, line_of
@@ -797,23 +798,157 @@ class _WideLane(hgf.Module):
 
 
 @needs_cc
-@pytest.mark.parametrize("bad", ["short", "out of range", "wide"])
+@pytest.mark.parametrize("bad", ["out of range", "wide", "width 65", "index 625"])
 def test_kernel_rejects_a_tape_it_cannot_run(bad):
-    """A tape that is shorter than the run, or whose column is not a
-    narrow lane of the design, never reaches C."""
+    """A tape whose column is not a narrow lane of the design or is wider
+    than 64 bits, or whose MT19937 index lies past the state's 624 words,
+    never reaches C."""
     sim = Simulator(repro.compile(_WideLane()).low)
     design = sim.design
     kernel = native.kernel_for(design)
-    columns = [design.top_inputs["d"]]
+    columns, widths = [design.top_inputs["d"]], [8]
+    state = array("I", random.Random(1).getstate()[1])
     if bad == "out of range":
         columns = [len(design.signals)]
     elif bad == "wide":
         columns = [next(iter(design.wide_indices))]
-    rows = array("Q", [1, 2, 3])
-    tape = native.tape_header(columns, rows, 1 if bad == "short" else 0)
+    elif bad == "width 65":
+        widths = [65]
+    else:
+        state[624] = 625
+    tape = native.Tape(columns, widths, state)
     prog, wake = array("q", [0, 0]), array("Q", [0])
-    before = sim.state_digest()
+    before = sim.state_digest(), state.tobytes()
     with pytest.raises(SimulatorError, match="tape"):
         kernel.run(sim._v, sim._w, sim.mems, 3, array("q", [0]), prog, wake, tape)
-    assert prog[0] == 0
-    assert sim.state_digest() == before
+    assert prog[0] == tape.header[2] == 0
+    assert (sim.state_digest(), state.tobytes()) == before
+
+
+#: A permutation of the widths 1..64, so sorted-name order is not width order.
+_WIDTHS = random.Random(64).sample(range(1, 65), 64)
+
+
+class _EveryWidth(hgf.Module):
+    """One input of each width from 1 to 64, each summed into a register
+    of its width: the registers hold every row the inputs saw."""
+
+    def __init__(self):
+        super().__init__()
+        out = self.output("out", 64)
+        total = None
+        for k, width in enumerate(_WIDTHS):
+            x = self.input(f"x{k:02d}", width)
+            acc = self.reg(f"acc{k:02d}", width, init=0)
+            acc <<= (acc + x)[width - 1 : 0]
+            part = acc.pad(64)
+            total = part if total is None else total ^ part
+        out <<= total
+
+
+@pytest.fixture(scope="module")
+def every_width():
+    return repro.compile(_EveryWidth())
+
+
+def _rows(seed: int, overrides, cycles: int) -> tuple[list, random.Random]:
+    """``cycles`` rows of the stimulus contract, drawn in Python, and the
+    generator after them."""
+    names = sorted(f"x{k:02d}" for k in range(64))
+    inputs = [(n, _WIDTHS[int(n[1:])]) for n in names if n not in overrides]
+    rng = random.Random(seed)
+    rows = [{n: rng.getrandbits(w) for n, w in inputs} for _ in range(cycles)]
+    return rows, rng
+
+
+def _next_word(stimulus) -> int:
+    """The next ``getrandbits(64)`` of a stimulus's generator."""
+    rng = random.Random()
+    rng.setstate((rng.VERSION, tuple(stimulus.state()), None))
+    return rng.getrandbits(64)
+
+
+@needs_cc
+@pytest.mark.parametrize("overrides", [{}, {"x03": 5, "x17": 0, "x40": 1}])
+def test_kernel_draws_equal_getrandbits_at_every_width(every_width, overrides):
+    """Every row the kernel draws, at each width from 1 to 64, equals
+    ``Random(seed).getrandbits(width)`` in sorted-name order, with or
+    without overrides dropping columns; a long run ends on the right row
+    and leaves the generator where Python's would be."""
+    for seed in (0, 7, 2**31 + 5):
+        sim = Simulator(every_width.low)
+        for name, value in overrides.items():
+            sim.poke(name, value)
+        sim.reset()
+        stimulus = Stimulus(sim.design, seed, overrides)
+        rows, rng = _rows(seed, overrides, 1030)
+        for row in rows[:30]:
+            sim.run_cycles(1, stimulus)
+            assert {n: sim.peek(n) for n in row} == row
+        sim.run_cycles(1000, stimulus)
+        assert {n: sim.peek(n) for n in rows[-1]} == rows[-1]
+        for name, value in overrides.items():
+            assert sim.peek(name) == value
+        assert sim.stats()["native_cycles"] == 1030
+        assert _next_word(stimulus) == rng.getrandbits(64)
+
+
+def _stop_tapes(design, sim, stop: str, monkeypatch):
+    """Make ``sim``'s kernel runs stop mid-tape: a callback woken on about
+    one cycle in eight, a kernel slice of ``slice N`` cycles, or a recorder
+    whose limit the kernel's record budget stops before.  Returns what
+    must stay alive while ``sim`` runs."""
+    from repro.core import HitRecorder
+
+    if stop == "wake":
+        x = sim.design.top_inputs["x00"]
+        wake = ("==", ("&", ("sig", x), ("num", 7)), ("num", 3))
+        sim.add_clock_callback(lambda s: None, wake=wake)
+        return None
+    if stop.startswith("slice"):
+        monkeypatch.setattr(native, "SLICE", int(stop.split()[1]))
+        return None
+    recorder = HitRecorder(limit=6)
+    rt = Runtime(sim, SQLiteSymbolTable(write_symbol_table(design)), recorder)
+    rt.attach()
+    rt.add_breakpoint(*line_of(design, "acc00"), condition="(x00 & 7) == 3")
+    return rt, recorder
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "stop", ["wake", "slice 1", "slice 4", "slice 9", "record budget"]
+)
+@pytest.mark.parametrize(
+    "kernel_first", [True, False], ids=["kernel first", "python first"]
+)
+def test_kernel_and_python_draws_continue_one_sequence(
+    every_width, monkeypatch, stop, kernel_first
+):
+    """A tape run that the kernel stops mid-way (a wake, a kernel slice of
+    1 to 9 cycles, a record budget) and Python pokes continue, or a Python
+    prefix the kernel continues, is one ``Random(seed)`` sequence: the
+    state equals a reference's and the next ``getrandbits(64)`` agrees."""
+    for seed in (3, 11):
+        sim = Simulator(every_width.low)
+        ref = Simulator(every_width.low, options=SessionOptions(fast=False))
+        keep = _stop_tapes(every_width, sim, stop, monkeypatch)
+        for s in (sim, ref):
+            s.reset()
+        stimulus, ref_stimulus = Stimulus(sim.design, seed), Stimulus(ref.design, seed)
+
+        def python(s, cycle):
+            stimulus(s, cycle)
+
+        first, then = (stimulus, python) if kernel_first else (python, stimulus)
+        assert sim.run_cycles(700, first) == 700
+        assert sim.run_cycles(300, then) == 300
+        assert ref.run_cycles(1000, ref_stimulus) == 1000
+        assert sim.state_digest() == ref.state_digest()
+        assert _next_word(stimulus) == _next_word(ref_stimulus)
+        stats = sim.stats()
+        assert 0 < stats["native_cycles"] <= (700 if kernel_first else 300)
+        if stop == "wake":
+            assert stats["native_wakes"] > 0
+        elif stop == "record budget" and kernel_first:
+            assert 0 < stats["native_hits"] < len(keep[1]) == 6

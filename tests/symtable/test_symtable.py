@@ -1,6 +1,9 @@
 """Symbol table tests: schema (Fig. 3), writer, and the four query
 primitives of Sec. 3.4."""
 
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +173,36 @@ class TestDebugVsOptimizedSize:
         n_opt = len(st_opt.all_breakpoints())
         n_dbg = len(st_dbg.all_breakpoints())
         assert n_dbg >= n_opt
+
+
+def test_breakpoint_ids_do_not_depend_on_string_hashing():
+    """Lowering visits a module's children in statement order, so the
+    breakpoint rows (id, instance id, line) of a design with several
+    child instances are the same under any ``PYTHONHASHSEED``."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    script = (
+        "import repro\n"
+        "from repro.symtable import symbol_table\n"
+        "from tests.helpers import TwoLeaves\n"
+        "rows = symbol_table(repro.compile(TwoLeaves())).rows.breakpoints\n"
+        "print([(b.id, b.instance_id, b.line) for b in rows])\n"
+    )
+    outs = []
+    for seed in ("0", "11"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("[(1, ")
